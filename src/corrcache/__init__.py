@@ -21,7 +21,6 @@ from .delivery import (
     cauc_place,
     cicc_deliver,
     cicc_place,
-    coded_delivery_step,
     decode,
     deliver,
     place,
@@ -91,7 +90,6 @@ __all__ = [
     "cicc_deliver",
     "cicc_place",
     "cicc_rate",
-    "coded_delivery_step",
     "compare_schemes",
     "cutset_bound",
     "decode",

@@ -234,17 +234,14 @@ def _cmd_simulate(args) -> int:
     if scheme == "cacc":
         caches = place(config, alloc, store)
         transcript = deliver(
-            config, alloc, demands, store,
-            schedule_source=args.fixture, seed=args.seed, caches=caches,
+            config, alloc, demands, store, schedule_source=args.fixture, seed=args.seed
         )
     elif scheme == "cauc":
         caches = cauc_place(config, alloc, store)
-        transcript = cauc_deliver(config, alloc, demands, store, caches=caches)
+        transcript = cauc_deliver(config, alloc, demands, store)
     elif scheme == "cicc":
         caches = cicc_place(config, config.cache_capacity, store)
-        transcript = cicc_deliver(
-            config, config.cache_capacity, demands, store, caches=caches
-        )
+        transcript = cicc_deliver(config, config.cache_capacity, demands, store)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -318,8 +315,6 @@ def _add_common(sub, with_demands=False, with_scheme=False, with_t=True):
                      help="comma list of exact per-level subfile sizes in bits")
     sub.add_argument("--seed", type=int, default=0, help="content/schedule seed")
     sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument("--format", choices=["csv"], default="csv",
-                     help="output format (CSV only)")
     if with_t:
         sub.add_argument("--t", default=None,
                          help="comma list of per-level cached shares t_l in [0, K]")

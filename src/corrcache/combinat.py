@@ -74,8 +74,8 @@ def divisibility_unit(n_users: int) -> int:
 def mix_seed(*parts: int) -> int:
     """Deterministic 64-bit seed derivation from integer components.
 
-    Avoids Python's salted hash() so schedules and combination streams are
-    reproducible across processes.
+    Avoids Python's salted hash() so schedules are reproducible across
+    processes.
     """
     acc = 0x9E3779B97F4A7C15
     for p in parts:

@@ -17,6 +17,7 @@ part i occupying item positions [o + i*psize, o + (i+1)*psize).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
 
 from .combinat import (
@@ -36,14 +37,13 @@ from .model import (
     check_allocation,
 )
 from .rates import build_level_curve, cicc_curve
-from .scheduling import AssignmentSchedule, generate_schedule, load_schedule
+from .scheduling import generate_schedule, load_schedule
 
 __all__ = [
     "DeliverySession",
     "LayerSpec",
     "StepRecord",
     "Transcript",
-    "Transmission",
     "UncodedRecord",
     "UserCache",
     "cacc_layers",
@@ -51,7 +51,6 @@ __all__ = [
     "cauc_place",
     "cicc_deliver",
     "cicc_place",
-    "coded_delivery_step",
     "decode",
     "deliver",
     "file_layout",
@@ -141,22 +140,16 @@ class UserCache:
         return dict(self.known_masks), dict(self.known_bits)
 
 
-_TEMPLATES: dict = {}
-
-
-def _part_templates(n_users: int, t: int, psize: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
     """Per-user OR-mask of the part segments a user caches (offset 0)."""
-    key = (n_users, t, psize)
-    tpl = _TEMPLATES.get(key)
-    if tpl is None:
-        seg = (1 << psize) - 1
-        tpl = [0] * (n_users + 1)
-        for i, lab in enumerate(part_labels(n_users, t)):
-            block = seg << (i * psize)
-            for u in members_of(lab):
-                tpl[u] |= block
-        _TEMPLATES[key] = tpl
-    return tpl
+    seg = (1 << psize) - 1
+    tpl = [0] * (n_users + 1)
+    for i, lab in enumerate(part_labels(n_users, t)):
+        block = seg << (i * psize)
+        for u in members_of(lab):
+            tpl[u] |= block
+    return tuple(tpl)
 
 
 def _place_items(caches, items, layers, n_users):
@@ -178,8 +171,13 @@ def _place_items(caches, items, layers, n_users):
                     cache.add(item, pm, content & pm)
 
 
-def _check_budget(config, caches, pad_bits):
-    budget = config.cache_capacity * config.file_size
+def _check_integral(config: LibraryConfig) -> None:
+    if not config.is_integral():
+        raise ValueError("placement and delivery need integer subfile sizes")
+
+
+def _check_budget(config, caches, pad_bits, cache_capacity):
+    budget = cache_capacity * config.file_size
     for cache in caches:
         cache.pad_bits = pad_bits
         if cache.total_bits() > budget + pad_bits + 1e-6 * config.file_size + 1e-9:
@@ -194,8 +192,7 @@ def place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
     parts at the level's (possibly sublayered) share and hand each user the
     parts whose label contains it."""
     check_allocation(config, alloc)
-    if not config.is_integral():
-        raise ValueError("placement needs integer subfile sizes")
+    _check_integral(config)
     k = config.n_users
     caches = [UserCache(user=u) for u in range(1, k + 1)]
     pad = 0.0
@@ -212,22 +209,12 @@ def place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
             for m in subset_masks(range(1, config.n_files + 1), level)
         ]
         _place_items(caches, items, layers, k)
-    _check_budget(config, caches, pad)
+    _check_budget(config, caches, pad, config.cache_capacity)
     return caches
 
 
 # ---------------------------------------------------------------------------
 # transcript records
-
-@dataclass(frozen=True)
-class Transmission:
-    """One on-air unit, for inspection/dumps."""
-
-    kind: str  # "xor" | "uncoded"
-    payload: int
-    bit_length: int
-    meta: tuple
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -246,10 +233,6 @@ class StepRecord:
     def bits(self) -> int:
         return len(self.payloads) * self.part_size
 
-    def transmissions(self):
-        for v, p in self.payloads.items():
-            yield Transmission("xor", p, self.part_size, (v, self.level, self.column))
-
 
 @dataclass(frozen=True)
 class UncodedRecord:
@@ -264,9 +247,6 @@ class UncodedRecord:
     def bits(self) -> int:
         return self.size
 
-    def transmissions(self):
-        yield Transmission("uncoded", self.payload, self.size, (self.item, self.offset))
-
 
 @dataclass(frozen=True)
 class Transcript:
@@ -279,21 +259,10 @@ class Transcript:
     total_bits: int
     step_counts: tuple
     per_level_bits: dict
-    cache_pad_bits: float
 
     @property
     def rate(self) -> float:
         return self.total_bits / self.config.file_size
-
-    def transmissions(self):
-        for rec in self.sections:
-            yield from rec.transmissions()
-
-    def dump(self) -> str:
-        lines = [f"scheme={self.scheme} total_bits={self.total_bits} rate={self.rate:.6g}"]
-        for tx in self.transmissions():
-            lines.append(f"{tx.kind} len={tx.bit_length} meta={tx.meta}")
-        return "\n".join(lines)
 
 
 def _tally(sections) -> int:
@@ -303,16 +272,9 @@ def _tally(sections) -> int:
 # ---------------------------------------------------------------------------
 # coded steps
 
-_LABEL_INDEX: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _label_index(n_users: int, t: int) -> dict:
-    key = (n_users, t)
-    idx = _LABEL_INDEX.get(key)
-    if idx is None:
-        idx = {lab: i for i, lab in enumerate(part_labels(n_users, t))}
-        _LABEL_INDEX[key] = idx
-    return idx
+    return {lab: i for i, lab in enumerate(part_labels(n_users, t))}
 
 
 def _leaders(step_items) -> int:
@@ -367,34 +329,6 @@ def _xor_step(n_users, scheme, level, layer, column, step_items, content_of) -> 
         leader_mask=leader_mask,
         part_size=psize,
         payloads=payloads,
-    )
-
-
-def coded_delivery_step(
-    config: LibraryConfig,
-    schedule: AssignmentSchedule,
-    column: int,
-    demands,
-    store: ContentStore,
-    layer: LayerSpec | None = None,
-    t: int | None = None,
-) -> StepRecord:
-    """One coded step over a schedule column (whole-subfile layer unless
-    a sublayer is passed)."""
-    demands = as_demands(demands, config)
-    if layer is None:
-        layer = LayerSpec(t=t, offset=0, size=int(config.level_size(schedule.level)))
-    pos = {f: i for i, f in enumerate(schedule.window)}
-    col = schedule.columns[column]
-    step_items = tuple(("sub", col[pos[d]].mask) for d in demands)
-    return _xor_step(
-        config.n_users,
-        "cacc",
-        schedule.level,
-        layer,
-        column,
-        step_items,
-        lambda key: store.subfile_bits(key[1]),
     )
 
 
@@ -549,7 +483,6 @@ def deliver(
     store: ContentStore,
     schedule_source=None,
     seed: int = 0,
-    caches=None,
     session: DeliverySession | None = None,
 ) -> Transcript:
     """Shared-subfile coded delivery for one demand vector.
@@ -562,8 +495,7 @@ def deliver(
     """
     demands = as_demands(demands, config)
     check_allocation(config, alloc)
-    if caches is None:
-        caches = place(config, alloc, store)
+    _check_integral(config)
     session = session if session is not None else DeliverySession()
     fixture = load_schedule(schedule_source) if schedule_source is not None else None
     k = config.n_users
@@ -613,7 +545,6 @@ def deliver(
         total_bits=sum(per_level.values()),
         step_counts=tuple(step_counts),
         per_level_bits=per_level,
-        cache_pad_bits=caches[0].pad_bits if caches else 0.0,
     )
 
 
@@ -731,22 +662,25 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
 # ---------------------------------------------------------------------------
 # uncoded scheme (prefix caching, plain remainders)
 
+def _prefix_bits(alloc: CacheAllocation, level: int, size: int) -> int:
+    """Bits of every level subfile each user caches under prefix caching."""
+    cached = alloc.fractions[level - 1] * size
+    c = int(round(cached))
+    if abs(cached - c) > 1e-6:
+        raise ValueError(f"level {level} prefix {cached} is not a whole number of bits")
+    return c
+
+
 def cauc_place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
     """Every user caches the same per-level prefix of every subfile."""
     check_allocation(config, alloc)
-    if not config.is_integral():
-        raise ValueError("placement needs integer subfile sizes")
+    _check_integral(config)
     caches = [UserCache(user=u) for u in range(1, config.n_users + 1)]
     for level in config.levels():
         size = int(config.subfile_sizes[level - 1])
         if size == 0:
             continue
-        cached = alloc.fractions[level - 1] * size
-        c = int(round(cached))
-        if abs(cached - c) > 1e-6:
-            raise ValueError(
-                f"level {level} prefix {cached} is not a whole number of bits"
-            )
+        c = _prefix_bits(alloc, level, size)
         if c == 0:
             continue
         prefix = (1 << c) - 1
@@ -754,7 +688,7 @@ def cauc_place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStor
             content = store.subfile_bits(m) & prefix
             for cache in caches:
                 cache.add(("sub", m), prefix, content)
-    _check_budget(config, caches, 0.0)
+    _check_budget(config, caches, 0.0, config.cache_capacity)
     return caches
 
 
@@ -763,13 +697,11 @@ def cauc_deliver(
     alloc: CacheAllocation,
     demands,
     store: ContentStore,
-    caches=None,
 ) -> Transcript:
     """Ship, uncoded, the uncached remainder of every demanded subfile."""
     demands = as_demands(demands, config)
     check_allocation(config, alloc)
-    if caches is None:
-        caches = cauc_place(config, alloc, store)
+    _check_integral(config)
     demand_mask = 0
     for d in demands:
         demand_mask |= 1 << (d - 1)
@@ -779,7 +711,7 @@ def cauc_deliver(
         size = int(config.subfile_sizes[level - 1])
         if size == 0:
             continue
-        c = int(round(alloc.fractions[level - 1] * size))
+        c = _prefix_bits(alloc, level, size)
         rem = size - c
         level_bits = 0
         if rem:
@@ -800,7 +732,6 @@ def cauc_deliver(
         total_bits=sum(per_level.values()),
         step_counts=(),
         per_level_bits=per_level,
-        cache_pad_bits=0.0,
     )
 
 
@@ -817,8 +748,7 @@ def _cicc_layers(config: LibraryConfig, cache_capacity: float):
 
 def cicc_place(config: LibraryConfig, cache_capacity: float, store: ContentStore):
     """Opaque-file placement: split each whole file into labeled parts."""
-    if not config.is_integral():
-        raise ValueError("placement needs integer subfile sizes")
+    _check_integral(config)
     k = config.n_users
     layers, t_exact = _cicc_layers(config, cache_capacity)
     caches = [UserCache(user=u) for u in range(1, k + 1)]
@@ -826,11 +756,7 @@ def cicc_place(config: LibraryConfig, cache_capacity: float, store: ContentStore
     _place_items(caches, items, layers, k)
     cached = sum(layer.t * layer.size for layer in layers) / k
     pad = max(cached - t_exact * config.file_size / k, 0.0) * config.n_files
-    budget = cache_capacity * config.file_size
-    for cache in caches:
-        cache.pad_bits = pad
-        if cache.total_bits() > budget + pad + 1e-6 * config.file_size + 1e-9:
-            raise RuntimeError(f"user {cache.user} over cache budget")
+    _check_budget(config, caches, pad, cache_capacity)
     return caches
 
 
@@ -839,12 +765,10 @@ def cicc_deliver(
     cache_capacity: float,
     demands,
     store: ContentStore,
-    caches=None,
 ) -> Transcript:
     """Leader-based coded delivery over whole files (single step per layer)."""
     demands = as_demands(demands, config)
-    if caches is None:
-        caches = cicc_place(config, cache_capacity, store)
+    _check_integral(config)
     k = config.n_users
     layers, _ = _cicc_layers(config, cache_capacity)
     step_items = tuple(("file", d) for d in demands)
@@ -866,5 +790,4 @@ def cicc_deliver(
         total_bits=total,
         step_counts=tuple(step_counts),
         per_level_bits={0: total},
-        cache_pad_bits=caches[0].pad_bits if caches else 0.0,
     )

@@ -310,16 +310,21 @@ def ratios_to_sizes(spec: ExperimentSpec) -> LibraryConfig:
 
     Each level size is rounded down to a multiple of the divisibility unit
     lcm{binom(K, t)} so bit-level placement splits evenly for every integer
-    share; the per-level loss is below one unit.
+    share; the per-level loss is below one unit.  A level with a positive
+    ratio that would round to 0 bits raises ValueError instead of silently
+    leaving that part of the library out.
     """
     unit = divisibility_unit(spec.n_users)
     sizes = []
-    for exact in exact_sizes_from_ratios(spec.n_files, spec.ratios, spec.file_bits):
-        sizes.append(int(exact // unit) * unit)
-    if sum(sizes) <= 0:
-        raise ValueError(
-            "file_bits too small for the divisibility unit; increase file_bits"
-        )
+    exact_sizes = exact_sizes_from_ratios(spec.n_files, spec.ratios, spec.file_bits)
+    for level, (r, exact) in enumerate(zip(spec.ratios, exact_sizes), start=1):
+        size = int(exact // unit) * unit
+        if r > 0 and size == 0:
+            raise ValueError(
+                f"level {level} ratio {r:g} rounds to 0 bits (divisibility unit "
+                f"{unit}); increase file_bits"
+            )
+        sizes.append(size)
     return LibraryConfig(
         n_files=spec.n_files,
         n_users=spec.n_users,

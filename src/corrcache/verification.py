@@ -21,6 +21,7 @@ from .delivery import (
     DeliverySession,
     StepRecord,
     UncodedRecord,
+    _decode_step,
     cauc_deliver,
     cauc_place,
     cicc_deliver,
@@ -93,8 +94,6 @@ def _digest(config: LibraryConfig) -> str:
 
 def _verify_step(rec: StepRecord, caches, truth_of, n_users) -> list[str]:
     """Every user must recover its step-item layer slice exactly."""
-    from .delivery import _decode_step  # shared private helper, same module family
-
     out = []
     off, size = rec.layer.offset, rec.layer.size
     seg = (1 << size) - 1
@@ -140,19 +139,15 @@ def verify_all_demands(
     if scheme == "cacc":
         caches = place(config, alloc, store)
         formula = cacc_rate(config, alloc)
-        run = lambda d: deliver(
-            config, alloc, d, store, caches=caches, session=session
-        )
+        run = lambda d: deliver(config, alloc, d, store, session=session)
     elif scheme == "cauc":
         caches = cauc_place(config, alloc, store)
         formula = cauc_rate(config, alloc)
-        run = lambda d: cauc_deliver(config, alloc, d, store, caches=caches)
+        run = lambda d: cauc_deliver(config, alloc, d, store)
     elif scheme == "cicc":
         caches = cicc_place(config, config.cache_capacity, store)
         formula = cicc_rate(config)
-        run = lambda d: cicc_deliver(
-            config, config.cache_capacity, d, store, caches=caches
-        )
+        run = lambda d: cicc_deliver(config, config.cache_capacity, d, store)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 

@@ -79,8 +79,7 @@ def test_criterion_1_distinct_demand_totals(capsys):
     alloc = _level_alloc(5, 5, 2, 1)
     caches = place(config, alloc, store)
     transcript = deliver(
-        config, alloc, (1, 2, 3, 4, 5), store,
-        schedule_source="example1", caches=caches,
+        config, alloc, (1, 2, 3, 4, 5), store, schedule_source="example1"
     )
     decoded = all(
         decode(u, caches[u - 1], transcript, (1, 2, 3, 4, 5))
@@ -112,7 +111,7 @@ def test_criterion_2_repeated_demand_totals(capsys):
     caches = place(config, alloc, store)
     demands = (1, 1, 1, 3, 4)
     transcript = deliver(
-        config, alloc, demands, store, schedule_source="example1", caches=caches
+        config, alloc, demands, store, schedule_source="example1"
     )
     decoded = all(
         decode(u, caches[u - 1], transcript, demands)
@@ -184,7 +183,7 @@ def test_criterion_3_exhaustive_demand_grids(capsys):
         alloc = CacheAllocation.from_replication(counts, k)
         caches = place(config, alloc, store)
         for demands in demand_list:
-            multi = deliver(config, alloc, demands, store, caches=caches)
+            multi = deliver(config, alloc, demands, store)
             for u in range(1, k + 1):
                 if decode(u, caches[u - 1], multi, demands) != store.file_bits(
                     demands[u - 1]

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import corrcache
 from corrcache import __version__
 from corrcache.cli import main
 
@@ -148,6 +150,18 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2
 
 
+def test_ratio_rounding_to_zero_bits_is_an_error(capsys):
+    """Level 2's half of the library is below one divisibility unit (27720
+    bits at K=12); dropping it silently would change the library."""
+    rc, _, err = run_cli(
+        capsys,
+        "simulate", "--n", "4", "--k", "12", "--ratios", "0.5,0.5", "--m", "1",
+        "--demands", "1,2,3,4,1,2,3,4,1,2,3,4", "--file-bits", "100000",
+    )
+    assert rc == 2
+    assert "error:" in err and "level 2" in err
+
+
 def test_missing_subcommand_is_parser_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -174,3 +188,20 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "total_bits=72000" in proc.stdout
+
+
+def test_package_imports_without_numpy():
+    """Every submodule imports with numpy unavailable: no runtime dependency."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(corrcache.__file__)))
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import corrcache\n"
+        "for mod in pkgutil.iter_modules(corrcache.__path__):\n"
+        "    importlib.import_module('corrcache.' + mod.name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -15,14 +15,13 @@ from corrcache import (
     cauc_rate,
     cicc_deliver,
     cicc_place,
-    coded_delivery_step,
     decode,
     deliver,
     generate_schedule,
-    load_schedule,
     place,
     remainder_delivery,
 )
+from corrcache import delivery
 from corrcache.delivery import (
     DeliverySession,
     LayerSpec,
@@ -60,7 +59,7 @@ def test_fixture_delivery_distinct_demands():
     alloc = t_alloc((0, 1, 0, 0, 0), 5)
     caches = place(config, alloc, store)
     transcript = deliver(
-        config, alloc, (1, 2, 3, 4, 5), store, schedule_source="example1", caches=caches
+        config, alloc, (1, 2, 3, 4, 5), store, schedule_source="example1"
     )
     assert transcript.total_bits == 36 * config.level_size(2) // 5
     assert transcript.step_counts == (9, 9, 9, 9)
@@ -75,7 +74,7 @@ def test_fixture_delivery_repeated_demands():
     caches = place(config, alloc, store)
     demands = (1, 1, 1, 3, 4)
     transcript = deliver(
-        config, alloc, demands, store, schedule_source="example1", caches=caches
+        config, alloc, demands, store, schedule_source="example1"
     )
     assert transcript.total_bits == 30 * config.level_size(2) // 5
     assert transcript.step_counts == (7, 9, 7, 7)
@@ -83,15 +82,34 @@ def test_fixture_delivery_repeated_demands():
 
 
 def test_single_step_payload_shape():
+    """Each coded step of the fixture sends 9 payload groups of F2/5 bits,
+    and every group contains at least one leader."""
     config = fixture_config()
     store = ContentStore.generate(config, seed=0)
-    sched = load_schedule("example1")
-    rec = coded_delivery_step(config, sched, 0, (1, 2, 3, 4, 5), store, t=1)
-    assert len(rec.payloads) == 9
-    assert rec.part_size == config.level_size(2) // 5
-    assert rec.bits == 9 * rec.part_size
-    # every payload group contains at least one leader
-    assert all(v & rec.leader_mask for v in rec.payloads)
+    alloc = t_alloc((0, 1, 0, 0, 0), 5)
+    transcript = deliver(
+        config, alloc, (1, 2, 3, 4, 5), store, schedule_source="example1"
+    )
+    assert len(transcript.sections) == 4
+    for rec in transcript.sections:
+        assert isinstance(rec, StepRecord)
+        assert len(rec.payloads) == 9
+        assert rec.part_size == config.level_size(2) // 5
+        assert rec.bits == 9 * rec.part_size
+        assert all(v & rec.leader_mask for v in rec.payloads)
+
+
+def test_transcript_dump_and_transmissions():
+    """The section records account for every transmitted bit, and each is
+    a coded step or an uncoded remainder."""
+    config = fixture_config()
+    store = ContentStore.generate(config, seed=0)
+    alloc = t_alloc((0, 1, 0, 0, 0), 5)
+    transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store)
+    assert sum(rec.bits for rec in transcript.sections) == transcript.total_bits
+    assert all(
+        isinstance(rec, (StepRecord, UncodedRecord)) for rec in transcript.sections
+    )
 
 
 def test_generated_schedule_matches_fixture_totals():
@@ -101,7 +119,7 @@ def test_generated_schedule_matches_fixture_totals():
     store = ContentStore.generate(config, seed=0)
     alloc = t_alloc((0, 1, 0, 0, 0), 5)
     caches = place(config, alloc, store)
-    transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store, caches=caches, seed=5)
+    transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store, seed=5)
     assert transcript.total_bits == 36 * config.level_size(2) // 5
     decode_all(config, caches, transcript, (1, 2, 3, 4, 5), store)
 
@@ -149,7 +167,7 @@ def test_uncoded_delivery_ships_remainders():
     store = ContentStore.generate(config, seed=0)
     alloc = CacheAllocation((0.0, 0.0))
     caches = cauc_place(config, alloc, store)
-    transcript = cauc_deliver(config, alloc, (1, 2), store, caches=caches)
+    transcript = cauc_deliver(config, alloc, (1, 2), store)
     assert transcript.total_bits == 3
     assert transcript.rate == pytest.approx(1.5)
     decode_all(config, caches, transcript, (1, 2), store)
@@ -193,7 +211,7 @@ def test_opaque_delivery_classic_rate_and_decode():
     store = ContentStore.generate(config, seed=0)
     caches = cicc_place(config, 1.0, store)
     demands = tuple(range(1, 11))
-    transcript = cicc_deliver(config, 1.0, demands, store, caches=caches)
+    transcript = cicc_deliver(config, 1.0, demands, store)
     assert transcript.total_bits == 45 * config.file_size // 10
     assert transcript.rate == pytest.approx(4.5)
     decode_all(config, caches, transcript, demands, store)
@@ -204,7 +222,7 @@ def test_opaque_delivery_repeats_cost_less():
     store = ContentStore.generate(config, seed=0)
     caches = cicc_place(config, 1.0, store)
     demands = (1,) * 10
-    transcript = cicc_deliver(config, 1.0, demands, store, caches=caches)
+    transcript = cicc_deliver(config, 1.0, demands, store)
     assert transcript.total_bits < 45 * config.file_size // 10
     decode_all(config, caches, transcript, demands, store)
 
@@ -268,7 +286,7 @@ def test_uncached_level_prefers_plain_subfiles_over_steps():
     store = ContentStore.generate(config, seed=6)
     alloc = CacheAllocation((0.0, 0.0, 0.0))
     caches = place(config, alloc, store)
-    transcript = deliver(config, alloc, (1, 2, 3), store, caches=caches)
+    transcript = deliver(config, alloc, (1, 2, 3), store)
     assert transcript.total_bits == 3 * config.level_size(2)
     assert transcript.step_counts == ()  # no coded steps kept
     assert all(isinstance(r, UncodedRecord) for r in transcript.sections)
@@ -288,10 +306,10 @@ def test_fractional_share_delivery_hits_envelope_exactly():
     store = ContentStore.generate(config, seed=0)
     alloc = CacheAllocation((0.25, 0.0))
     caches = place(config, alloc, store)
-    transcript = deliver(config, alloc, (1, 2), store, caches=caches)
+    transcript = deliver(config, alloc, (1, 2), store)
     env = build_level_curve(config, 1).envelope_value(0.5)
     assert transcript.total_bits == round(env * config.file_size)
-    assert transcript.cache_pad_bits == 0.0
+    assert all(c.pad_bits == 0.0 for c in caches)
     decode_all(config, caches, transcript, (1, 2), store)
 
 
@@ -309,7 +327,7 @@ def test_more_files_than_users_delivers_and_decodes():
     alloc = t_alloc((1, 1, 1), 2)
     caches = place(config, alloc, store)
     for demands in [(3, 3), (1, 2), (2, 3), (1, 1)]:
-        transcript = deliver(config, alloc, demands, store, caches=caches)
+        transcript = deliver(config, alloc, demands, store)
         limit = cacc_rate(config, alloc) * config.file_size
         assert transcript.total_bits <= limit + 1e-6
         decode_all(config, caches, transcript, demands, store)
@@ -323,11 +341,11 @@ def test_session_reuse_reproduces_fresh_transcripts():
     session = DeliverySession()
     demand_list = [(1, 2, 3), (2, 2, 4), (4, 4, 4), (1, 2, 3)]
     shared = [
-        deliver(config, alloc, d, store, caches=caches, session=session)
+        deliver(config, alloc, d, store, session=session)
         for d in demand_list
     ]
     for d, got in zip(demand_list, shared):
-        fresh = deliver(config, alloc, d, store, caches=caches)
+        fresh = deliver(config, alloc, d, store)
         assert got.total_bits == fresh.total_bits
         assert got.per_level_bits == fresh.per_level_bits
         assert [r.bits for r in got.sections] == [r.bits for r in fresh.sections]
@@ -343,7 +361,7 @@ def test_multi_level_delivery_is_levelwise_composition():
     alloc = t_alloc(counts, 3)
     caches = place(config, alloc, store)
     for demands in [(1, 2, 3), (2, 2, 1), (3, 3, 3)]:
-        multi = deliver(config, alloc, demands, store, caches=caches)
+        multi = deliver(config, alloc, demands, store)
         decode_all(config, caches, multi, demands, store)
         for level in (1, 2, 3):
             sizes = [0, 0, 0]
@@ -368,7 +386,7 @@ def test_decode_fails_without_needed_sections():
     alloc = t_alloc((0, 1, 0, 0, 0), 5)
     caches = place(config, alloc, store)
     transcript = deliver(
-        config, alloc, (1, 2, 3, 4, 5), store, schedule_source="example1", caches=caches
+        config, alloc, (1, 2, 3, 4, 5), store, schedule_source="example1"
     )
     truncated = dataclasses.replace(transcript, sections=transcript.sections[:-1])
     with pytest.raises(RuntimeError):
@@ -381,20 +399,62 @@ def test_decode_needs_matching_cache():
     store = ContentStore.generate(config, seed=0)
     alloc = t_alloc((0, 1, 0, 0, 0), 5)
     caches = place(config, alloc, store)
-    transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store, caches=caches)
+    transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store)
     # user 2 cannot decode with user 1's demand position but its own cache:
     # swapping demand vectors mid-stream must not silently succeed
     with pytest.raises(RuntimeError):
         decode(1, caches[1 - 1], transcript, (2, 2, 3, 4, 5))
 
 
-def test_transcript_dump_and_transmissions():
+
+# ---------------------------------------------------------------------------
+# delivery reads no caches
+
+def test_delivery_runs_without_placement(monkeypatch):
+    """All three schemes deliver their pinned totals with every placement
+    function disabled: delivery needs the store, never the caches."""
+
+    def no_placement(*args, **kwargs):
+        raise AssertionError("delivery must not run a placement")
+
+    for name in ("place", "cauc_place", "cicc_place"):
+        monkeypatch.setattr(delivery, name, no_placement)
+
     config = fixture_config()
     store = ContentStore.generate(config, seed=0)
-    alloc = t_alloc((0, 1, 0, 0, 0), 5)
-    transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store)
-    txs = list(transcript.transmissions())
-    assert sum(t.bit_length for t in txs) == transcript.total_bits
-    assert all(t.kind in ("xor", "uncoded") for t in txs)
-    dump = transcript.dump()
-    assert "scheme=cacc" in dump and "xor" in dump
+    transcript = deliver(
+        config, t_alloc((0, 1, 0, 0, 0), 5), (1, 2, 3, 4, 5), store,
+        schedule_source="example1",
+    )
+    assert transcript.total_bits == 36 * config.level_size(2) // 5
+
+    config = LibraryConfig(2, 2, 0.0, (1, 1))
+    store = ContentStore.generate(config, seed=0)
+    transcript = cauc_deliver(
+        config, CacheAllocation((0.0, 0.0)), (1, 2), store
+    )
+    assert transcript.total_bits == 3
+
+    config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
+    store = ContentStore.generate(config, seed=0)
+    transcript = cicc_deliver(config, 1.0, tuple(range(1, 11)), store)
+    assert transcript.total_bits == 45 * config.file_size // 10
+
+
+def test_delivery_rejects_non_integral_sizes():
+    store = ContentStore.generate(LibraryConfig(2, 2, 1.0, (4, 4)), seed=0)
+    config = LibraryConfig(2, 2, 1.0, (4.5, 4))
+    alloc = CacheAllocation((0.5, 0.0))
+    with pytest.raises(ValueError):
+        deliver(config, alloc, (1, 2), store)
+    with pytest.raises(ValueError):
+        cauc_deliver(config, alloc, (1, 2), store)
+    with pytest.raises(ValueError):
+        cicc_deliver(config, 1.0, (1, 2), store)
+
+
+def test_uncoded_delivery_rejects_fractional_prefix():
+    config = LibraryConfig(2, 2, 1.0, (4, 4))
+    store = ContentStore.generate(config, seed=0)
+    with pytest.raises(ValueError, match="whole number of bits"):
+        cauc_deliver(config, CacheAllocation((0.3, 0.0)), (1, 2), store)

@@ -9,7 +9,6 @@ from corrcache import (
     cauc_rate,
     compare_schemes,
     deliver,
-    place,
     verify_all_demands,
     worst_case_demand,
 )
@@ -103,10 +102,9 @@ def test_sweep_rates_match_fresh_deliveries():
     store = ContentStore.generate(config, seed=7)
     report = verify_all_demands(config, alloc, seed=7, store=store)
     assert report.ok
-    caches = place(config, alloc, store)
     for idx in range(0, len(report.demands), 5):
         d = report.demands[idx]
-        fresh = deliver(config, alloc, d, store, caches=caches)
+        fresh = deliver(config, alloc, d, store)
         assert fresh.rate == report.measured_rates[idx]
 
 
