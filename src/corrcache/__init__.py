@@ -16,6 +16,7 @@ from .allocation import (
     optimize_allocation,
 )
 from .delivery import (
+    DeliveryPlan,
     Transcript,
     cauc_deliver,
     cauc_place,
@@ -70,6 +71,7 @@ __all__ = [
     "AssignmentSchedule",
     "CacheAllocation",
     "ContentStore",
+    "DeliveryPlan",
     "DemandVector",
     "ExperimentSpec",
     "GridReport",

@@ -10,6 +10,7 @@ and exists purely to cross-check the greedy result.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
@@ -58,28 +59,32 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
     Raising level l's share from t to t+dt costs binom(N,l) F_l dt / K cached
     bits.  Envelope segments are consumed in order of steepest rate decrease
     per bit (ties: lower level first); the final partial segment may stop at
-    a fractional share.  A stop that would land exactly on an integer share
-    interior to a hull segment is nudged down, because the integer-share rate
-    (no memory sharing) can sit above the envelope there.
+    a fractional share.  The per-level segment lists are merged, so each
+    level's segments are taken in envelope order even where float noise
+    makes a collinear envelope's slopes tie or invert.  A stop that would
+    land exactly on an integer share interior to a hull segment is nudged
+    down, because the integer-share rate (no memory sharing) can sit above
+    the envelope there.
     """
     problem = _problem(config)
     n, k = config.n_files, config.n_users
     budget = config.cache_capacity * config.file_size
 
-    segments = []
+    per_level = []
     for curve in problem.curves:
         l = curve.level
         bits_per_share = comb0(n, l) * config.subfile_sizes[l - 1] / k
+        segments = []
         for (t0, r0), (t1, r1) in zip(curve.envelope, curve.envelope[1:]):
             drop_per_bit = (r0 - r1) / ((t1 - t0) * bits_per_share)
             if drop_per_bit <= 0:
                 continue
             segments.append((-drop_per_bit, l, t0, t1, bits_per_share))
-    segments.sort()
+        per_level.append(segments)
 
     shares = {curve.level: 0.0 for curve in problem.curves}
     remaining = budget
-    for _, l, t0, t1, bits_per_share in segments:
+    for _, l, t0, t1, bits_per_share in heapq.merge(*per_level):
         if remaining <= 0:
             break
         seg_bits = (t1 - t0) * bits_per_share

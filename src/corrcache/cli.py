@@ -118,7 +118,10 @@ def _pad(values, n, name):
     return tuple(values) + (0,) * (n - len(values))
 
 
-def _sizes_from_args(args) -> tuple:
+def _sizes_from_args(args, exact=False) -> tuple:
+    """Per-level sizes from --level-sizes, else from --ratios and --file-bits:
+    exact for the formula-only commands, rounded down to the divisibility
+    unit for the bit-level ones."""
     if args.level_sizes is not None:
         return _pad(_ints(args.level_sizes), args.n, "--level-sizes")
     if args.ratios is not None:
@@ -130,6 +133,8 @@ def _sizes_from_args(args) -> tuple:
             ratios=ratios,
             file_bits=args.file_bits,
         )
+        if exact:
+            return exact_sizes_from_ratios(args.n, spec.ratios, spec.file_bits)
         return ratios_to_sizes(spec).subfile_sizes
     raise ValueError("need --level-sizes or --ratios")
 
@@ -188,7 +193,7 @@ def _config_comment(config: LibraryConfig, seed=None, scheme=None) -> str:
 # subcommand bodies
 
 def _cmd_rates(args) -> int:
-    sizes = _sizes_from_args(args)
+    sizes = _sizes_from_args(args, exact=True)
     if args.m is None:
         raise ValueError("rates needs --m")
     config = LibraryConfig(args.n, args.k, args.m, sizes)
@@ -209,7 +214,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    sizes = _sizes_from_args(args)
+    sizes = _sizes_from_args(args, exact=True)
     if args.m is None:
         raise ValueError("optimize needs --m")
     config = LibraryConfig(args.n, args.k, args.m, sizes)
@@ -366,6 +371,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n < 1 or args.k < 1:
+            raise ValueError("--n and --k must be at least 1")
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ part i occupying item positions [o + i*psize, o + (i+1)*psize).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -35,12 +35,13 @@ from .model import (
     LibraryConfig,
     as_demands,
     check_allocation,
+    file_layout,
 )
 from .rates import build_level_curve, cicc_curve
 from .scheduling import generate_schedule, load_schedule
 
 __all__ = [
-    "DeliverySession",
+    "DeliveryPlan",
     "LayerSpec",
     "StepRecord",
     "Transcript",
@@ -53,7 +54,6 @@ __all__ = [
     "cicc_place",
     "decode",
     "deliver",
-    "file_layout",
     "place",
     "remainder_delivery",
     "window_for",
@@ -218,12 +218,11 @@ def place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One coded step: every XOR payload sent for one schedule column."""
+    """One coded step: every XOR payload sent for one step-item pattern."""
 
     scheme: str
     level: int
     layer: LayerSpec
-    column: int
     step_items: tuple  # per user, the item it recovers this step
     leader_mask: int
     part_size: int
@@ -288,7 +287,7 @@ def _leaders(step_items) -> int:
     return mask
 
 
-def _xor_step(n_users, scheme, level, layer, column, step_items, content_of) -> StepRecord:
+def _xor_step(n_users, scheme, level, layer, step_items, content_of) -> StepRecord:
     """Emit every XOR payload for one step.
 
     For each user set V of size t+1 touching a leader, the payload XORs,
@@ -324,7 +323,6 @@ def _xor_step(n_users, scheme, level, layer, column, step_items, content_of) -> 
         scheme=scheme,
         level=level,
         layer=layer,
-        column=column,
         step_items=step_items,
         leader_mask=leader_mask,
         part_size=psize,
@@ -332,26 +330,48 @@ def _xor_step(n_users, scheme, level, layer, column, step_items, content_of) -> 
     )
 
 
-def _memo_step(session, n_users, level, layer, column, step_items, store) -> StepRecord:
-    """The XOR step for one step-item pattern, shared across demand vectors."""
-    mkey = (level, layer, step_items)
-    rec = session.steps.get(mkey)
+def _memo_step(steps: dict, n_users, level, layer, step_items, store) -> StepRecord:
+    """The XOR step for one step-item pattern, shared across demand vectors:
+    `steps` is one sublayer's memo, keyed by the step-item pattern."""
+    rec = steps.get(step_items)
     if rec is None:
-        rec = _xor_step(
+        rec = steps[step_items] = _xor_step(
             n_users,
             "cacc",
             level,
             layer,
-            column,
             step_items,
             lambda key: store.subfile_bits(key[1]),
         )
-        session.steps[mkey] = rec
-    return rec if rec.column == column else replace(rec, column=column)
+    return rec
 
 
 # ---------------------------------------------------------------------------
 # exact remainder delivery
+
+def _demand_mask(demands) -> int:
+    mask = 0
+    for d in demands:
+        mask |= 1 << (d - 1)
+    return mask
+
+
+def _remainder_sections(n_users, level, layer, demanded, store, steps) -> list:
+    records = []
+    for m in demanded:
+        if layer.t == 0:
+            payload = (store.subfile_bits(m) >> layer.offset) & ((1 << layer.size) - 1)
+            records.append(
+                UncodedRecord(
+                    item=("sub", m), offset=layer.offset, size=layer.size,
+                    payload=payload,
+                )
+            )
+        else:
+            step_items = (("sub", m),) * n_users
+            records.append(_memo_step(steps, n_users, level, layer, step_items, store))
+    return records
+
 
 def remainder_delivery(
     config: LibraryConfig,
@@ -360,7 +380,6 @@ def remainder_delivery(
     subfile_masks,
     demands,
     store: ContentStore,
-    session: "DeliverySession | None" = None,
 ):
     """Per demanded subfile, exactly the layer bits each requester misses.
 
@@ -373,107 +392,169 @@ def remainder_delivery(
 
     At t=0 no user caches any of the layer, so it is shipped plainly.
     """
-    demands = as_demands(demands, config)
-    session = session if session is not None else DeliverySession()
-    demand_mask = 0
-    for d in demands:
-        demand_mask |= 1 << (d - 1)
-    size_mask = (1 << layer.size) - 1
-    records = []
-    for m in sorted(subfile_masks):
-        if not m & demand_mask:
-            continue
-        if layer.t == 0:
-            payload = (store.subfile_bits(m) >> layer.offset) & size_mask
-            records.append(
-                UncodedRecord(
-                    item=("sub", m), offset=layer.offset, size=layer.size,
-                    payload=payload,
-                )
-            )
-        else:
-            step_items = (("sub", m),) * config.n_users
-            records.append(
-                _memo_step(session, config.n_users, level, layer, 0, step_items, store)
-            )
-    return records
+    demand_mask = _demand_mask(as_demands(demands, config))
+    demanded = [m for m in sorted(subfile_masks) if m & demand_mask]
+    return _remainder_sections(config.n_users, level, layer, demanded, store, {})
 
 
 # ---------------------------------------------------------------------------
 # full delivery
 
-@dataclass
-class DeliverySession:
-    """Reusable memo across deliveries with the same config/alloc/store.
-
-    Step payloads (coded and remainder alike) depend on the demand vector
-    only through the per-step item pattern, so sweeps over many demand
-    vectors share almost all bit-level work.
-    """
-
-    schedules: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
-
-
 def window_for(config: LibraryConfig, demands) -> tuple[int, ...]:
     """Recovery window: all files when N <= K, else the demanded files padded
     with the smallest unrequested indices up to K."""
-    demands = as_demands(demands, config)
-    n, k = config.n_files, config.n_users
+    return _window(config.n_files, config.n_users, as_demands(demands, config))
+
+
+def _window(n: int, k: int, demands) -> tuple[int, ...]:
     if n <= k:
         return tuple(range(1, n + 1))
-    chosen = sorted(set(demands))
+    chosen = set(demands)
     for i in range(1, n + 1):
         if len(chosen) == k:
             break
-        if i not in set(chosen):
-            chosen.append(i)
+        chosen.add(i)
     return tuple(sorted(chosen))
 
 
 def _pools(config: LibraryConfig, level: int, window):
-    """(s, fixed-mask) pairs whose subfiles partition the level's deliverable
-    set: fixed parts range over outside-window subsets of each feasible size."""
+    """Fixed-part masks whose pools partition the level's deliverable set:
+    fixed parts range over outside-window subsets of each feasible size."""
     outside = [i for i in range(1, config.n_files + 1) if i not in window]
     s_lo = max(level - config.n_users, 0)
     s_hi = max(min(level - 1, config.n_files - config.n_users), 0)
     for s in range(s_lo, s_hi + 1):
-        for rbar in subset_masks(outside, s):
-            yield s, rbar
+        yield from subset_masks(outside, s)
 
 
-def _schedule_for(config, window, rbar, level, fixture, seed, session):
-    skey = (window, rbar, level, seed)
-    sched = session.schedules.get(skey)
-    if sched is None:
+class DeliveryPlan:
+    """The demand-independent work of `deliver`, done once.
+
+    A plan is built from (config, alloc, store, schedule source, seed).  It
+    runs the input checks and loads the fixture once; holds, per nonempty
+    level, the level's subfile masks and its delivered sublayers (t < K,
+    size > 0) with their unknown-bit counts; builds, per (window, level), a
+    column table of schedule columns as ("sub", mask) items by window
+    position; and keeps the step memo.  Step payloads depend on the demand
+    vector only through the per-step item pattern, so deliveries of many
+    demand vectors through one plan (``deliver(..., plan=plan)``) share
+    almost all bit-level work.
+    """
+
+    def __init__(
+        self,
+        config: LibraryConfig,
+        alloc: CacheAllocation,
+        store: ContentStore,
+        schedule_source=None,
+        seed: int = 0,
+    ):
+        check_allocation(config, alloc)
+        _check_integral(config)
+        self.config = config
+        self.alloc = alloc
+        self.store = store
+        self.schedule_source = schedule_source
+        self.seed = seed
+        self._fixture = (
+            load_schedule(schedule_source) if schedule_source is not None else None
+        )
+        k = config.n_users
+        files = range(1, config.n_files + 1)
+        levels = []
+        for level in config.levels():
+            if config.subfile_sizes[level - 1] == 0:
+                continue
+            t_exact = alloc.fractions[level - 1] * k
+            sublayers = tuple(
+                (layer, layer.size - layer.t * layer.size // k, {})
+                for layer in cacc_layers(config, level, t_exact)
+                if layer.t < k and layer.size > 0
+            )
+            levels.append((level, tuple(sorted(subset_masks(files, level))), sublayers))
+        self._levels = tuple(levels)
+        self._columns = {}
+
+    def _built_from(self, config, alloc, store, schedule_source, seed) -> bool:
+        return (
+            config is self.config
+            and alloc is self.alloc
+            and store is self.store
+            and schedule_source == self.schedule_source
+            and seed == self.seed
+        )
+
+    def _schedule(self, window, rbar, level):
         fixed = members_of(rbar)
+        fixture = self._fixture
         if (
             fixture is not None
             and fixture.window == window
             and fixture.fixed_part == fixed
             and fixture.level == level
         ):
-            sched = fixture
-        else:
-            sched = generate_schedule(
-                window, fixed, level, seed=mix_seed(seed, level, rbar)
-            )
-        session.schedules[skey] = sched
-    return sched
+            return fixture
+        return generate_schedule(
+            window, fixed, level, seed=mix_seed(self.seed, level, rbar)
+        )
 
-
-def _coded_sections(config, level, layer, window, demands, store, fixture, seed, session):
-    """All coded steps for one level layer: every fixed-part pool, every column."""
-    records = []
-    pos = {f: i for i, f in enumerate(window)}
-    for _, rbar in _pools(config, level, window):
-        sched = _schedule_for(config, window, rbar, level, fixture, seed, session)
-        for j, col in enumerate(sched.columns):
-            step_items = tuple(("sub", col[pos[d]].mask) for d in demands)
-            records.append(
-                _memo_step(session, config.n_users, level, layer, j, step_items, store)
+    def _column_table(self, window, level) -> tuple:
+        """Every coded step of one level over `window` (every fixed-part pool,
+        every column), as the ("sub", mask) item of each window position."""
+        key = (window, level)
+        table = self._columns.get(key)
+        if table is None:
+            table = self._columns[key] = tuple(
+                tuple(("sub", s.mask) for s in col)
+                for rbar in _pools(self.config, level, window)
+                for col in self._schedule(window, rbar, level).columns
             )
-    return records
+        return table
+
+    def _transcript(self, demands) -> Transcript:
+        config, store = self.config, self.store
+        k = config.n_users
+        window = _window(config.n_files, k, demands)
+        pos = {f: i for i, f in enumerate(window)}
+        slots = [pos[d] for d in demands]
+        demand_mask = _demand_mask(demands)
+
+        sections = []
+        step_counts = []
+        per_level = {}
+        for level, masks, sublayers in self._levels:
+            level_bits = 0
+            if sublayers:
+                patterns = [
+                    tuple([col[i] for i in slots])
+                    for col in self._column_table(window, level)
+                ]
+                demanded = [m for m in masks if m & demand_mask]
+            for layer, unknowns, steps in sublayers:
+                records = [
+                    steps.get(items) or _memo_step(steps, k, level, layer, items, store)
+                    for items in patterns
+                ]
+                bits = _tally(records)
+                if bits > len(demanded) * unknowns:
+                    records = _remainder_sections(
+                        k, level, layer, demanded, store, steps
+                    )
+                    bits = _tally(records)
+                else:
+                    step_counts.extend(len(r.payloads) for r in records)
+                sections.extend(records)
+                level_bits += bits
+            per_level[level] = level_bits
+        return Transcript(
+            scheme="cacc",
+            config=config,
+            seed=store.seed,
+            sections=tuple(sections),
+            total_bits=sum(per_level.values()),
+            step_counts=tuple(step_counts),
+            per_level_bits=per_level,
+        )
 
 
 def deliver(
@@ -483,89 +564,33 @@ def deliver(
     store: ContentStore,
     schedule_source=None,
     seed: int = 0,
-    session: DeliverySession | None = None,
+    plan: DeliveryPlan | None = None,
 ) -> Transcript:
     """Shared-subfile coded delivery for one demand vector.
 
     Per level and sublayer, runs every coded step over the window's pools.
     When those cost more than the floor -- every demanded subfile's uncached
-    bits, once -- the layer is sent by remainder_delivery instead, which
-    meets the floor exactly.  Either way a level costs at most the lesser of
-    the two, which is the rate formula's min(alpha, m).
+    bits, once -- the layer is sent by exact remainder steps instead (see
+    remainder_delivery), which meet the floor exactly.  Either way a level
+    costs at most the lesser of the two, which is the rate formula's
+    min(alpha, m).
+
+    `plan` is a DeliveryPlan built from these same config, alloc and store
+    objects, schedule source and seed (ValueError otherwise); without one,
+    a fresh plan is built for this call.
     """
     demands = as_demands(demands, config)
-    check_allocation(config, alloc)
-    _check_integral(config)
-    session = session if session is not None else DeliverySession()
-    fixture = load_schedule(schedule_source) if schedule_source is not None else None
-    k = config.n_users
-    window = window_for(config, demands)
-    demand_mask = 0
-    for d in demands:
-        demand_mask |= 1 << (d - 1)
-
-    sections = []
-    step_counts = []
-    per_level = {}
-    for level in config.levels():
-        size = int(config.subfile_sizes[level - 1])
-        if size == 0:
-            continue
-        level_bits = 0
-        t_exact = alloc.fractions[level - 1] * k
-        for layer in cacc_layers(config, level, t_exact):
-            if layer.t >= k or layer.size == 0:
-                continue
-            coded = _coded_sections(
-                config, level, layer, window, demands, store, fixture, seed, session
-            )
-            coded_bits = _tally(coded)
-            demanded = [
-                m
-                for m in subset_masks(range(1, config.n_files + 1), level)
-                if m & demand_mask
-            ]
-            unknowns = layer.size - layer.t * layer.size // k
-            floor = len(demanded) * unknowns
-            if coded_bits > floor:
-                chosen = remainder_delivery(
-                    config, level, layer, demanded, demands, store, session
-                )
-            else:
-                chosen = coded
-                step_counts.extend(len(r.payloads) for r in coded)
-            sections.extend(chosen)
-            level_bits += _tally(chosen)
-        per_level[level] = level_bits
-    return Transcript(
-        scheme="cacc",
-        config=config,
-        seed=store.seed,
-        sections=tuple(sections),
-        total_bits=sum(per_level.values()),
-        step_counts=tuple(step_counts),
-        per_level_bits=per_level,
-    )
+    if plan is None:
+        plan = DeliveryPlan(config, alloc, store, schedule_source, seed)
+    elif not plan._built_from(config, alloc, store, schedule_source, seed):
+        raise ValueError(
+            "plan was built from another config, alloc, store, schedule source or seed"
+        )
+    return plan._transcript(demands)
 
 
 # ---------------------------------------------------------------------------
 # decoding (transcript + own cache only)
-
-def file_layout(config: LibraryConfig, file_index: int):
-    """(subfile mask, size, offset) triples in canonical file order."""
-    if not 1 <= file_index <= config.n_files:
-        raise ValueError("file index out of range")
-    bit = 1 << (file_index - 1)
-    out = []
-    offset = 0
-    for level in config.levels():
-        size = int(config.subfile_sizes[level - 1])
-        for m in subset_masks(range(1, config.n_files + 1), level):
-            if m & bit:
-                out.append((m, size, offset))
-                offset += size
-    return out
-
 
 def _family_xor(rec: StepRecord, v: int) -> int:
     """Reconstruct an unsent leaderless payload from sent ones.
@@ -702,9 +727,7 @@ def cauc_deliver(
     demands = as_demands(demands, config)
     check_allocation(config, alloc)
     _check_integral(config)
-    demand_mask = 0
-    for d in demands:
-        demand_mask |= 1 << (d - 1)
+    demand_mask = _demand_mask(demands)
     sections = []
     per_level = {}
     for level in config.levels():
@@ -778,7 +801,7 @@ def cicc_deliver(
     for layer in layers:
         if layer.t >= k or layer.size == 0:
             continue
-        rec = _xor_step(k, "cicc", 0, layer, 0, step_items, contents.__getitem__)
+        rec = _xor_step(k, "cicc", 0, layer, step_items, contents.__getitem__)
         sections.append(rec)
         step_counts.append(len(rec.payloads))
     total = _tally(sections)

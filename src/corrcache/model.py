@@ -86,9 +86,15 @@ class LibraryConfig:
         if any(s < 0 for s in sizes):
             raise ValueError("subfile sizes are nonnegative")
         object.__setattr__(self, "subfile_sizes", sizes)
+        n = self.n_files
+        object.__setattr__(
+            self,
+            "_file_size",
+            sum(comb0(n - 1, l - 1) * sizes[l - 1] for l in range(1, n + 1)),
+        )
         if self.file_size <= 0:
             raise ValueError("file size must be positive")
-        if self.cache_capacity < 0:
+        if not self.cache_capacity >= 0:
             raise ValueError("cache capacity is nonnegative")
         lib_files = self.library_bits / self.file_size
         if self.cache_capacity > lib_files:
@@ -96,11 +102,9 @@ class LibraryConfig:
 
     @property
     def file_size(self):
-        """Bits per file: sum over levels of binom(N-1, l-1) * F_l."""
-        n = self.n_files
-        return sum(
-            comb0(n - 1, l - 1) * self.subfile_sizes[l - 1] for l in range(1, n + 1)
-        )
+        """Bits per file: sum over levels of binom(N-1, l-1) * F_l (summed once,
+        in __post_init__)."""
+        return self._file_size
 
     @property
     def library_bits(self):
@@ -120,15 +124,21 @@ class LibraryConfig:
         return range(1, self.n_files + 1)
 
 
-def file_size(config: LibraryConfig):
-    """Bits per file for a config."""
-    return config.file_size
-
-
-def subfiles_of_level(config: LibraryConfig, level: int) -> list[SubfileId]:
-    """All level-l subfile ids in canonical (lexicographic) order."""
-    config.level_size(level)  # range check
-    return [SubfileId(m) for m in subset_masks(range(1, config.n_files + 1), level)]
+def file_layout(config: LibraryConfig, file_index: int):
+    """(subfile mask, size, offset) triples making up one file, in
+    concatenation order: level ascending, then lexicographic members."""
+    if not 1 <= file_index <= config.n_files:
+        raise ValueError("file index out of range")
+    bit = 1 << (file_index - 1)
+    out = []
+    offset = 0
+    for level in config.levels():
+        size = int(config.subfile_sizes[level - 1])
+        for m in subset_masks(range(1, config.n_files + 1), level):
+            if m & bit:
+                out.append((m, size, offset))
+                offset += size
+    return out
 
 
 @dataclass(frozen=True)
@@ -236,26 +246,11 @@ class ContentStore:
         mask = subfile.mask if isinstance(subfile, SubfileId) else subfile
         return self._contents[mask]
 
-    def file_layout(self, file_index: int) -> list[int]:
-        """Canonical subfile masks making up one file, in concatenation order."""
-        if not 1 <= file_index <= self.config.n_files:
-            raise ValueError("file index out of range")
-        bit = 1 << (file_index - 1)
-        layout = []
-        for level in self.config.levels():
-            for m in subset_masks(range(1, self.config.n_files + 1), level):
-                if m & bit:
-                    layout.append(m)
-        return layout
-
     def file_bits(self, file_index: int) -> int:
         """Ground-truth assembled file, file_size bits."""
         out = 0
-        shift = 0
-        for m in self.file_layout(file_index):
-            size = int(self.config.subfile_sizes[m.bit_count() - 1])
-            out |= self._contents[m] << shift
-            shift += size
+        for m, _, offset in file_layout(self.config, file_index):
+            out |= self._contents[m] << offset
         return out
 
 

@@ -5,8 +5,8 @@ config and checks two things everywhere: decodability (every user can
 rebuild its file from cache + transcript) and rate soundness (measured bits
 never exceed the formula; the limit allows float rounding and nothing
 else).  Step payloads -- coded steps and exact remainder steps alike --
-depend on demands only through per-step patterns, so a shared
-DeliverySession plus per-pattern decode checks keep the full N^K sweep fast
+depend on demands only through per-step patterns, so one DeliveryPlan
+plus per-pattern decode checks keep the full N^K sweep fast
 without weakening the quantifier: every emitted section is verified for
 every user it serves, and sampled demands additionally run the end-to-end
 decoder.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .delivery import (
-    DeliverySession,
+    DeliveryPlan,
     StepRecord,
     UncodedRecord,
     _decode_step,
@@ -95,6 +95,7 @@ def _digest(config: LibraryConfig) -> str:
 def _verify_step(rec: StepRecord, caches, truth_of, n_users) -> list[str]:
     """Every user must recover its step-item layer slice exactly."""
     out = []
+    tag = f"level {rec.level} step {rec.step_items}"
     off, size = rec.layer.offset, rec.layer.size
     seg = (1 << size) - 1
     for k in range(1, n_users + 1):
@@ -102,15 +103,15 @@ def _verify_step(rec: StepRecord, caches, truth_of, n_users) -> list[str]:
         try:
             _decode_step(k, rec, masks, bits, n_users)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-            out.append(f"step {rec.level}/{rec.column}: user {k} raised {exc!r}")
+            out.append(f"{tag}: user {k} raised {exc!r}")
             continue
         item = rec.step_items[k - 1]
         got_mask = (masks.get(item, 0) >> off) & seg
         if got_mask != seg:
-            out.append(f"step {rec.level}/{rec.column}: user {k} missing bits")
+            out.append(f"{tag}: user {k} missing bits")
             continue
         if (bits[item] >> off) & seg != (truth_of(item) >> off) & seg:
-            out.append(f"step {rec.level}/{rec.column}: user {k} wrong bits")
+            out.append(f"{tag}: user {k} wrong bits")
     return out
 
 
@@ -134,12 +135,12 @@ def verify_all_demands(
         raise ValueError(f"{n}**{k} demand vectors exceed the enumeration guard")
     if store is None:
         store = ContentStore.generate(config, seed)
-    session = DeliverySession()
 
     if scheme == "cacc":
+        plan = DeliveryPlan(config, alloc, store)
         caches = place(config, alloc, store)
         formula = cacc_rate(config, alloc)
-        run = lambda d: deliver(config, alloc, d, store, session=session)
+        run = lambda d: deliver(config, alloc, d, store, plan=plan)
     elif scheme == "cauc":
         caches = cauc_place(config, alloc, store)
         formula = cauc_rate(config, alloc)
@@ -166,6 +167,7 @@ def verify_all_demands(
     violations = []
     checked_steps: set = set()
     file_bits_true = {}
+    limit = formula * config.file_size + 1e-9 * config.file_size + 1e-6
     for idx, d in enumerate(all_demands):
         transcript = run(d)
         rates.append(transcript.rate)
@@ -183,7 +185,6 @@ def verify_all_demands(
                 violations.append(f"unknown record {type(rec)!r}")
                 demand_ok = False
 
-        limit = formula * config.file_size + 1e-9 * config.file_size + 1e-6
         if transcript.total_bits > limit:
             violations.append(
                 f"demand {d}: {transcript.total_bits} bits > formula "

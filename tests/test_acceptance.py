@@ -3,9 +3,9 @@
 Each test exercises one shipped guarantee at its stated tolerance and prints a
 single machine-greppable `criterion N: PASS/FAIL` line (visible even while
 pytest captures output), then asserts.  Budgets are wall-clock on the test
-host; the heavy sweeps share placement/session caches but never relax the
-quantifiers: every demand vector of every listed config is delivered and
-checked.
+host; the heavy sweeps share placement and delivery-plan caches but never
+relax the quantifiers: every demand vector of every listed config is
+delivered and checked.
 """
 
 import functools

@@ -8,9 +8,12 @@ from corrcache import (
     LibraryConfig,
     build_level_curve,
     cacc_rate,
+    cauc_optimal_allocation,
+    cauc_rate,
     exhaustive_allocation_oracle,
     optimize_allocation,
 )
+from corrcache.model import exact_sizes_from_ratios
 
 
 def test_zero_budget_allocates_nothing():
@@ -95,3 +98,22 @@ def test_oracle_rejects_bad_grid():
     big = LibraryConfig(12, 12, 1.0, (2,) * 12)
     with pytest.raises(ValueError):
         exhaustive_allocation_oracle(big, grid_step=0.01)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # Collinear envelope: float noise orders segment 16->17 before 1->16.
+        LibraryConfig(
+            20, 20, 0.5998, exact_sizes_from_ratios(20, (0,) * 19 + (1,), 100_000)
+        ),
+        LibraryConfig(10, 10, 1.45, (5000,) + (0,) * 8 + (95000,)),
+    ],
+    ids=["n20-level20", "n10-levels1-10"],
+)
+def test_allocator_spends_budget_on_tied_envelope_slopes(config):
+    """Each level's segments are consumed in envelope order, so no budget is
+    lost and the coded rate never exceeds the uncoded one."""
+    cacc = optimize_allocation(config).rate
+    cauc = cauc_rate(config, cauc_optimal_allocation(config))
+    assert cacc <= cauc + 1e-9

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrcache
-from corrcache import __version__
-from corrcache.cli import main
+from corrcache import ExperimentSpec, __version__
+from corrcache.cli import main, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +166,47 @@ def test_ratio_rounding_to_zero_bits_is_an_error(capsys):
     assert "error:" in err and "level 2" in err
 
 
+def test_rates_uses_exact_sizes_like_sweep(capsys):
+    """Formula-only commands keep exact sizes: level 2's half of a 1000-bit
+    file is below the divisibility unit, yet the rates are well defined and
+    match the sweep's row for the same library."""
+    rc, out, err = run_cli(
+        capsys,
+        "rates", "--n", "10", "--k", "10", "--m", "1", "--ratios", "0.5,0.5",
+        "--file-bits", "1000",
+    )
+    assert rc == 0, err
+    lines = out.strip().split("\n")
+    vals = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
+    spec = ExperimentSpec(
+        n_files=10, n_users=10, cache_capacity=1.0, ratios=(1.0,) + (0.0,) * 9,
+        file_bits=1000, sweep_level=2, grid=(0.5,),
+    )
+    assert vals["r_cacc"] == pytest.approx(run_sweep(spec).r_cacc[0], rel=1e-9)
+    rc, _, err = run_cli(
+        capsys,
+        "optimize", "--n", "10", "--k", "10", "--m", "1", "--ratios", "0.5,0.5",
+        "--file-bits", "1000",
+    )
+    assert rc == 0, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--n", "0", "--k", "4", "--m", "1"),
+        ("simulate", "--n", "4", "--k", "0", "--t", "0,0", "--level-sizes", "1,1",
+         "--demands", "1"),
+        ("verify", "--n", "2", "--k", "0", "--level-sizes", "4,4"),
+    ],
+    ids=["sweep-n0", "simulate-k0", "verify-k0"],
+)
+def test_no_files_or_no_users_exit_2(capsys, argv):
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert "error:" in err
+
+
 def test_missing_subcommand_is_parser_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -205,3 +250,73 @@ def test_package_imports_without_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# random flag sets never traceback
+
+def _csv(elements, max_size=5):
+    return st.lists(elements, max_size=max_size).map(lambda xs: ",".join(map(str, xs)))
+
+
+_NUMBER_TEXT = st.sampled_from(["nan", "inf", "-inf", "1e9", "x"])
+_FLAG_VALUES = {
+    "--m": st.one_of(st.floats(-1.0, 6.0).map(repr), _NUMBER_TEXT),
+    "--ratios": st.one_of(
+        _csv(st.floats(0.0, 1.0)), _csv(st.sampled_from([0, 0.5, 1]))
+    ),
+    "--level-sizes": _csv(st.integers(-2, 10_000)),
+    "--file-bits": st.integers(-5, 10_000).map(str),
+    "--seed": st.integers(-3, 10**6).map(str),
+    "--t": _csv(st.floats(-1.0, 5.0)),
+    "--demands": _csv(st.integers(-1, 5), max_size=6),
+    "--scheme": st.sampled_from(["cacc", "cauc", "cicc"]),
+    "--fixture": st.sampled_from(["example1", "no-such-schedule.txt"]),
+    "--sweep-level": st.integers(-1, 5).map(str),
+    "--grid": _csv(st.floats(-0.5, 1.5), max_size=4),
+}
+_COMMAND_FLAGS = {
+    "rates": ("--m", "--ratios", "--level-sizes", "--file-bits", "--seed"),
+    "optimize": ("--m", "--ratios", "--level-sizes", "--file-bits", "--seed"),
+    "simulate": (
+        "--m", "--ratios", "--level-sizes", "--file-bits", "--seed", "--t",
+        "--demands", "--scheme", "--fixture",
+    ),
+    "verify": (
+        "--m", "--ratios", "--level-sizes", "--file-bits", "--seed", "--t", "--scheme",
+    ),
+    "sweep": (
+        "--m", "--ratios", "--level-sizes", "--file-bits", "--seed", "--sweep-level",
+        "--grid",
+    ),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag, value in (("--n", st.integers(-1, 4)), ("--k", st.integers(-1, 4))):
+        if draw(st.integers(0, 9)):  # occasionally leave a required flag out
+            argv += [flag, str(draw(value))]
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [flag, draw(_FLAG_VALUES[flag])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_never_tracebacks(argv):
+    """Any flag set gives exit 0, 1 or 2; the only exception allowed out of
+    main is argparse's own SystemExit(2)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    assert rc in (0, 1, 2), argv
+    if rc == 2:
+        assert "error:" in err.getvalue(), argv

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import single_level_config
 from corrcache import (
     CacheAllocation,
     ContentStore,
+    DeliveryPlan,
     LibraryConfig,
     build_level_curve,
     cacc_rate,
@@ -23,7 +25,6 @@ from corrcache import (
 )
 from corrcache import delivery
 from corrcache.delivery import (
-    DeliverySession,
     LayerSpec,
     StepRecord,
     UncodedRecord,
@@ -333,23 +334,44 @@ def test_more_files_than_users_delivers_and_decodes():
         decode_all(config, caches, transcript, demands, store)
 
 
-def test_session_reuse_reproduces_fresh_transcripts():
-    config = single_level_config(4, 3, 2, units=2, capacity=2.0)
+def test_plan_reproduces_fresh_transcripts_over_demand_grid():
+    """One plan over every demand vector of a multi-level library with
+    fractional shares and more files than users (so the window moves) gives
+    the transcripts that fresh deliveries give, payload for payload."""
+    sizes = (12, 6, 6, 0)
+    alloc = CacheAllocation((0.5 / 3, 1.5 / 3, 1 / 3, 0.0))
+    probe = LibraryConfig(4, 3, 0.0, sizes)
+    config = LibraryConfig(4, 3, alloc.cached_bits(probe) / probe.file_size, sizes)
+    assert len(cacc_layers(config, 1, 0.5)) == 2
+    assert len(cacc_layers(config, 2, 1.5)) == 2
     store = ContentStore.generate(config, seed=8)
-    alloc = t_alloc((0, 1, 0, 0), 3)
     caches = place(config, alloc, store)
-    session = DeliverySession()
-    demand_list = [(1, 2, 3), (2, 2, 4), (4, 4, 4), (1, 2, 3)]
-    shared = [
-        deliver(config, alloc, d, store, session=session)
-        for d in demand_list
-    ]
-    for d, got in zip(demand_list, shared):
+    plan = DeliveryPlan(config, alloc, store)
+    grid = list(itertools.product(range(1, 5), repeat=3))
+    assert len({window_for(config, d) for d in grid}) == 4
+    for i, d in enumerate(grid):
+        got = deliver(config, alloc, d, store, plan=plan)
         fresh = deliver(config, alloc, d, store)
+        assert got.sections == fresh.sections
         assert got.total_bits == fresh.total_bits
         assert got.per_level_bits == fresh.per_level_bits
-        assert [r.bits for r in got.sections] == [r.bits for r in fresh.sections]
-        decode_all(config, caches, got, d, store)
+        assert got.step_counts == fresh.step_counts
+        if i % 9 == 0:
+            decode_all(config, caches, got, d, store)
+
+
+def test_plan_built_from_other_inputs_is_rejected():
+    config = LibraryConfig(3, 2, 0.875, (6, 6, 6))
+    store = ContentStore.generate(config, seed=0)
+    alloc = t_alloc((1, 1, 1), 2)
+    plan = DeliveryPlan(config, alloc, store)
+    deliver(config, alloc, (1, 2), store, plan=plan)
+    with pytest.raises(ValueError, match="plan"):
+        deliver(config, t_alloc((1, 1, 1), 2), (1, 2), store, plan=plan)
+    with pytest.raises(ValueError, match="plan"):
+        deliver(config, alloc, (1, 2), ContentStore.generate(config, seed=0), plan=plan)
+    with pytest.raises(ValueError, match="plan"):
+        deliver(config, alloc, (1, 2), store, seed=1, plan=plan)
 
 
 def test_multi_level_delivery_is_levelwise_composition():

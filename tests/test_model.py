@@ -22,8 +22,8 @@ from corrcache.combinat import (
 )
 from corrcache.model import (
     exact_sizes_from_ratios,
+    file_layout,
     rounding_loss_bits,
-    subfiles_of_level,
 )
 
 
@@ -110,7 +110,6 @@ def test_config_sizes():
     assert config.library_bits == 10 * 100
     assert config.level_size(2) == 100
     assert list(config.levels()) == [1, 2, 3, 4, 5]
-    assert len(subfiles_of_level(config, 2)) == 10
 
 
 def test_config_validation():
@@ -163,11 +162,11 @@ def test_content_store_file_assembly():
     config = LibraryConfig(3, 2, 0.0, (4, 4, 4))
     store = ContentStore.generate(config, seed=7)
     # file 2 = subfiles {2}, {1,2}, {2,3}, {1,2,3} in canonical order
-    masks = store.file_layout(2)
-    assert masks == [0b010, 0b011, 0b110, 0b111]
+    layout = file_layout(config, 2)
+    assert layout == [(0b010, 4, 0), (0b011, 4, 4), (0b110, 4, 8), (0b111, 4, 12)]
     want = 0
-    for i, m in enumerate(masks):
-        want |= store.subfile_bits(m) << (4 * i)
+    for m, _, offset in layout:
+        want |= store.subfile_bits(m) << offset
     assert store.file_bits(2) == want
     assert store.file_bits(2).bit_length() <= config.file_size
 
