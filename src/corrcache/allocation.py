@@ -30,27 +30,10 @@ _NUDGE = 1e-6
 
 
 @dataclass(frozen=True)
-class AllocationProblem:
-    """Inputs to the allocator: config plus per-level envelopes."""
-
-    config: LibraryConfig
-    curves: tuple[LevelRateCurve, ...]
-
-
-@dataclass(frozen=True)
 class AllocationSolution:
     alloc: CacheAllocation
     rate: float
     method: str
-
-
-def _problem(config: LibraryConfig) -> AllocationProblem:
-    curves = tuple(
-        build_level_curve(config, l)
-        for l in config.levels()
-        if config.subfile_sizes[l - 1] > 0
-    )
-    return AllocationProblem(config=config, curves=curves)
 
 
 def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
@@ -66,13 +49,16 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
     down, because the integer-share rate (no memory sharing) can sit above
     the envelope there.
     """
-    problem = _problem(config)
+    curves = {
+        l: build_level_curve(config, l)
+        for l in config.levels()
+        if config.subfile_sizes[l - 1] > 0
+    }
     n, k = config.n_files, config.n_users
     budget = config.cache_capacity * config.file_size
 
     per_level = []
-    for curve in problem.curves:
-        l = curve.level
+    for l, curve in curves.items():
         bits_per_share = comb0(n, l) * config.subfile_sizes[l - 1] / k
         segments = []
         for (t0, r0), (t1, r1) in zip(curve.envelope, curve.envelope[1:]):
@@ -82,7 +68,7 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
             segments.append((-drop_per_bit, l, t0, t1, bits_per_share))
         per_level.append(segments)
 
-    shares = {curve.level: 0.0 for curve in problem.curves}
+    shares = dict.fromkeys(curves, 0.0)
     remaining = budget
     for _, l, t0, t1, bits_per_share in heapq.merge(*per_level):
         if remaining <= 0:
@@ -94,7 +80,7 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
         else:
             stop = t0 + remaining / bits_per_share
             if abs(stop - round(stop)) < _SNAP and not _is_vertex(
-                problem, l, round(stop)
+                curves[l], round(stop)
             ):
                 stop = max(t0, stop - _NUDGE)
             shares[l] = stop
@@ -110,11 +96,8 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
     )
 
 
-def _is_vertex(problem: AllocationProblem, level: int, t: float) -> bool:
-    for curve in problem.curves:
-        if curve.level == level:
-            return any(abs(v - t) < _SNAP for v, _ in curve.envelope)
-    return False
+def _is_vertex(curve: LevelRateCurve, t: float) -> bool:
+    return any(abs(v - t) < _SNAP for v, _ in curve.envelope)
 
 
 def exhaustive_allocation_oracle(

@@ -8,12 +8,24 @@ R * file_size bits in the worst case.  Three schemes are covered:
 * CICC: coded delivery that ignores correlation (files treated as opaque),
 
 plus a cut-set converse bound that no scheme can beat.
+
+The hot kernels are closed forms over integer tables that depend only on
+(N, K) and the level, memoized with module-level lru_caches:
+
+* the cut-set bound's exposed-bit count uses Vandermonde's identity,
+  sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
+  = sum_j F_j (binom(N, j) - binom(N-e, j)),
+  so it costs O(N) per cut size instead of a double sum;
+* the uncoded allocation takes every level's tail from one suffix pass;
+* the coded alpha rate reads its integer numerator, per share t, from one
+  table keyed by (N, K, level) that build_level_curve also reads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .combinat import comb0
@@ -77,19 +89,7 @@ def lower_convex_hull(points) -> tuple[tuple[float, float], ...]:
     return tuple(hull)
 
 
-def cumulative_tail(config: LibraryConfig, level: int):
-    """Library bits at commonness `level` and above: sum_{i>=l} binom(N,i) F_i.
-
-    Defined for level in [1, N+1]; the N+1 tail is 0.
-    """
-    n = config.n_files
-    if not 1 <= level <= n + 1:
-        raise ValueError("level out of range")
-    return sum(
-        comb0(n, i) * config.subfile_sizes[i - 1] for i in range(level, n + 1)
-    )
-
-
+@functools.lru_cache(maxsize=1024)
 def _needed_subfile_count(n_files: int, n_users: int, level: int) -> int:
     """Level-l subfiles touched by a worst-case demand set of min(N, K) files."""
     return comb0(n_files, level) - comb0(max(n_files - n_users, 0), level)
@@ -115,67 +115,78 @@ def cauc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
 def cauc_optimal_allocation(config: LibraryConfig) -> CacheAllocation:
     """Capacity-optimal uncoded allocation: fill highest commonness first.
 
-    With C(l) the cumulative tail, level l gets p_l = 1 when C(l) fits in the
-    budget, the fractional remainder when the budget lands inside level l,
-    and 0 below that.  Uses the whole budget whenever the budget is below the
-    total library size.
+    With C(l) = sum_{i>=l} binom(N,i) F_i the cumulative tail, level l gets
+    p_l = 1 when C(l) fits in the budget, the fractional remainder when the
+    budget lands inside level l, and 0 below that.  The tails come from one
+    suffix pass, level N down to 1, so the whole allocation is O(N).  Uses
+    the whole budget whenever the budget is below the total library size.
     """
     budget = config.cache_capacity * config.file_size
     n = config.n_files
-    fractions = []
-    for l in config.levels():
+    fractions = [0.0] * n
+    tail_above = 0
+    for l in reversed(config.levels()):
         size_l = comb0(n, l) * config.subfile_sizes[l - 1]
-        tail_here = cumulative_tail(config, l)
-        tail_above = tail_here - size_l
-        if tail_here <= budget or size_l == 0:
-            fractions.append(1.0 if tail_here <= budget else 0.0)
-        elif budget > tail_above:
-            fractions.append((budget - tail_above) / size_l)
-        else:
-            fractions.append(0.0)
+        tail_here = tail_above + size_l
+        if tail_here <= budget:
+            fractions[l - 1] = 1.0
+        elif size_l != 0 and budget > tail_above:
+            fractions[l - 1] = (budget - tail_above) / size_l
+        tail_above = tail_here
     return CacheAllocation(tuple(fractions))
+
+
+@functools.lru_cache(maxsize=1024)
+def _alpha_numerators(n_files: int, n_users: int, level: int) -> tuple[int, ...]:
+    """cacc_alpha's exact integer numerator for each share t in [0, K].
+
+    Sums over s = bits of the subfile index falling outside the demand
+    window; each window then runs binom(min(N,K)-1, l-s-1) delivery steps
+    whose multicast count is capped by the distinct step-demand bound.  The
+    entry at t = K is 0.
+    """
+    n, k = n_files, n_users
+    w = min(n, k)
+    terms = []
+    for s in range(max(level - k, 0), max(min(level - 1, n - k), 0) + 1):
+        distinct_cap = max(k - math.ceil(w / (level - s)) - 1, 0)
+        weight = comb0(max(n - k, 0), s) * comb0(w - 1, level - s - 1)
+        terms.append((weight, distinct_cap))
+    return tuple(
+        sum(weight * (comb0(k, t + 1) - comb0(cap, t + 1)) for weight, cap in terms)
+        for t in range(k + 1)
+    )
+
+
+def _alpha(config: LibraryConfig, level: int, t: int) -> float:
+    numerator = _alpha_numerators(config.n_files, config.n_users, level)[t]
+    return (
+        float(numerator)
+        * config.subfile_sizes[level - 1]
+        / (config.file_size * comb0(config.n_users, t))
+    )
+
+
+def _m(config: LibraryConfig, level: int, t) -> float:
+    n, k = config.n_files, config.n_users
+    size = config.subfile_sizes[level - 1]
+    return _needed_subfile_count(n, k, level) * (size - t * size / k) / config.file_size
 
 
 def cacc_alpha(config: LibraryConfig, level: int, t: int) -> float:
     """Per-level rate of the multicast XOR delivery procedure at integer share t.
 
-    Sums over s = bits of the subfile index falling outside the demand
-    window; each window then runs binom(min(N,K)-1, l-s-1) delivery steps
-    whose multicast count is capped by the distinct step-demand bound.
+    The numerator over s (see _alpha_numerators) depends only on
+    (N, K, level, t); it is scaled by F_l / (F binom(K, t)).
     """
-    n, k = config.n_files, config.n_users
     _check_level_t(config, level, t)
-    if t == k:
-        return 0.0
-    size = config.subfile_sizes[level - 1]
-    if size == 0:
-        return 0.0
-    w = min(n, k)
-    lo = max(level - k, 0)
-    hi = max(min(level - 1, n - k), 0)
-    total = 0.0
-    for s in range(lo, hi + 1):
-        blocks = level - s
-        distinct_cap = max(k - math.ceil(w / blocks) - 1, 0)
-        per_step = comb0(k, t + 1) - comb0(distinct_cap, t + 1)
-        total += (
-            comb0(max(n - k, 0), s)
-            * comb0(w - 1, level - s - 1)
-            * per_step
-        )
-    return total * size / (config.file_size * comb0(k, t))
+    return _alpha(config, level, t)
 
 
 def cacc_m(config: LibraryConfig, level: int, t: int) -> float:
     """Per-level rate of shipping uncached remainders of needed subfiles."""
     _check_level_t(config, level, t)
-    n, k = config.n_files, config.n_users
-    size = config.subfile_sizes[level - 1]
-    return (
-        _needed_subfile_count(n, k, level)
-        * (size - t * size / k)
-        / config.file_size
-    )
+    return _m(config, level, t)
 
 
 def _check_level_t(config: LibraryConfig, level: int, t) -> None:
@@ -184,13 +195,13 @@ def _check_level_t(config: LibraryConfig, level: int, t) -> None:
         raise ValueError(f"share t={t} outside [0, {config.n_users}]")
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=256)
 def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
     """Raw integer points min(alpha, m) and their lower convex hull."""
-    k = config.n_users
+    config.level_size(level)  # range check
     pts = tuple(
-        (t, min(cacc_alpha(config, level, t), cacc_m(config, level, t)))
-        for t in range(k + 1)
+        (t, min(_alpha(config, level, t), _m(config, level, t)))
+        for t in range(config.n_users + 1)
     )
     return LevelRateCurve(level=level, points=pts, envelope=lower_convex_hull(pts))
 
@@ -198,15 +209,15 @@ def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
 def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
     """Coded per-level rate at share t.
 
-    Integer t evaluates the raw point min(alpha, m); fractional t evaluates
-    the lower convex hull of the integer points, which memory sharing between
-    the two bracketing hull vertices achieves.
+    Integer t reads the raw point min(alpha, m) of the level curve;
+    fractional t evaluates the lower convex hull of the integer points, which
+    memory sharing between the two bracketing hull vertices achieves.
     """
     _check_level_t(config, level, t)
+    curve = build_level_curve(config, level)
     if abs(t - round(t)) <= _INT_TOL:
-        ti = int(round(t))
-        return min(cacc_alpha(config, level, ti), cacc_m(config, level, ti))
-    return build_level_curve(config, level).envelope_value(t)
+        return curve.points[int(round(t))][1]
+    return curve.envelope_value(t)
 
 
 def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
@@ -222,7 +233,11 @@ def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
 
 def cicc_curve(config: LibraryConfig) -> LevelRateCurve:
     """Integer rate points for opaque-file coded delivery, with their hull."""
-    n, k = config.n_files, config.n_users
+    return _cicc_curve(config.n_files, config.n_users)
+
+
+@functools.lru_cache(maxsize=256)
+def _cicc_curve(n: int, k: int) -> LevelRateCurve:
     pts = []
     for ti in range(k + 1):
         if ti == k:
@@ -235,6 +250,14 @@ def cicc_curve(config: LibraryConfig) -> LevelRateCurve:
     )
 
 
+def _capacity(config: LibraryConfig, cache_capacity: float | None) -> float:
+    """The capacity to evaluate at (the config's unless given), in [0, N]."""
+    m_files = config.cache_capacity if cache_capacity is None else cache_capacity
+    if not 0 <= m_files <= config.n_files + _INT_TOL:
+        raise ValueError("capacity outside [0, N]")
+    return m_files
+
+
 def cicc_rate(config: LibraryConfig, cache_capacity: float | None = None) -> float:
     """Coded delivery rate when correlation is ignored (files are opaque).
 
@@ -243,9 +266,7 @@ def cicc_rate(config: LibraryConfig, cache_capacity: float | None = None) -> flo
     points.
     """
     n, k = config.n_files, config.n_users
-    m_files = config.cache_capacity if cache_capacity is None else cache_capacity
-    if m_files < 0 or m_files > n + _INT_TOL:
-        raise ValueError("capacity outside [0, N]")
+    m_files = _capacity(config, cache_capacity)
     t = k * min(m_files, n) / n
     curve = cicc_curve(config)
     if abs(t - round(t)) <= _INT_TOL:
@@ -253,30 +274,35 @@ def cicc_rate(config: LibraryConfig, cache_capacity: float | None = None) -> flo
     return curve.envelope_value(t)
 
 
+@functools.lru_cache(maxsize=256)
+def _exposed_counts(n_files: int, hidden: int) -> tuple[int, ...]:
+    """binom(N, j) - binom(hidden, j) for j = 1..N: the level-j subfiles that
+    touch at least one of N - hidden exposed files."""
+    return tuple(
+        comb0(n_files, j) - comb0(hidden, j) for j in range(1, n_files + 1)
+    )
+
+
 def cutset_bound(config: LibraryConfig, cache_capacity: float | None = None) -> float:
     """Cut-set converse: no scheme with this capacity beats the returned rate.
 
     Maximizes over the number p of caches on the cut; b = floor(N/p) demand
-    rounds expose p*b files, and the remaining N - p*b files contribute via
-    the s index (F_{l+s} is 0 beyond level N).  Clamped at 0.
+    rounds expose e = p*b files.  The cut must carry every subfile that
+    touches an exposed file; by Vandermonde's identity
+    sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
+    = sum_j F_j (binom(N, j) - binom(N-e, j)),
+    i.e. all library bits minus the subfiles lying wholly inside the N-e
+    unexposed files, which is O(N) per p.  Clamped at 0.  Raises ValueError
+    for a capacity outside [0, N].
     """
     n = config.n_files
     k = config.n_users
-    m_files = config.cache_capacity if cache_capacity is None else cache_capacity
+    m_files = _capacity(config, cache_capacity)
+    sizes = config.subfile_sizes
     best = 0.0
     for p in range(1, min(n, k) + 1):
         b = n // p
-        exposed = p * b
-        total = 0.0
-        for s in range(0, n - exposed + 1):
-            for l in range(1, exposed + 1):
-                if l + s > n:
-                    continue
-                total += (
-                    comb0(n - exposed, s)
-                    * comb0(exposed, l)
-                    * config.subfile_sizes[l + s - 1]
-                )
+        total = sum(map(operator.mul, sizes, _exposed_counts(n, n - p * b)))
         value = (total / config.file_size - p * m_files) / b
         best = max(best, value)
     return best

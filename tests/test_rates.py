@@ -1,4 +1,5 @@
 import math
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,21 @@ def test_cutset_zero_at_full_storage():
     assert cutset_bound(config) == 0.0
 
 
+@pytest.mark.parametrize("m", [-1.0, -1e-6, math.nan, 2.5, math.inf])
+def test_cutset_rejects_capacity_outside_range(m):
+    """A negative capacity used to return 3.5, above the no-cache bound 1.5."""
+    config = LibraryConfig(2, 2, 1.0, (1, 1))
+    for rate in (cutset_bound, cicc_rate):
+        with pytest.raises(ValueError, match=r"capacity outside \[0, N\]"):
+            rate(config, m)
+
+
+def test_cutset_accepts_capacity_at_range_ends():
+    config = LibraryConfig(2, 2, 1.0, (1, 1))
+    assert cutset_bound(config, 0.0) == pytest.approx(1.5)
+    assert cutset_bound(config, 2.0) == 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(config_strategy())
 def test_cutset_below_every_achievable_rate(config):
@@ -268,3 +284,128 @@ def test_rates_agree_on_seeded_random_configs():
         assert coded <= cauc_rate(config, cauc_optimal_allocation(config)) + 1e-9
         if config.n_files >= config.n_users:
             assert coded <= cicc_rate(config) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the direct loops they replace
+
+def reference_cutset(config, m):
+    """Direct double sum over (s, l) for every cut size p."""
+    n, k, sizes = config.n_files, config.n_users, config.subfile_sizes
+    best = 0.0
+    for p in range(1, min(n, k) + 1):
+        b = n // p
+        exposed = p * b
+        total = 0.0
+        for s in range(0, n - exposed + 1):
+            for l in range(1, exposed + 1):
+                if l + s <= n:
+                    total += comb(n - exposed, s) * comb(exposed, l) * sizes[l + s - 1]
+        best = max(best, (total / config.file_size - p * m) / b)
+    return best
+
+
+def reference_cauc_fractions(config):
+    """Highest-commonness-first fill with each level's tail summed ascending."""
+    n, sizes = config.n_files, config.subfile_sizes
+    budget = config.cache_capacity * config.file_size
+    fractions = []
+    for l in config.levels():
+        size_l = comb(n, l) * sizes[l - 1]
+        tail_here = sum(comb(n, i) * sizes[i - 1] for i in range(l, n + 1))
+        tail_above = tail_here - size_l
+        if tail_here <= budget:
+            fractions.append(1.0)
+        elif size_l != 0 and budget > tail_above:
+            fractions.append((budget - tail_above) / size_l)
+        else:
+            fractions.append(0.0)
+    return tuple(fractions)
+
+
+def reference_alpha(config, level, t):
+    """cacc_alpha's sum over s, accumulated in floating point."""
+    n, k = config.n_files, config.n_users
+    size = config.subfile_sizes[level - 1]
+    if t == k or size == 0:
+        return 0.0
+    w = min(n, k)
+    total = 0.0
+    for s in range(max(level - k, 0), max(min(level - 1, n - k), 0) + 1):
+        cap = max(k - math.ceil(w / (level - s)) - 1, 0)
+        per_step = comb(k, t + 1) - comb(cap, t + 1)
+        total += comb(max(n - k, 0), s) * comb(w - 1, level - s - 1) * per_step
+    return total * size / (config.file_size * comb(k, t))
+
+
+def reference_points(config, level):
+    n, k = config.n_files, config.n_users
+    size = config.subfile_sizes[level - 1]
+    needed = comb(n, level) - comb(max(n - k, 0), level)
+    return tuple(
+        (t, min(reference_alpha(config, level, t),
+                needed * (size - t * size / k) / config.file_size))
+        for t in range(k + 1)
+    )
+
+
+@st.composite
+def wide_config(draw, integral):
+    """N, K <= 20 with integer or fractional level sizes, some levels empty."""
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(1, 20))
+    size = (
+        st.integers(1, 5000)
+        if integral
+        else st.floats(1e-3, 5000.0, allow_nan=False, allow_infinity=False)
+    )
+    sizes = draw(
+        st.lists(st.just(0) | size, min_size=n, max_size=n).filter(any)
+    )
+    m = draw(st.floats(0.0, float(n)))
+    return LibraryConfig(n, k, m, tuple(sizes))
+
+
+def _capacities(config):
+    return (config.cache_capacity, None, 0.0, config.n_files / 3, float(config.n_files))
+
+
+def _check_coded_curves_exact(config):
+    for level in config.levels():
+        want = reference_points(config, level)
+        curve = build_level_curve(config, level)
+        assert curve.points == want
+        assert curve.envelope == lower_convex_hull(want)
+        for t, point in want:
+            alpha = cacc_alpha(config, level, t)
+            assert alpha == reference_alpha(config, level, t)
+            assert cacc_level_rate(config, level, t) == point
+            assert cacc_level_rate(config, level, t) == min(alpha, cacc_m(config, level, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_config(integral=True))
+def test_closed_forms_equal_direct_loops_on_integer_sizes(config):
+    for m in _capacities(config):
+        want = reference_cutset(config, config.cache_capacity if m is None else m)
+        assert cutset_bound(config, m) == want
+    assert cauc_optimal_allocation(config).fractions == reference_cauc_fractions(config)
+    _check_coded_curves_exact(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_config(integral=False))
+def test_closed_forms_match_direct_loops_on_fractional_sizes(config):
+    """Summation order differs, so the cut-set (in files) and the uncoded
+    allocation (in cached bits per level, against the library size) agree to
+    1e-12; the coded curves still agree exactly."""
+    for m in _capacities(config):
+        want = reference_cutset(config, config.cache_capacity if m is None else m)
+        assert cutset_bound(config, m) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    n = config.n_files
+    library = config.library_bits
+    got = cauc_optimal_allocation(config).fractions
+    for l, p_got, p_want in zip(config.levels(), got, reference_cauc_fractions(config)):
+        level_bits = comb(n, l) * config.subfile_sizes[l - 1]
+        assert abs(p_got - p_want) * level_bits <= 1e-12 * library
+    _check_coded_curves_exact(config)
