@@ -25,20 +25,16 @@ from .delivery import (
     decode,
     deliver,
     place,
-    remainder_delivery,
 )
 from .model import (
     CacheAllocation,
     ContentStore,
-    DemandVector,
     ExperimentSpec,
     LibraryConfig,
-    SubfileId,
     ratios_to_sizes,
 )
 from .rates import (
     LevelRateCurve,
-    RatePoint,
     build_level_curve,
     cacc_alpha,
     cacc_level_rate,
@@ -56,12 +52,10 @@ from .scheduling import (
     load_schedule,
     schedule_from_text,
     schedule_to_text,
-    step_demands,
     validate_schedule,
 )
 from .verification import (
     GridReport,
-    compare_schemes,
     verify_all_demands,
     worst_case_demand,
 )
@@ -72,13 +66,10 @@ __all__ = [
     "CacheAllocation",
     "ContentStore",
     "DeliveryPlan",
-    "DemandVector",
     "ExperimentSpec",
     "GridReport",
     "LevelRateCurve",
     "LibraryConfig",
-    "RatePoint",
-    "SubfileId",
     "Transcript",
     "build_level_curve",
     "cacc_alpha",
@@ -92,7 +83,6 @@ __all__ = [
     "cicc_deliver",
     "cicc_place",
     "cicc_rate",
-    "compare_schemes",
     "cutset_bound",
     "decode",
     "deliver",
@@ -103,10 +93,8 @@ __all__ = [
     "optimize_allocation",
     "place",
     "ratios_to_sizes",
-    "remainder_delivery",
     "schedule_from_text",
     "schedule_to_text",
-    "step_demands",
     "validate_schedule",
     "verify_all_demands",
     "worst_case_demand",

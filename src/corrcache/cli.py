@@ -32,7 +32,6 @@ from .model import (
     ratios_to_sizes,
 )
 from .rates import (
-    cacc_rate,
     cauc_optimal_allocation,
     cauc_rate,
     cicc_rate,
@@ -245,8 +244,8 @@ def _cmd_simulate(args) -> int:
         caches = cauc_place(config, alloc, store)
         transcript = cauc_deliver(config, alloc, demands, store)
     elif scheme == "cicc":
-        caches = cicc_place(config, config.cache_capacity, store)
-        transcript = cicc_deliver(config, config.cache_capacity, demands, store)
+        caches = cicc_place(config, store)
+        transcript = cicc_deliver(config, demands, store)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 

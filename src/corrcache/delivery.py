@@ -1,9 +1,10 @@
 """Bit-exact placement, delivery, and decoding for the three schemes.
 
 Everything here moves real bits: placement carves pseudorandom subfile
-contents into cached parts, delivery emits leader-based XOR steps (schedule
-steps, or one exact remainder step per demanded subfile) and plain bits, and
-decode reconstructs a user's file from its cache plus the transcript alone.
+contents into cached parts, delivery emits leader-based XOR steps only
+(schedule steps, one exact remainder step per demanded subfile, and the
+uncoded scheme's plain sends as one-leader steps at share 0), and decode
+reconstructs a user's file from its cache plus the transcript alone.
 Rate formulas never enter the data path, so measured transcripts can be
 compared against them honestly.
 
@@ -45,7 +46,6 @@ __all__ = [
     "LayerSpec",
     "StepRecord",
     "Transcript",
-    "UncodedRecord",
     "UserCache",
     "cacc_layers",
     "cauc_deliver",
@@ -55,8 +55,6 @@ __all__ = [
     "decode",
     "deliver",
     "place",
-    "remainder_delivery",
-    "window_for",
 ]
 
 _INT_TOL = 1e-9
@@ -176,8 +174,8 @@ def _check_integral(config: LibraryConfig) -> None:
         raise ValueError("placement and delivery need integer subfile sizes")
 
 
-def _check_budget(config, caches, pad_bits, cache_capacity):
-    budget = cache_capacity * config.file_size
+def _check_budget(config, caches, pad_bits):
+    budget = config.cache_capacity * config.file_size
     for cache in caches:
         cache.pad_bits = pad_bits
         if cache.total_bits() > budget + pad_bits + 1e-6 * config.file_size + 1e-9:
@@ -209,7 +207,7 @@ def place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
             for m in subset_masks(range(1, config.n_files + 1), level)
         ]
         _place_items(caches, items, layers, k)
-    _check_budget(config, caches, pad, config.cache_capacity)
+    _check_budget(config, caches, pad)
     return caches
 
 
@@ -218,9 +216,12 @@ def place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One coded step: every XOR payload sent for one step-item pattern."""
+    """One leader-based XOR step: every payload sent for one step-item pattern.
 
-    scheme: str
+    At share t = 0 with every user's step item the same subfile, user 1 is the
+    only leader and the step is one plain payload of the whole layer.
+    """
+
     level: int
     layer: LayerSpec
     step_items: tuple  # per user, the item it recovers this step
@@ -231,20 +232,6 @@ class StepRecord:
     @property
     def bits(self) -> int:
         return len(self.payloads) * self.part_size
-
-
-@dataclass(frozen=True)
-class UncodedRecord:
-    """Plain bits of one item range (uncoded delivery remainders)."""
-
-    item: tuple
-    offset: int
-    size: int
-    payload: int
-
-    @property
-    def bits(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True)
@@ -287,7 +274,7 @@ def _leaders(step_items) -> int:
     return mask
 
 
-def _xor_step(n_users, scheme, level, layer, step_items, content_of) -> StepRecord:
+def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
     """Emit every XOR payload for one step.
 
     For each user set V of size t+1 touching a leader, the payload XORs,
@@ -320,7 +307,6 @@ def _xor_step(n_users, scheme, level, layer, step_items, content_of) -> StepReco
             y ^= (c >> pos) & pmask
         payloads[v] = y
     return StepRecord(
-        scheme=scheme,
         level=level,
         layer=layer,
         step_items=step_items,
@@ -337,7 +323,6 @@ def _memo_step(steps: dict, n_users, level, layer, step_items, store) -> StepRec
     if rec is None:
         rec = steps[step_items] = _xor_step(
             n_users,
-            "cacc",
             level,
             layer,
             step_items,
@@ -349,62 +334,25 @@ def _memo_step(steps: dict, n_users, level, layer, step_items, store) -> StepRec
 # ---------------------------------------------------------------------------
 # exact remainder delivery
 
-def _demand_mask(demands) -> int:
-    mask = 0
-    for d in demands:
-        mask |= 1 << (d - 1)
-    return mask
-
-
 def _remainder_sections(n_users, level, layer, demanded, store, steps) -> list:
-    records = []
-    for m in demanded:
-        if layer.t == 0:
-            payload = (store.subfile_bits(m) >> layer.offset) & ((1 << layer.size) - 1)
-            records.append(
-                UncodedRecord(
-                    item=("sub", m), offset=layer.offset, size=layer.size,
-                    payload=payload,
-                )
-            )
-        else:
-            step_items = (("sub", m),) * n_users
-            records.append(_memo_step(steps, n_users, level, layer, step_items, store))
-    return records
-
-
-def remainder_delivery(
-    config: LibraryConfig,
-    level: int,
-    layer: LayerSpec,
-    subfile_masks,
-    demands,
-    store: ContentStore,
-):
     """Per demanded subfile, exactly the layer bits each requester misses.
 
-    For t >= 1 the subfile's layer goes out as one XOR step with the subfile
-    as every user's step item: user 1 is the only leader, so the step sends
-    the C(K-1, t) payloads of user sets containing user 1, one part of
+    The subfile's layer goes out as one XOR step with the subfile as every
+    user's step item: user 1 is the only leader, so the step sends the
+    C(K-1, t) payloads of user sets containing user 1, one part of
     size/C(K, t) bits each -- exactly the size*(K-t)/K bits a requester does
-    not cache.  Every user decodes it like any coded step (the family
-    identity recovers the leaderless payloads).
-
-    At t=0 no user caches any of the layer, so it is shipped plainly.
+    not cache (at t = 0, one payload of the whole layer).  Every user decodes
+    it like any coded step (the family identity recovers the leaderless
+    payloads).
     """
-    demand_mask = _demand_mask(as_demands(demands, config))
-    demanded = [m for m in sorted(subfile_masks) if m & demand_mask]
-    return _remainder_sections(config.n_users, level, layer, demanded, store, {})
+    return [
+        _memo_step(steps, n_users, level, layer, (("sub", m),) * n_users, store)
+        for m in demanded
+    ]
 
 
 # ---------------------------------------------------------------------------
 # full delivery
-
-def window_for(config: LibraryConfig, demands) -> tuple[int, ...]:
-    """Recovery window: all files when N <= K, else the demanded files padded
-    with the smallest unrequested indices up to K."""
-    return _window(config.n_files, config.n_users, as_demands(demands, config))
-
 
 def _window(n: int, k: int, demands) -> tuple[int, ...]:
     if n <= k:
@@ -437,8 +385,8 @@ class DeliveryPlan:
     column table of schedule columns as ("sub", mask) items by window
     position; and keeps the step memo.  Step payloads depend on the demand
     vector only through the per-step item pattern, so deliveries of many
-    demand vectors through one plan (``deliver(..., plan=plan)``) share
-    almost all bit-level work.
+    demand vectors through one plan (``plan.deliver(demands)``) share almost
+    all bit-level work.
     """
 
     def __init__(
@@ -452,9 +400,7 @@ class DeliveryPlan:
         check_allocation(config, alloc)
         _check_integral(config)
         self.config = config
-        self.alloc = alloc
         self.store = store
-        self.schedule_source = schedule_source
         self.seed = seed
         self._fixture = (
             load_schedule(schedule_source) if schedule_source is not None else None
@@ -474,15 +420,6 @@ class DeliveryPlan:
             levels.append((level, tuple(sorted(subset_masks(files, level))), sublayers))
         self._levels = tuple(levels)
         self._columns = {}
-
-    def _built_from(self, config, alloc, store, schedule_source, seed) -> bool:
-        return (
-            config is self.config
-            and alloc is self.alloc
-            and store is self.store
-            and schedule_source == self.schedule_source
-            and seed == self.seed
-        )
 
     def _schedule(self, window, rbar, level):
         fixed = members_of(rbar)
@@ -505,19 +442,29 @@ class DeliveryPlan:
         table = self._columns.get(key)
         if table is None:
             table = self._columns[key] = tuple(
-                tuple(("sub", s.mask) for s in col)
+                tuple(("sub", m) for m in col)
                 for rbar in _pools(self.config, level, window)
                 for col in self._schedule(window, rbar, level).columns
             )
         return table
 
-    def _transcript(self, demands) -> Transcript:
+    def deliver(self, demands) -> Transcript:
+        """Shared-subfile coded delivery for one demand vector.
+
+        Per level and sublayer, runs every coded step over the window's
+        pools.  When those cost more than the floor -- every demanded
+        subfile's uncached bits, once -- the layer is sent by exact remainder
+        steps instead (see _remainder_sections), which meet the floor
+        exactly.  Either way a level costs at most the lesser of the two,
+        which is the rate formula's min(alpha, m).
+        """
         config, store = self.config, self.store
+        demands = as_demands(demands, config)
         k = config.n_users
         window = _window(config.n_files, k, demands)
         pos = {f: i for i, f in enumerate(window)}
         slots = [pos[d] for d in demands]
-        demand_mask = _demand_mask(demands)
+        demand_mask = mask_of(demands)
 
         sections = []
         step_counts = []
@@ -564,29 +511,10 @@ def deliver(
     store: ContentStore,
     schedule_source=None,
     seed: int = 0,
-    plan: DeliveryPlan | None = None,
 ) -> Transcript:
-    """Shared-subfile coded delivery for one demand vector.
-
-    Per level and sublayer, runs every coded step over the window's pools.
-    When those cost more than the floor -- every demanded subfile's uncached
-    bits, once -- the layer is sent by exact remainder steps instead (see
-    remainder_delivery), which meet the floor exactly.  Either way a level
-    costs at most the lesser of the two, which is the rate formula's
-    min(alpha, m).
-
-    `plan` is a DeliveryPlan built from these same config, alloc and store
-    objects, schedule source and seed (ValueError otherwise); without one,
-    a fresh plan is built for this call.
-    """
-    demands = as_demands(demands, config)
-    if plan is None:
-        plan = DeliveryPlan(config, alloc, store, schedule_source, seed)
-    elif not plan._built_from(config, alloc, store, schedule_source, seed):
-        raise ValueError(
-            "plan was built from another config, alloc, store, schedule source or seed"
-        )
-    return plan._transcript(demands)
+    """One-shot shared-subfile coded delivery: builds a DeliveryPlan for this
+    call and delivers `demands` through it (see DeliveryPlan.deliver)."""
+    return DeliveryPlan(config, alloc, store, schedule_source, seed).deliver(demands)
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +583,7 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
     d = demands[user - 1]
     masks, bits = cache.state()
     for rec in transcript.sections:
-        if isinstance(rec, StepRecord):
-            _decode_step(user, rec, masks, bits, config.n_users)
-        elif isinstance(rec, UncodedRecord):
-            item = rec.item
-            seg = (1 << rec.size) - 1
-            masks[item] = masks.get(item, 0) | (seg << rec.offset)
-            bits[item] = bits.get(item, 0) | ((rec.payload & seg) << rec.offset)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown record {type(rec)!r}")
+        _decode_step(user, rec, masks, bits, config.n_users)
 
     if transcript.scheme == "cicc":
         item = ("file", d)
@@ -713,7 +633,7 @@ def cauc_place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStor
             content = store.subfile_bits(m) & prefix
             for cache in caches:
                 cache.add(("sub", m), prefix, content)
-    _check_budget(config, caches, 0.0, config.cache_capacity)
+    _check_budget(config, caches, 0.0)
     return caches
 
 
@@ -723,11 +643,13 @@ def cauc_deliver(
     demands,
     store: ContentStore,
 ) -> Transcript:
-    """Ship, uncoded, the uncached remainder of every demanded subfile."""
+    """Ship, uncoded, the uncached remainder of every demanded subfile: one
+    share-0 remainder step (a single plain payload) per subfile."""
     demands = as_demands(demands, config)
     check_allocation(config, alloc)
     _check_integral(config)
-    demand_mask = _demand_mask(demands)
+    k = config.n_users
+    demand_mask = mask_of(demands)
     sections = []
     per_level = {}
     for level in config.levels():
@@ -735,18 +657,18 @@ def cauc_deliver(
         if size == 0:
             continue
         c = _prefix_bits(alloc, level, size)
-        rem = size - c
-        level_bits = 0
-        if rem:
-            for m in subset_masks(range(1, config.n_files + 1), level):
-                if not m & demand_mask:
-                    continue
-                payload = (store.subfile_bits(m) >> c) & ((1 << rem) - 1)
-                sections.append(
-                    UncodedRecord(item=("sub", m), offset=c, size=rem, payload=payload)
-                )
-                level_bits += rem
-        per_level[level] = level_bits
+        records = []
+        if c < size:
+            demanded = [
+                m
+                for m in subset_masks(range(1, config.n_files + 1), level)
+                if m & demand_mask
+            ]
+            records = _remainder_sections(
+                k, level, LayerSpec(0, c, size - c), demanded, store, {}
+            )
+        sections.extend(records)
+        per_level[level] = _tally(records)
     return Transcript(
         scheme="cauc",
         config=config,
@@ -761,39 +683,34 @@ def cauc_deliver(
 # ---------------------------------------------------------------------------
 # correlation-ignorant scheme (whole files as opaque units)
 
-def _cicc_layers(config: LibraryConfig, cache_capacity: float):
+def _cicc_layers(config: LibraryConfig):
     n, k = config.n_files, config.n_users
-    t_exact = k * min(cache_capacity, n) / n
+    t_exact = k * min(config.cache_capacity, n) / n
     return _split_layers(
         int(config.file_size), t_exact, cicc_curve(config).envelope, k
     ), t_exact
 
 
-def cicc_place(config: LibraryConfig, cache_capacity: float, store: ContentStore):
+def cicc_place(config: LibraryConfig, store: ContentStore):
     """Opaque-file placement: split each whole file into labeled parts."""
     _check_integral(config)
     k = config.n_users
-    layers, t_exact = _cicc_layers(config, cache_capacity)
+    layers, t_exact = _cicc_layers(config)
     caches = [UserCache(user=u) for u in range(1, k + 1)]
     items = [(("file", i), store.file_bits(i)) for i in range(1, config.n_files + 1)]
     _place_items(caches, items, layers, k)
     cached = sum(layer.t * layer.size for layer in layers) / k
     pad = max(cached - t_exact * config.file_size / k, 0.0) * config.n_files
-    _check_budget(config, caches, pad, cache_capacity)
+    _check_budget(config, caches, pad)
     return caches
 
 
-def cicc_deliver(
-    config: LibraryConfig,
-    cache_capacity: float,
-    demands,
-    store: ContentStore,
-) -> Transcript:
+def cicc_deliver(config: LibraryConfig, demands, store: ContentStore) -> Transcript:
     """Leader-based coded delivery over whole files (single step per layer)."""
     demands = as_demands(demands, config)
     _check_integral(config)
     k = config.n_users
-    layers, _ = _cicc_layers(config, cache_capacity)
+    layers, _ = _cicc_layers(config)
     step_items = tuple(("file", d) for d in demands)
     contents = {("file", i): store.file_bits(i) for i in sorted(set(demands))}
     sections = []
@@ -801,7 +718,7 @@ def cicc_deliver(
     for layer in layers:
         if layer.t >= k or layer.size == 0:
             continue
-        rec = _xor_step(k, "cicc", 0, layer, step_items, contents.__getitem__)
+        rec = _xor_step(k, 0, layer, step_items, contents.__getitem__)
         sections.append(rec)
         step_counts.append(len(rec.payloads))
     total = _tally(sections)

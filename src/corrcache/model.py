@@ -15,48 +15,12 @@ from dataclasses import dataclass, field
 from .combinat import (
     comb0,
     divisibility_unit,
-    mask_of,
-    members_of,
     mix_seed,
     subset_masks,
 )
 
 # Relative tolerance applied to the cache capacity constraint.
 CAPACITY_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True, order=True)
-class SubfileId:
-    """Identifier of one subfile: the set of files that share it.
-
-    Backed by a bitmask with bit (i - 1) set for member file i; members are
-    always reported sorted ascending so two ids built from any ordering of
-    the same indices compare equal.
-    """
-
-    mask: int
-
-    @classmethod
-    def of(cls, *members: int) -> "SubfileId":
-        return cls(mask_of(members))
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return members_of(self.mask)
-
-    @property
-    def level(self) -> int:
-        return self.mask.bit_count()
-
-    def contains(self, file_index: int) -> bool:
-        return bool(self.mask >> (file_index - 1) & 1)
-
-    def __post_init__(self):
-        if self.mask <= 0:
-            raise ValueError("a subfile is owned by a nonempty set of files")
-
-    def __repr__(self):
-        return f"SubfileId{self.members}"
 
 
 @dataclass(frozen=True)
@@ -92,6 +56,11 @@ class LibraryConfig:
             "_file_size",
             sum(comb0(n - 1, l - 1) * sizes[l - 1] for l in range(1, n + 1)),
         )
+        object.__setattr__(
+            self,
+            "_library_bits",
+            sum(comb0(n, l) * sizes[l - 1] for l in range(1, n + 1)),
+        )
         if self.file_size <= 0:
             raise ValueError("file size must be positive")
         if not self.cache_capacity >= 0:
@@ -108,9 +77,9 @@ class LibraryConfig:
 
     @property
     def library_bits(self):
-        """Total distinct bits stored at the server."""
-        n = self.n_files
-        return sum(comb0(n, l) * self.subfile_sizes[l - 1] for l in range(1, n + 1))
+        """Total distinct bits stored at the server: sum over levels of
+        binom(N, l) * F_l (summed once, in __post_init__)."""
+        return self._library_bits
 
     def level_size(self, level: int):
         if not 1 <= level <= self.n_files:
@@ -141,37 +110,15 @@ def file_layout(config: LibraryConfig, file_index: int):
     return out
 
 
-@dataclass(frozen=True)
-class DemandVector:
-    """One file request per user, 1-based file indices."""
-
-    demands: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "demands", tuple(self.demands))
-
-    def validate(self, config: LibraryConfig) -> None:
-        if len(self.demands) != config.n_users:
-            raise ValueError("need one demand per user")
-        for d in self.demands:
-            if not 1 <= d <= config.n_files:
-                raise ValueError(f"demand {d} outside [1, {config.n_files}]")
-
-    def distinct_files(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.demands)))
-
-    def __iter__(self):
-        return iter(self.demands)
-
-    def __len__(self):
-        return len(self.demands)
-
-
 def as_demands(demands, config: LibraryConfig) -> tuple[int, ...]:
-    """Normalize a DemandVector or plain sequence to a validated tuple."""
-    dv = demands if isinstance(demands, DemandVector) else DemandVector(tuple(demands))
-    dv.validate(config)
-    return dv.demands
+    """One validated file request per user, as a tuple of 1-based indices."""
+    demands = tuple(demands)
+    if len(demands) != config.n_users:
+        raise ValueError("need one demand per user")
+    for d in demands:
+        if not 1 <= d <= config.n_files:
+            raise ValueError(f"demand {d} outside [1, {config.n_files}]")
+    return demands
 
 
 @dataclass(frozen=True)
@@ -242,8 +189,7 @@ class ContentStore:
                 contents[m] = rng.getrandbits(size) if size else 0
         return cls(config=config, seed=seed, _contents=contents)
 
-    def subfile_bits(self, subfile) -> int:
-        mask = subfile.mask if isinstance(subfile, SubfileId) else subfile
+    def subfile_bits(self, mask: int) -> int:
         return self._contents[mask]
 
     def file_bits(self, file_index: int) -> int:

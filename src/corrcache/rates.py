@@ -35,15 +35,6 @@ _INT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RatePoint:
-    """One evaluated (capacity, rate) pair for a named scheme."""
-
-    scheme: str
-    cache_capacity: float
-    rate: float
-
-
-@dataclass(frozen=True)
 class LevelRateCurve:
     """Per-level coded rate against the integer caching share t in [0, K].
 
@@ -120,9 +111,12 @@ def cauc_optimal_allocation(config: LibraryConfig) -> CacheAllocation:
     budget lands inside level l, and 0 below that.  The tails come from one
     suffix pass, level N down to 1, so the whole allocation is O(N).  Uses
     the whole budget whenever the budget is below the total library size.
+    At the capacity clamp (the whole library) every share is exactly 1.
     """
-    budget = config.cache_capacity * config.file_size
     n = config.n_files
+    if config.cache_capacity >= config.library_bits / config.file_size:
+        return CacheAllocation((1.0,) * n)
+    budget = config.cache_capacity * config.file_size
     fractions = [0.0] * n
     tail_above = 0
     for l in reversed(config.levels()):
@@ -250,24 +244,15 @@ def _cicc_curve(n: int, k: int) -> LevelRateCurve:
     )
 
 
-def _capacity(config: LibraryConfig, cache_capacity: float | None) -> float:
-    """The capacity to evaluate at (the config's unless given), in [0, N]."""
-    m_files = config.cache_capacity if cache_capacity is None else cache_capacity
-    if not 0 <= m_files <= config.n_files + _INT_TOL:
-        raise ValueError("capacity outside [0, N]")
-    return m_files
-
-
-def cicc_rate(config: LibraryConfig, cache_capacity: float | None = None) -> float:
+def cicc_rate(config: LibraryConfig) -> float:
     """Coded delivery rate when correlation is ignored (files are opaque).
 
     Classic shared-cache tradeoff over N independent files of size F with
-    t = K * M / N; fractional t interpolates the convex hull of the integer
-    points.
+    t = K * M / N at the config's capacity M; fractional t interpolates the
+    convex hull of the integer points.
     """
     n, k = config.n_files, config.n_users
-    m_files = _capacity(config, cache_capacity)
-    t = k * min(m_files, n) / n
+    t = k * min(config.cache_capacity, n) / n
     curve = cicc_curve(config)
     if abs(t - round(t)) <= _INT_TOL:
         return curve.points[int(round(t))][1]
@@ -283,7 +268,7 @@ def _exposed_counts(n_files: int, hidden: int) -> tuple[int, ...]:
     )
 
 
-def cutset_bound(config: LibraryConfig, cache_capacity: float | None = None) -> float:
+def cutset_bound(config: LibraryConfig) -> float:
     """Cut-set converse: no scheme with this capacity beats the returned rate.
 
     Maximizes over the number p of caches on the cut; b = floor(N/p) demand
@@ -292,12 +277,12 @@ def cutset_bound(config: LibraryConfig, cache_capacity: float | None = None) -> 
     sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
     = sum_j F_j (binom(N, j) - binom(N-e, j)),
     i.e. all library bits minus the subfiles lying wholly inside the N-e
-    unexposed files, which is O(N) per p.  Clamped at 0.  Raises ValueError
-    for a capacity outside [0, N].
+    unexposed files, which is O(N) per p.  Clamped at 0.  Evaluated at the
+    config's capacity, which LibraryConfig keeps within [0, N].
     """
     n = config.n_files
     k = config.n_users
-    m_files = _capacity(config, cache_capacity)
+    m_files = config.cache_capacity
     sizes = config.subfile_sizes
     best = 0.0
     for p in range(1, min(n, k) + 1):

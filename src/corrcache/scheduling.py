@@ -18,19 +18,19 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .combinat import comb0, mask_of, members_of, mix_seed, subset_masks
-from .model import SubfileId
 
 __all__ = [
     "AssignmentSchedule",
     "EXAMPLE1_TEXT",
     "generate_schedule",
     "load_schedule",
-    "pool_subfiles",
     "schedule_from_text",
     "schedule_to_text",
-    "step_demands",
     "validate_schedule",
 ]
+
+# Seeded greedy passes generate_schedule tries before backtracking.
+_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -38,36 +38,17 @@ class AssignmentSchedule:
     """Per-step subfile assignments for every file in the window.
 
     columns[j][i] is the subfile the i-th window member (ascending order)
-    recovers at step j.
+    recovers at step j, as the bitmask of the files sharing it.
     """
 
     window: tuple[int, ...]
     fixed_part: tuple[int, ...]
     level: int
-    columns: tuple[tuple[SubfileId, ...], ...]
-
-    @property
-    def block_size(self) -> int:
-        return self.level - len(self.fixed_part)
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def n_columns(self) -> int:
         return len(self.columns)
-
-    def member_index(self, file_index: int) -> int:
-        return self.window.index(file_index)
-
-    def entry(self, file_index: int, column: int) -> SubfileId:
-        return self.columns[column][self.member_index(file_index)]
-
-
-def pool_subfiles(window, fixed_part, level: int) -> list[SubfileId]:
-    """All level-sized index sets containing fixed_part with the rest in window."""
-    fixed_mask = mask_of(fixed_part)
-    block = level - len(tuple(fixed_part))
-    return [
-        SubfileId(fixed_mask | bmask) for bmask in subset_masks(window, block)
-    ]
 
 
 def _check_shape(window, fixed_part, level: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -87,7 +68,7 @@ def _check_shape(window, fixed_part, level: int) -> tuple[tuple[int, ...], tuple
 
 
 def generate_schedule(
-    window, fixed_part=(), level: int = 1, seed: int = 0, restarts: int = 1000
+    window, fixed_part=(), level: int = 1, seed: int = 0
 ) -> AssignmentSchedule:
     """Build a valid schedule with seeded greedy attempts, then backtracking.
 
@@ -101,7 +82,7 @@ def generate_schedule(
     window_mask = mask_of(window)
 
     columns = None
-    for attempt in range(restarts):
+    for attempt in range(_RESTARTS):
         rng = random.Random(mix_seed(seed, attempt))
         columns = _greedy_columns(pool, window_mask, block, n_columns, rng)
         if columns is not None:
@@ -119,7 +100,7 @@ def generate_schedule(
         fixed_part=fixed_part,
         level=level,
         columns=tuple(
-            tuple(SubfileId(fixed_mask | col[i]) for i in window)
+            tuple(fixed_mask | col[i] for i in window)
             for col in columns
         ),
     )
@@ -226,11 +207,15 @@ def _backtrack_columns(pool, window_mask, block, n_columns):
 
 
 def validate_schedule(schedule: AssignmentSchedule) -> list[str]:
-    """Check membership, coverage, width, and column count; [] iff valid."""
+    """Check shape, membership, coverage, width, and column count; [] iff valid."""
+    try:
+        window, fixed, block = _check_shape(
+            schedule.window, schedule.fixed_part, schedule.level
+        )
+    except ValueError as exc:
+        return [str(exc)]
     violations = []
-    window, fixed = schedule.window, schedule.fixed_part
     window_mask, fixed_mask = mask_of(window), mask_of(fixed)
-    block = schedule.level - len(fixed)
     w = len(window)
 
     expected_cols = comb0(w - 1, block - 1)
@@ -243,17 +228,16 @@ def validate_schedule(schedule: AssignmentSchedule) -> list[str]:
         if len(col) != w:
             violations.append(f"column {j}: {len(col)} entries for {w} members")
             continue
-        for i, sub in zip(window, col):
-            m = sub.mask
+        for i, m in zip(window, col):
             if not m & (1 << (i - 1)):
                 violations.append(f"column {j}: entry for {i} lacks {i}")
             if fixed_mask & ~m:
                 violations.append(f"column {j}: entry for {i} lacks fixed part")
             if m & ~fixed_mask & ~window_mask:
                 violations.append(f"column {j}: entry for {i} leaves window")
-            if sub.level != schedule.level:
+            if m.bit_count() != schedule.level:
                 violations.append(f"column {j}: entry for {i} not level {schedule.level}")
-        distinct = len({sub.mask for sub in col})
+        distinct = len(set(col))
         cap = math.ceil(w / block) + 1
         if distinct > cap:
             violations.append(f"column {j}: {distinct} distinct subfiles > {cap}")
@@ -263,7 +247,7 @@ def validate_schedule(schedule: AssignmentSchedule) -> list[str]:
             )
 
     for idx, i in enumerate(window):
-        seen = [col[idx].mask for col in schedule.columns]
+        seen = [col[idx] for col in schedule.columns]
         want = {
             fixed_mask | b
             for b in subset_masks(window, block)
@@ -272,16 +256,6 @@ def validate_schedule(schedule: AssignmentSchedule) -> list[str]:
         if len(seen) != len(set(seen)) or set(seen) != want:
             violations.append(f"member {i}: coverage broken")
     return violations
-
-
-def step_demands(schedule: AssignmentSchedule, demands, column: int) -> tuple[SubfileId, ...]:
-    """Subfile each user recovers at this step: its demand's schedule entry."""
-    out = []
-    for d in demands:
-        if d not in schedule.window:
-            raise ValueError(f"demand {d} outside schedule window")
-        out.append(schedule.entry(d, column))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +268,7 @@ def schedule_to_text(schedule: AssignmentSchedule) -> str:
         f"# level: {schedule.level}",
     ]
     for col in schedule.columns:
-        lines.append(" ".join(",".join(map(str, s.members)) for s in col))
+        lines.append(" ".join(",".join(map(str, members_of(m))) for m in col))
     return "\n".join(lines) + "\n"
 
 
@@ -321,7 +295,7 @@ def schedule_from_text(text: str) -> AssignmentSchedule:
             continue
         columns.append(
             tuple(
-                SubfileId.of(*(int(x) for x in entry.split(",")))
+                mask_of(int(x) for x in entry.split(","))
                 for entry in line.split()
             )
         )
@@ -347,9 +321,15 @@ EXAMPLE1_TEXT = """\
 
 
 def load_schedule(source) -> AssignmentSchedule:
-    """Load a fixture: the built-in name "example1" or a text file path."""
+    """Load a fixture: a schedule, the built-in name "example1" or a text file
+    path.  Raises ValueError naming the first violation of an invalid one."""
     if isinstance(source, AssignmentSchedule):
-        return source
-    if source == "example1":
-        return schedule_from_text(EXAMPLE1_TEXT)
-    return schedule_from_text(Path(source).read_text())
+        schedule = source
+    elif source == "example1":
+        schedule = schedule_from_text(EXAMPLE1_TEXT)
+    else:
+        schedule = schedule_from_text(Path(source).read_text())
+    violations = validate_schedule(schedule)
+    if violations:
+        raise ValueError(f"invalid schedule: {violations[0]}")
+    return schedule

@@ -4,11 +4,11 @@ verify_all_demands drives the bit-level engine over every demand vector of a
 config and checks two things everywhere: decodability (every user can
 rebuild its file from cache + transcript) and rate soundness (measured bits
 never exceed the formula; the limit allows float rounding and nothing
-else).  Step payloads -- coded steps and exact remainder steps alike --
-depend on demands only through per-step patterns, so one DeliveryPlan
-plus per-pattern decode checks keep the full N^K sweep fast
-without weakening the quantifier: every emitted section is verified for
-every user it serves, and sampled demands additionally run the end-to-end
+else).  Every transmitted section of every scheme is one leader-based XOR
+step whose payloads depend on demands only through its step-item pattern,
+so one DeliveryPlan plus per-pattern decode checks keep the full N^K sweep
+fast without weakening the quantifier: every emitted section is verified
+for every user, and sampled demands additionally run the end-to-end
 decoder.
 """
 
@@ -20,34 +20,26 @@ from itertools import product
 from .delivery import (
     DeliveryPlan,
     StepRecord,
-    UncodedRecord,
     _decode_step,
     cauc_deliver,
     cauc_place,
     cicc_deliver,
     cicc_place,
     decode,
-    deliver,
     place,
 )
-from .model import ContentStore, LibraryConfig, as_demands
-from .rates import (
-    RatePoint,
-    cacc_rate,
-    cauc_optimal_allocation,
-    cauc_rate,
-    cicc_rate,
-    cutset_bound,
-)
+from .model import ContentStore, LibraryConfig
+from .rates import cacc_rate, cauc_rate, cicc_rate
 
 __all__ = [
     "GridReport",
-    "compare_schemes",
     "verify_all_demands",
     "worst_case_demand",
 ]
 
 _GRID_GUARD = 10**6
+# Demand vectors per sweep that also run the complete user decoder.
+_FULL_DECODE_SAMPLES = 3
 
 
 @dataclass
@@ -120,35 +112,31 @@ def verify_all_demands(
     alloc,
     scheme: str = "cacc",
     seed: int = 0,
-    store: ContentStore | None = None,
-    full_decode_samples: int = 3,
 ) -> GridReport:
     """Run delivery for every demand vector; check decode and rate soundness.
 
-    Every distinct transmitted section is decode-verified for each user it
-    serves (sections repeat across demand vectors, so this covers the whole
-    grid); additionally `full_decode_samples` demand vectors per sweep run
-    the complete user decoder against the ground-truth files.
+    Every distinct transmitted section is decode-verified for every user
+    (sections repeat across demand vectors, so this covers the whole grid);
+    additionally a few demand vectors per sweep run the complete user
+    decoder against the ground-truth files of the seed's content store.
     """
     n, k = config.n_files, config.n_users
     if n**k > _GRID_GUARD:
         raise ValueError(f"{n}**{k} demand vectors exceed the enumeration guard")
-    if store is None:
-        store = ContentStore.generate(config, seed)
+    store = ContentStore.generate(config, seed)
 
     if scheme == "cacc":
-        plan = DeliveryPlan(config, alloc, store)
         caches = place(config, alloc, store)
         formula = cacc_rate(config, alloc)
-        run = lambda d: deliver(config, alloc, d, store, plan=plan)
+        run = DeliveryPlan(config, alloc, store).deliver
     elif scheme == "cauc":
         caches = cauc_place(config, alloc, store)
         formula = cauc_rate(config, alloc)
         run = lambda d: cauc_deliver(config, alloc, d, store)
     elif scheme == "cicc":
-        caches = cicc_place(config, config.cache_capacity, store)
+        caches = cicc_place(config, store)
         formula = cicc_rate(config)
-        run = lambda d: cicc_deliver(config, config.cache_capacity, d, store)
+        run = lambda d: cicc_deliver(config, d, store)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -157,10 +145,8 @@ def verify_all_demands(
         return store.subfile_bits(ident) if kind == "sub" else store.file_bits(ident)
 
     all_demands = list(product(range(1, n + 1), repeat=k))
-    sample_idx = set()
-    if full_decode_samples and all_demands:
-        step = max(1, len(all_demands) // full_decode_samples)
-        sample_idx = set(range(0, len(all_demands), step))
+    step = max(1, len(all_demands) // _FULL_DECODE_SAMPLES)
+    sample_idx = set(range(0, len(all_demands), step))
 
     rates = []
     ok_flags = []
@@ -173,17 +159,13 @@ def verify_all_demands(
         rates.append(transcript.rate)
         demand_ok = True
         for rec in transcript.sections:
-            if isinstance(rec, StepRecord):
-                key = (rec.level, rec.layer, rec.step_items)
-                if key not in checked_steps:
-                    checked_steps.add(key)
-                    errs = _verify_step(rec, caches, truth_of, k)
-                    violations.extend(errs)
-                    if errs:
-                        demand_ok = False
-            elif not isinstance(rec, UncodedRecord):
-                violations.append(f"unknown record {type(rec)!r}")
-                demand_ok = False
+            key = (rec.level, rec.layer, rec.step_items)
+            if key not in checked_steps:
+                checked_steps.add(key)
+                errs = _verify_step(rec, caches, truth_of, k)
+                violations.extend(errs)
+                if errs:
+                    demand_ok = False
 
         if transcript.total_bits > limit:
             violations.append(
@@ -216,17 +198,3 @@ def verify_all_demands(
         argmax_demand=tuple(argmax),
         violations=tuple(violations),
     )
-
-
-def compare_schemes(config: LibraryConfig) -> list[RatePoint]:
-    """Formula-level comparison of all schemes at the config's capacity."""
-    m = config.cache_capacity
-    from .allocation import optimize_allocation
-
-    cauc_alloc = cauc_optimal_allocation(config)
-    return [
-        RatePoint("cauc", m, cauc_rate(config, cauc_alloc)),
-        RatePoint("cacc", m, optimize_allocation(config).rate),
-        RatePoint("cicc", m, cicc_rate(config)),
-        RatePoint("cutset", m, cutset_bound(config)),
-    ]

@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import corrcache
 from corrcache import ExperimentSpec, __version__
 from corrcache.cli import main, run_sweep
+from corrcache.scheduling import EXAMPLE1_TEXT
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +157,28 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "text, violation",
+    [
+        # member 1 recovers {1,2} in columns 1 and 2 and never sees {1,5}
+        (EXAMPLE1_TEXT.replace("1,5 2,3 2,3", "1,2 2,3 2,3"), "member 1: coverage broken"),
+        (EXAMPLE1_TEXT.replace("# level: 2", "# level: 9"), "blocks of 9"),
+    ],
+    ids=["repeated-subfile", "bad-level"],
+)
+def test_invalid_fixture_exits_2_naming_the_violation(capsys, tmp_path, text, violation):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "5", "--k", "5", "--demands", "1,2,3,4,5",
+        "--level-sizes", "0,10000", "--fixture", str(path),
+    )
+    assert rc == 2
+    assert out == ""
+    assert "error: invalid schedule" in err and violation in err
+
+
 def test_ratio_rounding_to_zero_bits_is_an_error(capsys):
     """Level 2's half of the library is below one divisibility unit (27720
     bits at K=12); dropping it silently would change the library."""
@@ -250,6 +275,27 @@ def test_package_imports_without_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+REMOVED_API = (
+    "UncodedRecord", "SubfileId", "DemandVector", "step_demands", "pool_subfiles",
+    "compare_schemes", "RatePoint", "window_for", "remainder_delivery",
+)
+
+
+def test_public_api_resolves_and_removed_names_are_gone():
+    namespace = {}
+    exec("from corrcache import *", namespace)
+    assert set(corrcache.__all__) <= set(namespace)
+    modules = [corrcache] + [
+        importlib.import_module("corrcache." + mod.name)
+        for mod in pkgutil.iter_modules(corrcache.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+        for name in REMOVED_API:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,16 @@ from corrcache import (
     cicc_place,
     decode,
     deliver,
-    generate_schedule,
     place,
-    remainder_delivery,
 )
 from corrcache import delivery
 from corrcache.delivery import (
     LayerSpec,
     StepRecord,
-    UncodedRecord,
     _decode_step,
+    _remainder_sections,
+    _window,
     cacc_layers,
-    window_for,
 )
 
 
@@ -102,15 +100,13 @@ def test_single_step_payload_shape():
 
 def test_transcript_dump_and_transmissions():
     """The section records account for every transmitted bit, and each is
-    a coded step or an uncoded remainder."""
+    a leader-based XOR step."""
     config = fixture_config()
     store = ContentStore.generate(config, seed=0)
     alloc = t_alloc((0, 1, 0, 0, 0), 5)
     transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store)
     assert sum(rec.bits for rec in transcript.sections) == transcript.total_bits
-    assert all(
-        isinstance(rec, (StepRecord, UncodedRecord)) for rec in transcript.sections
-    )
+    assert all(isinstance(rec, StepRecord) for rec in transcript.sections)
 
 
 def test_generated_schedule_matches_fixture_totals():
@@ -201,18 +197,18 @@ def test_uncoded_measured_equals_formula_exactly():
 # opaque-file delivery
 
 def test_opaque_delivery_full_cache_sends_nothing():
-    config = LibraryConfig(2, 2, 2.0, (2, 2))
+    config = LibraryConfig(2, 2, 2.0, (2, 0))
     store = ContentStore.generate(config, seed=0)
-    transcript = cicc_deliver(config, 2.0, (1, 2), store)
+    transcript = cicc_deliver(config, (1, 2), store)
     assert transcript.total_bits == 0
 
 
 def test_opaque_delivery_classic_rate_and_decode():
     config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
     store = ContentStore.generate(config, seed=0)
-    caches = cicc_place(config, 1.0, store)
+    caches = cicc_place(config, store)
     demands = tuple(range(1, 11))
-    transcript = cicc_deliver(config, 1.0, demands, store)
+    transcript = cicc_deliver(config, demands, store)
     assert transcript.total_bits == 45 * config.file_size // 10
     assert transcript.rate == pytest.approx(4.5)
     decode_all(config, caches, transcript, demands, store)
@@ -221,9 +217,9 @@ def test_opaque_delivery_classic_rate_and_decode():
 def test_opaque_delivery_repeats_cost_less():
     config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
     store = ContentStore.generate(config, seed=0)
-    caches = cicc_place(config, 1.0, store)
+    caches = cicc_place(config, store)
     demands = (1,) * 10
-    transcript = cicc_deliver(config, 1.0, demands, store)
+    transcript = cicc_deliver(config, demands, store)
     assert transcript.total_bits < 45 * config.file_size // 10
     decode_all(config, caches, transcript, demands, store)
 
@@ -238,9 +234,7 @@ def test_random_delivery_payload_near_unknown_count():
     store = ContentStore.generate(config, seed=0)
     caches = place(config, t_alloc((0, 0, 0, 0, 1), 5), store)
     layer = LayerSpec(t=1, offset=0, size=1000)
-    records = remainder_delivery(
-        config, 5, layer, [0b11111], (1, 2, 3, 4, 5), store
-    )
+    records = _remainder_sections(5, 5, layer, [0b11111], store, {})
     assert len(records) == 1
     rec = records[0]
     assert isinstance(rec, StepRecord)
@@ -255,25 +249,31 @@ def test_random_delivery_payload_near_unknown_count():
         assert bits[("sub", 0b11111)] == store.subfile_bits(0b11111)
 
 
+def assert_plain_sends(records, masks, store, size):
+    """Each record is one payload of the full layer, user 1 the only leader."""
+    assert [r.step_items for r in records] == [(("sub", m),) * 3 for m in masks]
+    for rec, m in zip(records, masks):
+        assert rec.leader_mask == 0b001
+        assert rec.part_size == size
+        assert rec.payloads == {0b001: store.subfile_bits(m)}
+
+
 def test_random_delivery_uncached_layer_ships_plain():
     config = single_level_config(3, 3, 2, units=2, capacity=0.0)
     store = ContentStore.generate(config, seed=4)
-    layer = LayerSpec(t=0, offset=0, size=config.level_size(2))
-    records = remainder_delivery(
-        config, 2, layer, [0b011, 0b110], (1, 2, 3), store
-    )
-    assert all(isinstance(r, UncodedRecord) for r in records)
-    assert sum(r.bits for r in records) == 2 * config.level_size(2)
+    size = config.level_size(2)
+    layer = LayerSpec(t=0, offset=0, size=size)
+    records = _remainder_sections(3, 2, layer, [0b011, 0b110], store, {})
+    assert_plain_sends(records, [0b011, 0b110], store, size)
+    assert sum(r.bits for r in records) == 2 * size
 
 
 def test_random_delivery_skips_unrequested_subfiles():
     config = single_level_config(3, 3, 1, units=2, capacity=0.0)
     store = ContentStore.generate(config, seed=4)
-    layer = LayerSpec(t=0, offset=0, size=config.level_size(1))
-    records = remainder_delivery(
-        config, 1, layer, [0b001, 0b010, 0b100], (1, 1, 1), store
-    )
-    assert [r.item for r in records] == [("sub", 0b001)]
+    transcript = deliver(config, CacheAllocation((0.0, 0.0, 0.0)), (1, 1, 1), store)
+    assert_plain_sends(transcript.sections, [0b001], store, config.level_size(1))
+    assert transcript.total_bits == config.level_size(1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,9 @@ def test_uncached_level_prefers_plain_subfiles_over_steps():
     transcript = deliver(config, alloc, (1, 2, 3), store)
     assert transcript.total_bits == 3 * config.level_size(2)
     assert transcript.step_counts == ()  # no coded steps kept
-    assert all(isinstance(r, UncodedRecord) for r in transcript.sections)
+    assert_plain_sends(
+        transcript.sections, [0b011, 0b101, 0b110], store, config.level_size(2)
+    )
     decode_all(config, caches, transcript, (1, 2, 3), store)
 
 
@@ -315,11 +317,9 @@ def test_fractional_share_delivery_hits_envelope_exactly():
 
 
 def test_window_pads_demands_with_smallest_files():
-    config = LibraryConfig(3, 2, 1.0, (6, 6, 6))
-    assert window_for(config, (3, 3)) == (1, 3)
-    assert window_for(config, (2, 3)) == (2, 3)
-    big = LibraryConfig(3, 5, 1.0, (6, 6, 6))
-    assert window_for(big, (2, 2, 2, 2, 2)) == (1, 2, 3)
+    assert _window(3, 2, (3, 3)) == (1, 3)
+    assert _window(3, 2, (2, 3)) == (2, 3)
+    assert _window(3, 5, (2, 2, 2, 2, 2)) == (1, 2, 3)
 
 
 def test_more_files_than_users_delivers_and_decodes():
@@ -348,9 +348,9 @@ def test_plan_reproduces_fresh_transcripts_over_demand_grid():
     caches = place(config, alloc, store)
     plan = DeliveryPlan(config, alloc, store)
     grid = list(itertools.product(range(1, 5), repeat=3))
-    assert len({window_for(config, d) for d in grid}) == 4
+    assert len({_window(4, 3, d) for d in grid}) == 4
     for i, d in enumerate(grid):
-        got = deliver(config, alloc, d, store, plan=plan)
+        got = plan.deliver(d)
         fresh = deliver(config, alloc, d, store)
         assert got.sections == fresh.sections
         assert got.total_bits == fresh.total_bits
@@ -360,18 +360,17 @@ def test_plan_reproduces_fresh_transcripts_over_demand_grid():
             decode_all(config, caches, got, d, store)
 
 
-def test_plan_built_from_other_inputs_is_rejected():
+def test_plan_deliver_validates_demands():
     config = LibraryConfig(3, 2, 0.875, (6, 6, 6))
     store = ContentStore.generate(config, seed=0)
-    alloc = t_alloc((1, 1, 1), 2)
-    plan = DeliveryPlan(config, alloc, store)
-    deliver(config, alloc, (1, 2), store, plan=plan)
-    with pytest.raises(ValueError, match="plan"):
-        deliver(config, t_alloc((1, 1, 1), 2), (1, 2), store, plan=plan)
-    with pytest.raises(ValueError, match="plan"):
-        deliver(config, alloc, (1, 2), ContentStore.generate(config, seed=0), plan=plan)
-    with pytest.raises(ValueError, match="plan"):
-        deliver(config, alloc, (1, 2), store, seed=1, plan=plan)
+    plan = DeliveryPlan(config, t_alloc((1, 1, 1), 2), store)
+    plan.deliver((1, 2))
+    with pytest.raises(ValueError, match="one demand per user"):
+        plan.deliver((1, 2, 3))
+    with pytest.raises(ValueError, match="outside"):
+        plan.deliver((1, 4))
+    with pytest.raises(ValueError, match="outside"):
+        plan.deliver((0, 1))
 
 
 def test_multi_level_delivery_is_levelwise_composition():
@@ -459,7 +458,7 @@ def test_delivery_runs_without_placement(monkeypatch):
 
     config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
     store = ContentStore.generate(config, seed=0)
-    transcript = cicc_deliver(config, 1.0, tuple(range(1, 11)), store)
+    transcript = cicc_deliver(config, tuple(range(1, 11)), store)
     assert transcript.total_bits == 45 * config.file_size // 10
 
 
@@ -472,7 +471,7 @@ def test_delivery_rejects_non_integral_sizes():
     with pytest.raises(ValueError):
         cauc_deliver(config, alloc, (1, 2), store)
     with pytest.raises(ValueError):
-        cicc_deliver(config, 1.0, (1, 2), store)
+        cicc_deliver(config, (1, 2), store)
 
 
 def test_uncoded_delivery_rejects_fractional_prefix():

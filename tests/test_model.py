@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from corrcache import (
     CacheAllocation,
     ContentStore,
-    DemandVector,
     ExperimentSpec,
     LibraryConfig,
-    SubfileId,
     ratios_to_sizes,
 )
 from corrcache.combinat import (
@@ -21,6 +19,7 @@ from corrcache.combinat import (
     subset_masks,
 )
 from corrcache.model import (
+    as_demands,
     exact_sizes_from_ratios,
     file_layout,
     rounding_loss_bits,
@@ -87,21 +86,7 @@ def test_mix_seed_is_deterministic_and_order_sensitive():
 
 
 # ---------------------------------------------------------------------------
-# subfile ids and configs
-
-def test_subfile_id_members_sorted_and_level():
-    s = SubfileId.of(3, 1, 2)
-    assert s.members == (1, 2, 3)
-    assert s.level == 3
-    assert s.contains(2)
-    assert not s.contains(4)
-    assert SubfileId.of(2, 1) == SubfileId.of(1, 2)
-
-
-def test_subfile_id_rejects_empty():
-    with pytest.raises(ValueError):
-        SubfileId(0)
-
+# configs
 
 def test_config_sizes():
     """One level-2 library over five files: each file holds 4 of the 10 subfiles."""
@@ -131,12 +116,13 @@ def test_capacity_clamped_to_library():
 
 def test_demand_vector_validation():
     config = LibraryConfig(3, 2, 0.0, (6, 0, 0))
-    DemandVector((1, 3)).validate(config)
+    assert as_demands([1, 3], config) == (1, 3)
     with pytest.raises(ValueError):
-        DemandVector((1,)).validate(config)
+        as_demands((1,), config)
     with pytest.raises(ValueError):
-        DemandVector((1, 4)).validate(config)
-    assert DemandVector((3, 1, 3)).distinct_files() == (1, 3)
+        as_demands((1, 4), config)
+    with pytest.raises(ValueError):
+        as_demands((0, 1), config)
 
 
 def test_allocation_replication_roundtrip():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from corrcache import (
     lower_convex_hull,
     optimize_allocation,
 )
+from corrcache.cli import main
 
 import random
 
@@ -95,6 +97,21 @@ def test_cauc_optimal_partial_level():
     alloc = cauc_optimal_allocation(config)
     assert alloc.fractions[1] == 1.0
     assert alloc.fractions[0] == pytest.approx(0.5)
+
+
+def test_cauc_optimal_shares_exact_at_full_capacity(capsys):
+    """At the capacity clamp the whole library is cached: every share is
+    exactly 1 and the uncoded rate exactly 0 (a budget an ulp off the library
+    size once left 0.9999999999999998, an empty level at 0.0, and a rate of
+    1.2e-16)."""
+    config = LibraryConfig(3, 2, 3.0, (0, 93, 83))
+    alloc = cauc_optimal_allocation(config)
+    assert alloc.fractions == (1.0, 1.0, 1.0)
+    assert cauc_rate(config, alloc) == 0.0
+    argv = ["rates", "--n", "2", "--k", "2", "--m", "2", "--level-sizes", "10,99"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert dict(zip(lines[1].split(","), lines[2].split(",")))["r_cauc"] == "0"
 
 
 @settings(max_examples=60)
@@ -209,8 +226,8 @@ def test_cicc_rate_classic_point():
     """Ten users, ten opaque files, one file of cache each: rate 4.5."""
     config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
     assert cicc_rate(config) == pytest.approx(4.5)
-    assert cicc_rate(config, cache_capacity=0.0) == pytest.approx(10.0)
-    assert cicc_rate(config, cache_capacity=10.0) == 0.0
+    assert cicc_rate(replace(config, cache_capacity=0.0)) == pytest.approx(10.0)
+    assert cicc_rate(replace(config, cache_capacity=10.0)) == 0.0
 
 
 def test_cicc_rate_fewer_files_than_users():
@@ -237,17 +254,23 @@ def test_cutset_zero_at_full_storage():
 
 @pytest.mark.parametrize("m", [-1.0, -1e-6, math.nan, 2.5, math.inf])
 def test_cutset_rejects_capacity_outside_range(m):
-    """A negative capacity used to return 3.5, above the no-cache bound 1.5."""
-    config = LibraryConfig(2, 2, 1.0, (1, 1))
-    for rate in (cutset_bound, cicc_rate):
-        with pytest.raises(ValueError, match=r"capacity outside \[0, N\]"):
-            rate(config, m)
+    """The rates read the config's capacity, which LibraryConfig keeps in
+    [0, library]: a negative capacity (once a cut-set of 3.5, above the
+    no-cache bound 1.5) or NaN is rejected, a larger one clamps to the
+    library, where the cut-set is 0."""
+    if m >= 0:
+        config = LibraryConfig(2, 2, m, (1, 1))
+        assert config.cache_capacity == 1.5
+        assert cutset_bound(config) == 0.0
+        assert cicc_rate(config) == pytest.approx(0.25)
+    else:
+        with pytest.raises(ValueError, match="capacity is nonnegative"):
+            LibraryConfig(2, 2, m, (1, 1))
 
 
 def test_cutset_accepts_capacity_at_range_ends():
-    config = LibraryConfig(2, 2, 1.0, (1, 1))
-    assert cutset_bound(config, 0.0) == pytest.approx(1.5)
-    assert cutset_bound(config, 2.0) == 0.0
+    assert cutset_bound(LibraryConfig(2, 2, 0.0, (1, 1))) == pytest.approx(1.5)
+    assert cutset_bound(LibraryConfig(2, 2, 2.0, (1, 1))) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,8 +287,8 @@ def test_cutset_below_every_achievable_rate(config):
 def test_cutset_nonincreasing_in_capacity(config, frac):
     m = frac * config.n_files
     step = config.n_files / 10
-    assert cutset_bound(config, m) + 1e-9 >= cutset_bound(
-        config, min(m + step, float(config.n_files))
+    assert cutset_bound(replace(config, cache_capacity=m)) + 1e-9 >= cutset_bound(
+        replace(config, cache_capacity=min(m + step, float(config.n_files)))
     )
 
 
@@ -306,8 +329,11 @@ def reference_cutset(config, m):
 
 
 def reference_cauc_fractions(config):
-    """Highest-commonness-first fill with each level's tail summed ascending."""
+    """Highest-commonness-first fill with each level's tail summed ascending;
+    every share is 1 at the capacity clamp (the whole library)."""
     n, sizes = config.n_files, config.subfile_sizes
+    if config.cache_capacity >= config.library_bits / config.file_size:
+        return (1.0,) * n
     budget = config.cache_capacity * config.file_size
     fractions = []
     for l in config.levels():
@@ -367,7 +393,11 @@ def wide_config(draw, integral):
 
 
 def _capacities(config):
-    return (config.cache_capacity, None, 0.0, config.n_files / 3, float(config.n_files))
+    """The config at its own capacity and at 0, N/3 and N (clamped)."""
+    return [config] + [
+        replace(config, cache_capacity=m)
+        for m in (0.0, config.n_files / 3, float(config.n_files))
+    ]
 
 
 def _check_coded_curves_exact(config):
@@ -386,9 +416,8 @@ def _check_coded_curves_exact(config):
 @settings(max_examples=60, deadline=None)
 @given(wide_config(integral=True))
 def test_closed_forms_equal_direct_loops_on_integer_sizes(config):
-    for m in _capacities(config):
-        want = reference_cutset(config, config.cache_capacity if m is None else m)
-        assert cutset_bound(config, m) == want
+    for c in _capacities(config):
+        assert cutset_bound(c) == reference_cutset(c, c.cache_capacity)
     assert cauc_optimal_allocation(config).fractions == reference_cauc_fractions(config)
     _check_coded_curves_exact(config)
 
@@ -399,9 +428,9 @@ def test_closed_forms_match_direct_loops_on_fractional_sizes(config):
     """Summation order differs, so the cut-set (in files) and the uncoded
     allocation (in cached bits per level, against the library size) agree to
     1e-12; the coded curves still agree exactly."""
-    for m in _capacities(config):
-        want = reference_cutset(config, config.cache_capacity if m is None else m)
-        assert cutset_bound(config, m) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for c in _capacities(config):
+        want = reference_cutset(c, c.cache_capacity)
+        assert cutset_bound(c) == pytest.approx(want, rel=1e-12, abs=1e-12)
     n = config.n_files
     library = config.library_bits
     got = cauc_optimal_allocation(config).fractions

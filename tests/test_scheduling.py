@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from corrcache import (
     AssignmentSchedule,
-    SubfileId,
+    CacheAllocation,
+    ContentStore,
+    LibraryConfig,
+    deliver,
     generate_schedule,
     load_schedule,
     schedule_from_text,
     schedule_to_text,
-    step_demands,
     validate_schedule,
 )
-from corrcache.combinat import comb0, subset_masks
-from corrcache.scheduling import EXAMPLE1_TEXT, pool_subfiles
+from corrcache.combinat import comb0, mask_of, subset_masks
 
 
 def test_builtin_fixture_is_valid():
@@ -31,7 +32,7 @@ def test_builtin_fixture_is_valid():
 def test_builtin_fixture_column_width():
     sched = load_schedule("example1")
     for col in sched.columns:
-        distinct = len({s.mask for s in col})
+        distinct = len(set(col))
         assert distinct <= math.ceil(5 / 2) + 1
 
 
@@ -47,12 +48,6 @@ def test_fixture_text_roundtrip(tmp_path):
 def test_fixture_text_requires_headers():
     with pytest.raises(ValueError):
         schedule_from_text("1,2 2,3\n")
-
-
-def test_pool_subfiles():
-    pool = pool_subfiles((1, 2, 3), (5,), 2)
-    assert len(pool) == 3
-    assert all(s.contains(5) and s.level == 2 for s in pool)
 
 
 def test_generate_rejects_bad_shapes():
@@ -88,7 +83,7 @@ def test_generated_schedules_are_valid(w, s, block, seed):
     assert sched.n_columns == comb0(w - 1, block - 1)
     cap = math.ceil(w / block) + 1
     for col in sched.columns:
-        distinct = len({sub.mask for sub in col})
+        distinct = len(set(col))
         assert distinct <= cap
         if w % block == 0:
             assert distinct == w // block
@@ -97,7 +92,7 @@ def test_generated_schedules_are_valid(w, s, block, seed):
 def test_each_member_sees_each_pool_subfile_once():
     sched = generate_schedule((1, 2, 3, 4), (), 2, seed=3)
     for idx, member in enumerate(sched.window):
-        seen = [col[idx].mask for col in sched.columns]
+        seen = [col[idx] for col in sched.columns]
         want = [m for m in subset_masks(sched.window, 2) if m >> (member - 1) & 1]
         assert sorted(seen) == sorted(want)
 
@@ -106,7 +101,7 @@ def test_validator_flags_broken_columns():
     sched = load_schedule("example1")
     # swap one entry for a subfile not containing the member
     bad_cols = [list(col) for col in sched.columns]
-    bad_cols[0][0] = SubfileId.of(2, 3)
+    bad_cols[0][0] = mask_of((2, 3))
     bad = AssignmentSchedule(
         window=sched.window,
         fixed_part=sched.fixed_part,
@@ -129,14 +124,19 @@ def test_validator_flags_wrong_column_count():
     assert any("column count" in p for p in validate_schedule(bad))
 
 
-def test_step_demands_maps_users_to_entries():
+def test_coded_steps_map_users_to_schedule_entries():
+    """Coded step j sends each user the schedule entry of its demand in
+    column j: the step items of a fixture delivery are the fixture's
+    columns indexed by the demands."""
     sched = load_schedule("example1")
-    got = step_demands(sched, (1, 1, 3, 4, 5), 0)
-    assert got == tuple(
-        sched.entry(d, 0) for d in (1, 1, 3, 4, 5)
-    )
-    with pytest.raises(ValueError):
-        step_demands(sched, (1, 2, 3, 4, 6), 0)
+    demands = (1, 1, 3, 4, 5)
+    config = LibraryConfig(5, 5, 1.0, (0, 100, 0, 0, 0))
+    store = ContentStore.generate(config, seed=0)
+    alloc = CacheAllocation.from_replication((0, 1, 0, 0, 0), 5)
+    transcript = deliver(config, alloc, demands, store, schedule_source="example1")
+    assert [rec.step_items for rec in transcript.sections] == [
+        tuple(("sub", col[d - 1]) for d in demands) for col in sched.columns
+    ]
 
 
 def test_shipped_fixture_file_matches_builtin():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import single_level_config
@@ -7,11 +9,13 @@ from corrcache import (
     GridReport,
     LibraryConfig,
     cauc_rate,
-    compare_schemes,
     deliver,
+    optimize_allocation,
     verify_all_demands,
     worst_case_demand,
 )
+from corrcache.combinat import divisibility_unit
+from corrcache.delivery import cacc_layers
 
 
 def test_two_user_grid_clean():
@@ -100,22 +104,12 @@ def test_sweep_rates_match_fresh_deliveries():
     config = single_level_config(3, 3, 2, units=2)
     alloc = CacheAllocation.from_replication((0, 1, 0), 3)
     store = ContentStore.generate(config, seed=7)
-    report = verify_all_demands(config, alloc, seed=7, store=store)
+    report = verify_all_demands(config, alloc, seed=7)
     assert report.ok
     for idx in range(0, len(report.demands), 5):
         d = report.demands[idx]
         fresh = deliver(config, alloc, d, store)
         assert fresh.rate == report.measured_rates[idx]
-
-
-def test_compare_schemes_labels_and_bound():
-    config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
-    points = compare_schemes(config)
-    assert [p.scheme for p in points] == ["cauc", "cacc", "cicc", "cutset"]
-    by = {p.scheme: p.rate for p in points}
-    assert by["cicc"] == pytest.approx(4.5)
-    assert by["cutset"] <= min(by["cauc"], by["cacc"], by["cicc"]) + 1e-9
-    assert all(p.cache_capacity == 1.0 for p in points)
 
 
 def test_remainder_path_meets_formula_exactly():
@@ -129,3 +123,31 @@ def test_remainder_path_meets_formula_exactly():
     assert report.ok, report.violations[:3]
     assert report.max_rate * config.file_size == 800
     assert report.formula_rate * config.file_size == pytest.approx(800)
+
+
+def test_optimizer_allocations_pass_the_verifier():
+    """What users run: optimizer allocations on seeded multi-level libraries
+    (N, K <= 4) at three capacities.  Many have fractional shares, so some
+    levels split into two sublayers and share-0 sublayers go out as
+    one-leader steps; every demand must still decode within the formula."""
+    rng = random.Random(6)
+    fractional = share_zero = 0
+    for _ in range(8):
+        n, k = rng.randint(2, 4), rng.randint(2, 4)
+        sizes = [0] * n
+        for level in rng.sample(range(n), rng.randint(2, n)):
+            sizes[level] = rng.randint(1, 3) * divisibility_unit(k)
+        for frac in (0.2, 0.5, 0.8):
+            config = LibraryConfig(n, k, frac * n, tuple(sizes))
+            alloc = optimize_allocation(config).alloc
+            shares = [p * k for p in alloc.fractions]
+            fractional += any(abs(t - round(t)) > 1e-9 for t in shares)
+            share_zero += any(
+                layer.t == 0 and layer.size > 0
+                for level in config.levels()
+                if sizes[level - 1]
+                for layer in cacc_layers(config, level, shares[level - 1])
+            )
+            report = verify_all_demands(config, alloc, seed=rng.randrange(99))
+            assert report.ok, (config, report.violations[:3])
+    assert fractional and share_zero
