@@ -19,9 +19,6 @@ from .delivery import (
     DeliveryPlan,
     Transcript,
     cauc_deliver,
-    cauc_place,
-    cicc_deliver,
-    cicc_place,
     decode,
     deliver,
     place,
@@ -78,10 +75,7 @@ __all__ = [
     "cacc_rate",
     "cauc_deliver",
     "cauc_optimal_allocation",
-    "cauc_place",
     "cauc_rate",
-    "cicc_deliver",
-    "cicc_place",
     "cicc_rate",
     "cutset_bound",
     "decode",

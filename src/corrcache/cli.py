@@ -14,15 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .allocation import optimize_allocation
-from .delivery import (
-    cauc_deliver,
-    cauc_place,
-    cicc_deliver,
-    cicc_place,
-    decode,
-    deliver,
-    place,
-)
+from .delivery import SCHEMES, DeliveryPlan, decode, place
 from .model import (
     CacheAllocation,
     ContentStore,
@@ -235,19 +227,12 @@ def _cmd_simulate(args) -> int:
     demands = _ints(args.demands)
     store = ContentStore.generate(config, args.seed)
     scheme = args.scheme
-    if scheme == "cacc":
-        caches = place(config, alloc, store)
-        transcript = deliver(
-            config, alloc, demands, store, schedule_source=args.fixture, seed=args.seed
-        )
-    elif scheme == "cauc":
-        caches = cauc_place(config, alloc, store)
-        transcript = cauc_deliver(config, alloc, demands, store)
-    elif scheme == "cicc":
-        caches = cicc_place(config, store)
-        transcript = cicc_deliver(config, demands, store)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    plan = DeliveryPlan(
+        config, alloc, store, schedule_source=args.fixture, seed=args.seed,
+        scheme=scheme,
+    )
+    caches = place(config, alloc, store, scheme)
+    transcript = plan.deliver(demands)
 
     ok = True
     for user in range(1, config.n_users + 1):
@@ -326,7 +311,7 @@ def _add_common(sub, with_demands=False, with_scheme=False, with_t=True):
         sub.add_argument("--demands", required=True,
                          help="comma list of demanded file indices, one per user")
     if with_scheme:
-        sub.add_argument("--scheme", choices=["cacc", "cauc", "cicc"],
+        sub.add_argument("--scheme", choices=SCHEMES,
                          default="cacc", help="delivery scheme")
 
 

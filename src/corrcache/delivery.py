@@ -1,18 +1,34 @@
 """Bit-exact placement, delivery, and decoding for the three schemes.
 
-Everything here moves real bits: placement carves pseudorandom subfile
-contents into cached parts, delivery emits leader-based XOR steps only
-(schedule steps, one exact remainder step per demanded subfile, and the
-uncoded scheme's plain sends as one-leader steps at share 0), and decode
-reconstructs a user's file from its cache plus the transcript alone.
-Rate formulas never enter the data path, so measured transcripts can be
-compared against them honestly.
+Everything here moves real bits: placement carves pseudorandom contents
+into cached parts, delivery emits leader-based XOR steps only, and decode
+reconstructs a user's file from its cache plus the transcript alone.  Rate
+formulas never enter the data path, so measured transcripts can be compared
+against them honestly.
+
+One engine serves all three schemes.  A scheme is described once, as
+placement groups (level, items, layers, nominal cached bits per item):
+
+* cacc (shared-subfile coded) splits every level-l subfile at the level's
+  share (`cacc_layers`);
+* cauc (uncoded) caches a share-K prefix layer of every subfile and leaves
+  the rest at share 0;
+* cicc (correlation-ignorant coded) splits whole files, as one group of
+  level 0, at the share K*M/N of the classic envelope.
+
+`place` spreads every group's layers over the caches.  `DeliveryPlan`
+delivers every group's layers the same way; the scheme only picks the
+column table of coded steps for each (window, group): the schedule columns
+for cacc, one column of the window's files for cicc, and none for cauc.  A
+layer whose coded steps would cost more than the floor (every demanded
+item's uncached bits), or that has no column table, goes out as one exact
+remainder step per demanded item instead.
 
 Content layout conventions (shared by placement, delivery, and decode):
-an item is a subfile (shared scheme) or a whole file (correlation-ignorant
-scheme); an integer-share layer of size ``s`` at offset ``o`` within an item
-is split into binom(K, t) equal parts ordered by the canonical part labels,
-part i occupying item positions [o + i*psize, o + (i+1)*psize).
+an item is a subfile ("sub", mask) or a whole file ("file", index); an
+integer-share layer of size ``s`` at offset ``o`` within an item is split
+into binom(K, t) equal parts ordered by the canonical part labels, part i
+occupying item positions [o + i*psize, o + (i+1)*psize).
 """
 
 from __future__ import annotations
@@ -44,14 +60,12 @@ from .scheduling import generate_schedule, load_schedule
 __all__ = [
     "DeliveryPlan",
     "LayerSpec",
+    "SCHEMES",
     "StepRecord",
     "Transcript",
     "UserCache",
     "cacc_layers",
     "cauc_deliver",
-    "cauc_place",
-    "cicc_deliver",
-    "cicc_place",
     "decode",
     "deliver",
     "place",
@@ -110,21 +124,79 @@ def cacc_layers(config: LibraryConfig, level: int, t_exact: float):
 
 
 # ---------------------------------------------------------------------------
+# schemes as placement groups
+
+SCHEMES = ("cacc", "cauc", "cicc")
+
+
+def _prefix_bits(alloc: CacheAllocation, level: int, size: int) -> int:
+    """Bits of every level subfile each user caches under prefix caching."""
+    cached = alloc.fractions[level - 1] * size
+    c = int(round(cached))
+    if abs(cached - c) > 1e-6:
+        raise ValueError(f"level {level} prefix {cached} is not a whole number of bits")
+    return c
+
+
+def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
+    """Check the inputs and return the scheme's placement groups (level,
+    items, layers, nominal cached bits per item): one per nonempty level, or
+    one level-0 group of whole files for cicc, which ignores the allocation."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not config.is_integral():
+        raise ValueError("placement and delivery need integer subfile sizes")
+    n, k = config.n_files, config.n_users
+    files = range(1, n + 1)
+    if scheme == "cicc":
+        t_exact = k * min(config.cache_capacity, n) / n
+        layers = _split_layers(
+            int(config.file_size), t_exact, cicc_curve(config).envelope, k
+        )
+        items = tuple(("file", i) for i in files)
+        return [(0, items, layers, t_exact * config.file_size / k)]
+    check_allocation(config, alloc)
+    groups = []
+    for level in config.levels():
+        size = int(config.subfile_sizes[level - 1])
+        if size == 0:
+            continue
+        masks = subset_masks(files, level)
+        if scheme == "cacc":
+            t_exact = alloc.fractions[level - 1] * k
+            layers = cacc_layers(config, level, t_exact)
+            nominal = t_exact * size / k
+            masks = sorted(masks)  # remainder steps go out in mask order
+        else:
+            nominal = c = _prefix_bits(alloc, level, size)
+            layers = tuple(
+                layer
+                for layer in (LayerSpec(k, 0, c), LayerSpec(0, c, size - c))
+                if layer.size
+            )
+        groups.append((level, tuple(("sub", m) for m in masks), layers, nominal))
+    return groups
+
+
+def _files_of(item) -> int:
+    """The files an item belongs to, as a file-set mask."""
+    kind, ident = item
+    return ident if kind == "sub" else 1 << (ident - 1)
+
+
+# ---------------------------------------------------------------------------
 # caches
 
 @dataclass
 class UserCache:
     """One user's cached bits, held per item at their true positions.
 
-    known_bits[item] only ever has bits inside known_masks[item]; pad_bits is
-    the declared placement overage (divisibility padding) this cache may
-    exceed the nominal budget by.
+    known_bits[item] only ever has bits inside known_masks[item].
     """
 
     user: int
     known_masks: dict = field(default_factory=dict)
     known_bits: dict = field(default_factory=dict)
-    pad_bits: float = 0.0
 
     def add(self, item, pos_mask: int, bits: int) -> None:
         self.known_masks[item] = self.known_masks.get(item, 0) | pos_mask
@@ -150,34 +222,10 @@ def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
     return tuple(tpl)
 
 
-def _place_items(caches, items, layers, n_users):
-    """Spread each (item, content) across caches following the layer plan."""
-    for item, content in items:
-        for layer in layers:
-            if layer.t == 0:
-                continue
-            nparts = comb0(n_users, layer.t)
-            if layer.size % nparts:
-                raise ValueError(
-                    f"layer size {layer.size} not divisible into {nparts} parts"
-                )
-            psize = layer.size // nparts
-            tpl = _part_templates(n_users, layer.t, psize)
-            for cache in caches:
-                pm = tpl[cache.user] << layer.offset
-                if pm:
-                    cache.add(item, pm, content & pm)
-
-
-def _check_integral(config: LibraryConfig) -> None:
-    if not config.is_integral():
-        raise ValueError("placement and delivery need integer subfile sizes")
-
-
 def _check_budget(config, caches, pad_bits):
+    """Every cache fits the budget plus the declared divisibility padding."""
     budget = config.cache_capacity * config.file_size
     for cache in caches:
-        cache.pad_bits = pad_bits
         if cache.total_bits() > budget + pad_bits + 1e-6 * config.file_size + 1e-9:
             raise RuntimeError(
                 f"user {cache.user} caches {cache.total_bits()} bits, over "
@@ -185,28 +233,36 @@ def _check_budget(config, caches, pad_bits):
             )
 
 
-def place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
-    """Shared-subfile placement: per level, split every subfile into labeled
-    parts at the level's (possibly sublayered) share and hand each user the
-    parts whose label contains it."""
-    check_allocation(config, alloc)
-    _check_integral(config)
+def place(
+    config: LibraryConfig,
+    alloc: CacheAllocation,
+    store: ContentStore,
+    scheme: str = "cacc",
+):
+    """Every user's cache under `scheme`: each group's items are split into
+    labeled parts per layer, and each user keeps the parts whose label
+    contains it (a share-K layer is one part every user keeps)."""
     k = config.n_users
     caches = [UserCache(user=u) for u in range(1, k + 1)]
     pad = 0.0
-    for level in config.levels():
-        size = int(config.subfile_sizes[level - 1])
-        if size == 0:
-            continue
-        t_exact = alloc.fractions[level - 1] * k
-        layers = cacc_layers(config, level, t_exact)
+    for _, items, layers, nominal in _groups(config, alloc, scheme):
         cached = sum(layer.t * layer.size for layer in layers) / k
-        pad += max(cached - t_exact * size / k, 0.0) * comb0(config.n_files, level)
-        items = [
-            (("sub", m), store.subfile_bits(m))
-            for m in subset_masks(range(1, config.n_files + 1), level)
-        ]
-        _place_items(caches, items, layers, k)
+        pad += max(cached - nominal, 0.0) * len(items)
+        for item in items:
+            content = store.item_bits(item)
+            for layer in layers:
+                if layer.t == 0:
+                    continue
+                nparts = comb0(k, layer.t)
+                if layer.size % nparts:
+                    raise ValueError(
+                        f"layer size {layer.size} not divisible into {nparts} parts"
+                    )
+                tpl = _part_templates(k, layer.t, layer.size // nparts)
+                for cache in caches:
+                    pm = tpl[cache.user] << layer.offset
+                    if pm:
+                        cache.add(item, pm, content & pm)
     _check_budget(config, caches, pad)
     return caches
 
@@ -218,7 +274,7 @@ def place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
 class StepRecord:
     """One leader-based XOR step: every payload sent for one step-item pattern.
 
-    At share t = 0 with every user's step item the same subfile, user 1 is the
+    At share t = 0 with every user's step item the same item, user 1 is the
     only leader and the step is one plain payload of the whole layer.
     """
 
@@ -240,7 +296,6 @@ class Transcript:
 
     scheme: str
     config: LibraryConfig
-    seed: int
     sections: tuple
     total_bits: int
     step_counts: tuple
@@ -322,11 +377,7 @@ def _memo_step(steps: dict, n_users, level, layer, step_items, store) -> StepRec
     rec = steps.get(step_items)
     if rec is None:
         rec = steps[step_items] = _xor_step(
-            n_users,
-            level,
-            layer,
-            step_items,
-            lambda key: store.subfile_bits(key[1]),
+            n_users, level, layer, step_items, store.item_bits
         )
     return rec
 
@@ -335,19 +386,18 @@ def _memo_step(steps: dict, n_users, level, layer, step_items, store) -> StepRec
 # exact remainder delivery
 
 def _remainder_sections(n_users, level, layer, demanded, store, steps) -> list:
-    """Per demanded subfile, exactly the layer bits each requester misses.
+    """Per demanded item, exactly the layer bits each requester misses.
 
-    The subfile's layer goes out as one XOR step with the subfile as every
-    user's step item: user 1 is the only leader, so the step sends the
-    C(K-1, t) payloads of user sets containing user 1, one part of
-    size/C(K, t) bits each -- exactly the size*(K-t)/K bits a requester does
-    not cache (at t = 0, one payload of the whole layer).  Every user decodes
-    it like any coded step (the family identity recovers the leaderless
-    payloads).
+    The item's layer goes out as one XOR step with the item as every user's
+    step item: user 1 is the only leader, so the step sends the C(K-1, t)
+    payloads of user sets containing user 1, one part of size/C(K, t) bits
+    each -- exactly the size*(K-t)/K bits a requester does not cache (at
+    t = 0, one payload of the whole layer).  Every user decodes it like any
+    coded step (the family identity recovers the leaderless payloads).
     """
     return [
-        _memo_step(steps, n_users, level, layer, (("sub", m),) * n_users, store)
-        for m in demanded
+        _memo_step(steps, n_users, level, layer, (item,) * n_users, store)
+        for item in demanded
     ]
 
 
@@ -376,17 +426,17 @@ def _pools(config: LibraryConfig, level: int, window):
 
 
 class DeliveryPlan:
-    """The demand-independent work of `deliver`, done once.
+    """The demand-independent work of delivery, done once.
 
-    A plan is built from (config, alloc, store, schedule source, seed).  It
-    runs the input checks and loads the fixture once; holds, per nonempty
-    level, the level's subfile masks and its delivered sublayers (t < K,
-    size > 0) with their unknown-bit counts; builds, per (window, level), a
-    column table of schedule columns as ("sub", mask) items by window
-    position; and keeps the step memo.  Step payloads depend on the demand
-    vector only through the per-step item pattern, so deliveries of many
-    demand vectors through one plan (``plan.deliver(demands)``) share almost
-    all bit-level work.
+    A plan is built from (config, alloc, store, schedule source, seed,
+    scheme).  It runs the input checks and loads the fixture once; holds,
+    per placement group, the group's items with their file-set masks and
+    its delivered sublayers (t < K, size > 0) with their unknown-bit counts;
+    builds, per (window, group), the scheme's column table; and keeps the
+    step memo.  Step payloads depend on the demand vector only through the
+    per-step item pattern, so deliveries of many demand vectors through one
+    plan (``plan.deliver(demands)``) share almost all bit-level work.  cicc
+    ignores `alloc` (it may be None).
     """
 
     def __init__(
@@ -396,30 +446,47 @@ class DeliveryPlan:
         store: ContentStore,
         schedule_source=None,
         seed: int = 0,
+        scheme: str = "cacc",
     ):
-        check_allocation(config, alloc)
-        _check_integral(config)
         self.config = config
         self.store = store
         self.seed = seed
-        self._fixture = (
-            load_schedule(schedule_source) if schedule_source is not None else None
-        )
+        self.scheme = scheme
         k = config.n_users
-        files = range(1, config.n_files + 1)
         levels = []
-        for level in config.levels():
-            if config.subfile_sizes[level - 1] == 0:
-                continue
-            t_exact = alloc.fractions[level - 1] * k
+        for level, items, layers, _ in _groups(config, alloc, scheme):
+            members = tuple((_files_of(item), item) for item in items)
             sublayers = tuple(
                 (layer, layer.size - layer.t * layer.size // k, {})
-                for layer in cacc_layers(config, level, t_exact)
+                for layer in layers
                 if layer.t < k and layer.size > 0
             )
-            levels.append((level, tuple(sorted(subset_masks(files, level))), sublayers))
+            levels.append((level, members, sublayers))
         self._levels = tuple(levels)
+        self._fixture = (
+            self._load_fixture(schedule_source) if schedule_source is not None else None
+        )
         self._columns = {}
+
+    def _load_fixture(self, source):
+        """Load a schedule fixture, refusing one that no coded step can use."""
+        if self.scheme != "cacc":
+            raise ValueError(f"a schedule fixture needs scheme cacc, not {self.scheme}")
+        fixture = load_schedule(source)
+        n, k = self.config.n_files, self.config.n_users
+        files = set(range(1, n + 1))
+        if len(fixture.window) != min(n, k) or not set(fixture.window) <= files:
+            raise ValueError(
+                f"fixture window {fixture.window} is not {min(n, k)} files "
+                f"inside 1..{n}"
+            )
+        if not set(fixture.fixed_part) <= files:
+            raise ValueError(
+                f"fixture fixed part {fixture.fixed_part} lies outside 1..{n}"
+            )
+        if fixture.level not in [level for level, _, subs in self._levels if subs]:
+            raise ValueError(f"fixture level {fixture.level} has no delivered sublayer")
+        return fixture
 
     def _schedule(self, window, rbar, level):
         fixed = members_of(rbar)
@@ -435,28 +502,38 @@ class DeliveryPlan:
             window, fixed, level, seed=mix_seed(self.seed, level, rbar)
         )
 
-    def _column_table(self, window, level) -> tuple:
-        """Every coded step of one level over `window` (every fixed-part pool,
-        every column), as the ("sub", mask) item of each window position."""
+    def _column_table(self, window, level):
+        """Every coded step of one group over `window`, as the item of each
+        window position per column: the schedule columns of every fixed-part
+        pool for cacc, one column of the window's files for cicc, and None
+        for cauc, which has no coded steps."""
+        if self.scheme == "cauc":
+            return None
         key = (window, level)
         table = self._columns.get(key)
         if table is None:
-            table = self._columns[key] = tuple(
-                tuple(("sub", m) for m in col)
-                for rbar in _pools(self.config, level, window)
-                for col in self._schedule(window, rbar, level).columns
-            )
+            if self.scheme == "cicc":
+                table = (tuple(("file", f) for f in window),)
+            else:
+                table = tuple(
+                    tuple(("sub", m) for m in col)
+                    for rbar in _pools(self.config, level, window)
+                    for col in self._schedule(window, rbar, level).columns
+                )
+            self._columns[key] = table
         return table
 
     def deliver(self, demands) -> Transcript:
-        """Shared-subfile coded delivery for one demand vector.
+        """Deliver one demand vector.
 
-        Per level and sublayer, runs every coded step over the window's
-        pools.  When those cost more than the floor -- every demanded
-        subfile's uncached bits, once -- the layer is sent by exact remainder
-        steps instead (see _remainder_sections), which meet the floor
-        exactly.  Either way a level costs at most the lesser of the two,
-        which is the rate formula's min(alpha, m).
+        Per group and sublayer, runs every coded step of the column table.
+        When those cost more than the floor -- every demanded item's
+        uncached bits, once -- or there is no table, the layer is sent by
+        exact remainder steps instead (see _remainder_sections), which meet
+        the floor exactly.  Either way a level costs at most the lesser of
+        the two, which is the cacc formula's min(alpha, m).  cicc's single
+        coded step never exceeds the floor: C(K,t+1) - C(K-N_e,t+1) <=
+        N_e*C(K-1,t) for N_e distinct demanded files.
         """
         config, store = self.config, self.store
         demands = as_demands(demands, config)
@@ -469,34 +546,37 @@ class DeliveryPlan:
         sections = []
         step_counts = []
         per_level = {}
-        for level, masks, sublayers in self._levels:
+        for level, members, sublayers in self._levels:
             level_bits = 0
             if sublayers:
-                patterns = [
-                    tuple([col[i] for i in slots])
-                    for col in self._column_table(window, level)
+                table = self._column_table(window, level)
+                patterns = None if table is None else [
+                    tuple([col[i] for i in slots]) for col in table
                 ]
-                demanded = [m for m in masks if m & demand_mask]
+                demanded = [item for files, item in members if files & demand_mask]
             for layer, unknowns, steps in sublayers:
-                records = [
-                    steps.get(items) or _memo_step(steps, k, level, layer, items, store)
-                    for items in patterns
-                ]
-                bits = _tally(records)
-                if bits > len(demanded) * unknowns:
+                records = None
+                if patterns is not None:
+                    records = [
+                        steps.get(items) or _memo_step(steps, k, level, layer, items, store)
+                        for items in patterns
+                    ]
+                    bits = _tally(records)
+                    if bits > len(demanded) * unknowns:
+                        records = None
+                    else:
+                        step_counts.extend(len(r.payloads) for r in records)
+                if records is None:
                     records = _remainder_sections(
                         k, level, layer, demanded, store, steps
                     )
                     bits = _tally(records)
-                else:
-                    step_counts.extend(len(r.payloads) for r in records)
                 sections.extend(records)
                 level_bits += bits
             per_level[level] = level_bits
         return Transcript(
-            scheme="cacc",
+            scheme=self.scheme,
             config=config,
-            seed=store.seed,
             sections=tuple(sections),
             total_bits=sum(per_level.values()),
             step_counts=tuple(step_counts),
@@ -515,6 +595,17 @@ def deliver(
     """One-shot shared-subfile coded delivery: builds a DeliveryPlan for this
     call and delivers `demands` through it (see DeliveryPlan.deliver)."""
     return DeliveryPlan(config, alloc, store, schedule_source, seed).deliver(demands)
+
+
+def cauc_deliver(
+    config: LibraryConfig,
+    alloc: CacheAllocation,
+    demands,
+    store: ContentStore,
+) -> Transcript:
+    """One-shot uncoded delivery: one share-0 remainder step (a single plain
+    payload) per demanded subfile's uncached rest."""
+    return DeliveryPlan(config, alloc, store, scheme="cauc").deliver(demands)
 
 
 # ---------------------------------------------------------------------------
@@ -586,148 +677,15 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
         _decode_step(user, rec, masks, bits, config.n_users)
 
     if transcript.scheme == "cicc":
-        item = ("file", d)
-        full = (1 << int(config.file_size)) - 1
-        if masks.get(item, 0) & full != full:
-            raise RuntimeError(f"user {user} cannot reconstruct file {d}")
-        return bits[item] & full
-
+        layout = [(("file", d), int(config.file_size), 0)]
+    else:
+        layout = [
+            (("sub", m), size, off) for m, size, off in file_layout(config, d) if size
+        ]
     out = 0
-    for m, size, offset in file_layout(config, d):
-        if size == 0:
-            continue
+    for item, size, offset in layout:
         seg = (1 << size) - 1
-        item = ("sub", m)
         if masks.get(item, 0) & seg != seg:
-            raise RuntimeError(f"user {user} cannot reconstruct subfile {m:b}")
+            raise RuntimeError(f"user {user} cannot reconstruct {item}")
         out |= (bits[item] & seg) << offset
     return out
-
-
-# ---------------------------------------------------------------------------
-# uncoded scheme (prefix caching, plain remainders)
-
-def _prefix_bits(alloc: CacheAllocation, level: int, size: int) -> int:
-    """Bits of every level subfile each user caches under prefix caching."""
-    cached = alloc.fractions[level - 1] * size
-    c = int(round(cached))
-    if abs(cached - c) > 1e-6:
-        raise ValueError(f"level {level} prefix {cached} is not a whole number of bits")
-    return c
-
-
-def cauc_place(config: LibraryConfig, alloc: CacheAllocation, store: ContentStore):
-    """Every user caches the same per-level prefix of every subfile."""
-    check_allocation(config, alloc)
-    _check_integral(config)
-    caches = [UserCache(user=u) for u in range(1, config.n_users + 1)]
-    for level in config.levels():
-        size = int(config.subfile_sizes[level - 1])
-        if size == 0:
-            continue
-        c = _prefix_bits(alloc, level, size)
-        if c == 0:
-            continue
-        prefix = (1 << c) - 1
-        for m in subset_masks(range(1, config.n_files + 1), level):
-            content = store.subfile_bits(m) & prefix
-            for cache in caches:
-                cache.add(("sub", m), prefix, content)
-    _check_budget(config, caches, 0.0)
-    return caches
-
-
-def cauc_deliver(
-    config: LibraryConfig,
-    alloc: CacheAllocation,
-    demands,
-    store: ContentStore,
-) -> Transcript:
-    """Ship, uncoded, the uncached remainder of every demanded subfile: one
-    share-0 remainder step (a single plain payload) per subfile."""
-    demands = as_demands(demands, config)
-    check_allocation(config, alloc)
-    _check_integral(config)
-    k = config.n_users
-    demand_mask = mask_of(demands)
-    sections = []
-    per_level = {}
-    for level in config.levels():
-        size = int(config.subfile_sizes[level - 1])
-        if size == 0:
-            continue
-        c = _prefix_bits(alloc, level, size)
-        records = []
-        if c < size:
-            demanded = [
-                m
-                for m in subset_masks(range(1, config.n_files + 1), level)
-                if m & demand_mask
-            ]
-            records = _remainder_sections(
-                k, level, LayerSpec(0, c, size - c), demanded, store, {}
-            )
-        sections.extend(records)
-        per_level[level] = _tally(records)
-    return Transcript(
-        scheme="cauc",
-        config=config,
-        seed=store.seed,
-        sections=tuple(sections),
-        total_bits=sum(per_level.values()),
-        step_counts=(),
-        per_level_bits=per_level,
-    )
-
-
-# ---------------------------------------------------------------------------
-# correlation-ignorant scheme (whole files as opaque units)
-
-def _cicc_layers(config: LibraryConfig):
-    n, k = config.n_files, config.n_users
-    t_exact = k * min(config.cache_capacity, n) / n
-    return _split_layers(
-        int(config.file_size), t_exact, cicc_curve(config).envelope, k
-    ), t_exact
-
-
-def cicc_place(config: LibraryConfig, store: ContentStore):
-    """Opaque-file placement: split each whole file into labeled parts."""
-    _check_integral(config)
-    k = config.n_users
-    layers, t_exact = _cicc_layers(config)
-    caches = [UserCache(user=u) for u in range(1, k + 1)]
-    items = [(("file", i), store.file_bits(i)) for i in range(1, config.n_files + 1)]
-    _place_items(caches, items, layers, k)
-    cached = sum(layer.t * layer.size for layer in layers) / k
-    pad = max(cached - t_exact * config.file_size / k, 0.0) * config.n_files
-    _check_budget(config, caches, pad)
-    return caches
-
-
-def cicc_deliver(config: LibraryConfig, demands, store: ContentStore) -> Transcript:
-    """Leader-based coded delivery over whole files (single step per layer)."""
-    demands = as_demands(demands, config)
-    _check_integral(config)
-    k = config.n_users
-    layers, _ = _cicc_layers(config)
-    step_items = tuple(("file", d) for d in demands)
-    contents = {("file", i): store.file_bits(i) for i in sorted(set(demands))}
-    sections = []
-    step_counts = []
-    for layer in layers:
-        if layer.t >= k or layer.size == 0:
-            continue
-        rec = _xor_step(k, 0, layer, step_items, contents.__getitem__)
-        sections.append(rec)
-        step_counts.append(len(rec.payloads))
-    total = _tally(sections)
-    return Transcript(
-        scheme="cicc",
-        config=config,
-        seed=store.seed,
-        sections=tuple(sections),
-        total_bits=total,
-        step_counts=tuple(step_counts),
-        per_level_bits={0: total},
-    )

@@ -192,6 +192,12 @@ class ContentStore:
     def subfile_bits(self, mask: int) -> int:
         return self._contents[mask]
 
+    def item_bits(self, item) -> int:
+        """Bits of a placement/delivery item: ("sub", mask) is a subfile,
+        ("file", i) a whole file."""
+        kind, ident = item
+        return self._contents[ident] if kind == "sub" else self.file_bits(ident)
+
     def file_bits(self, file_index: int) -> int:
         """Ground-truth assembled file, file_size bits."""
         out = 0

@@ -43,7 +43,6 @@ class LevelRateCurve:
     by splitting the level's bits between the two bracketing vertices.
     """
 
-    level: int
     points: tuple[tuple[int, float], ...]
     envelope: tuple[tuple[float, float], ...]
 
@@ -197,7 +196,7 @@ def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
         (t, min(_alpha(config, level, t), _m(config, level, t)))
         for t in range(config.n_users + 1)
     )
-    return LevelRateCurve(level=level, points=pts, envelope=lower_convex_hull(pts))
+    return LevelRateCurve(points=pts, envelope=lower_convex_hull(pts))
 
 
 def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
@@ -239,9 +238,7 @@ def _cicc_curve(n: int, k: int) -> LevelRateCurve:
             continue
         val = (comb0(k, ti + 1) - comb0(k - min(n, k), ti + 1)) / comb0(k, ti)
         pts.append((ti, val))
-    return LevelRateCurve(
-        level=0, points=tuple(pts), envelope=lower_convex_hull(pts)
-    )
+    return LevelRateCurve(points=tuple(pts), envelope=lower_convex_hull(pts))
 
 
 def cicc_rate(config: LibraryConfig) -> float:

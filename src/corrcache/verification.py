@@ -3,13 +3,14 @@
 verify_all_demands drives the bit-level engine over every demand vector of a
 config and checks two things everywhere: decodability (every user can
 rebuild its file from cache + transcript) and rate soundness (measured bits
-never exceed the formula; the limit allows float rounding and nothing
-else).  Every transmitted section of every scheme is one leader-based XOR
-step whose payloads depend on demands only through its step-item pattern,
-so one DeliveryPlan plus per-pattern decode checks keep the full N^K sweep
-fast without weakening the quantifier: every emitted section is verified
-for every user, and sampled demands additionally run the end-to-end
-decoder.
+never exceed the scheme's formula; the limit allows float rounding and
+nothing else).  All three schemes run through the same `place` and
+`DeliveryPlan` with a `scheme` argument; the scheme only picks the formula.
+Every transmitted section is one leader-based XOR step whose payloads
+depend on demands only through its step-item pattern, so one plan plus
+per-pattern decode checks keep the full N^K sweep fast without weakening
+the quantifier: every emitted section is verified for every user, and
+sampled demands additionally run the end-to-end decoder.
 """
 
 from __future__ import annotations
@@ -17,17 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .delivery import (
-    DeliveryPlan,
-    StepRecord,
-    _decode_step,
-    cauc_deliver,
-    cauc_place,
-    cicc_deliver,
-    cicc_place,
-    decode,
-    place,
-)
+from .delivery import DeliveryPlan, StepRecord, _decode_step, decode, place
 from .model import ContentStore, LibraryConfig
 from .rates import cacc_rate, cauc_rate, cicc_rate
 
@@ -40,13 +31,18 @@ __all__ = [
 _GRID_GUARD = 10**6
 # Demand vectors per sweep that also run the complete user decoder.
 _FULL_DECODE_SAMPLES = 3
+# Each scheme's worst-case rate formula, as a function of (config, alloc).
+_FORMULAS = {
+    "cacc": cacc_rate,
+    "cauc": cauc_rate,
+    "cicc": lambda config, alloc: cicc_rate(config),
+}
 
 
 @dataclass
 class GridReport:
     """Outcome of one exhaustive demand sweep."""
 
-    config_digest: str
     scheme: str
     demands: tuple
     measured_rates: tuple
@@ -76,15 +72,7 @@ def worst_case_demand(config: LibraryConfig) -> tuple[int, ...]:
     return tuple(i % n + 1 for i in range(k))
 
 
-def _digest(config: LibraryConfig) -> str:
-    sizes = ",".join(str(s) for s in config.subfile_sizes)
-    return (
-        f"n={config.n_files} k={config.n_users} "
-        f"m={config.cache_capacity:.6g} sizes=[{sizes}]"
-    )
-
-
-def _verify_step(rec: StepRecord, caches, truth_of, n_users) -> list[str]:
+def _verify_step(rec: StepRecord, caches, store, n_users) -> list[str]:
     """Every user must recover its step-item layer slice exactly."""
     out = []
     tag = f"level {rec.level} step {rec.step_items}"
@@ -102,7 +90,7 @@ def _verify_step(rec: StepRecord, caches, truth_of, n_users) -> list[str]:
         if got_mask != seg:
             out.append(f"{tag}: user {k} missing bits")
             continue
-        if (bits[item] >> off) & seg != (truth_of(item) >> off) & seg:
+        if (bits[item] >> off) & seg != (store.item_bits(item) >> off) & seg:
             out.append(f"{tag}: user {k} wrong bits")
     return out
 
@@ -124,25 +112,9 @@ def verify_all_demands(
     if n**k > _GRID_GUARD:
         raise ValueError(f"{n}**{k} demand vectors exceed the enumeration guard")
     store = ContentStore.generate(config, seed)
-
-    if scheme == "cacc":
-        caches = place(config, alloc, store)
-        formula = cacc_rate(config, alloc)
-        run = DeliveryPlan(config, alloc, store).deliver
-    elif scheme == "cauc":
-        caches = cauc_place(config, alloc, store)
-        formula = cauc_rate(config, alloc)
-        run = lambda d: cauc_deliver(config, alloc, d, store)
-    elif scheme == "cicc":
-        caches = cicc_place(config, store)
-        formula = cicc_rate(config)
-        run = lambda d: cicc_deliver(config, d, store)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    def truth_of(item):
-        kind, ident = item
-        return store.subfile_bits(ident) if kind == "sub" else store.file_bits(ident)
+    run = DeliveryPlan(config, alloc, store, scheme=scheme).deliver
+    caches = place(config, alloc, store, scheme)
+    formula = _FORMULAS[scheme](config, alloc)
 
     all_demands = list(product(range(1, n + 1), repeat=k))
     step = max(1, len(all_demands) // _FULL_DECODE_SAMPLES)
@@ -162,7 +134,7 @@ def verify_all_demands(
             key = (rec.level, rec.layer, rec.step_items)
             if key not in checked_steps:
                 checked_steps.add(key)
-                errs = _verify_step(rec, caches, truth_of, k)
+                errs = _verify_step(rec, caches, store, k)
                 violations.extend(errs)
                 if errs:
                     demand_ok = False
@@ -188,7 +160,6 @@ def verify_all_demands(
     max_rate = max(rates) if rates else 0.0
     argmax = all_demands[rates.index(max_rate)] if rates else ()
     return GridReport(
-        config_digest=_digest(config),
         scheme=scheme,
         demands=tuple(all_demands),
         measured_rates=tuple(rates),

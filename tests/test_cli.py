@@ -179,6 +179,50 @@ def test_invalid_fixture_exits_2_naming_the_violation(capsys, tmp_path, text, vi
     assert "error: invalid schedule" in err and violation in err
 
 
+_FIVE_FILES = ("--n", "5", "--k", "5", "--level-sizes", "0,100", "--t", "0,1",
+               "--demands", "1,2,3,4,5")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ((*_FIVE_FILES, "--scheme", "cauc"), "needs scheme cacc, not cauc"),
+        ((*_FIVE_FILES, "--scheme", "cicc"), "needs scheme cacc, not cicc"),
+        (("--n", "3", "--k", "3", "--level-sizes", "0,60", "--t", "0,1",
+          "--demands", "1,2,3"), "is not 3 files inside 1..3"),
+        (("--n", "5", "--k", "5", "--level-sizes", "10,0", "--t", "1",
+          "--demands", "1,2,3,4,5"), "level 2 has no delivered sublayer"),
+    ],
+    ids=["cauc", "cicc", "window-outside-library", "level-not-delivered"],
+)
+def test_fixture_no_step_can_use_exits_2(capsys, argv, reason):
+    """A fixture that no coded step would use is an error, not a silent
+    no-op."""
+    rc, out, err = run_cli(capsys, "simulate", *argv, "--fixture", "example1")
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err and reason in err
+
+
+def test_fixture_fixed_part_outside_library_exits_2(capsys, tmp_path):
+    """A valid level-3 schedule whose fixed part is file 6 cannot serve a
+    five-file library."""
+    lines = EXAMPLE1_TEXT.replace("# fixed: -", "# fixed: 6").replace(
+        "# level: 2", "# level: 3"
+    ).splitlines()
+    columns = [" ".join(e + ",6" for e in line.split()) for line in lines[3:]]
+    path = tmp_path / "fixed6.txt"
+    path.write_text("\n".join(lines[:3] + columns) + "\n")
+    rc, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "5", "--k", "5", "--level-sizes", "0,0,100",
+        "--t", "0,0,1", "--demands", "1,2,3,4,5", "--fixture", str(path),
+    )
+    assert rc == 2
+    assert out == ""
+    assert "fixed part (6,) lies outside 1..5" in err
+
+
 def test_ratio_rounding_to_zero_bits_is_an_error(capsys):
     """Level 2's half of the library is below one divisibility unit (27720
     bits at K=12); dropping it silently would change the library."""
@@ -280,6 +324,7 @@ def test_package_imports_without_numpy():
 REMOVED_API = (
     "UncodedRecord", "SubfileId", "DemandVector", "step_demands", "pool_subfiles",
     "compare_schemes", "RatePoint", "window_for", "remainder_delivery",
+    "cauc_place", "cicc_place", "cicc_deliver",
 )
 
 

@@ -12,11 +12,7 @@ from corrcache import (
     LibraryConfig,
     build_level_curve,
     cacc_rate,
-    cauc_deliver,
-    cauc_place,
     cauc_rate,
-    cicc_deliver,
-    cicc_place,
     decode,
     deliver,
     place,
@@ -131,7 +127,7 @@ def test_place_splits_at_integer_share():
     f2 = config.level_size(2)
     for cache in caches:
         assert cache.total_bits() == 2 * 10 * f2 // 5
-        assert cache.pad_bits == 0.0
+        assert cache.total_bits() <= config.cache_capacity * config.file_size
     # cached bits are true content bits
     m = 0b00011
     got = caches[0].known_bits[("sub", m)]
@@ -149,7 +145,7 @@ def test_place_rejects_overcommitted_allocation():
 def test_cauc_place_prefixes():
     config = LibraryConfig(2, 2, 1.0, (4, 4))
     store = ContentStore.generate(config, seed=2)
-    caches = cauc_place(config, CacheAllocation((0.5, 0.25)), store)
+    caches = place(config, CacheAllocation((0.5, 0.25)), store, scheme="cauc")
     for cache in caches:
         assert cache.known_masks[("sub", 0b01)] == 0b0011
         assert cache.known_masks[("sub", 0b11)] == 0b0001
@@ -163,8 +159,8 @@ def test_uncoded_delivery_ships_remainders():
     config = LibraryConfig(2, 2, 0.0, (1, 1))
     store = ContentStore.generate(config, seed=0)
     alloc = CacheAllocation((0.0, 0.0))
-    caches = cauc_place(config, alloc, store)
-    transcript = cauc_deliver(config, alloc, (1, 2), store)
+    caches = place(config, alloc, store, scheme="cauc")
+    transcript = DeliveryPlan(config, alloc, store, scheme="cauc").deliver((1, 2))
     assert transcript.total_bits == 3
     assert transcript.rate == pytest.approx(1.5)
     decode_all(config, caches, transcript, (1, 2), store)
@@ -174,7 +170,7 @@ def test_uncoded_delivery_skips_unrequested():
     config = LibraryConfig(2, 2, 0.0, (1, 1))
     store = ContentStore.generate(config, seed=0)
     alloc = CacheAllocation((0.0, 0.0))
-    transcript = cauc_deliver(config, alloc, (1, 1), store)
+    transcript = DeliveryPlan(config, alloc, store, scheme="cauc").deliver((1, 1))
     assert transcript.total_bits == 2  # only subfiles {1} and {1,2}
 
 
@@ -187,7 +183,7 @@ def test_uncoded_measured_equals_formula_exactly():
         alloc = CacheAllocation(tuple(t / k for _ in range(n)))
         store = ContentStore.generate(config, seed=rng.randrange(99))
         demands = tuple(i % n + 1 for i in range(k))
-        transcript = cauc_deliver(config, alloc, demands, store)
+        transcript = DeliveryPlan(config, alloc, store, scheme="cauc").deliver(demands)
         assert transcript.total_bits == round(
             cauc_rate(config, alloc) * config.file_size
         )
@@ -199,16 +195,16 @@ def test_uncoded_measured_equals_formula_exactly():
 def test_opaque_delivery_full_cache_sends_nothing():
     config = LibraryConfig(2, 2, 2.0, (2, 0))
     store = ContentStore.generate(config, seed=0)
-    transcript = cicc_deliver(config, (1, 2), store)
+    transcript = DeliveryPlan(config, None, store, scheme="cicc").deliver((1, 2))
     assert transcript.total_bits == 0
 
 
 def test_opaque_delivery_classic_rate_and_decode():
     config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
     store = ContentStore.generate(config, seed=0)
-    caches = cicc_place(config, store)
+    caches = place(config, None, store, scheme="cicc")
     demands = tuple(range(1, 11))
-    transcript = cicc_deliver(config, demands, store)
+    transcript = DeliveryPlan(config, None, store, scheme="cicc").deliver(demands)
     assert transcript.total_bits == 45 * config.file_size // 10
     assert transcript.rate == pytest.approx(4.5)
     decode_all(config, caches, transcript, demands, store)
@@ -217,9 +213,9 @@ def test_opaque_delivery_classic_rate_and_decode():
 def test_opaque_delivery_repeats_cost_less():
     config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
     store = ContentStore.generate(config, seed=0)
-    caches = cicc_place(config, store)
+    caches = place(config, None, store, scheme="cicc")
     demands = (1,) * 10
-    transcript = cicc_deliver(config, demands, store)
+    transcript = DeliveryPlan(config, None, store, scheme="cicc").deliver(demands)
     assert transcript.total_bits < 45 * config.file_size // 10
     decode_all(config, caches, transcript, demands, store)
 
@@ -234,7 +230,7 @@ def test_random_delivery_payload_near_unknown_count():
     store = ContentStore.generate(config, seed=0)
     caches = place(config, t_alloc((0, 0, 0, 0, 1), 5), store)
     layer = LayerSpec(t=1, offset=0, size=1000)
-    records = _remainder_sections(5, 5, layer, [0b11111], store, {})
+    records = _remainder_sections(5, 5, layer, [("sub", 0b11111)], store, {})
     assert len(records) == 1
     rec = records[0]
     assert isinstance(rec, StepRecord)
@@ -263,7 +259,9 @@ def test_random_delivery_uncached_layer_ships_plain():
     store = ContentStore.generate(config, seed=4)
     size = config.level_size(2)
     layer = LayerSpec(t=0, offset=0, size=size)
-    records = _remainder_sections(3, 2, layer, [0b011, 0b110], store, {})
+    records = _remainder_sections(
+        3, 2, layer, [("sub", 0b011), ("sub", 0b110)], store, {}
+    )
     assert_plain_sends(records, [0b011, 0b110], store, size)
     assert sum(r.bits for r in records) == 2 * size
 
@@ -312,7 +310,8 @@ def test_fractional_share_delivery_hits_envelope_exactly():
     transcript = deliver(config, alloc, (1, 2), store)
     env = build_level_curve(config, 1).envelope_value(0.5)
     assert transcript.total_bits == round(env * config.file_size)
-    assert all(c.pad_bits == 0.0 for c in caches)
+    budget = config.cache_capacity * config.file_size
+    assert all(c.total_bits() <= budget for c in caches)
     decode_all(config, caches, transcript, (1, 2), store)
 
 
@@ -432,13 +431,14 @@ def test_decode_needs_matching_cache():
 # delivery reads no caches
 
 def test_delivery_runs_without_placement(monkeypatch):
-    """All three schemes deliver their pinned totals with every placement
-    function disabled: delivery needs the store, never the caches."""
+    """All three schemes deliver their pinned totals with placement disabled
+    (`place` and the part templates only placement reads): delivery needs
+    the store, never the caches."""
 
     def no_placement(*args, **kwargs):
         raise AssertionError("delivery must not run a placement")
 
-    for name in ("place", "cauc_place", "cicc_place"):
+    for name in ("place", "_part_templates"):
         monkeypatch.setattr(delivery, name, no_placement)
 
     config = fixture_config()
@@ -451,31 +451,28 @@ def test_delivery_runs_without_placement(monkeypatch):
 
     config = LibraryConfig(2, 2, 0.0, (1, 1))
     store = ContentStore.generate(config, seed=0)
-    transcript = cauc_deliver(
-        config, CacheAllocation((0.0, 0.0)), (1, 2), store
-    )
+    transcript = DeliveryPlan(
+        config, CacheAllocation((0.0, 0.0)), store, scheme="cauc"
+    ).deliver((1, 2))
     assert transcript.total_bits == 3
 
     config = LibraryConfig(10, 10, 1.0, (2520,) + (0,) * 9)
     store = ContentStore.generate(config, seed=0)
-    transcript = cicc_deliver(config, tuple(range(1, 11)), store)
-    assert transcript.total_bits == 45 * config.file_size // 10
+    plan = DeliveryPlan(config, None, store, scheme="cicc")
+    assert plan.deliver(tuple(range(1, 11))).total_bits == 45 * config.file_size // 10
 
 
 def test_delivery_rejects_non_integral_sizes():
     store = ContentStore.generate(LibraryConfig(2, 2, 1.0, (4, 4)), seed=0)
     config = LibraryConfig(2, 2, 1.0, (4.5, 4))
     alloc = CacheAllocation((0.5, 0.0))
-    with pytest.raises(ValueError):
-        deliver(config, alloc, (1, 2), store)
-    with pytest.raises(ValueError):
-        cauc_deliver(config, alloc, (1, 2), store)
-    with pytest.raises(ValueError):
-        cicc_deliver(config, (1, 2), store)
+    for scheme in ("cacc", "cauc", "cicc"):
+        with pytest.raises(ValueError):
+            DeliveryPlan(config, alloc, store, scheme=scheme)
 
 
 def test_uncoded_delivery_rejects_fractional_prefix():
     config = LibraryConfig(2, 2, 1.0, (4, 4))
     store = ContentStore.generate(config, seed=0)
     with pytest.raises(ValueError, match="whole number of bits"):
-        cauc_deliver(config, CacheAllocation((0.3, 0.0)), (1, 2), store)
+        DeliveryPlan(config, CacheAllocation((0.3, 0.0)), store, scheme="cauc")

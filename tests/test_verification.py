@@ -6,6 +6,7 @@ from conftest import single_level_config
 from corrcache import (
     CacheAllocation,
     ContentStore,
+    DeliveryPlan,
     GridReport,
     LibraryConfig,
     cauc_rate,
@@ -64,6 +65,43 @@ def test_opaque_grid_clean():
     assert report.scheme == "cicc"
 
 
+def _sections(config, scheme, alloc=None):
+    store = ContentStore.generate(config, seed=3)
+    plan = DeliveryPlan(config, alloc, store, scheme=scheme)
+    return plan.deliver(worst_case_demand(config)).sections
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        LibraryConfig(3, 3, 1.5, (6, 6, 6)),
+        LibraryConfig(4, 3, 2.2, (6, 0, 6, 6)),
+        LibraryConfig(2, 4, 0.7, (12, 12)),
+    ],
+)
+def test_opaque_grid_at_fractional_share(config):
+    """t = K*M/N is fractional, so each whole file splits into two
+    sublayers; every demand still decodes within the formula."""
+    t = config.n_users * config.cache_capacity / config.n_files
+    assert abs(t - round(t)) > 1e-9
+    report = verify_all_demands(config, None, scheme="cicc", seed=3)
+    assert report.ok, report.violations[:3]
+    assert len({rec.layer.t for rec in _sections(config, "cicc")}) == 2
+
+
+def test_uncoded_grid_at_fractional_prefix_shares():
+    """Prefixes of a quarter, half and three quarters of each subfile on a
+    three-level library: the prefix layer is cached by everyone and every
+    demand gets exactly the uncached rest."""
+    config = LibraryConfig(3, 3, 3.0, (8, 8, 8))
+    alloc = CacheAllocation((0.25, 0.5, 0.75))
+    report = verify_all_demands(config, alloc, scheme="cauc", seed=4)
+    assert report.ok, report.violations[:3]
+    assert report.max_rate == pytest.approx(cauc_rate(config, alloc))
+    offsets = {rec.level: rec.layer.offset for rec in _sections(config, "cauc", alloc)}
+    assert offsets == {1: 2, 2: 4, 3: 6}
+
+
 def test_unknown_scheme_rejected():
     config = LibraryConfig(2, 2, 1.0, (2, 2))
     with pytest.raises(ValueError):
@@ -93,8 +131,8 @@ def test_csv_shape():
 
 
 def test_report_ok_tracks_violations():
-    good = GridReport("d", "cacc", (), (), (), 0.0, 0.0, (), ())
-    bad = GridReport("d", "cacc", (), (), (), 0.0, 0.0, (), ("boom",))
+    good = GridReport("cacc", (), (), (), 0.0, 0.0, (), ())
+    bad = GridReport("cacc", (), (), (), 0.0, 0.0, (), ("boom",))
     assert good.ok and not bad.ok
 
 
