@@ -10,6 +10,7 @@ deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -133,9 +134,11 @@ def _sizes_from_args(args, exact=False) -> tuple:
 def _config_and_alloc(args) -> tuple[LibraryConfig, CacheAllocation]:
     """Resolve the library plus a cache allocation from the flag set.
 
-    Priority: explicit --t shares; else --m optimized; else t_l = 1 on every
-    nonempty level (the smallest nontrivial coded placement).  When --m is
-    absent the capacity is set to exactly fit the chosen allocation.
+    Priority: explicit --t shares; else --m optimized (for --scheme cauc the
+    uncoded optimum, each level's prefix rounded down to whole bits so the
+    budget still holds); else t_l = 1 on every nonempty level (the smallest
+    nontrivial coded placement).  When --m is absent the capacity is set to
+    exactly fit the chosen allocation.
     """
     sizes = _sizes_from_args(args)
     t_arg = getattr(args, "t", None)
@@ -154,9 +157,19 @@ def _config_and_alloc(args) -> tuple[LibraryConfig, CacheAllocation]:
         probe = LibraryConfig(args.n, args.k, 0.0, sizes)
         m = alloc.cached_bits(probe) / probe.file_size
     config = LibraryConfig(args.n, args.k, m, sizes)
-    if alloc is None:
+    if alloc is None and getattr(args, "scheme", None) == "cauc":
+        alloc = _whole_bit_prefixes(config, cauc_optimal_allocation(config))
+    elif alloc is None:
         alloc = optimize_allocation(config).alloc
     return config, alloc
+
+
+def _whole_bit_prefixes(config: LibraryConfig, alloc: CacheAllocation) -> CacheAllocation:
+    """Round every level's cached prefix down to a whole number of bits."""
+    return CacheAllocation(tuple(
+        math.floor(p * size + 1e-6) / size if size else p
+        for p, size in zip(alloc.fractions, config.subfile_sizes)
+    ))
 
 
 def _emit(text: str, out_path) -> None:

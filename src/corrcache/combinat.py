@@ -55,6 +55,23 @@ def subset_masks(members, size: int) -> list[int]:
     return [mask_of(c) for c in combinations(base, size)]
 
 
+def concat_bits(segments) -> int:
+    """Concatenate (value, width) segments, the first lowest; every value
+    must fit its width.  Neighbours are merged pairwise, so the cost stays
+    near linear in the total width (shifting each segment into one growing
+    result is quadratic in the segment count)."""
+    segs = list(segments)
+    while len(segs) > 1:
+        merged = [
+            (lo | (hi << wlo), wlo + whi)
+            for (lo, wlo), (hi, whi) in zip(segs[::2], segs[1::2])
+        ]
+        if len(segs) % 2:
+            merged.append(segs[-1])
+        segs = merged
+    return segs[0][0] if segs else 0
+
+
 @lru_cache(maxsize=None)
 def part_labels(n_users: int, share: int) -> tuple[int, ...]:
     """Canonical part labels: all share-element subsets of [n_users] as masks."""

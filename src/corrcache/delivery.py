@@ -24,6 +24,16 @@ layer whose coded steps would cost more than the floor (every demanded
 item's uncached bits), or that has no column table, goes out as one exact
 remainder step per demanded item instead.
 
+Decoding is one part-indexed kernel (`_decode_parts`), which `decode` and
+the verifier both call.  A user's program for a share-t step lists, per
+part it lacks, the payload to read and the cached (member, part) terms to
+XOR in; it depends only on (K, t, user).  A payload whose user set has no
+leader is not sent: the step's equality pattern (its step items renumbered
+by first occurrence) fixes the family of sent payloads that XOR to it.
+Both memos are bounded.  The kernel reads cached parts through a per-item
+part table: `decode` fills it lazily from the cache, in place; the
+verifier splits each item once per sweep.
+
 Content layout conventions (shared by placement, delivery, and decode):
 an item is a subfile ("sub", mask) or a whole file ("file", index); an
 integer-share layer of size ``s`` at offset ``o`` within an item is split
@@ -39,6 +49,7 @@ from itertools import combinations
 
 from .combinat import (
     comb0,
+    concat_bits,
     divisibility_unit,
     mask_of,
     members_of,
@@ -205,10 +216,6 @@ class UserCache:
     def total_bits(self) -> int:
         return sum(m.bit_count() for m in self.known_masks.values())
 
-    def state(self) -> tuple[dict, dict]:
-        """Mutable (masks, bits) copy for a decoding pass."""
-        return dict(self.known_masks), dict(self.known_bits)
-
 
 @lru_cache(maxsize=None)
 def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
@@ -304,10 +311,6 @@ class Transcript:
     @property
     def rate(self) -> float:
         return self.total_bits / self.config.file_size
-
-
-def _tally(sections) -> int:
-    return sum(rec.bits for rec in sections)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +433,10 @@ class DeliveryPlan:
 
     A plan is built from (config, alloc, store, schedule source, seed,
     scheme).  It runs the input checks and loads the fixture once; holds,
-    per placement group, the group's items with their file-set masks and
-    its delivered sublayers (t < K, size > 0) with their unknown-bit counts;
+    per placement group, the group's items with their file-set masks, its
+    count of demanded items per number of distinct demanded files, and its
+    delivered sublayers (t < K, size > 0) with their unknown-bit counts and
+    part sizes;
     builds, per (window, group), the scheme's column table; and keeps the
     step memo.  Step payloads depend on the demand vector only through the
     per-step item pattern, so deliveries of many demand vectors through one
@@ -452,16 +457,26 @@ class DeliveryPlan:
         self.store = store
         self.seed = seed
         self.scheme = scheme
-        k = config.n_users
+        n, k = config.n_files, config.n_users
         levels = []
         for level, items, layers, _ in _groups(config, alloc, scheme):
             members = tuple((_files_of(item), item) for item in items)
+            # demanded_count[d]: the group's items touching d distinct files
+            demanded_count = tuple(
+                d if level == 0 else comb0(n, level) - comb0(n - d, level)
+                for d in range(n + 1)
+            )
             sublayers = tuple(
-                (layer, layer.size - layer.t * layer.size // k, {})
+                (
+                    layer,
+                    layer.size - layer.t * layer.size // k,
+                    layer.size // comb0(k, layer.t),
+                    {},
+                )
                 for layer in layers
                 if layer.t < k and layer.size > 0
             )
-            levels.append((level, members, sublayers))
+            levels.append((level, members, demanded_count, sublayers))
         self._levels = tuple(levels)
         self._fixture = (
             self._load_fixture(schedule_source) if schedule_source is not None else None
@@ -484,7 +499,7 @@ class DeliveryPlan:
             raise ValueError(
                 f"fixture fixed part {fixture.fixed_part} lies outside 1..{n}"
             )
-        if fixture.level not in [level for level, _, subs in self._levels if subs]:
+        if fixture.level not in [level for level, _, _, subs in self._levels if subs]:
             raise ValueError(f"fixture level {fixture.level} has no delivered sublayer")
         return fixture
 
@@ -542,37 +557,38 @@ class DeliveryPlan:
         pos = {f: i for i, f in enumerate(window)}
         slots = [pos[d] for d in demands]
         demand_mask = mask_of(demands)
+        n_demanded = demand_mask.bit_count()
 
         sections = []
         step_counts = []
         per_level = {}
-        for level, members, sublayers in self._levels:
+        for level, members, demanded_count, sublayers in self._levels:
             level_bits = 0
             if sublayers:
                 table = self._column_table(window, level)
                 patterns = None if table is None else [
                     tuple([col[i] for i in slots]) for col in table
                 ]
-                demanded = [item for files, item in members if files & demand_mask]
-            for layer, unknowns, steps in sublayers:
-                records = None
+                floor_items = demanded_count[n_demanded]
+                demanded = None
+            for layer, unknowns, psize, steps in sublayers:
                 if patterns is not None:
                     records = [
                         steps.get(items) or _memo_step(steps, k, level, layer, items, store)
                         for items in patterns
                     ]
-                    bits = _tally(records)
-                    if bits > len(demanded) * unknowns:
-                        records = None
-                    else:
-                        step_counts.extend(len(r.payloads) for r in records)
-                if records is None:
-                    records = _remainder_sections(
-                        k, level, layer, demanded, store, steps
-                    )
-                    bits = _tally(records)
+                    counts = [len(rec.payloads) for rec in records]
+                    bits = psize * sum(counts)
+                    if bits <= floor_items * unknowns:
+                        step_counts.extend(counts)
+                        sections.extend(records)
+                        level_bits += bits
+                        continue
+                if demanded is None:
+                    demanded = [item for files, item in members if files & demand_mask]
+                records = _remainder_sections(k, level, layer, demanded, store, steps)
                 sections.extend(records)
-                level_bits += bits
+                level_bits += psize * sum([len(rec.payloads) for rec in records])
             per_level[level] = level_bits
         return Transcript(
             scheme=self.scheme,
@@ -609,83 +625,163 @@ def cauc_deliver(
 
 
 # ---------------------------------------------------------------------------
-# decoding (transcript + own cache only)
+# decoding (transcript + own cache only): one part-indexed kernel
 
-def _family_xor(rec: StepRecord, v: int) -> int:
-    """Reconstruct an unsent leaderless payload from sent ones.
-
-    Over the user set C = V plus leaders, the payloads of all size-|V|
-    subsets W whose complement in C has pairwise-distinct step-items XOR to
-    zero; V is the only such subset avoiding every leader, so it equals the
-    XOR of the rest.
-    """
-    c = v | rec.leader_mask
-    want = v.bit_count()
-    members = members_of(c)
-    y = 0
-    for combo in combinations(members, want):
-        w = mask_of(combo)
-        if w == v:
-            continue
-        rest = members_of(c & ~w)
-        items = [rec.step_items[u - 1] for u in rest]
-        if len(set(items)) == len(items):
-            y ^= rec.payloads[w]
-    return y
+def _pattern(step_items):
+    """A step's equality pattern -- its step items renumbered by first
+    occurrence, e.g. (0, 1, 0, 2, 2) -- and its distinct items in that order.
+    The pattern alone fixes the leaders and the family of every unsent
+    payload."""
+    ids = {}
+    pattern = tuple([ids.setdefault(item, len(ids)) for item in step_items])
+    return pattern, tuple(ids)
 
 
-def _take_bits(masks, bits, item, pos, width) -> int:
-    seg = (1 << width) - 1
-    if (masks.get(item, 0) >> pos) & seg != seg:
-        raise RuntimeError(f"decoder missing bits of {item} at {pos}")
-    return (bits[item] >> pos) & seg
-
-
-def _decode_step(user: int, rec: StepRecord, masks, bits, n_users: int) -> None:
-    t = rec.layer.t
+# Both memos are bounded: a pass over many configs at K = 8 would otherwise
+# keep every (K, t, user) program and every (pattern, V) family it met.  A
+# sweep or a decode cycles through at most K users times two shares.
+@lru_cache(maxsize=16)
+def _program(n_users: int, t: int, user: int) -> tuple:
+    """How `user` rebuilds the parts of its step item it lacks in a share-t
+    step: per part i whose label avoids the user, the payload key V = label
+    + user and the cache terms (member index, part index) to XOR in.  Each
+    term is the user's cached part of another member's step item, labeled V
+    minus that member, so its label contains the user.  A V without a leader
+    is not sent; the step's equality pattern picks its family (_family)."""
     index = _label_index(n_users, t)
-    psize = rec.part_size
-    pmask = (1 << psize) - 1
     kbit = 1 << (user - 1)
-    item = rec.step_items[user - 1]
-    off = rec.layer.offset
+    out = []
     for i, lab in enumerate(part_labels(n_users, t)):
         if lab & kbit:
             continue
         v = lab | kbit
-        y = rec.payloads[v] if v & rec.leader_mask else _family_xor(rec, v)
-        vv = v & ~kbit
-        while vv:
-            b = vv & -vv
-            vv ^= b
-            u = b.bit_length()
-            y ^= _take_bits(
-                masks, bits, rec.step_items[u - 1], off + index[v ^ b] * psize, psize
-            )
-        pos = off + i * psize
-        masks[item] = masks.get(item, 0) | (pmask << pos)
-        bits[item] = bits.get(item, 0) | ((y & pmask) << pos)
+        terms = []
+        rest = lab
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            terms.append((b.bit_length() - 1, index[v ^ b]))
+        out.append((i, v, tuple(terms)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _family(pattern, v: int) -> tuple[int, ...]:
+    """The sent payloads whose XOR is the unsent leaderless payload V.
+
+    Over the user set C = V plus leaders, the payloads of all size-|V|
+    subsets W whose complement in C has pairwise-distinct step items XOR to
+    zero; V is the only such subset avoiding every leader, so it equals the
+    XOR of the rest.
+    """
+    c = v | _leaders(pattern)
+    out = []
+    for combo in combinations(members_of(c), v.bit_count()):
+        w = mask_of(combo)
+        if w == v:
+            continue
+        rest = [pattern[u - 1] for u in members_of(c & ~w)]
+        if len(set(rest)) == len(rest):
+            out.append(w)
+    return tuple(out)
+
+
+def _decode_parts(user: int, rec: StepRecord, pattern, parts) -> list:
+    """The decode kernel: `user`'s missing parts of its step item in `rec`,
+    as (part index, bits) pairs.
+
+    `pattern` is the record's equality pattern, and parts[u][j] is the
+    user's cached part j, in the record's layer, of user u + 1's step item,
+    or None when that part is not fully cached.
+    """
+    payloads = rec.payloads
+    leader_mask = rec.leader_mask
+    pmask = (1 << rec.part_size) - 1
+    out = []
+    for i, v, terms in _program(len(pattern), rec.layer.t, user):
+        if v & leader_mask:
+            y = payloads[v]
+        else:
+            y = 0
+            for w in _family(pattern, v):
+                y ^= payloads[w]
+        for u, j in terms:
+            part = parts[u][j]
+            if part is None:
+                pos = rec.layer.offset + j * rec.part_size
+                raise RuntimeError(
+                    f"decoder missing bits of {rec.step_items[u]} at {pos}"
+                )
+            y ^= part
+        out.append((i, y & pmask))
+    return out
+
+
+class _CachedParts(dict):
+    """One cached item's parts in one layer, extracted when first asked for:
+    a decode reads a fraction of the parts of items up to a file long, so it
+    splits nothing whole."""
+
+    __slots__ = ("mask", "bits", "offset", "psize")
+
+    def __init__(self, mask: int, bits: int, offset: int, psize: int):
+        super().__init__()
+        self.mask, self.bits = mask, bits
+        self.offset, self.psize = offset, psize
+
+    def __missing__(self, j: int):
+        pos = self.offset + j * self.psize
+        pmask = (1 << self.psize) - 1
+        part = (self.bits >> pos) & pmask if (self.mask >> pos) & pmask == pmask else None
+        self[j] = part
+        return part
 
 
 def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
-    """Reconstruct user's demanded file from its cache and the transcript."""
+    """Reconstruct user's demanded file from its cache and the transcript.
+
+    Runs the decode kernel on every section whose step item for this user
+    belongs to its file, reading the cache in place.
+    """
     config = transcript.config
     demands = as_demands(demands, config)
     d = demands[user - 1]
-    masks, bits = cache.state()
-    for rec in transcript.sections:
-        _decode_step(user, rec, masks, bits, config.n_users)
-
     if transcript.scheme == "cicc":
-        layout = [(("file", d), int(config.file_size), 0)]
+        layout = [(("file", d), int(config.file_size))]
     else:
-        layout = [
-            (("sub", m), size, off) for m, size, off in file_layout(config, d) if size
-        ]
-    out = 0
-    for item, size, offset in layout:
+        layout = [(("sub", m), size) for m, size, _ in file_layout(config, d) if size]
+    masks, bits = cache.known_masks, cache.known_bits
+    got_masks = {item: masks.get(item, 0) for item, _ in layout}
+    got_bits = {item: bits.get(item, 0) for item, _ in layout}
+    read = {}  # (item, layer offset) -> that item's parts read so far
+    spans = {}  # (share, part size) -> the parts this user decodes, as a mask
+    for rec in transcript.sections:
+        item = rec.step_items[user - 1]
+        if item not in got_masks:
+            continue
+        pattern, classes = _pattern(rec.step_items)
+        off, psize = rec.layer.offset, rec.part_size
+        class_parts = []
+        for x in classes:
+            parts = read.get((x, off))
+            if parts is None:
+                parts = read[x, off] = _CachedParts(
+                    masks.get(x, 0), bits.get(x, 0), off, psize
+                )
+            class_parts.append(parts)
+        decoded = _decode_parts(user, rec, pattern, [class_parts[c] for c in pattern])
+        got = 0
+        for i, y in decoded:
+            got |= y << (i * psize)
+        span = spans.get((rec.layer.t, psize))
+        if span is None:
+            pmask = (1 << psize) - 1
+            span = spans[rec.layer.t, psize] = sum(pmask << (i * psize) for i, _ in decoded)
+        got_masks[item] |= span << off
+        got_bits[item] |= got << off
+
+    for item, size in layout:
         seg = (1 << size) - 1
-        if masks.get(item, 0) & seg != seg:
+        if got_masks[item] & seg != seg:
             raise RuntimeError(f"user {user} cannot reconstruct {item}")
-        out |= (bits[item] & seg) << offset
-    return out
+    return concat_bits((got_bits[item] & ((1 << size) - 1), size) for item, size in layout)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .combinat import (
     comb0,
+    concat_bits,
     divisibility_unit,
     mix_seed,
     subset_masks,
@@ -184,9 +185,12 @@ class ContentStore:
         contents = {}
         for level in config.levels():
             size = int(config.subfile_sizes[level - 1])
-            for m in subset_masks(range(1, config.n_files + 1), level):
-                rng = random.Random(mix_seed(seed, level, m))
-                contents[m] = rng.getrandbits(size) if size else 0
+            masks = subset_masks(range(1, config.n_files + 1), level)
+            if not size:
+                contents.update(dict.fromkeys(masks, 0))
+                continue
+            for m in masks:
+                contents[m] = random.Random(mix_seed(seed, level, m)).getrandbits(size)
         return cls(config=config, seed=seed, _contents=contents)
 
     def subfile_bits(self, mask: int) -> int:
@@ -200,10 +204,9 @@ class ContentStore:
 
     def file_bits(self, file_index: int) -> int:
         """Ground-truth assembled file, file_size bits."""
-        out = 0
-        for m, _, offset in file_layout(self.config, file_index):
-            out |= self._contents[m] << offset
-        return out
+        return concat_bits(
+            (self._contents[m], size) for m, size, _ in file_layout(self.config, file_index)
+        )
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,18 @@ nothing else).  All three schemes run through the same `place` and
 `DeliveryPlan` with a `scheme` argument; the scheme only picks the formula.
 Every transmitted section is one leader-based XOR step whose payloads
 depend on demands only through its step-item pattern, so one plan plus
-per-pattern decode checks keep the full N^K sweep fast without weakening
+per-record decode checks keep the full N^K sweep fast without weakening
 the quantifier: every emitted section is verified for every user, and
 sampled demands additionally run the end-to-end decoder.
+
+The step check runs delivery's decode kernel (`_decode_parts`), the one
+decoder, on each distinct step record for every user, reading the caches
+without copying them.  Per sweep it memoizes, per (user, layer), the
+user's cached parts of each item (None where a part is not fully cached)
+and, per (item, layer), the true parts; a user passes when its decoded
+part list equals the true one.  Each record gets one verdict, kept by
+id() (the plan's step memo keeps records alive for the sweep), and every
+demand vector whose transcript holds a failing record is marked not ok.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .delivery import DeliveryPlan, StepRecord, _decode_step, decode, place
+from .combinat import comb0
+from .delivery import DeliveryPlan, StepRecord, _decode_parts, _pattern, decode, place
 from .model import ContentStore, LibraryConfig
 from .rates import cacc_rate, cauc_rate, cicc_rate
 
@@ -72,25 +82,62 @@ def worst_case_demand(config: LibraryConfig) -> tuple[int, ...]:
     return tuple(i % n + 1 for i in range(k))
 
 
-def _verify_step(rec: StepRecord, caches, store, n_users) -> list[str]:
-    """Every user must recover its step-item layer slice exactly."""
+def _split(mask: int, bits: int, offset: int, psize: int, nparts: int) -> list:
+    """An item's parts in one layer, None where the mask does not cover one."""
+    pmask = (1 << psize) - 1
+    out = []
+    for j in range(nparts):
+        pos = offset + j * psize
+        out.append((bits >> pos) & pmask if (mask >> pos) & pmask == pmask else None)
+    return out
+
+
+def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
+    """Every user must rebuild its step item's layer slice exactly, from the
+    transcript record and its own cache alone.
+
+    layer_parts is the sweep's memo, per layer: the true parts of each item
+    and, per user, the cached parts of each item (split once per sweep).
+    """
     out = []
     tag = f"level {rec.level} step {rec.step_items}"
-    off, size = rec.layer.offset, rec.layer.size
-    seg = (1 << size) - 1
-    for k in range(1, n_users + 1):
-        masks, bits = caches[k - 1].state()
+    layer, psize = rec.layer, rec.part_size
+    nparts = comb0(len(caches), layer.t)
+    memo = layer_parts.get(layer)
+    if memo is None:
+        memo = layer_parts[layer] = ({}, [{} for _ in caches])
+    truth, cached = memo
+    pattern, classes = _pattern(rec.step_items)
+    for k, cache in enumerate(caches, start=1):
+        held = cached[k - 1]
+        parts = []
+        for item in classes:
+            p = held.get(item)
+            if p is None:
+                p = held[item] = _split(
+                    cache.known_masks.get(item, 0),
+                    cache.known_bits.get(item, 0),
+                    layer.offset,
+                    psize,
+                    nparts,
+                )
+            parts.append(p)
         try:
-            _decode_step(k, rec, masks, bits, n_users)
+            decoded = _decode_parts(k, rec, pattern, [parts[c] for c in pattern])
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
             out.append(f"{tag}: user {k} raised {exc!r}")
             continue
-        item = rec.step_items[k - 1]
-        got_mask = (masks.get(item, 0) >> off) & seg
-        if got_mask != seg:
+        own = list(parts[pattern[k - 1]])
+        for i, y in decoded:
+            own[i] = y
+        if None in own:
             out.append(f"{tag}: user {k} missing bits")
             continue
-        if (bits[item] >> off) & seg != (store.item_bits(item) >> off) & seg:
+        item = classes[pattern[k - 1]]
+        want = truth.get(item)
+        if want is None:
+            want = truth[item] = _split(-1, store.item_bits(item), layer.offset, psize, nparts)
+        if own != want:
             out.append(f"{tag}: user {k} wrong bits")
     return out
 
@@ -104,7 +151,8 @@ def verify_all_demands(
     """Run delivery for every demand vector; check decode and rate soundness.
 
     Every distinct transmitted section is decode-verified for every user
-    (sections repeat across demand vectors, so this covers the whole grid);
+    (sections repeat across demand vectors, so this covers the whole grid),
+    and every demand vector that emits a failing section is flagged;
     additionally a few demand vectors per sweep run the complete user
     decoder against the ground-truth files of the seed's content store.
     """
@@ -123,7 +171,10 @@ def verify_all_demands(
     rates = []
     ok_flags = []
     violations = []
-    checked_steps: set = set()
+    # One verdict per distinct step record, keyed by id(): the plan's step
+    # memo keeps every record alive for the whole sweep.
+    verdicts: dict = {}
+    layer_parts: dict = {}
     file_bits_true = {}
     limit = formula * config.file_size + 1e-9 * config.file_size + 1e-6
     for idx, d in enumerate(all_demands):
@@ -131,13 +182,13 @@ def verify_all_demands(
         rates.append(transcript.rate)
         demand_ok = True
         for rec in transcript.sections:
-            key = (rec.level, rec.layer, rec.step_items)
-            if key not in checked_steps:
-                checked_steps.add(key)
-                errs = _verify_step(rec, caches, store, k)
+            ok = verdicts.get(id(rec))
+            if ok is None:
+                errs = _check_step(rec, caches, store, layer_parts)
                 violations.extend(errs)
-                if errs:
-                    demand_ok = False
+                ok = verdicts[id(rec)] = not errs
+            if not ok:
+                demand_ok = False
 
         if transcript.total_bits > limit:
             violations.append(
@@ -151,7 +202,12 @@ def verify_all_demands(
                 want = file_bits_true.get(d[user - 1])
                 if want is None:
                     want = file_bits_true[d[user - 1]] = store.file_bits(d[user - 1])
-                got = decode(user, caches[user - 1], transcript, d)
+                try:
+                    got = decode(user, caches[user - 1], transcript, d)
+                except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
+                    violations.append(f"demand {d}: user {user} decode raised {exc!r}")
+                    demand_ok = False
+                    continue
                 if got != want:
                     violations.append(f"demand {d}: user {user} decode mismatch")
                     demand_ok = False

@@ -61,6 +61,19 @@ def test_simulate_other_schemes(capsys):
     assert rc == 0 and "decode=ok" in out
 
 
+def test_simulate_cauc_with_capacity_uses_whole_bit_uncoded_prefixes(capsys):
+    """--scheme cauc with --m and no --t takes the uncoded optimum with its
+    2.4-bit level-1 prefix rounded down to 2 bits: levels 2 and 3 are cached
+    whole, and each demanded level-1 subfile sends its other 4 bits."""
+    rc, out, _ = run_cli(
+        capsys,
+        "simulate", "--n", "3", "--k", "3", "--level-sizes", "6,6,6",
+        "--m", "1.3", "--scheme", "cauc", "--demands", "1,2,3",
+    )
+    assert rc == 0 and "decode=ok" in out
+    assert "per_level_bits=1:12;2:0;3:0" in out
+
+
 def test_rates_requires_capacity(capsys):
     rc, _, err = run_cli(
         capsys, "rates", "--n", "2", "--k", "2", "--level-sizes", "4,4"

@@ -21,7 +21,9 @@ from corrcache import delivery
 from corrcache.delivery import (
     LayerSpec,
     StepRecord,
-    _decode_step,
+    _CachedParts,
+    _decode_parts,
+    _pattern,
     _remainder_sections,
     _window,
     cacc_layers,
@@ -238,11 +240,18 @@ def test_random_delivery_payload_near_unknown_count():
     assert rec.leader_mask == 0b00001
     assert rec.bits == 800
     # every requester recovers the whole subfile from its own cache
+    item = ("sub", 0b11111)
+    pattern, _ = _pattern(rec.step_items)
+    psize = rec.part_size
     for user in range(1, 6):
-        masks, bits = caches[user - 1].state()
-        _decode_step(user, rec, masks, bits, 5)
-        assert masks[("sub", 0b11111)] == (1 << 1000) - 1
-        assert bits[("sub", 0b11111)] == store.subfile_bits(0b11111)
+        mask = caches[user - 1].known_masks[item]
+        bits = caches[user - 1].known_bits[item]
+        parts = [_CachedParts(mask, bits, 0, psize)] * 5
+        for i, y in _decode_parts(user, rec, pattern, parts):
+            mask |= ((1 << psize) - 1) << (i * psize)
+            bits |= y << (i * psize)
+        assert mask == (1 << 1000) - 1
+        assert bits == store.subfile_bits(0b11111)
 
 
 def assert_plain_sends(records, masks, store, size):

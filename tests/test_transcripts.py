@@ -4,7 +4,10 @@ Each case places the caches, delivers every demand vector through one plan
 and hashes the caches' known masks and bits plus, per demand vector,
 total_bits, per_level_bits, step_counts and every section's (level, layer,
 step_items, leader_mask, part_size, payloads), in order.  The hashes must
-equal fixtures/transcripts/digest.txt.  The cases cover:
+equal fixtures/transcripts/digest.txt.  A second digest runs the exhaustive
+verifier on the same cases and hashes each GridReport's measured_rates,
+decode_ok and violations; it must equal fixtures/transcripts/verify_digest.txt.
+The cases cover:
 
 * cacc and cauc at every integer share of every single-level library with
   N, K <= 4;
@@ -13,8 +16,9 @@ equal fixtures/transcripts/digest.txt.  The cases cover:
 * cauc at fractional prefix shares on seeded multi-level libraries;
 * cacc at optimize_allocation shares on seeded multi-level libraries.
 
-`python tests/test_transcripts.py` prints the digest lines; regenerate the
-fixture with it only for a change that is meant to alter transcripts.
+`python tests/test_transcripts.py` prints the transcript digest lines and
+`python tests/test_transcripts.py verify` the verifier's; regenerate a fixture
+with them only for a change that is meant to alter transcripts or verdicts.
 """
 
 import hashlib
@@ -30,13 +34,16 @@ from corrcache import (
     LibraryConfig,
     optimize_allocation,
     place,
+    verify_all_demands,
 )
 from corrcache.combinat import divisibility_unit
 
-GOLDEN = os.path.join(
+FIXTURES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "fixtures", "transcripts", "digest.txt",
+    "fixtures", "transcripts",
 )
+GOLDEN = os.path.join(FIXTURES, "digest.txt")
+VERIFY_GOLDEN = os.path.join(FIXTURES, "verify_digest.txt")
 
 
 def _single_level(n, k, level, capacity):
@@ -107,18 +114,33 @@ def case_digest(scheme, config, alloc) -> str:
     return h.hexdigest()
 
 
-def digest_lines():
-    return [f"{case_id}: {case_digest(*rest)}" for case_id, *rest in cases()]
+def verify_digest(scheme, config, alloc) -> str:
+    report = verify_all_demands(config, alloc, scheme=scheme, seed=1)
+    h = hashlib.sha256()
+    h.update(repr((report.measured_rates, report.decode_ok, report.violations)).encode())
+    return h.hexdigest()
 
 
-def test_transcripts_match_golden_digest():
-    with open(GOLDEN, encoding="utf-8") as fh:
+def digest_lines(digest=case_digest):
+    return [f"{case_id}: {digest(*rest)}" for case_id, *rest in cases()]
+
+
+def _assert_matches(path, got):
+    with open(path, encoding="utf-8") as fh:
         want = fh.read().splitlines()
-    got = digest_lines()
     assert len(got) == len(want)
     changed = [g for g, w in zip(got, want) if g != w]
     assert not changed, f"{len(changed)} cases changed, first: {changed[0]}"
 
 
+def test_transcripts_match_golden_digest():
+    _assert_matches(GOLDEN, digest_lines())
+
+
+def test_verifier_matches_golden_digest():
+    _assert_matches(VERIFY_GOLDEN, digest_lines(verify_digest))
+
+
 if __name__ == "__main__":
-    sys.stdout.write("\n".join(digest_lines()) + "\n")
+    digest = verify_digest if sys.argv[1:] == ["verify"] else case_digest
+    sys.stdout.write("\n".join(digest_lines(digest)) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,8 +16,9 @@ from corrcache import (
     verify_all_demands,
     worst_case_demand,
 )
+from corrcache import delivery, verification
 from corrcache.combinat import divisibility_unit
-from corrcache.delivery import cacc_layers
+from corrcache.delivery import _family, _pattern, _program, cacc_layers
 
 
 def test_two_user_grid_clean():
@@ -189,3 +191,86 @@ def test_optimizer_allocations_pass_the_verifier():
             report = verify_all_demands(config, alloc, seed=rng.randrange(99))
             assert report.ok, (config, report.violations[:3])
     assert fractional and share_zero
+
+
+# ---------------------------------------------------------------------------
+# fault injection: a broken transcript or cache must not pass the verifier
+
+def _flip_payloads(monkeypatch, corrupt):
+    """Make every emitted step go through `corrupt(record) -> payloads`."""
+    real = delivery._xor_step
+
+    def faulty(*args, **kwargs):
+        rec = real(*args, **kwargs)
+        return dataclasses.replace(rec, payloads=corrupt(rec))
+
+    monkeypatch.setattr(delivery, "_xor_step", faulty)
+
+
+def test_flipped_payload_bit_flags_every_demand_using_it(monkeypatch):
+    """Every payload's first bit flipped: each of the 27 demand vectors
+    emits a corrupted step, so each one is flagged, not only the first
+    demand vector that emitted a given step."""
+    config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
+    alloc = CacheAllocation.from_replication((0, 1, 0), 3)
+    _flip_payloads(monkeypatch, lambda rec: {v: y ^ 1 for v, y in rec.payloads.items()})
+    report = verify_all_demands(config, alloc, seed=0)
+    assert not report.ok
+    assert any("wrong bits" in v for v in report.violations)
+    assert len(report.demands) == 27
+    assert not any(report.decode_ok)
+
+
+def test_cache_missing_a_part_is_reported(monkeypatch):
+    """User 2 loses one cached part: decoding some step needs it, so the
+    sweep reports missing bits or a raised decode, never a clean grid."""
+    config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
+    alloc = CacheAllocation.from_replication((0, 1, 0), 3)
+    psize = 4  # 12 bits in C(3, 1) parts
+    real_place = verification.place
+
+    def place_with_hole(*args, **kwargs):
+        caches = real_place(*args, **kwargs)
+        cache = caches[1]
+        item = min(cache.known_masks)
+        mask = cache.known_masks[item]
+        hole = ((1 << psize) - 1) << ((mask & -mask).bit_length() - 1)
+        cache.known_masks[item] &= ~hole
+        cache.known_bits[item] &= ~hole
+        return caches
+
+    monkeypatch.setattr(verification, "place", place_with_hole)
+    report = verify_all_demands(config, alloc, seed=0)
+    assert not report.ok
+    assert any(
+        "missing bits" in v or "raised" in v for v in report.violations
+    ), report.violations[:3]
+    assert not all(report.decode_ok)
+
+
+def test_corrupt_payload_caught_through_family_xor(monkeypatch):
+    """Four users, step items (A, A, A, B) at t = 1: the user set {2, 3}
+    has no leader, so user 2 rebuilds its payload from the family
+    {1, 3} + {1, 2}.  User 2 never reads payload {1, 3} directly; corrupting
+    it must still show up as user 2's wrong bits."""
+    config = LibraryConfig(2, 4, 2.0, (12, 0))
+    alloc = CacheAllocation.from_replication((1, 0), 4)
+    a, b = ("sub", 0b01), ("sub", 0b10)
+    target = (a, a, a, b)
+    pattern, _ = _pattern(target)
+    leaders = 0b1001
+    sent = [v for _, v, _ in _program(4, 1, 2) if v & leaders]
+    family = [_family(pattern, v) for _, v, _ in _program(4, 1, 2) if not v & leaders]
+    assert 0b0101 not in sent and family == [(0b0011, 0b0101)]
+
+    def corrupt(rec):
+        payloads = dict(rec.payloads)
+        if rec.step_items == target:
+            payloads[0b0101] ^= 1
+        return payloads
+
+    _flip_payloads(monkeypatch, corrupt)
+    report = verify_all_demands(config, alloc, seed=0)
+    tag = f"level 1 step {target}"
+    assert f"{tag}: user 2 wrong bits" in report.violations
+    assert not report.decode_ok[report.demands.index((1, 1, 1, 2))]
