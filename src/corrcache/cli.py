@@ -10,6 +10,7 @@ deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -328,6 +329,7 @@ def _add_common(sub, with_demands=False, with_scheme=False, with_t=True):
                          default="cacc", help="delivery scheme")
 
 
+@functools.cache  # one parser serves every call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrcache",

@@ -152,7 +152,8 @@ def _prefix_bits(alloc: CacheAllocation, level: int, size: int) -> int:
 def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
     """Check the inputs and return the scheme's placement groups (level,
     items, layers, nominal cached bits per item): one per nonempty level, or
-    one level-0 group of whole files for cicc, which ignores the allocation."""
+    one level-0 group of whole files for cicc, which ignores the allocation.
+    Every share-t layer must split into C(K, t) equal parts."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not config.is_integral():
@@ -165,27 +166,35 @@ def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
             int(config.file_size), t_exact, cicc_curve(config).envelope, k
         )
         items = tuple(("file", i) for i in files)
-        return [(0, items, layers, t_exact * config.file_size / k)]
-    check_allocation(config, alloc)
-    groups = []
-    for level in config.levels():
-        size = int(config.subfile_sizes[level - 1])
-        if size == 0:
-            continue
-        masks = subset_masks(files, level)
-        if scheme == "cacc":
-            t_exact = alloc.fractions[level - 1] * k
-            layers = cacc_layers(config, level, t_exact)
-            nominal = t_exact * size / k
-            masks = sorted(masks)  # remainder steps go out in mask order
-        else:
-            nominal = c = _prefix_bits(alloc, level, size)
-            layers = tuple(
-                layer
-                for layer in (LayerSpec(k, 0, c), LayerSpec(0, c, size - c))
-                if layer.size
-            )
-        groups.append((level, tuple(("sub", m) for m in masks), layers, nominal))
+        groups = [(0, items, layers, t_exact * config.file_size / k)]
+    else:
+        check_allocation(config, alloc)
+        groups = []
+        for level in config.levels():
+            size = int(config.subfile_sizes[level - 1])
+            if size == 0:
+                continue
+            masks = subset_masks(files, level)
+            if scheme == "cacc":
+                t_exact = alloc.fractions[level - 1] * k
+                layers = cacc_layers(config, level, t_exact)
+                nominal = t_exact * size / k
+                masks = sorted(masks)  # remainder steps go out in mask order
+            else:
+                nominal = c = _prefix_bits(alloc, level, size)
+                layers = tuple(
+                    layer
+                    for layer in (LayerSpec(k, 0, c), LayerSpec(0, c, size - c))
+                    if layer.size
+                )
+            groups.append((level, tuple(("sub", m) for m in masks), layers, nominal))
+    for _, _, layers, _ in groups:
+        for layer in layers:
+            nparts = comb0(k, layer.t)
+            if layer.size % nparts:
+                raise ValueError(
+                    f"layer size {layer.size} not divisible into {nparts} parts"
+                )
     return groups
 
 
@@ -217,7 +226,6 @@ class UserCache:
         return sum(m.bit_count() for m in self.known_masks.values())
 
 
-@lru_cache(maxsize=None)
 def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
     """Per-user OR-mask of the part segments a user caches (offset 0)."""
     seg = (1 << psize) - 1
@@ -251,6 +259,7 @@ def place(
     contains it (a share-K layer is one part every user keeps)."""
     k = config.n_users
     caches = [UserCache(user=u) for u in range(1, k + 1)]
+    templates = {}  # (t, part size) -> _part_templates, for this call only
     pad = 0.0
     for _, items, layers, nominal in _groups(config, alloc, scheme):
         cached = sum(layer.t * layer.size for layer in layers) / k
@@ -260,12 +269,10 @@ def place(
             for layer in layers:
                 if layer.t == 0:
                     continue
-                nparts = comb0(k, layer.t)
-                if layer.size % nparts:
-                    raise ValueError(
-                        f"layer size {layer.size} not divisible into {nparts} parts"
-                    )
-                tpl = _part_templates(k, layer.t, layer.size // nparts)
+                key = (layer.t, layer.size // comb0(k, layer.t))
+                tpl = templates.get(key)
+                if tpl is None:
+                    tpl = templates[key] = _part_templates(k, *key)
                 for cache in caches:
                     pm = tpl[cache.user] << layer.offset
                     if pm:
@@ -341,10 +348,7 @@ def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
     """
     t = layer.t
     index = _label_index(n_users, t)
-    nparts = comb0(n_users, t)
-    if layer.size % nparts:
-        raise ValueError(f"layer size {layer.size} not divisible into {nparts} parts")
-    psize = layer.size // nparts
+    psize = layer.size // comb0(n_users, t)
     pmask = (1 << psize) - 1
     leader_mask = _leaders(step_items)
     contents = {}

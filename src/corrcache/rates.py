@@ -59,6 +59,13 @@ class LevelRateCurve:
                 return r0 + w * (r1 - r0)
         return verts[-1][1]
 
+    def rate_at(self, t: float) -> float:
+        """Integer t reads the raw point; fractional t reads the envelope,
+        which memory sharing between its two bracketing vertices achieves."""
+        if abs(t - round(t)) <= _INT_TOL:
+            return self.points[int(round(t))][1]
+        return self.envelope_value(t)
+
 
 def lower_convex_hull(points) -> tuple[tuple[float, float], ...]:
     """Lower convex hull of (x, y) points with strictly increasing x.
@@ -200,17 +207,10 @@ def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
 
 
 def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
-    """Coded per-level rate at share t.
-
-    Integer t reads the raw point min(alpha, m) of the level curve;
-    fractional t evaluates the lower convex hull of the integer points, which
-    memory sharing between the two bracketing hull vertices achieves.
-    """
+    """Coded per-level rate at share t: the level curve's raw point
+    min(alpha, m) at integer t, its lower convex hull at fractional t."""
     _check_level_t(config, level, t)
-    curve = build_level_curve(config, level)
-    if abs(t - round(t)) <= _INT_TOL:
-        return curve.points[int(round(t))][1]
-    return curve.envelope_value(t)
+    return build_level_curve(config, level).rate_at(t)
 
 
 def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
@@ -249,11 +249,7 @@ def cicc_rate(config: LibraryConfig) -> float:
     convex hull of the integer points.
     """
     n, k = config.n_files, config.n_users
-    t = k * min(config.cache_capacity, n) / n
-    curve = cicc_curve(config)
-    if abs(t - round(t)) <= _INT_TOL:
-        return curve.points[int(round(t))][1]
-    return curve.envelope_value(t)
+    return cicc_curve(config).rate_at(k * min(config.cache_capacity, n) / n)
 
 
 @functools.lru_cache(maxsize=256)

@@ -4,10 +4,15 @@ A schedule fixes, for each delivery step, which shared subfile every window
 file is recovered through.  The pool for a (window, fixed_part, level) triple
 is every level-sized index set that contains the fixed part and otherwise
 stays inside the window; each window member must see each of its pool
-subfiles in exactly one column.  Columns are built greedily: blocks of
-``level - |fixed_part|`` members take one unused subfile each, a short
+subfiles in exactly one column.  Columns are filled left to right: blocks
+of ``level - |fixed_part|`` members take one unused subfile each, a short
 remainder block borrows a subfile whose leftover members carry over to the
 head of the next column with that same subfile.
+
+One depth-first search (`_search`) states that rule.  A seeded attempt
+follows one random choice per step and never backtracks; after
+``_RESTARTS`` failed attempts the same search tries every choice in sorted
+order, which finds a schedule whenever the rule admits one.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ __all__ = [
     "validate_schedule",
 ]
 
-# Seeded greedy passes generate_schedule tries before backtracking.
+# Seeded attempts generate_schedule makes before the exhaustive order.
 _RESTARTS = 1000
 
 
@@ -70,26 +75,25 @@ def _check_shape(window, fixed_part, level: int) -> tuple[tuple[int, ...], tuple
 def generate_schedule(
     window, fixed_part=(), level: int = 1, seed: int = 0
 ) -> AssignmentSchedule:
-    """Build a valid schedule with seeded greedy attempts, then backtracking.
+    """Build a valid schedule: `_RESTARTS` seeded attempts of `_search`,
+    then its exhaustive order.
 
-    Raises RuntimeError only if even exhaustive backtracking fails (no valid
-    schedule exists for the shape); every returned schedule passes
-    validate_schedule.
+    The same (window, fixed_part, level, seed) always gives the same
+    schedule.  Raises RuntimeError only if the exhaustive order fails too
+    (no valid schedule exists for the shape); every returned schedule
+    passes validate_schedule.
     """
     window, fixed_part, block = _check_shape(window, fixed_part, level)
     pool = subset_masks(window, block)
     n_columns = comb0(len(window) - 1, block - 1)
     window_mask = mask_of(window)
 
-    columns = None
-    for attempt in range(_RESTARTS):
-        rng = random.Random(mix_seed(seed, attempt))
-        columns = _greedy_columns(pool, window_mask, block, n_columns, rng)
+    for attempt in range(_RESTARTS + 1):
+        rng = random.Random(mix_seed(seed, attempt)) if attempt < _RESTARTS else None
+        columns = _search(pool, window_mask, block, n_columns, rng)
         if columns is not None:
             break
-    if columns is None:
-        columns = _backtrack_columns(pool, window_mask, block, n_columns)
-    if columns is None:
+    else:
         raise RuntimeError(
             f"no schedule found for window={window} fixed={fixed_part} level={level}"
         )
@@ -110,99 +114,54 @@ def generate_schedule(
     return schedule
 
 
-def _greedy_columns(pool, window_mask, block, n_columns, rng):
-    """One seeded greedy pass; returns member->block-mask dicts or None on stall."""
+def _search(pool, window_mask, block, n_columns, rng=None):
+    """Depth-first search for columns; member->block-mask dicts, or None.
+
+    A node is a column's uncovered members.  Its children are the unused
+    blocks inside them or, when fewer than `block` remain, the unused blocks
+    covering them, in sorted order; a covering block's other members carry
+    over to the head of the next column.  With `rng` the search visits one
+    random child per node and never backtracks (a seeded attempt); without
+    it, every child (the exhaustive order).  The path lives on an explicit
+    stack, so its depth (one node per pool block) is unbounded.
+    """
     unused = set(pool)
-    carry_block = 0
-    carry_members = 0
-    columns = []
-    for _ in range(n_columns):
-        col = {}
-        remaining = window_mask
-        if carry_members:
-            for i in members_of(carry_members):
-                col[i] = carry_block
-            remaining &= ~carry_members
-            carry_block = carry_members = 0
-        while remaining:
-            r = remaining.bit_count()
-            if r >= block:
-                choices = sorted(b for b in unused if b & ~remaining == 0)
-                if not choices:
-                    return None
-                pick = choices[rng.randrange(len(choices))]
-                for i in members_of(pick):
-                    col[i] = pick
-                remaining &= ~pick
-            else:
-                choices = sorted(b for b in unused if remaining & ~b == 0)
-                if not choices:
-                    return None
-                pick = choices[rng.randrange(len(choices))]
-                for i in members_of(remaining):
-                    col[i] = pick
-                carry_block = pick
-                carry_members = pick & ~remaining
-                remaining = 0
-            unused.discard(pick)
-        columns.append(col)
-    if unused or carry_members:
-        return None
-    return columns
 
-
-def _backtrack_columns(pool, window_mask, block, n_columns):
-    """Exhaustive ordered search over block choices; None iff none exists."""
-    columns = []
-    col = {}
-
-    def fill(remaining, unused, carry_block, carry_members):
-        if not remaining:
-            columns.append(dict(col))
-            if len(columns) == n_columns:
-                if not unused and not carry_members:
-                    return True
-            else:
-                nxt = window_mask
-                extra = {}
-                if carry_members:
-                    for i in members_of(carry_members):
-                        extra[i] = carry_block
-                    nxt &= ~carry_members
-                col_backup = dict(col)
-                col.clear()
-                col.update(extra)
-                if fill(nxt, unused, 0, 0):
-                    return True
-                col.clear()
-                col.update(col_backup)
-            columns.pop()
-            return False
-        r = remaining.bit_count()
-        if r >= block:
-            for b in sorted(unused):
-                if b & ~remaining:
-                    continue
-                for i in members_of(b):
-                    col[i] = b
-                if fill(remaining & ~b, unused - {b}, carry_block, carry_members):
-                    return True
-                for i in members_of(b):
-                    del col[i]
+    def children(remaining):
+        if remaining.bit_count() >= block:
+            choices = sorted(b for b in unused if b & ~remaining == 0)
         else:
-            for b in sorted(unused):
-                if remaining & ~b:
-                    continue
-                for i in members_of(remaining):
-                    col[i] = b
-                if fill(0, unused - {b}, b, b & ~remaining):
-                    return True
-                for i in members_of(remaining):
-                    del col[i]
-        return False
+            choices = sorted(b for b in unused if remaining & ~b == 0)
+        if rng is not None and choices:
+            choices = [choices[rng.randrange(len(choices))]]
+        return iter(choices)
 
-    if fill(window_mask, frozenset(pool), 0, 0):
-        return columns
+    # per depth: [column index, uncovered members, children, current pick]
+    path = [[0, window_mask, children(window_mask), 0]]
+    while path:
+        node = path[-1]
+        j, remaining, choices, pick = node
+        if pick:
+            unused.add(pick)  # undo the previous child
+        pick = node[3] = next(choices, 0)
+        if not pick:
+            path.pop()
+            continue
+        unused.discard(pick)
+        left, carry = remaining & ~pick, pick & ~remaining
+        if left:
+            path.append([j, left, children(left), 0])
+        elif j + 1 < n_columns:
+            head = window_mask & ~carry
+            path.append([j + 1, head, children(head), 0])
+        elif not unused and not carry:
+            columns = [{} for _ in range(n_columns)]
+            for col, uncovered, _, b in path:
+                for i in members_of(b & uncovered):
+                    columns[col][i] = b
+                for i in members_of(b & ~uncovered):
+                    columns[col + 1][i] = b
+            return columns
     return None
 
 

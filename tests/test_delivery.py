@@ -480,6 +480,16 @@ def test_delivery_rejects_non_integral_sizes():
             DeliveryPlan(config, alloc, store, scheme=scheme)
 
 
+def test_plan_rejects_layer_not_divisible_into_parts():
+    """A share-1 layer of 4 bits over 3 users cannot split into C(3, 1)
+    equal parts: building the plan already refuses it, before any delivery."""
+    config = LibraryConfig(2, 3, 2.0, (4, 0))
+    store = ContentStore.generate(config, seed=0)
+    alloc = CacheAllocation.from_replication((1, 0), 3)
+    with pytest.raises(ValueError, match="not divisible into 3 parts"):
+        DeliveryPlan(config, alloc, store)
+
+
 def test_uncoded_delivery_rejects_fractional_prefix():
     config = LibraryConfig(2, 2, 1.0, (4, 4))
     store = ContentStore.generate(config, seed=0)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,13 @@ from corrcache import (
     schedule_to_text,
     validate_schedule,
 )
+from corrcache import scheduling
 from corrcache.combinat import comb0, mask_of, subset_masks
+
+SCHEDULE_GOLDEN = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "fixtures", "schedules", "digest.txt",
+)
 
 
 def test_builtin_fixture_is_valid():
@@ -143,3 +151,67 @@ def test_shipped_fixture_file_matches_builtin():
     root = os.path.join(os.path.dirname(__file__), "..")
     path = os.path.join(root, "fixtures", "example1_schedule.txt")
     assert load_schedule(path) == load_schedule("example1")
+
+
+# ---------------------------------------------------------------------------
+# golden schedules
+#
+# `python tests/test_scheduling.py` prints the digest lines; regenerate
+# fixtures/schedules/digest.txt with it only for a change that is meant to
+# alter schedules (and with them every coded transcript).
+
+
+def schedule_shapes():
+    """(window size, fixed-part size, block, seeds) of every pinned shape:
+    criterion 7's grid at seeds 0-19, plus three shapes at seed 0 on which
+    every seeded attempt fails and the exhaustive order builds the schedule."""
+    for w in range(1, 9):
+        for s in (0, 1, 2):
+            if w + s > 8:
+                continue
+            for block in range(1, w + 1):
+                yield w, s, block, range(20)
+    for w, block in ((9, 4), (10, 3), (10, 4)):
+        yield w, 0, block, (0,)
+
+
+def schedule_digest_lines():
+    lines = []
+    for w, s, block, seeds in schedule_shapes():
+        window = tuple(range(1, w + 1))
+        fixed = tuple(range(w + 1, w + s + 1))
+        h = hashlib.sha256()
+        for seed in seeds:
+            sched = generate_schedule(window, fixed, block + s, seed=seed)
+            h.update(repr(sched.columns).encode())
+        lines.append(f"w={w} s={s} block={block}: {h.hexdigest()}")
+    return lines
+
+
+def test_schedules_match_golden_digest():
+    with open(SCHEDULE_GOLDEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = schedule_digest_lines()
+    assert len(got) == len(want)
+    changed = [g for g, w in zip(got, want) if g != w]
+    assert not changed, f"{len(changed)} shapes changed, first: {changed[0]}"
+
+
+def test_exhaustive_order_needs_no_recursion():
+    """Window 12, block 6: the exhaustive order's path is one pick per pool
+    block, 924 deep, beyond Python's default recursion limit."""
+    window = tuple(range(1, 13))
+    pool = subset_masks(window, 6)
+    columns = scheduling._search(pool, mask_of(window), 6, comb0(11, 5))
+    assert columns is not None
+    sched = AssignmentSchedule(
+        window=window,
+        fixed_part=(),
+        level=6,
+        columns=tuple(tuple(col[i] for i in window) for col in columns),
+    )
+    assert validate_schedule(sched) == []
+
+
+if __name__ == "__main__":
+    sys.stdout.write("\n".join(schedule_digest_lines()) + "\n")
