@@ -17,16 +17,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from corrcache import (  # noqa: E402
-    CacheAllocation,
-    LibraryConfig,
-    cauc_optimal_allocation,
-    cauc_rate,
-    cicc_rate,
-    cutset_bound,
-    optimize_allocation,
-)
-from corrcache.cli import run_sweep  # noqa: E402
+from corrcache import LibraryConfig  # noqa: E402
+from corrcache.cli import rate_row, run_sweep  # noqa: E402
 from corrcache.model import ExperimentSpec, exact_sizes_from_ratios  # noqa: E402
 
 
@@ -57,14 +49,7 @@ def capacity_sweep(args) -> str:
     ]
     for i in range(args.points):
         m = args.n * i / (args.points - 1)
-        config = LibraryConfig(args.n, args.k, m, sizes)
-        row = (
-            m,
-            cauc_rate(config, cauc_optimal_allocation(config)),
-            optimize_allocation(config).rate,
-            cicc_rate(config),
-            cutset_bound(config),
-        )
+        row = (m, *rate_row(LibraryConfig(args.n, args.k, m, sizes)))
         lines.append(",".join(f"{v:.10g}" for v in row))
     return "\n".join(lines) + "\n"
 

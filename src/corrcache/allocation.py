@@ -16,16 +16,8 @@ from itertools import product
 
 from .combinat import comb0
 from .model import CacheAllocation, LibraryConfig
-from .rates import (
-    LevelRateCurve,
-    build_level_curve,
-    cacc_level_rate,
-    cacc_rate,
-)
+from .rates import build_level_curve, cacc_level_rate, cacc_rate
 
-# Shares this close to an integer are treated as integral by the rate
-# evaluator, so greedy stop points are kept clear of non-vertex integers.
-_SNAP = 1e-9
 _NUDGE = 1e-6
 
 
@@ -46,8 +38,8 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
     level's segments are taken in envelope order even where float noise
     makes a collinear envelope's slopes tie or invert.  A stop that would
     land exactly on an integer share interior to a hull segment is nudged
-    down, because the integer-share rate (no memory sharing) can sit above
-    the envelope there.
+    down, because the rate curve reads its integer point there (no memory
+    sharing), which can sit above the envelope.
     """
     curves = {
         l: build_level_curve(config, l)
@@ -79,9 +71,9 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
             remaining -= seg_bits
         else:
             stop = t0 + remaining / bits_per_share
-            if abs(stop - round(stop)) < _SNAP and not _is_vertex(
-                curves[l], round(stop)
-            ):
+            curve = curves[l]
+            vertices = [v for v, _ in curve.envelope]
+            if curve.reads_point(stop) and round(stop) not in vertices:
                 stop = max(t0, stop - _NUDGE)
             shares[l] = stop
             remaining = 0.0
@@ -94,10 +86,6 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
     return AllocationSolution(
         alloc=alloc, rate=cacc_rate(config, alloc), method="greedy-marginal"
     )
-
-
-def _is_vertex(curve: LevelRateCurve, t: float) -> bool:
-    return any(abs(v - t) < _SNAP for v, _ in curve.envelope)
 
 
 def exhaustive_allocation_oracle(

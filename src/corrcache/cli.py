@@ -34,7 +34,7 @@ from .rates import (
 from .verification import verify_all_demands
 from . import __version__
 
-__all__ = ["SweepResult", "main", "run_sweep"]
+__all__ = ["SweepResult", "main", "rate_row", "run_sweep"]
 
 _DEFAULT_GRID = tuple(i / 10 for i in range(11))
 
@@ -63,6 +63,17 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def rate_row(config: LibraryConfig) -> tuple[float, float, float, float]:
+    """The four rates of one config: (cauc, cacc, cicc, cut-set), uncoded
+    at its optimal allocation and coded at the optimizer's."""
+    return (
+        cauc_rate(config, cauc_optimal_allocation(config)),
+        optimize_allocation(config).rate,
+        cicc_rate(config),
+        cutset_bound(config),
+    )
+
+
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Evaluate all four rate formulas along the requested ratio grid.
 
@@ -72,7 +83,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     if not 1 <= spec.sweep_level <= spec.n_files:
         raise ValueError("sweep_level out of range")
     grid = spec.grid or _DEFAULT_GRID
-    xs, cauc, cacc, cicc, cut = [], [], [], [], []
+    rows = []
     for x in grid:
         if not 0 <= x <= 1:
             raise ValueError(f"grid ratio {x} outside [0, 1]")
@@ -86,12 +97,8 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
             cache_capacity=spec.cache_capacity,
             subfile_sizes=sizes,
         )
-        xs.append(x)
-        cauc.append(cauc_rate(config, cauc_optimal_allocation(config)))
-        cacc.append(optimize_allocation(config).rate)
-        cicc.append(cicc_rate(config))
-        cut.append(cutset_bound(config))
-    return SweepResult(spec, tuple(xs), tuple(cauc), tuple(cacc), tuple(cicc), tuple(cut))
+        rows.append((x, *rate_row(config)))
+    return SweepResult(spec, *zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +209,10 @@ def _cmd_rates(args) -> int:
     if args.m is None:
         raise ValueError("rates needs --m")
     config = LibraryConfig(args.n, args.k, args.m, sizes)
-    rows = [
-        cauc_rate(config, cauc_optimal_allocation(config)),
-        optimize_allocation(config).rate,
-        cicc_rate(config),
-        cutset_bound(config),
-    ]
     text = (
         _config_comment(config)
         + "\nr_cauc,r_cacc,r_cicc,r_cutset\n"
-        + ",".join(f"{r:.10g}" for r in rows)
+        + ",".join(f"{r:.10g}" for r in rate_row(config))
         + "\n"
     )
     _emit(text, args.out)

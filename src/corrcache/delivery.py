@@ -19,10 +19,15 @@ placement groups (level, items, layers, nominal cached bits per item):
 `place` spreads every group's layers over the caches.  `DeliveryPlan`
 delivers every group's layers the same way; the scheme only picks the
 column table of coded steps for each (window, group): the schedule columns
-for cacc, one column of the window's files for cicc, and none for cauc.  A
-layer whose coded steps would cost more than the floor (every demanded
-item's uncached bits), or that has no column table, goes out as one exact
-remainder step per demanded item instead.
+for cacc, one column of the window's files for cicc, and none for cauc.
+Every section is one leader-based XOR step, and a share-t step whose users
+want L distinct items sends C(K, t+1) - C(K-L, t+1) payloads.  A constant
+step pattern, one item for every user, is a remainder step: it sends
+C(K-1, t) payloads, exactly the size*(K-t)/K bits a requester of the item
+does not cache, so one per demanded item meets the floor.  Per sublayer,
+delivery counts the column table's payloads first and sends its steps when
+they cost no more than that floor, the remainder steps otherwise (always
+for cauc); only the steps it sends are built.
 
 Decoding is one part-indexed kernel (`_decode_parts`), which `decode` and
 the verifier both call.  A user's program for a share-t step lists, per
@@ -43,6 +48,7 @@ occupying item positions [o + i*psize, o + (i+1)*psize).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -82,8 +88,6 @@ __all__ = [
     "place",
 ]
 
-_INT_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # layers: integer-share sublayers realizing a fractional caching share
@@ -97,17 +101,19 @@ class LayerSpec:
     size: int
 
 
-def _split_layers(total_size: int, t_exact: float, envelope, n_users: int):
+def _split_layers(total_size: int, t_exact: float, curve, n_users: int):
     """Sublayers realizing share t_exact over an item of total_size bits.
 
-    Integer shares keep the item whole.  Fractional shares split it between
-    the two envelope vertices bracketing t_exact; the low-share slice is
-    rounded down to the divisibility unit, which keeps the delivered bits at
-    or below the envelope value while slightly over-filling the cache (the
-    overage is declared as padding slack by the placement).
+    A share at which the rate curve reads its raw integer point keeps the
+    item whole.  Fractional shares split it between the two envelope
+    vertices bracketing t_exact; the low-share slice is rounded down to the
+    divisibility unit, which keeps the delivered bits at or below the
+    envelope value while slightly over-filling the cache (the overage is
+    declared as padding slack by the placement).
     """
-    if abs(t_exact - round(t_exact)) <= _INT_TOL:
+    if curve.reads_point(t_exact):
         return (LayerSpec(int(round(t_exact)), 0, total_size),)
+    envelope = curve.envelope
     ta = tb = None
     for (a, _), (b, _) in zip(envelope, envelope[1:]):
         ta, tb = a, b
@@ -117,7 +123,7 @@ def _split_layers(total_size: int, t_exact: float, envelope, n_users: int):
         raise ValueError(f"share {t_exact} outside envelope range")
     lam = (tb - t_exact) / (tb - ta)
     unit = divisibility_unit(n_users)
-    size_a = int(lam * total_size / unit + _INT_TOL) * unit
+    size_a = int(lam * total_size / unit + 1e-9) * unit  # absorb float noise
     layers = []
     if size_a:
         layers.append(LayerSpec(int(round(ta)), 0, size_a))
@@ -129,9 +135,8 @@ def _split_layers(total_size: int, t_exact: float, envelope, n_users: int):
 def cacc_layers(config: LibraryConfig, level: int, t_exact: float):
     """Sublayer plan for one level of the shared-subfile coded scheme."""
     size = int(config.level_size(level))
-    return _split_layers(
-        size, t_exact, build_level_curve(config, level).envelope, config.n_users
-    )
+    curve = build_level_curve(config, level)
+    return _split_layers(size, t_exact, curve, config.n_users)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +167,7 @@ def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
     files = range(1, n + 1)
     if scheme == "cicc":
         t_exact = k * min(config.cache_capacity, n) / n
-        layers = _split_layers(
-            int(config.file_size), t_exact, cicc_curve(config).envelope, k
-        )
+        layers = _split_layers(int(config.file_size), t_exact, cicc_curve(config), k)
         items = tuple(("file", i) for i in files)
         groups = [(0, items, layers, t_exact * config.file_size / k)]
     else:
@@ -344,7 +347,9 @@ def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
 
     For each user set V of size t+1 touching a leader, the payload XORs,
     over k in V, the part of user k's step-item labeled V minus k; each user
-    in V misses exactly its own term and holds the rest in cache.
+    in V misses exactly its own term and holds the rest in cache.  With L
+    distinct step items (L leaders), C(K-L, t+1) of the C(K, t+1) user sets
+    avoid every leader, so the step sends C(K, t+1) - C(K-L, t+1) payloads.
     """
     t = layer.t
     index = _label_index(n_users, t)
@@ -378,36 +383,6 @@ def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
     )
 
 
-def _memo_step(steps: dict, n_users, level, layer, step_items, store) -> StepRecord:
-    """The XOR step for one step-item pattern, shared across demand vectors:
-    `steps` is one sublayer's memo, keyed by the step-item pattern."""
-    rec = steps.get(step_items)
-    if rec is None:
-        rec = steps[step_items] = _xor_step(
-            n_users, level, layer, step_items, store.item_bits
-        )
-    return rec
-
-
-# ---------------------------------------------------------------------------
-# exact remainder delivery
-
-def _remainder_sections(n_users, level, layer, demanded, store, steps) -> list:
-    """Per demanded item, exactly the layer bits each requester misses.
-
-    The item's layer goes out as one XOR step with the item as every user's
-    step item: user 1 is the only leader, so the step sends the C(K-1, t)
-    payloads of user sets containing user 1, one part of size/C(K, t) bits
-    each -- exactly the size*(K-t)/K bits a requester does not cache (at
-    t = 0, one payload of the whole layer).  Every user decodes it like any
-    coded step (the family identity recovers the leaderless payloads).
-    """
-    return [
-        _memo_step(steps, n_users, level, layer, (item,) * n_users, store)
-        for item in demanded
-    ]
-
-
 # ---------------------------------------------------------------------------
 # full delivery
 
@@ -439,12 +414,12 @@ class DeliveryPlan:
     scheme).  It runs the input checks and loads the fixture once; holds,
     per placement group, the group's items with their file-set masks, its
     count of demanded items per number of distinct demanded files, and its
-    delivered sublayers (t < K, size > 0) with their unknown-bit counts and
-    part sizes;
-    builds, per (window, group), the scheme's column table; and keeps the
-    step memo.  Step payloads depend on the demand vector only through the
-    per-step item pattern, so deliveries of many demand vectors through one
-    plan (``plan.deliver(demands)``) share almost all bit-level work.  cicc
+    delivered sublayers (t < K, size > 0) with their part sizes and step
+    memos; and builds, per (window, group), the scheme's column table and,
+    per set of demanded files, the window and which sublayers go out coded.
+    Step payloads depend on the demand vector only through the per-step
+    item pattern, so deliveries of many demand vectors through one plan
+    (``plan.deliver(demands)``) share almost all bit-level work.  cicc
     ignores `alloc` (it may be None).
     """
 
@@ -471,12 +446,7 @@ class DeliveryPlan:
                 for d in range(n + 1)
             )
             sublayers = tuple(
-                (
-                    layer,
-                    layer.size - layer.t * layer.size // k,
-                    layer.size // comb0(k, layer.t),
-                    {},
-                )
+                (layer, layer.size // comb0(k, layer.t), {})
                 for layer in layers
                 if layer.t < k and layer.size > 0
             )
@@ -486,6 +456,7 @@ class DeliveryPlan:
             self._load_fixture(schedule_source) if schedule_source is not None else None
         )
         self._columns = {}
+        self._choices = {}
 
     def _load_fixture(self, source):
         """Load a schedule fixture, refusing one that no coded step can use."""
@@ -542,57 +513,89 @@ class DeliveryPlan:
             self._columns[key] = table
         return table
 
-    def deliver(self, demands) -> Transcript:
-        """Deliver one demand vector.
+    def _choice(self, demands, demand_mask):
+        """The window and, per group and sublayer, whether the column table's
+        coded steps go out; both depend only on the set of demanded files.
 
-        Per group and sublayer, runs every coded step of the column table.
-        When those cost more than the floor -- every demanded item's
-        uncached bits, once -- or there is no table, the layer is sent by
-        exact remainder steps instead (see _remainder_sections), which meet
-        the floor exactly.  Either way a level costs at most the lesser of
-        the two, which is the cacc formula's min(alpha, m).  cicc's single
+        A step whose column holds L distinct items at the demanded window
+        positions sends C(K, t+1) - C(K-L, t+1) payloads.  The coded steps
+        go out when they total no more than the floor: one remainder step
+        of C(K-1, t) payloads per demanded item, every demanded item's
+        uncached size*(K-t)/K bits once.  Either way a level costs the
+        lesser of the two, the cacc formula's min(alpha, m).  cicc's single
         coded step never exceeds the floor: C(K,t+1) - C(K-N_e,t+1) <=
         N_e*C(K-1,t) for N_e distinct demanded files.
         """
+        k = self.config.n_users
+        window = _window(self.config.n_files, k, demands)
+        positions = [i for i, f in enumerate(window) if demand_mask >> (f - 1) & 1]
+        choice = []
+        for level, _, demanded_count, sublayers in self._levels:
+            table = self._column_table(window, level) if sublayers else None
+            if table is None:
+                choice.append((False,) * len(sublayers))
+                continue
+            # number of coded steps per count of distinct step items
+            steps_with = Counter([len({col[i] for i in positions}) for col in table])
+            floor_items = demanded_count[len(positions)]
+            choice.append(tuple(
+                sum([
+                    c * (comb0(k, layer.t + 1) - comb0(k - n, layer.t + 1))
+                    for n, c in steps_with.items()
+                ])
+                <= floor_items * comb0(k - 1, layer.t)
+                for layer, _, _ in sublayers
+            ))
+        return window, tuple(choice)
+
+    def deliver(self, demands) -> Transcript:
+        """Deliver one demand vector: per group and sublayer, the column
+        table's coded steps or one remainder step per demanded item, as
+        `_choice` picks by payload count.  Only the steps sent are built,
+        each once per plan."""
         config, store = self.config, self.store
         demands = as_demands(demands, config)
         k = config.n_users
-        window = _window(config.n_files, k, demands)
+        demand_mask = mask_of(demands)
+        chosen = self._choices.get(demand_mask)
+        if chosen is None:
+            chosen = self._choices[demand_mask] = self._choice(demands, demand_mask)
+        window, choice = chosen
         pos = {f: i for i, f in enumerate(window)}
         slots = [pos[d] for d in demands]
-        demand_mask = mask_of(demands)
-        n_demanded = demand_mask.bit_count()
 
         sections = []
         step_counts = []
         per_level = {}
-        for level, members, demanded_count, sublayers in self._levels:
+        for (level, members, _, sublayers), coded_flags in zip(self._levels, choice):
             level_bits = 0
-            if sublayers:
-                table = self._column_table(window, level)
-                patterns = None if table is None else [
-                    tuple([col[i] for i in slots]) for col in table
-                ]
-                floor_items = demanded_count[n_demanded]
-                demanded = None
-            for layer, unknowns, psize, steps in sublayers:
-                if patterns is not None:
-                    records = [
-                        steps.get(items) or _memo_step(steps, k, level, layer, items, store)
-                        for items in patterns
-                    ]
-                    counts = [len(rec.payloads) for rec in records]
-                    bits = psize * sum(counts)
-                    if bits <= floor_items * unknowns:
-                        step_counts.extend(counts)
-                        sections.extend(records)
-                        level_bits += bits
-                        continue
-                if demanded is None:
-                    demanded = [item for files, item in members if files & demand_mask]
-                records = _remainder_sections(k, level, layer, demanded, store, steps)
+            coded = remainder = None
+            for (layer, psize, steps), is_coded in zip(sublayers, coded_flags):
+                if is_coded:
+                    if coded is None:
+                        coded = [
+                            tuple([col[i] for i in slots])
+                            for col in self._column_table(window, level)
+                        ]
+                    patterns = coded
+                else:
+                    if remainder is None:
+                        remainder = [
+                            (item,) * k for files, item in members if files & demand_mask
+                        ]
+                    patterns = remainder
+                records = list(map(steps.get, patterns))
+                if not all(records):
+                    for i, items in enumerate(patterns):
+                        if records[i] is None:
+                            records[i] = steps[items] = _xor_step(
+                                k, level, layer, items, store.item_bits
+                            )
                 sections.extend(records)
-                level_bits += psize * sum([len(rec.payloads) for rec in records])
+                counts = [len(rec.payloads) for rec in records]
+                if is_coded:
+                    step_counts.extend(counts)
+                level_bits += psize * sum(counts)
             per_level[level] = level_bits
         return Transcript(
             scheme=self.scheme,

@@ -59,10 +59,15 @@ class LevelRateCurve:
                 return r0 + w * (r1 - r0)
         return verts[-1][1]
 
+    def reads_point(self, t: float) -> bool:
+        """Whether share t is an integer up to float noise, so that rate_at
+        reads the raw integer point there rather than the envelope."""
+        return abs(t - round(t)) <= _INT_TOL
+
     def rate_at(self, t: float) -> float:
         """Integer t reads the raw point; fractional t reads the envelope,
         which memory sharing between its two bracketing vertices achieves."""
-        if abs(t - round(t)) <= _INT_TOL:
+        if self.reads_point(t):
             return self.points[int(round(t))][1]
         return self.envelope_value(t)
 

@@ -15,11 +15,12 @@ sampled demands additionally run the end-to-end decoder.
 The step check runs delivery's decode kernel (`_decode_parts`), the one
 decoder, on each distinct step record for every user, reading the caches
 without copying them.  Per sweep it memoizes, per (user, layer), the
-user's cached parts of each item (None where a part is not fully cached)
-and, per (item, layer), the true parts; a user passes when its decoded
-part list equals the true one.  Each record gets one verdict, kept by
-id() (the plan's step memo keeps records alive for the sweep), and every
-demand vector whose transcript holds a failing record is marked not ok.
+user's cached parts of each item and, per (item, layer), the true parts,
+both listed from delivery's part table (`_CachedParts`, None where a part
+is not fully cached); a user passes when its decoded part list equals the
+true one.  Each record gets one verdict, kept by id() (the plan's step
+memo keeps records alive for the sweep), and every demand vector whose
+transcript holds a failing record is marked not ok.
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .combinat import comb0
-from .delivery import DeliveryPlan, StepRecord, _decode_parts, _pattern, decode, place
+from .delivery import (
+    DeliveryPlan,
+    StepRecord,
+    _CachedParts,
+    _decode_parts,
+    _pattern,
+    decode,
+    place,
+)
 from .model import ContentStore, LibraryConfig
 from .rates import cacc_rate, cauc_rate, cicc_rate
 
@@ -82,22 +91,14 @@ def worst_case_demand(config: LibraryConfig) -> tuple[int, ...]:
     return tuple(i % n + 1 for i in range(k))
 
 
-def _split(mask: int, bits: int, offset: int, psize: int, nparts: int) -> list:
-    """An item's parts in one layer, None where the mask does not cover one."""
-    pmask = (1 << psize) - 1
-    out = []
-    for j in range(nparts):
-        pos = offset + j * psize
-        out.append((bits >> pos) & pmask if (mask >> pos) & pmask == pmask else None)
-    return out
-
-
 def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
     """Every user must rebuild its step item's layer slice exactly, from the
     transcript record and its own cache alone.
 
     layer_parts is the sweep's memo, per layer: the true parts of each item
-    and, per user, the cached parts of each item (split once per sweep).
+    and, per user, the cached parts of each item, each listed once per
+    sweep from delivery's part table (a part is None when the mask does not
+    cover it).
     """
     out = []
     tag = f"level {rec.level} step {rec.step_items}"
@@ -114,13 +115,11 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
         for item in classes:
             p = held.get(item)
             if p is None:
-                p = held[item] = _split(
-                    cache.known_masks.get(item, 0),
-                    cache.known_bits.get(item, 0),
-                    layer.offset,
-                    psize,
-                    nparts,
+                table = _CachedParts(
+                    cache.known_masks.get(item, 0), cache.known_bits.get(item, 0),
+                    layer.offset, psize,
                 )
+                p = held[item] = [table[j] for j in range(nparts)]
             parts.append(p)
         try:
             decoded = _decode_parts(k, rec, pattern, [parts[c] for c in pattern])
@@ -136,7 +135,8 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
         item = classes[pattern[k - 1]]
         want = truth.get(item)
         if want is None:
-            want = truth[item] = _split(-1, store.item_bits(item), layer.offset, psize, nparts)
+            table = _CachedParts(-1, store.item_bits(item), layer.offset, psize)
+            want = truth[item] = [table[j] for j in range(nparts)]
         if own != want:
             out.append(f"{tag}: user {k} wrong bits")
     return out

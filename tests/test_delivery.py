@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import single_level_config
+from test_transcripts import cases
 from corrcache import (
     CacheAllocation,
     ContentStore,
@@ -18,14 +19,15 @@ from corrcache import (
     place,
 )
 from corrcache import delivery
+from corrcache.combinat import comb0
 from corrcache.delivery import (
     LayerSpec,
     StepRecord,
     _CachedParts,
     _decode_parts,
     _pattern,
-    _remainder_sections,
     _window,
+    _xor_step,
     cacc_layers,
 )
 
@@ -232,15 +234,13 @@ def test_random_delivery_payload_near_unknown_count():
     store = ContentStore.generate(config, seed=0)
     caches = place(config, t_alloc((0, 0, 0, 0, 1), 5), store)
     layer = LayerSpec(t=1, offset=0, size=1000)
-    records = _remainder_sections(5, 5, layer, [("sub", 0b11111)], store, {})
-    assert len(records) == 1
-    rec = records[0]
+    item = ("sub", 0b11111)
+    rec = _xor_step(5, 5, layer, (item,) * 5, store.item_bits)
     assert isinstance(rec, StepRecord)
     assert rec.step_items == (("sub", 0b11111),) * 5
     assert rec.leader_mask == 0b00001
     assert rec.bits == 800
     # every requester recovers the whole subfile from its own cache
-    item = ("sub", 0b11111)
     pattern, _ = _pattern(rec.step_items)
     psize = rec.part_size
     for user in range(1, 6):
@@ -268,9 +268,10 @@ def test_random_delivery_uncached_layer_ships_plain():
     store = ContentStore.generate(config, seed=4)
     size = config.level_size(2)
     layer = LayerSpec(t=0, offset=0, size=size)
-    records = _remainder_sections(
-        3, 2, layer, [("sub", 0b011), ("sub", 0b110)], store, {}
-    )
+    records = [
+        _xor_step(3, 2, layer, (("sub", m),) * 3, store.item_bits)
+        for m in (0b011, 0b110)
+    ]
     assert_plain_sends(records, [0b011, 0b110], store, size)
     assert sum(r.bits for r in records) == 2 * size
 
@@ -286,21 +287,59 @@ def test_random_delivery_skips_unrequested_subfiles():
 # ---------------------------------------------------------------------------
 # full coded delivery: cheaper-path choice, fractional shares, windows
 
-def test_uncached_level_prefers_plain_subfiles_over_steps():
+# A few golden-digest cases, one or two per scheme and allocation kind.
+PAYLOAD_COUNT_CASES = {
+    "cacc n=3 k=3 level=2 t=1",
+    "cauc n=3 k=4 level=2 t=2",
+    "cicc n=3 k=4 level=2 j=3",
+    "cauc prefix 0",
+    "cacc optimizer 0 m=0.5n",
+    "cacc optimizer 1 m=0.2n",
+}
+
+
+def test_uncached_level_prefers_plain_subfiles_over_steps(monkeypatch):
     """At share 0 with all files demanded the step-based delivery repeats
     carried-over subfiles (4 subfile-lengths for a 3-subfile pool), so the
-    plain path wins and ships each demanded subfile once."""
+    plain path wins and ships each demanded subfile once.  Delivery picks
+    the path by payload count, so it builds only the steps it sends."""
+    built = []  # every record the plan's step memo receives
+
+    def recording_xor_step(*args):
+        rec = real_xor_step(*args)
+        built.append(rec)
+        return rec
+
+    real_xor_step = delivery._xor_step
+    monkeypatch.setattr(delivery, "_xor_step", recording_xor_step)
     config = single_level_config(3, 3, 2, units=2, capacity=1.0)
     store = ContentStore.generate(config, seed=6)
     alloc = CacheAllocation((0.0, 0.0, 0.0))
     caches = place(config, alloc, store)
-    transcript = deliver(config, alloc, (1, 2, 3), store)
+    transcript = DeliveryPlan(config, alloc, store).deliver((1, 2, 3))
     assert transcript.total_bits == 3 * config.level_size(2)
     assert transcript.step_counts == ()  # no coded steps kept
     assert_plain_sends(
         transcript.sections, [0b011, 0b101, 0b110], store, config.level_size(2)
     )
+    assert [id(r) for r in built] == [id(r) for r in transcript.sections]
     decode_all(config, caches, transcript, (1, 2, 3), store)
+
+    # Every emitted step with L distinct step items sends exactly
+    # C(K, t+1) - C(K-L, t+1) payloads, the count delivery picks paths by.
+    seen = set()
+    for case_id, scheme, config, alloc in cases():
+        if case_id not in PAYLOAD_COUNT_CASES:
+            continue
+        seen.add(case_id)
+        k = config.n_users
+        store = ContentStore.generate(config, seed=1)
+        plan = DeliveryPlan(config, alloc, store, scheme=scheme)
+        for demands in itertools.product(range(1, config.n_files + 1), repeat=k):
+            for rec in plan.deliver(demands).sections:
+                n_items, t = len(set(rec.step_items)), rec.layer.t
+                assert len(rec.payloads) == comb0(k, t + 1) - comb0(k - n_items, t + 1)
+    assert seen == PAYLOAD_COUNT_CASES
 
 
 def test_fractional_share_splits_into_two_sublayers():
