@@ -249,12 +249,17 @@ def _cmd_simulate(args) -> int:
     caches = place(config, alloc, store, scheme)
     transcript = plan.deliver(demands)
 
+    # Each demanded file is computed once and checked against all its
+    # requesters, one file at a time, so no two files are held at once.
+    requesters = {}
+    for user, d in enumerate(demands, start=1):
+        requesters.setdefault(d, []).append(user)
     ok = True
-    for user in range(1, config.n_users + 1):
-        if decode(user, caches[user - 1], transcript, demands) != store.file_bits(
-            demands[user - 1]
-        ):
-            ok = False
+    for d, users in requesters.items():
+        want = store.file_bits(d)
+        for user in users:
+            if decode(user, caches[user - 1], transcript, demands) != want:
+                ok = False
     per_level = ";".join(
         f"{l}:{b}" for l, b in sorted(transcript.per_level_bits.items())
     )

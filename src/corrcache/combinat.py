@@ -23,6 +23,14 @@ def comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def step_payloads(k: int, t: int, distinct: int) -> int:
+    """Payloads of a share-t leader-based XOR step among k users whose step
+    items take `distinct` distinct values: C(k, t+1) - C(k-distinct, t+1),
+    the user sets of size t+1 that touch at least one leader (Yu,
+    Maddah-Ali and Avestimehr, arXiv:1609.07817, Thm. 1)."""
+    return comb0(k, t + 1) - comb0(k - distinct, t + 1)
+
+
 def mask_of(members) -> int:
     """Bitmask for an iterable of 1-based indices."""
     mask = 0

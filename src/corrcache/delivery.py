@@ -29,6 +29,13 @@ delivery counts the column table's payloads first and sends its steps when
 they cost no more than that floor, the remainder steps otherwise (always
 for cauc); only the steps it sends are built.
 
+Delivery works per demand set and per demand vector.  The window, each
+sublayer's coded/remainder choice and every remainder section depend only
+on the set of demanded files, so a plan builds them once per set; a demand
+vector only gathers its coded step patterns (the column table read at its
+users' window positions) and reuses the set's remainder records as they
+are.
+
 Decoding is one part-indexed kernel (`_decode_parts`), which `decode` and
 the verifier both call.  A user's program for a share-t step lists, per
 part it lacks, the payload to read and the cached (member, part) terms to
@@ -52,6 +59,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .combinat import (
     comb0,
@@ -61,6 +69,7 @@ from .combinat import (
     members_of,
     mix_seed,
     part_labels,
+    step_payloads,
     subset_masks,
 )
 from .model import (
@@ -415,12 +424,21 @@ class DeliveryPlan:
     per placement group, the group's items with their file-set masks, its
     count of demanded items per number of distinct demanded files, and its
     delivered sublayers (t < K, size > 0) with their part sizes and step
-    memos; and builds, per (window, group), the scheme's column table and,
-    per set of demanded files, the window and which sublayers go out coded.
+    memos; and builds, per (window, group), the scheme's column table.
     Step payloads depend on the demand vector only through the per-step
     item pattern, so deliveries of many demand vectors through one plan
     (``plan.deliver(demands)``) share almost all bit-level work.  cicc
     ignores `alloc` (it may be None).
+
+    Per demand set, per demand vector: the window, the coded/remainder
+    choice of every sublayer and every remainder step depend only on the
+    set of demanded files, not on who demands what, so `_choice` builds
+    them once per set (kept in `_choices`, keyed by the set's mask),
+    finished remainder sections included.  Per demand vector, `deliver`
+    only validates the demands, gathers each coded sublayer's step
+    patterns from the column table at the users' window positions, looks
+    their records up (or builds them), and appends the set's cached
+    remainder sections.
     """
 
     def __init__(
@@ -514,87 +532,98 @@ class DeliveryPlan:
         return table
 
     def _choice(self, demands, demand_mask):
-        """The window and, per group and sublayer, whether the column table's
-        coded steps go out; both depend only on the set of demanded files.
+        """Everything of a delivery that depends only on the set of demanded
+        files, built once per set: the window's position map and, per group,
+        the column table (None for cauc or a group with nothing to deliver)
+        and, per sublayer, either None, when the column table's coded steps
+        go out and are gathered per demand vector, or the finished remainder
+        section: its step records and their bit total.
 
         A step whose column holds L distinct items at the demanded window
-        positions sends C(K, t+1) - C(K-L, t+1) payloads.  The coded steps
-        go out when they total no more than the floor: one remainder step
-        of C(K-1, t) payloads per demanded item, every demanded item's
-        uncached size*(K-t)/K bits once.  Either way a level costs the
-        lesser of the two, the cacc formula's min(alpha, m).  cicc's single
-        coded step never exceeds the floor: C(K,t+1) - C(K-N_e,t+1) <=
-        N_e*C(K-1,t) for N_e distinct demanded files.
+        positions sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
+        The coded steps go out when they total no more than the floor: one
+        remainder step of C(K-1, t) payloads per demanded item, every
+        demanded item's uncached size*(K-t)/K bits once.  Either way a level
+        costs the lesser of the two, the cacc formula's min(alpha, m).
+        cicc's single coded step never exceeds the floor: C(K,t+1) -
+        C(K-N_e,t+1) <= N_e*C(K-1,t) for N_e distinct demanded files.
         """
         k = self.config.n_users
         window = _window(self.config.n_files, k, demands)
         positions = [i for i, f in enumerate(window) if demand_mask >> (f - 1) & 1]
-        choice = []
-        for level, _, demanded_count, sublayers in self._levels:
+        groups = []
+        for level, members, demanded_count, sublayers in self._levels:
             table = self._column_table(window, level) if sublayers else None
-            if table is None:
-                choice.append((False,) * len(sublayers))
-                continue
-            # number of coded steps per count of distinct step items
-            steps_with = Counter([len({col[i] for i in positions}) for col in table])
-            floor_items = demanded_count[len(positions)]
-            choice.append(tuple(
-                sum([
-                    c * (comb0(k, layer.t + 1) - comb0(k - n, layer.t + 1))
-                    for n, c in steps_with.items()
-                ])
-                <= floor_items * comb0(k - 1, layer.t)
-                for layer, _, _ in sublayers
-            ))
-        return window, tuple(choice)
+            if table is not None:
+                # number of coded steps per count of distinct step items
+                steps_with = Counter([len({col[i] for i in positions}) for col in table])
+                floor_items = demanded_count[len(positions)]
+            remainder = None
+            sent = []
+            for layer, psize, steps in sublayers:
+                if table is not None and sum([
+                    c * step_payloads(k, layer.t, n) for n, c in steps_with.items()
+                ]) <= floor_items * comb0(k - 1, layer.t):
+                    sent.append(None)  # coded: gathered per demand vector
+                    continue
+                if remainder is None:
+                    remainder = [
+                        (item,) * k for files, item in members if files & demand_mask
+                    ]
+                records = tuple(self._records(level, layer, steps, remainder))
+                sent.append((records, psize * sum([len(r.payloads) for r in records])))
+            groups.append((table, tuple(sent)))
+        return {f: i for i, f in enumerate(window)}, tuple(groups)
+
+    def _records(self, level, layer, steps, patterns) -> list:
+        """One sublayer's step records for `patterns`, each built once per
+        plan: a pattern missing from the sublayer's memo is built by
+        `_xor_step`, looked up as a module global so tests can patch it."""
+        records = list(map(steps.get, patterns))
+        if not all(records):
+            k, content_of = self.config.n_users, self.store.item_bits
+            for i, items in enumerate(patterns):
+                if records[i] is None:
+                    records[i] = steps[items] = _xor_step(
+                        k, level, layer, items, content_of
+                    )
+        return records
 
     def deliver(self, demands) -> Transcript:
         """Deliver one demand vector: per group and sublayer, the column
-        table's coded steps or one remainder step per demanded item, as
-        `_choice` picks by payload count.  Only the steps sent are built,
-        each once per plan."""
-        config, store = self.config, self.store
+        table's coded steps, gathered at the demanded window positions, or
+        the demand set's finished remainder section, as `_choice` picks by
+        payload count.  Only the steps sent are built, each once per plan."""
+        config = self.config
         demands = as_demands(demands, config)
-        k = config.n_users
         demand_mask = mask_of(demands)
-        chosen = self._choices.get(demand_mask)
-        if chosen is None:
-            chosen = self._choices[demand_mask] = self._choice(demands, demand_mask)
-        window, choice = chosen
-        pos = {f: i for i, f in enumerate(window)}
-        slots = [pos[d] for d in demands]
+        per_set = self._choices.get(demand_mask)
+        if per_set is None:
+            per_set = self._choices[demand_mask] = self._choice(demands, demand_mask)
+        pos, groups = per_set
+        gather = itemgetter(*[pos[d] for d in demands])
+        single = config.n_users == 1  # itemgetter of one index returns a bare item
 
         sections = []
         step_counts = []
         per_level = {}
-        for (level, members, _, sublayers), coded_flags in zip(self._levels, choice):
+        for (level, _, _, sublayers), (table, sent) in zip(self._levels, groups):
             level_bits = 0
-            coded = remainder = None
-            for (layer, psize, steps), is_coded in zip(sublayers, coded_flags):
-                if is_coded:
-                    if coded is None:
-                        coded = [
-                            tuple([col[i] for i in slots])
-                            for col in self._column_table(window, level)
-                        ]
-                    patterns = coded
-                else:
-                    if remainder is None:
-                        remainder = [
-                            (item,) * k for files, item in members if files & demand_mask
-                        ]
-                    patterns = remainder
-                records = list(map(steps.get, patterns))
-                if not all(records):
-                    for i, items in enumerate(patterns):
-                        if records[i] is None:
-                            records[i] = steps[items] = _xor_step(
-                                k, level, layer, items, store.item_bits
-                            )
+            patterns = None
+            for (layer, psize, steps), section in zip(sublayers, sent):
+                if section is not None:
+                    records, bits = section
+                    sections.extend(records)
+                    level_bits += bits
+                    continue
+                if patterns is None:
+                    patterns = list(map(gather, table))
+                    if single:
+                        patterns = [(item,) for item in patterns]
+                records = self._records(level, layer, steps, patterns)
                 sections.extend(records)
                 counts = [len(rec.payloads) for rec in records]
-                if is_coded:
-                    step_counts.extend(counts)
+                step_counts.extend(counts)
                 level_bits += psize * sum(counts)
             per_level[level] = level_bits
         return Transcript(

@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .combinat import comb0
+from .combinat import comb0, step_payloads
 from .model import CacheAllocation, LibraryConfig
 
 _INT_TOL = 1e-9
@@ -146,19 +146,19 @@ def _alpha_numerators(n_files: int, n_users: int, level: int) -> tuple[int, ...]
     """cacc_alpha's exact integer numerator for each share t in [0, K].
 
     Sums over s = bits of the subfile index falling outside the demand
-    window; each window then runs binom(min(N,K)-1, l-s-1) delivery steps
-    whose multicast count is capped by the distinct step-demand bound.  The
-    entry at t = K is 0.
+    window; each window then runs binom(min(N,K)-1, l-s-1) delivery steps,
+    each costed by the step-cost rule at the distinct step-demand bound
+    L = ceil(w/(l-s)) + 1.  The entry at t = K is 0.
     """
     n, k = n_files, n_users
     w = min(n, k)
     terms = []
     for s in range(max(level - k, 0), max(min(level - 1, n - k), 0) + 1):
-        distinct_cap = max(k - math.ceil(w / (level - s)) - 1, 0)
+        distinct = math.ceil(w / (level - s)) + 1
         weight = comb0(max(n - k, 0), s) * comb0(w - 1, level - s - 1)
-        terms.append((weight, distinct_cap))
+        terms.append((weight, distinct))
     return tuple(
-        sum(weight * (comb0(k, t + 1) - comb0(cap, t + 1)) for weight, cap in terms)
+        sum(weight * step_payloads(k, t, distinct) for weight, distinct in terms)
         for t in range(k + 1)
     )
 
@@ -241,7 +241,7 @@ def _cicc_curve(n: int, k: int) -> LevelRateCurve:
         if ti == k:
             pts.append((ti, 0.0))
             continue
-        val = (comb0(k, ti + 1) - comb0(k - min(n, k), ti + 1)) / comb0(k, ti)
+        val = step_payloads(k, ti, min(n, k)) / comb0(k, ti)
         pts.append((ti, val))
     return LevelRateCurve(points=tuple(pts), envelope=lower_convex_hull(pts))
 

@@ -13,13 +13,14 @@ from corrcache import (
     LibraryConfig,
     build_level_curve,
     cacc_rate,
+    cauc_deliver,
     cauc_rate,
     decode,
     deliver,
     place,
 )
 from corrcache import delivery
-from corrcache.combinat import comb0
+from corrcache.combinat import step_payloads
 from corrcache.delivery import (
     LayerSpec,
     StepRecord,
@@ -338,7 +339,7 @@ def test_uncached_level_prefers_plain_subfiles_over_steps(monkeypatch):
         for demands in itertools.product(range(1, config.n_files + 1), repeat=k):
             for rec in plan.deliver(demands).sections:
                 n_items, t = len(set(rec.step_items)), rec.layer.t
-                assert len(rec.payloads) == comb0(k, t + 1) - comb0(k - n_items, t + 1)
+                assert len(rec.payloads) == step_payloads(k, t, n_items)
     assert seen == PAYLOAD_COUNT_CASES
 
 
@@ -381,14 +382,28 @@ def test_more_files_than_users_delivers_and_decodes():
         decode_all(config, caches, transcript, demands, store)
 
 
-def test_plan_reproduces_fresh_transcripts_over_demand_grid():
-    """One plan over every demand vector of a multi-level library with
-    fractional shares and more files than users (so the window moves) gives
-    the transcripts that fresh deliveries give, payload for payload."""
+def assert_same_transcript(got, fresh):
+    assert got.sections == fresh.sections
+    assert got.total_bits == fresh.total_bits
+    assert got.per_level_bits == fresh.per_level_bits
+    assert got.step_counts == fresh.step_counts
+
+
+def multi_level_library():
+    """Four files, three users, fractional shares at two levels: the window
+    moves with the demand set, and both levels split into two sublayers."""
     sizes = (12, 6, 6, 0)
     alloc = CacheAllocation((0.5 / 3, 1.5 / 3, 1 / 3, 0.0))
     probe = LibraryConfig(4, 3, 0.0, sizes)
     config = LibraryConfig(4, 3, alloc.cached_bits(probe) / probe.file_size, sizes)
+    return config, alloc
+
+
+def test_plan_reproduces_fresh_transcripts_over_demand_grid():
+    """One plan over every demand vector of a multi-level library with
+    fractional shares and more files than users (so the window moves) gives
+    the transcripts that fresh deliveries give, payload for payload."""
+    config, alloc = multi_level_library()
     assert len(cacc_layers(config, 1, 0.5)) == 2
     assert len(cacc_layers(config, 2, 1.5)) == 2
     store = ContentStore.generate(config, seed=8)
@@ -398,13 +413,68 @@ def test_plan_reproduces_fresh_transcripts_over_demand_grid():
     assert len({_window(4, 3, d) for d in grid}) == 4
     for i, d in enumerate(grid):
         got = plan.deliver(d)
-        fresh = deliver(config, alloc, d, store)
-        assert got.sections == fresh.sections
-        assert got.total_bits == fresh.total_bits
-        assert got.per_level_bits == fresh.per_level_bits
-        assert got.step_counts == fresh.step_counts
+        assert_same_transcript(got, deliver(config, alloc, d, store))
         if i % 9 == 0:
             decode_all(config, caches, got, d, store)
+
+
+def single_user_library():
+    """K = 1: every demand vector has one window position, which the plan
+    gathers from each column as a bare item rather than a tuple."""
+    sizes = (4, 4)
+    alloc = CacheAllocation((0.5, 0.0))
+    probe = LibraryConfig(2, 1, 0.0, sizes)
+    return LibraryConfig(2, 1, alloc.cached_bits(probe) / probe.file_size, sizes), alloc
+
+
+@pytest.mark.parametrize(
+    "scheme,library",
+    [
+        ("cauc", multi_level_library),
+        ("cicc", multi_level_library),
+        ("cacc", single_user_library),
+        ("cauc", single_user_library),
+        ("cicc", single_user_library),
+    ],
+)
+def test_plan_reproduces_fresh_transcripts_for_every_scheme(scheme, library):
+    """Every scheme's plan, reused over the whole demand grid, gives the
+    transcripts of a fresh one-shot delivery (`cauc_deliver` for cauc)."""
+    config, alloc = library()
+    store = ContentStore.generate(config, seed=8)
+    caches = place(config, alloc, store, scheme)
+    plan = DeliveryPlan(config, alloc, store, scheme=scheme)
+    coded = 0
+    for d in itertools.product(range(1, config.n_files + 1), repeat=config.n_users):
+        got = plan.deliver(d)
+        if scheme == "cauc":
+            fresh = cauc_deliver(config, alloc, d, store)
+        else:
+            fresh = DeliveryPlan(config, alloc, store, scheme=scheme).deliver(d)
+        assert_same_transcript(got, fresh)
+        coded += len(got.step_counts)
+        decode_all(config, caches, got, d, store)
+    assert (coded > 0) == (scheme != "cauc")
+
+
+def test_plan_builds_each_demand_set_once():
+    """Demand vectors with the same set of demanded files share that set's
+    finished remainder section: (1, 2, 2) and (2, 1, 1) get the very same
+    record objects.  The plan keeps one entry per distinct demand set."""
+    config = single_level_config(3, 3, 2, units=2, capacity=1.0)
+    store = ContentStore.generate(config, seed=6)
+    plan = DeliveryPlan(config, CacheAllocation((0.0, 0.0, 0.0)), store)
+    first, second = plan.deliver((1, 2, 2)), plan.deliver((2, 1, 1))
+    assert first.step_counts == second.step_counts == ()  # remainder steps only
+    assert len(first.sections) == 3
+    assert all(a is b for a, b in zip(first.sections, second.sections))
+    assert len(plan._choices) == 1
+    seen = {frozenset((1, 2))}
+    for d in itertools.product(range(1, 4), repeat=3):
+        plan.deliver(d)
+        seen.add(frozenset(d))
+        assert len(plan._choices) == len(seen)
+    assert len(seen) == 7
 
 
 def test_plan_deliver_validates_demands():
