@@ -283,6 +283,7 @@ def _cmd_verify(args) -> int:
     stats = (
         f"# max_rate={report.max_rate:.10g} "
         f"argmax={'-'.join(map(str, report.argmax_demand))} "
+        f"gap={report.formula_gap:.10g} "
         f"violations={len(report.violations)}"
     )
     _emit(header + "\n" + stats + "\n" + report.to_csv(), args.out)

@@ -433,12 +433,15 @@ class DeliveryPlan:
     Per demand set, per demand vector: the window, the coded/remainder
     choice of every sublayer and every remainder step depend only on the
     set of demanded files, not on who demands what, so `_choice` builds
-    them once per set (kept in `_choices`, keyed by the set's mask),
-    finished remainder sections included.  Per demand vector, `deliver`
-    only validates the demands, gathers each coded sublayer's step
-    patterns from the column table at the users' window positions, looks
-    their records up (or builds them), and appends the set's cached
-    remainder sections.
+    them once per set (kept in `_choices`, keyed by the frozenset of
+    demands), finished remainder sections included.  Per demand vector,
+    `_send` only gathers each coded sublayer's step patterns from the
+    column table at the users' window positions, looks their records up
+    (or builds them), and appends the set's cached remainder sections; it
+    returns the sections and bit totals without validating the demands or
+    building a `Transcript`.  `deliver` is `as_demands`, `_send` and the
+    wrap in a `Transcript`; the verifier calls `_send` on demand tuples
+    that are valid by construction.
     """
 
     def __init__(
@@ -531,13 +534,14 @@ class DeliveryPlan:
             self._columns[key] = table
         return table
 
-    def _choice(self, demands, demand_mask):
+    def _choice(self, demands):
         """Everything of a delivery that depends only on the set of demanded
         files, built once per set: the window's position map and, per group,
-        the column table (None for cauc or a group with nothing to deliver)
-        and, per sublayer, either None, when the column table's coded steps
-        go out and are gathered per demand vector, or the finished remainder
-        section: its step records and their bit total.
+        the level, its sublayers, the column table (None for cauc or a group
+        with nothing to deliver) and, per sublayer, either None, when the
+        column table's coded steps go out and are gathered per demand
+        vector, or the finished remainder section: its step records and
+        their bit total.
 
         A step whose column holds L distinct items at the demanded window
         positions sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
@@ -549,6 +553,7 @@ class DeliveryPlan:
         C(K-N_e,t+1) <= N_e*C(K-1,t) for N_e distinct demanded files.
         """
         k = self.config.n_users
+        demand_mask = mask_of(demands)
         window = _window(self.config.n_files, k, demands)
         positions = [i for i, f in enumerate(window) if demand_mask >> (f - 1) & 1]
         groups = []
@@ -572,7 +577,7 @@ class DeliveryPlan:
                     ]
                 records = tuple(self._records(level, layer, steps, remainder))
                 sent.append((records, psize * sum([len(r.payloads) for r in records])))
-            groups.append((table, tuple(sent)))
+            groups.append((level, sublayers, table, tuple(sent)))
         return {f: i for i, f in enumerate(window)}, tuple(groups)
 
     def _records(self, level, layer, steps, patterns) -> list:
@@ -589,25 +594,25 @@ class DeliveryPlan:
                     )
         return records
 
-    def deliver(self, demands) -> Transcript:
-        """Deliver one demand vector: per group and sublayer, the column
-        table's coded steps, gathered at the demanded window positions, or
-        the demand set's finished remainder section, as `_choice` picks by
-        payload count.  Only the steps sent are built, each once per plan."""
-        config = self.config
-        demands = as_demands(demands, config)
-        demand_mask = mask_of(demands)
-        per_set = self._choices.get(demand_mask)
+    def _send(self, demands):
+        """Deliver one demand tuple, already validated: the sections, their
+        bit total, the coded steps' payload counts and the bits per level.
+
+        Per group and sublayer, the column table's coded steps, gathered at
+        the demanded window positions, or the demand set's finished
+        remainder section, as `_choice` picks by payload count.  Only the
+        steps sent are built, each once per plan."""
+        key = frozenset(demands)
+        per_set = self._choices.get(key)
         if per_set is None:
-            per_set = self._choices[demand_mask] = self._choice(demands, demand_mask)
+            per_set = self._choices[key] = self._choice(demands)
         pos, groups = per_set
-        gather = itemgetter(*[pos[d] for d in demands])
-        single = config.n_users == 1  # itemgetter of one index returns a bare item
 
         sections = []
         step_counts = []
         per_level = {}
-        for (level, _, _, sublayers), (table, sent) in zip(self._levels, groups):
+        total = 0
+        for level, sublayers, table, sent in groups:
             level_bits = 0
             patterns = None
             for (layer, psize, steps), section in zip(sublayers, sent):
@@ -617,8 +622,9 @@ class DeliveryPlan:
                     level_bits += bits
                     continue
                 if patterns is None:
+                    gather = itemgetter(*map(pos.__getitem__, demands))
                     patterns = list(map(gather, table))
-                    if single:
+                    if len(demands) == 1:  # itemgetter of one index returns a bare item
                         patterns = [(item,) for item in patterns]
                 records = self._records(level, layer, steps, patterns)
                 sections.extend(records)
@@ -626,11 +632,18 @@ class DeliveryPlan:
                 step_counts.extend(counts)
                 level_bits += psize * sum(counts)
             per_level[level] = level_bits
+            total += level_bits
+        return sections, total, step_counts, per_level
+
+    def deliver(self, demands) -> Transcript:
+        """Deliver one demand vector (see `_send`) as a `Transcript`."""
+        demands = as_demands(demands, self.config)
+        sections, total_bits, step_counts, per_level = self._send(demands)
         return Transcript(
             scheme=self.scheme,
-            config=config,
+            config=self.config,
             sections=tuple(sections),
-            total_bits=sum(per_level.values()),
+            total_bits=total_bits,
             step_counts=tuple(step_counts),
             per_level_bits=per_level,
         )

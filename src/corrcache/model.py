@@ -130,8 +130,9 @@ class CacheAllocation:
 
     def __post_init__(self):
         fr = tuple(float(p) for p in self.fractions)
-        if any(p < -1e-12 or p > 1 + 1e-12 for p in fr):
-            raise ValueError("fractions must lie in [0, 1]")
+        # written so that NaN fails too: clamping below would make it 0
+        if not all(-1e-12 <= p <= 1 + 1e-12 for p in fr):
+            raise ValueError(f"fractions must lie in [0, 1], got {fr}")
         object.__setattr__(
             self, "fractions", tuple(min(1.0, max(0.0, p)) for p in fr)
         )

@@ -150,6 +150,14 @@ def test_verify_clean_grid(capsys):
     assert out.count("\n") >= 3 + 27
 
 
+def test_verify_prints_formula_gap(capsys):
+    rc, out, _ = run_cli(
+        capsys, "verify", "--n", "2", "--k", "4", "--level-sizes", "6000,0", "--t", "1,0",
+    )
+    assert rc == 0
+    assert "# max_rate=1.25 argmax=1-1-1-2 gap=0.25 violations=0" in out
+
+
 def test_usage_errors_exit_2(capsys):
     # demanded file index outside the library
     rc, _, err = run_cli(
@@ -168,6 +176,15 @@ def test_usage_errors_exit_2(capsys):
     # no sizes at all
     rc, _, _ = run_cli(capsys, "rates", "--n", "2", "--k", "2", "--m", "1")
     assert rc == 2
+
+
+def test_non_finite_share_exits_2(capsys):
+    """A NaN share is an error, not a silent share of 0."""
+    rc, out, err = run_cli(
+        capsys, "verify", "--n", "2", "--k", "2", "--level-sizes", "6,6", "--t", "1,nan",
+    )
+    assert rc == 2 and out == ""
+    assert "error:" in err and "nan" in err
 
 
 @pytest.mark.parametrize(

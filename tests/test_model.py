@@ -133,6 +133,16 @@ def test_allocation_replication_roundtrip():
         CacheAllocation((1.5, 0.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_allocation_rejects_non_finite_fractions(bad):
+    """NaN compares false with everything, so a range check written as
+    `p < 0 or p > 1` would let it through to the clamp, which makes it 0."""
+    with pytest.raises(ValueError):
+        CacheAllocation((1.0, bad))
+    with pytest.raises(ValueError):
+        CacheAllocation.from_replication((1, bad), 2)
+
+
 def test_allocation_cached_bits():
     config = LibraryConfig(2, 2, 1.0, (4, 4))
     alloc = CacheAllocation((0.5, 1.0))

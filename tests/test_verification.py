@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import time
 
 import pytest
 
@@ -132,6 +134,19 @@ def test_csv_shape():
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_formula_gap_shows_a_loose_formula():
+    """Criterion 3's shape (n, k, level, t) = (2, 4, 1, 1) at F = 6000: the
+    formula reads 1.5 files, but no demand vector needs more than 1.25."""
+    config = single_level_config(2, 4, 1, units=500)
+    assert config.file_size == 6000
+    alloc = CacheAllocation.from_replication((1, 0), 4)
+    report = verify_all_demands(config, alloc, seed=0)
+    assert report.ok
+    assert report.formula_rate == pytest.approx(1.5)
+    assert report.max_rate == 1.25
+    assert report.formula_gap == pytest.approx(0.25)
+
+
 def test_report_ok_tracks_violations():
     good = GridReport("cacc", (), (), (), 0.0, 0.0, (), ())
     bad = GridReport("cacc", (), (), (), 0.0, 0.0, (), ("boom",))
@@ -165,15 +180,16 @@ def test_remainder_path_meets_formula_exactly():
     assert report.formula_rate * config.file_size == pytest.approx(800)
 
 
-def test_optimizer_allocations_pass_the_verifier():
-    """What users run: optimizer allocations on seeded multi-level libraries
-    (N, K <= 4) at three capacities.  Many have fractional shares, so some
+def _verify_optimizer_allocations(rng, shapes):
+    """What users run: for each (N, K) in `shapes`, a seeded multi-level
+    library at capacities 0.2, 0.5 and 0.8 N, verified at
+    `optimize_allocation`'s shares.  Many shares are fractional, so some
     levels split into two sublayers and share-0 sublayers go out as
-    one-leader steps; every demand must still decode within the formula."""
-    rng = random.Random(6)
-    fractional = share_zero = 0
-    for _ in range(8):
-        n, k = rng.randint(2, 4), rng.randint(2, 4)
+    one-leader steps; every demand must still decode within the formula.
+    Returns the sweeps with a fractional share, the sweeps with a share-0
+    sublayer and the demand vectors checked."""
+    fractional = share_zero = vectors = 0
+    for n, k in shapes:
         sizes = [0] * n
         for level in rng.sample(range(n), rng.randint(2, n)):
             sizes[level] = rng.randint(1, 3) * divisibility_unit(k)
@@ -190,7 +206,29 @@ def test_optimizer_allocations_pass_the_verifier():
             )
             report = verify_all_demands(config, alloc, seed=rng.randrange(99))
             assert report.ok, (config, report.violations[:3])
+            vectors += len(report.demands)
+    return fractional, share_zero, vectors
+
+
+def test_optimizer_allocations_pass_the_verifier():
+    """Optimizer allocations on 8 seeded libraries with N, K <= 4."""
+    rng = random.Random(6)
+    shapes = ((rng.randint(2, 4), rng.randint(2, 4)) for _ in range(8))
+    fractional, share_zero, _ = _verify_optimizer_allocations(rng, shapes)
     assert fractional and share_zero
+
+
+def test_optimizer_allocations_pass_the_verifier_at_five():
+    """Optimizer allocations on a seeded library for every (N, K) with
+    N, K <= 5 and one of them 5: 21 sweeps over 15,597 demand vectors."""
+    shapes = [(5, k) for k in range(2, 6)] + [(n, 5) for n in range(2, 5)]
+    start = time.perf_counter()
+    fractional, share_zero, vectors = _verify_optimizer_allocations(
+        random.Random(5), shapes
+    )
+    assert fractional and share_zero
+    assert vectors == 3 * sum(n**k for n, k in shapes)
+    assert time.perf_counter() - start < 60
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +312,36 @@ def test_corrupt_payload_caught_through_family_xor(monkeypatch):
     tag = f"level 1 step {target}"
     assert f"{tag}: user 2 wrong bits" in report.violations
     assert not report.decode_ok[report.demands.index((1, 1, 1, 2))]
+
+
+def test_fault_first_emitted_mid_sweep_flags_exactly_its_holders(monkeypatch):
+    """Only the step with pattern ({2,3}, {1,2}, {2,3}) is corrupted, and no
+    demand vector emits it before the eleventh.  The sweep passes clean
+    records on a fast path, so the earlier vectors must stay ok, every later
+    vector that emits the broken record must be flagged, even though it was
+    checked once already, and its violation must be reported once."""
+    config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
+    alloc = CacheAllocation.from_replication((0, 1, 0), 3)
+    target = (("sub", 0b110), ("sub", 0b011), ("sub", 0b110))
+    plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0))
+    demands = list(itertools.product(range(1, 4), repeat=3))
+    holders = [
+        d for d in demands
+        if any(rec.step_items == target for rec in plan.deliver(d).sections)
+    ]
+    first = demands.index(holders[0])
+    assert first == 10 and len(holders) == 4
+
+    def corrupt(rec):
+        if rec.step_items != target:
+            return rec.payloads
+        return {v: y ^ 1 for v, y in rec.payloads.items()}
+
+    _flip_payloads(monkeypatch, corrupt)
+    report = verify_all_demands(config, alloc, seed=0)
+    assert report.demands == tuple(demands)
+    flagged = [d for d, ok in zip(report.demands, report.decode_ok) if not ok]
+    assert flagged == holders
+    assert all(report.decode_ok[:first])
+    tag = f"level 2 step {target}"
+    assert report.violations == tuple(f"{tag}: user {k} wrong bits" for k in (1, 2, 3))
