@@ -16,7 +16,7 @@ from itertools import product
 
 from .combinat import comb0
 from .model import CacheAllocation, LibraryConfig
-from .rates import build_level_curve, cacc_level_rate, cacc_rate
+from .rates import build_level_curve, cacc_level_rate
 
 _NUDGE = 1e-6
 
@@ -83,9 +83,11 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
         min(1.0, shares.get(l, 0.0) / k) for l in config.levels()
     )
     alloc = CacheAllocation(fractions)
-    return AllocationSolution(
-        alloc=alloc, rate=cacc_rate(config, alloc), method="greedy-marginal"
-    )
+    # cacc_rate's sum, read from the curves in hand: same levels, same order
+    rate = 0.0
+    for l, curve in curves.items():
+        rate += curve.rate_at(alloc.fractions[l - 1] * k)
+    return AllocationSolution(alloc=alloc, rate=rate, method="greedy-marginal")
 
 
 def exhaustive_allocation_oracle(

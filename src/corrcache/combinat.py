@@ -81,9 +81,11 @@ def concat_bits(segments) -> int:
 
 
 @lru_cache(maxsize=None)
-def part_labels(n_users: int, share: int) -> tuple[int, ...]:
-    """Canonical part labels: all share-element subsets of [n_users] as masks."""
-    return tuple(subset_masks(range(1, n_users + 1), share))
+def part_labels(n: int, size: int) -> tuple[int, ...]:
+    """All size-element subsets of [n] as masks, in subset_masks order: the
+    part labels of a share-size layer among n users, and the level-size
+    subfiles of an n-file library."""
+    return tuple(subset_masks(range(1, n + 1), size))
 
 
 @lru_cache(maxsize=None)

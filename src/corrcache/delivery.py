@@ -173,11 +173,10 @@ def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
     if not config.is_integral():
         raise ValueError("placement and delivery need integer subfile sizes")
     n, k = config.n_files, config.n_users
-    files = range(1, n + 1)
     if scheme == "cicc":
         t_exact = k * min(config.cache_capacity, n) / n
         layers = _split_layers(int(config.file_size), t_exact, cicc_curve(config), k)
-        items = tuple(("file", i) for i in files)
+        items = tuple(("file", i) for i in range(1, n + 1))
         groups = [(0, items, layers, t_exact * config.file_size / k)]
     else:
         check_allocation(config, alloc)
@@ -186,7 +185,7 @@ def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
             size = int(config.subfile_sizes[level - 1])
             if size == 0:
                 continue
-            masks = subset_masks(files, level)
+            masks = part_labels(n, level)
             if scheme == "cacc":
                 t_exact = alloc.fractions[level - 1] * k
                 layers = cacc_layers(config, level, t_exact)

@@ -9,6 +9,7 @@ concatenation of all subfiles whose subset contains i.  All subfiles with
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from .combinat import (
     concat_bits,
     divisibility_unit,
     mix_seed,
-    subset_masks,
+    part_labels,
 )
 
 # Relative tolerance applied to the cache capacity constraint.
@@ -48,8 +49,9 @@ class LibraryConfig:
         sizes = tuple(self.subfile_sizes)
         if len(sizes) != self.n_files:
             raise ValueError("need one size per level 1..n_files")
-        if any(s < 0 for s in sizes):
-            raise ValueError("subfile sizes are nonnegative")
+        # written so that NaN fails too, and inf with it
+        if not all(0 <= s < math.inf for s in sizes):
+            raise ValueError(f"subfile_sizes must be finite and nonnegative, got {sizes}")
         object.__setattr__(self, "subfile_sizes", sizes)
         n = self.n_files
         object.__setattr__(
@@ -104,7 +106,7 @@ def file_layout(config: LibraryConfig, file_index: int):
     offset = 0
     for level in config.levels():
         size = int(config.subfile_sizes[level - 1])
-        for m in subset_masks(range(1, config.n_files + 1), level):
+        for m in part_labels(config.n_files, level):
             if m & bit:
                 out.append((m, size, offset))
                 offset += size
@@ -186,7 +188,7 @@ class ContentStore:
         contents = {}
         for level in config.levels():
             size = int(config.subfile_sizes[level - 1])
-            masks = subset_masks(range(1, config.n_files + 1), level)
+            masks = part_labels(config.n_files, level)
             if not size:
                 contents.update(dict.fromkeys(masks, 0))
                 continue
@@ -234,9 +236,10 @@ class ExperimentSpec:
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         if len(self.ratios) != self.n_files:
             raise ValueError("need one ratio per level")
-        if any(r < 0 for r in self.ratios):
-            raise ValueError("ratios are nonnegative")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
+        # written so that NaN fails too, and inf with it
+        if not all(0 <= r < math.inf for r in self.ratios):
+            raise ValueError(f"ratios must be finite and nonnegative, got {self.ratios}")
+        if not abs(sum(self.ratios) - 1.0) <= 1e-9:
             raise ValueError("ratios must sum to 1")
         if self.file_bits <= 0:
             raise ValueError("file_bits must be positive")

@@ -9,16 +9,22 @@ R * file_size bits in the worst case.  Three schemes are covered:
 
 plus a cut-set converse bound that no scheme can beat.
 
-The hot kernels are closed forms over integer tables that depend only on
-(N, K) and the level, memoized with module-level lru_caches:
+The hot kernels are closed forms over tables memoized with bounded
+module-level lru_caches, each keyed by exactly what its value depends on, so
+a capacity sweep computes every capacity-independent quantity once:
 
+* the coded alpha rate reads its integer numerator, per share t, from one
+  table keyed by (N, K, level);
+* a level curve (its K+1 points and their hull) depends on the config only
+  through (N, K, level, F_l, F), and is memoized on that key; configs that
+  differ only in capacity share one curve object;
 * the cut-set bound's exposed-bit count uses Vandermonde's identity,
   sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
   = sum_j F_j (binom(N, j) - binom(N-e, j)),
-  so it costs O(N) per cut size instead of a double sum;
-* the uncoded allocation takes every level's tail from one suffix pass;
-* the coded alpha rate reads its integer numerator, per share t, from one
-  table keyed by (N, K, level) that build_level_curve also reads.
+  so it costs O(N) per cut size instead of a double sum; the per-cut-size
+  table (p, b, total / F) is memoized on (N, K, sizes, F), and each call
+  only maximizes over p at its capacity;
+* the uncoded allocation takes every level's tail from one suffix pass.
 """
 
 from __future__ import annotations
@@ -163,35 +169,47 @@ def _alpha_numerators(n_files: int, n_users: int, level: int) -> tuple[int, ...]
     )
 
 
-def _alpha(config: LibraryConfig, level: int, t: int) -> float:
-    numerator = _alpha_numerators(config.n_files, config.n_users, level)[t]
+def _alpha(n_files: int, n_users: int, level: int, size, file_size, t: int) -> float:
+    numerator = _alpha_numerators(n_files, n_users, level)[t]
+    return float(numerator) * size / (file_size * comb0(n_users, t))
+
+
+def _m(n_files: int, n_users: int, level: int, size, file_size, t) -> float:
+    needed = _needed_subfile_count(n_files, n_users, level)
+    return needed * (size - t * size / n_users) / file_size
+
+
+def _level_terms(config: LibraryConfig, level: int) -> tuple:
+    """The leading arguments of _alpha and _m: (N, K, level, F_l, F)."""
     return (
-        float(numerator)
-        * config.subfile_sizes[level - 1]
-        / (config.file_size * comb0(config.n_users, t))
+        config.n_files,
+        config.n_users,
+        level,
+        config.subfile_sizes[level - 1],
+        config.file_size,
     )
-
-
-def _m(config: LibraryConfig, level: int, t) -> float:
-    n, k = config.n_files, config.n_users
-    size = config.subfile_sizes[level - 1]
-    return _needed_subfile_count(n, k, level) * (size - t * size / k) / config.file_size
 
 
 def cacc_alpha(config: LibraryConfig, level: int, t: int) -> float:
     """Per-level rate of the multicast XOR delivery procedure at integer share t.
 
     The numerator over s (see _alpha_numerators) depends only on
-    (N, K, level, t); it is scaled by F_l / (F binom(K, t)).
+    (N, K, level, t); it is scaled by F_l / (F binom(K, t)).  This is the
+    paper's alpha, and it stays public so that tests can pin it to the
+    paper's values; the level curve reads the same _alpha.
     """
     _check_level_t(config, level, t)
-    return _alpha(config, level, t)
+    return _alpha(*_level_terms(config, level), t)
 
 
 def cacc_m(config: LibraryConfig, level: int, t: int) -> float:
-    """Per-level rate of shipping uncached remainders of needed subfiles."""
+    """Per-level rate of shipping uncached remainders of needed subfiles.
+
+    This is the paper's m, and it stays public so that tests can pin it to
+    the paper's values; the level curve reads the same _m.
+    """
     _check_level_t(config, level, t)
-    return _m(config, level, t)
+    return _m(*_level_terms(config, level), t)
 
 
 def _check_level_t(config: LibraryConfig, level: int, t) -> None:
@@ -200,13 +218,18 @@ def _check_level_t(config: LibraryConfig, level: int, t) -> None:
         raise ValueError(f"share t={t} outside [0, {config.n_users}]")
 
 
-@functools.lru_cache(maxsize=256)
 def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
-    """Raw integer points min(alpha, m) and their lower convex hull."""
+    """Raw integer points min(alpha, m) and their lower convex hull, shared
+    by every config with the same (N, K, level, F_l, F)."""
     config.level_size(level)  # range check
+    return _level_curve(*_level_terms(config, level))
+
+
+@functools.lru_cache(maxsize=256)
+def _level_curve(n_files: int, n_users: int, level: int, size, file_size) -> LevelRateCurve:
+    terms = (n_files, n_users, level, size, file_size)
     pts = tuple(
-        (t, min(_alpha(config, level, t), _m(config, level, t)))
-        for t in range(config.n_users + 1)
+        (t, min(_alpha(*terms, t), _m(*terms, t))) for t in range(n_users + 1)
     )
     return LevelRateCurve(points=pts, envelope=lower_convex_hull(pts))
 
@@ -266,6 +289,18 @@ def _exposed_counts(n_files: int, hidden: int) -> tuple[int, ...]:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _cut_totals(n_files: int, n_users: int, sizes: tuple, file_size) -> tuple:
+    """(p, b, exposed bits / F) per cut size p = 1..min(N, K), with
+    b = floor(N/p): everything of the cut-set bound but the capacity."""
+    rows = []
+    for p in range(1, min(n_files, n_users) + 1):
+        b = n_files // p
+        total = sum(map(operator.mul, sizes, _exposed_counts(n_files, n_files - p * b)))
+        rows.append((p, b, total / file_size))
+    return tuple(rows)
+
+
 def cutset_bound(config: LibraryConfig) -> float:
     """Cut-set converse: no scheme with this capacity beats the returned rate.
 
@@ -275,17 +310,14 @@ def cutset_bound(config: LibraryConfig) -> float:
     sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
     = sum_j F_j (binom(N, j) - binom(N-e, j)),
     i.e. all library bits minus the subfiles lying wholly inside the N-e
-    unexposed files, which is O(N) per p.  Clamped at 0.  Evaluated at the
-    config's capacity, which LibraryConfig keeps within [0, N].
+    unexposed files, which is O(N) per p and independent of the capacity
+    (see _cut_totals).  Clamped at 0.  Evaluated at the config's capacity,
+    which LibraryConfig keeps within [0, N].
     """
-    n = config.n_files
-    k = config.n_users
     m_files = config.cache_capacity
-    sizes = config.subfile_sizes
     best = 0.0
-    for p in range(1, min(n, k) + 1):
-        b = n // p
-        total = sum(map(operator.mul, sizes, _exposed_counts(n, n - p * b)))
-        value = (total / config.file_size - p * m_files) / b
-        best = max(best, value)
+    for p, b, exposed in _cut_totals(
+        config.n_files, config.n_users, config.subfile_sizes, config.file_size
+    ):
+        best = max(best, (exposed - p * m_files) / b)
     return best

@@ -70,6 +70,21 @@ def test_greedy_consistent_with_rate_formula():
         assert sol.rate == pytest.approx(cacc_rate(config, sol.alloc), abs=1e-9)
 
 
+def test_greedy_rate_is_cacc_rate_exactly():
+    """The allocator sums its rate from the curves it holds; on multi-level
+    libraries with fractional shares that sum is cacc_rate's, bit for bit
+    (up to eight levels, where summing in another order changes some rates)."""
+    rng = random.Random(13)
+    fractional = 0
+    for _ in range(60):
+        config = random_config(rng, n_max=8, k_max=8)
+        sol = optimize_allocation(config)
+        assert sol.rate == cacc_rate(config, sol.alloc)
+        shares = sol.alloc.replication(config.n_users)
+        fractional += any(t != round(t) for t in shares)
+    assert fractional >= 10
+
+
 def test_greedy_matches_exhaustive_oracle():
     """Independent cross-check: brute-force share grid never beats greedy."""
     rng = random.Random(21)

@@ -187,6 +187,17 @@ def test_non_finite_share_exits_2(capsys):
     assert "error:" in err and "nan" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_ratio_exits_2(capsys, bad):
+    """A NaN or infinite ratio is named in the error, not reported as a
+    failed integer conversion further down."""
+    rc, out, err = run_cli(
+        capsys, "rates", "--n", "3", "--k", "3", "--m", "1", "--ratios", f"{bad},0.5,0.5",
+    )
+    assert rc == 2 and out == ""
+    assert "error: ratios must be finite" in err
+
+
 @pytest.mark.parametrize(
     "text, violation",
     [

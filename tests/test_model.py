@@ -108,6 +108,14 @@ def test_config_validation():
         LibraryConfig(0, 2, 0.0, ())
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_sizes(bad):
+    """NaN compares false with everything, so a check written as `s < 0`
+    would accept it, and the rates would come out as quiet nonsense."""
+    with pytest.raises(ValueError, match="subfile_sizes"):
+        LibraryConfig(3, 3, 1.0, (bad, 6, 6))
+
+
 def test_capacity_clamped_to_library():
     config = LibraryConfig(2, 2, 99.0, (2, 2))
     # library is 3 subfiles of 2 bits over files of 4 bits
@@ -193,6 +201,12 @@ def test_experiment_spec_validates_ratios():
         ExperimentSpec(2, 2, 1.0, (1.0,), 1000)
     with pytest.raises(ValueError):
         ExperimentSpec(2, 2, 1.0, (1.0, 0.0), 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_experiment_spec_rejects_non_finite_ratios(bad):
+    with pytest.raises(ValueError, match="ratios"):
+        ExperimentSpec(3, 3, 1.0, (bad, 0.5, 0.5), 1000)
 
 
 def test_exact_sizes_from_ratios():

@@ -23,6 +23,7 @@ from corrcache import (
     optimize_allocation,
 )
 from corrcache.cli import main
+from corrcache.model import exact_sizes_from_ratios
 
 import random
 
@@ -170,8 +171,14 @@ def test_coded_fractional_share_uses_envelope():
 
 
 def test_level_curve_is_cached():
-    config = five_user_level2()
-    assert build_level_curve(config, 2) is build_level_curve(config, 2)
+    """A curve depends on the config only through (N, K, level, F_l, F), so
+    configs that differ only in capacity read the same curve object."""
+    config = replace(five_user_level2(), cache_capacity=0.5)
+    other = replace(config, cache_capacity=2.0)
+    assert other != config
+    for level in config.levels():
+        assert build_level_curve(config, level) is build_level_curve(config, level)
+        assert build_level_curve(other, level) is build_level_curve(config, level)
 
 
 @settings(max_examples=60)
@@ -328,6 +335,32 @@ def reference_cutset(config, m):
     return best
 
 
+def per_call_cutset(config):
+    """The cut-set bound as one call computed it before its capacity-free
+    totals were memoized: the same float operations, all per call."""
+    n, k, sizes = config.n_files, config.n_users, config.subfile_sizes
+    best = 0.0
+    for p in range(1, min(n, k) + 1):
+        b = n // p
+        hidden = n - p * b
+        total = sum(s * (comb(n, j) - comb(hidden, j)) for j, s in enumerate(sizes, 1))
+        best = max(best, (total / config.file_size - p * config.cache_capacity) / b)
+    return best
+
+
+def test_cutset_capacity_sweep_equals_per_call_formula():
+    """Each library swept over capacity reads one memoized totals table; every
+    row must equal the per-call formula exactly."""
+    for n in (7, 10):
+        for ratios in ((0.5, 0.5), (0.2, 0.3, 0.0, 0.5), (0.0,) * 6 + (1.0,)):
+            full = ratios + (0.0,) * (n - len(ratios))
+            sizes = exact_sizes_from_ratios(n, full, 100_000)
+            for k in (n - 3, n, n + 2):
+                for i in range(41):
+                    config = LibraryConfig(n, k, n * i / 40, sizes)
+                    assert cutset_bound(config) == per_call_cutset(config)
+
+
 def reference_cauc_fractions(config):
     """Highest-commonness-first fill with each level's tail summed ascending;
     every share is 1 at the capacity clamp (the whole library)."""
@@ -411,6 +444,7 @@ def _check_coded_curves_exact(config):
             assert alpha == reference_alpha(config, level, t)
             assert cacc_level_rate(config, level, t) == point
             assert cacc_level_rate(config, level, t) == min(alpha, cacc_m(config, level, t))
+            assert curve.points[t][1] == min(alpha, cacc_m(config, level, t))
 
 
 @settings(max_examples=60, deadline=None)
