@@ -48,7 +48,6 @@ from .scheduling import (
     generate_schedule,
     load_schedule,
     schedule_from_text,
-    schedule_to_text,
     validate_schedule,
 )
 from .verification import (
@@ -88,7 +87,6 @@ __all__ = [
     "place",
     "ratios_to_sizes",
     "schedule_from_text",
-    "schedule_to_text",
     "validate_schedule",
     "verify_all_demands",
     "worst_case_demand",

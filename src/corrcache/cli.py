@@ -2,9 +2,11 @@
 
 Subcommands: `rates` (closed-form table), `optimize` (capacity allocation),
 `simulate` (bit-level delivery of one demand vector), `verify` (exhaustive
-demand-grid oracle) and `sweep` (rate curves against one commonness ratio).
+demand-grid oracle) and `sweep` (rate curves against one commonness ratio at
+a fixed capacity, or against capacity for a fixed library).
 All machine output is CSV with `#` comment lines echoing the configuration,
-deterministic for fixed flags and seed.
+deterministic for fixed flags and seed.  A flag that would not change a
+command's output is refused (exit 2), never silently ignored.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from . import __version__
 __all__ = ["SweepResult", "main", "rate_row", "run_sweep"]
 
 _DEFAULT_GRID = tuple(i / 10 for i in range(11))
+_FILE_BITS = 100_000
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,12 @@ class SweepResult:
 
     def to_csv(self) -> str:
         s = self.spec
-        lines = [
+        header = (
             f"# n={s.n_files} k={s.n_users} m={s.cache_capacity:g} "
-            f"file_bits={s.file_bits} sweep_level={s.sweep_level} seed={s.seed}",
-            "x,r_cauc,r_cacc,r_cicc,r_cutset",
-        ]
+            f"file_bits={s.file_bits} sweep_level={s.sweep_level} seed={s.seed}"
+        )
         rows = zip(self.x_values, self.r_cauc, self.r_cacc, self.r_cicc, self.r_cutset)
-        for x, a, b, c, d in rows:
-            lines.append(f"{x:.10g},{a:.10g},{b:.10g},{c:.10g},{d:.10g}")
-        return "\n".join(lines) + "\n"
+        return _curve_csv(header, "x", rows)
 
 
 def rate_row(config: LibraryConfig) -> tuple[float, float, float, float]:
@@ -74,6 +74,17 @@ def rate_row(config: LibraryConfig) -> tuple[float, float, float, float]:
     )
 
 
+def _curve(grid, config_at) -> list[tuple]:
+    """The one sweep row loop: (x, *rate_row(config_at(x))) per grid point."""
+    return [(x, *rate_row(config_at(x))) for x in grid]
+
+
+def _curve_csv(header: str, axis: str, rows) -> str:
+    lines = [header, f"{axis},r_cauc,r_cacc,r_cicc,r_cutset"]
+    lines.extend(",".join(f"{v:.10g}" for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """Evaluate all four rate formulas along the requested ratio grid.
 
@@ -82,23 +93,17 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """
     if not 1 <= spec.sweep_level <= spec.n_files:
         raise ValueError("sweep_level out of range")
-    grid = spec.grid or _DEFAULT_GRID
-    rows = []
-    for x in grid:
+
+    def config_at(x):
         if not 0 <= x <= 1:
             raise ValueError(f"grid ratio {x} outside [0, 1]")
         ratios = [0.0] * spec.n_files
         ratios[spec.sweep_level - 1] = x
         ratios[0] += 1 - x
         sizes = exact_sizes_from_ratios(spec.n_files, ratios, spec.file_bits)
-        config = LibraryConfig(
-            n_files=spec.n_files,
-            n_users=spec.n_users,
-            cache_capacity=spec.cache_capacity,
-            subfile_sizes=sizes,
-        )
-        rows.append((x, *rate_row(config)))
-    return SweepResult(spec, *zip(*rows))
+        return LibraryConfig(spec.n_files, spec.n_users, spec.cache_capacity, sizes)
+
+    return SweepResult(spec, *zip(*_curve(spec.grid or _DEFAULT_GRID, config_at)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +123,23 @@ def _pad(values, n, name):
     return tuple(values) + (0,) * (n - len(values))
 
 
+def _or(value, default):
+    return default if value is None else value
+
+
+def _refuse(args, flags, why) -> None:
+    """Exit 2 (via ValueError) when any of `flags` was passed."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    if given:
+        raise ValueError(f"{why}: {', '.join(given)}")
+
+
 def _sizes_from_args(args, exact=False) -> tuple:
-    """Per-level sizes from --level-sizes, else from --ratios and --file-bits:
+    """Per-level sizes from --level-sizes, or from --ratios and --file-bits:
     exact for the formula-only commands, rounded down to the divisibility
     unit for the bit-level ones."""
     if args.level_sizes is not None:
+        _refuse(args, ("--ratios", "--file-bits"), "not used with --level-sizes")
         return _pad(_ints(args.level_sizes), args.n, "--level-sizes")
     if args.ratios is not None:
         ratios = _pad(_floats(args.ratios), args.n, "--ratios")
@@ -131,7 +148,7 @@ def _sizes_from_args(args, exact=False) -> tuple:
             n_users=args.k,
             cache_capacity=args.m if args.m is not None else 0.0,
             ratios=ratios,
-            file_bits=args.file_bits,
+            file_bits=_or(args.file_bits, _FILE_BITS),
         )
         if exact:
             return exact_sizes_from_ratios(args.n, spec.ratios, spec.file_bits)
@@ -149,9 +166,8 @@ def _config_and_alloc(args) -> tuple[LibraryConfig, CacheAllocation]:
     exactly fit the chosen allocation.
     """
     sizes = _sizes_from_args(args)
-    t_arg = getattr(args, "t", None)
-    if t_arg is not None:
-        counts = _pad(_floats(t_arg), args.n, "--t")
+    if args.t is not None:
+        counts = _pad(_floats(args.t), args.n, "--t")
         alloc = CacheAllocation.from_replication(counts, args.k)
     elif args.m is None:
         counts = tuple(1 if s > 0 else 0 for s in sizes)
@@ -165,7 +181,7 @@ def _config_and_alloc(args) -> tuple[LibraryConfig, CacheAllocation]:
         probe = LibraryConfig(args.n, args.k, 0.0, sizes)
         m = alloc.cached_bits(probe) / probe.file_size
     config = LibraryConfig(args.n, args.k, m, sizes)
-    if alloc is None and getattr(args, "scheme", None) == "cauc":
+    if alloc is None and args.scheme == "cauc":
         alloc = _whole_bit_prefixes(config, cauc_optimal_allocation(config))
     elif alloc is None:
         alloc = optimize_allocation(config).alloc
@@ -295,43 +311,63 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.m is None:
-        raise ValueError("sweep needs --m")
-    ratios = [0.0] * args.n
-    ratios[0] = 1.0
-    spec = ExperimentSpec(
-        n_files=args.n,
-        n_users=args.k,
-        cache_capacity=args.m,
-        ratios=tuple(ratios),
-        file_bits=args.file_bits,
-        sweep_level=args.sweep_level,
-        grid=_floats(args.grid) if args.grid else (),
-        seed=args.seed,
-    )
-    _emit(run_sweep(spec).to_csv(), args.out)
+    """The flags pick the axis.  --m fixes the capacity and sweeps the ratio
+    of --sweep-level (level 1 takes the complement) over --grid in [0, 1];
+    --ratios or --level-sizes fix the library and sweep the capacity over
+    --grid in files, by default N*i/10 for i = 0..10."""
+    grid = _floats(args.grid) if args.grid else ()
+    if (args.m is not None) == (args.ratios is not None or args.level_sizes is not None):
+        raise ValueError(
+            "sweep takes either --m (a ratio sweep) or --ratios/--level-sizes "
+            "(a capacity sweep)"
+        )
+    if args.m is not None:
+        spec = ExperimentSpec(
+            n_files=args.n,
+            n_users=args.k,
+            cache_capacity=args.m,
+            ratios=(1.0,) + (0.0,) * (args.n - 1),
+            file_bits=_or(args.file_bits, _FILE_BITS),
+            sweep_level=_or(args.sweep_level, 2),
+            grid=grid,
+            seed=_or(args.seed, 0),
+        )
+        _emit(run_sweep(spec).to_csv(), args.out)
+        return 0
+    _refuse(args, ("--sweep-level", "--seed"), "not used by a capacity sweep")
+    sizes = _sizes_from_args(args, exact=True)
+    if args.level_sizes is not None:
+        library = "level_sizes=" + ",".join(f"{s:g}" for s in sizes)
+    else:
+        ratios = _pad(_floats(args.ratios), args.n, "--ratios")
+        library = (
+            "ratios=" + ",".join(f"{r:g}:level{l}" for l, r in enumerate(ratios, 1) if r)
+            + f" file_bits={_or(args.file_bits, _FILE_BITS)}"
+        )
+    grid = grid or tuple(args.n * i / 10 for i in range(11))
+    rows = _curve(grid, lambda m: LibraryConfig(args.n, args.k, m, sizes))
+    header = f"# n={args.n} k={args.k} {library} points={len(grid)}"
+    _emit(_curve_csv(header, "m", rows), args.out)
     return 0
 
 
-def _add_common(sub, with_demands=False, with_scheme=False, with_t=True):
+def _add_common(sub, bit_level=False):
+    """Library flags for every command; allocation, scheme and content seed
+    for the bit-level ones (simulate, verify)."""
     sub.add_argument("--n", type=int, required=True, help="number of files")
     sub.add_argument("--k", type=int, required=True, help="number of users")
     sub.add_argument("--m", type=float, default=None, help="cache capacity in files")
     sub.add_argument("--ratios", default=None,
                      help="comma list of per-level commonness ratios (sum 1)")
-    sub.add_argument("--file-bits", type=int, default=100_000,
-                     help="target file size in bits for --ratios")
+    sub.add_argument("--file-bits", type=int, default=None,
+                     help=f"target file size in bits for --ratios (default {_FILE_BITS})")
     sub.add_argument("--level-sizes", default=None,
                      help="comma list of exact per-level subfile sizes in bits")
-    sub.add_argument("--seed", type=int, default=0, help="content/schedule seed")
     sub.add_argument("--out", default=None, help="write output to this path")
-    if with_t:
+    if bit_level:
+        sub.add_argument("--seed", type=int, default=0, help="content/schedule seed")
         sub.add_argument("--t", default=None,
                          help="comma list of per-level cached shares t_l in [0, K]")
-    if with_demands:
-        sub.add_argument("--demands", required=True,
-                         help="comma list of demanded file indices, one per user")
-    if with_scheme:
         sub.add_argument("--scheme", choices=SCHEMES,
                          default="cacc", help="delivery scheme")
 
@@ -346,29 +382,37 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("rates", help="closed-form rate table for one config")
-    _add_common(p, with_t=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_rates)
 
     p = subs.add_parser("optimize", help="capacity-optimal cache allocation")
-    _add_common(p, with_t=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("simulate", help="run one demand vector at the bit level")
-    _add_common(p, with_demands=True, with_scheme=True)
+    _add_common(p, bit_level=True)
+    p.add_argument("--demands", required=True,
+                   help="comma list of demanded file indices, one per user")
     p.add_argument("--fixture", default=None,
                    help="assignment schedule: a path or the literal 'example1'")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("verify", help="exhaustive demand-grid verification")
-    _add_common(p, with_scheme=True)
+    _add_common(p, bit_level=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = subs.add_parser("sweep", help="rate curves along one commonness ratio")
-    _add_common(p, with_t=False)
-    p.add_argument("--sweep-level", type=int, default=2,
-                   help="level whose ratio sweeps the grid (complement on level 1)")
+    p = subs.add_parser(
+        "sweep", help="rate curves along one commonness ratio (--m) or capacity"
+    )
+    _add_common(p)
+    p.add_argument("--sweep-level", type=int, default=None,
+                   help="ratio sweep: level whose ratio runs the grid, complement "
+                        "on level 1 (default 2)")
     p.add_argument("--grid", default=None,
-                   help="comma list of ratio grid points (default 0,0.1,...,1)")
+                   help="comma list of grid points: ratios (default 0,0.1,...,1) "
+                        "with --m, else capacities in files (default N*i/10)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="ratio sweep: seed echoed in the header (default 0)")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -30,7 +30,6 @@ __all__ = [
     "generate_schedule",
     "load_schedule",
     "schedule_from_text",
-    "schedule_to_text",
     "validate_schedule",
 ]
 
@@ -219,17 +218,6 @@ def validate_schedule(schedule: AssignmentSchedule) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # text fixtures
-
-def schedule_to_text(schedule: AssignmentSchedule) -> str:
-    lines = [
-        "# window: " + ",".join(map(str, schedule.window)),
-        "# fixed: " + (",".join(map(str, schedule.fixed_part)) or "-"),
-        f"# level: {schedule.level}",
-    ]
-    for col in schedule.columns:
-        lines.append(" ".join(",".join(map(str, members_of(m))) for m in col))
-    return "\n".join(lines) + "\n"
-
 
 def schedule_from_text(text: str) -> AssignmentSchedule:
     window = fixed = None

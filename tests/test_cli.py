@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrcache
-from corrcache import ExperimentSpec, __version__
-from corrcache.cli import main, run_sweep
+from corrcache import ExperimentSpec, LibraryConfig, __version__
+from corrcache.cli import main, rate_row, run_sweep
+from corrcache.model import exact_sizes_from_ratios
 from corrcache.scheduling import EXAMPLE1_TEXT
 
 
@@ -136,6 +137,61 @@ def test_sweep_custom_grid(capsys):
     )
     assert rc == 0
     assert len(out.strip().split("\n")) == 2 + 3
+
+
+def test_sweep_capacity_axis(capsys):
+    """A library flag and no --m sweep capacity: the default grid is N*i/10
+    files, and each row is the rate row of that capacity."""
+    rc, out, err = run_cli(capsys, "sweep", "--n", "4", "--k", "3", "--ratios", "0.5,0.5")
+    assert rc == 0, err
+    lines = out.strip().split("\n")
+    assert lines[0] == "# n=4 k=3 ratios=0.5:level1,0.5:level2 file_bits=100000 points=11"
+    assert lines[1] == "m,r_cauc,r_cacc,r_cicc,r_cutset"
+    sizes = exact_sizes_from_ratios(4, (0.5, 0.5, 0, 0), 100_000)
+    for i, line in enumerate(lines[2:]):
+        m = 4 * i / 10
+        want = (m, *rate_row(LibraryConfig(4, 3, m, sizes)))
+        assert line == ",".join(f"{v:.10g}" for v in want)
+    assert len(lines) == 2 + 11
+
+    rc, out, _ = run_cli(
+        capsys, "sweep", "--n", "2", "--k", "2", "--level-sizes", "6,6", "--grid", "0,1"
+    )
+    assert rc == 0
+    assert out.split("\n")[:2] == [
+        "# n=2 k=2 level_sizes=6,6 points=2",
+        "m,r_cauc,r_cacc,r_cicc,r_cutset",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--m", "1", "--ratios", "0.5,0.5"),
+        ("sweep", "--m", "1", "--level-sizes", "4,4"),
+        ("sweep",),
+        ("sweep", "--ratios", "0.5,0.5", "--seed", "3"),
+        ("sweep", "--ratios", "0.5,0.5", "--sweep-level", "2"),
+        ("rates", "--m", "1", "--level-sizes", "6,6", "--ratios", "0.9,0.1", "--file-bits", "5"),
+        ("rates", "--m", "1", "--level-sizes", "6,6", "--ratios", "0.9,0.1"),
+        ("optimize", "--m", "1", "--level-sizes", "6,6", "--file-bits", "5"),
+        ("verify", "--level-sizes", "6,6", "--ratios", "0.5,0.5", "--t", "1,1"),
+        ("sweep", "--level-sizes", "6,6", "--file-bits", "5"),
+    ],
+)
+def test_flags_that_would_be_ignored_exit_2(capsys, argv):
+    """A flag that cannot change the output is refused, not dropped."""
+    rc, out, err = run_cli(capsys, argv[0], "--n", "2", "--k", "2", *argv[1:])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["rates", "optimize"])
+def test_formula_commands_take_no_seed(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "2", "--k", "2", "--m", "1", "--level-sizes", "6,6", "--seed", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_verify_clean_grid(capsys):
@@ -340,6 +396,8 @@ def test_console_entry_point_runs():
         capture_output=True,
         text=True,
         timeout=60,
+        # the child imports the same package as this process
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(corrcache.__file__))},
     )
     assert proc.returncode == 0
     assert "total_bits=72000" in proc.stdout
@@ -365,7 +423,7 @@ def test_package_imports_without_numpy():
 REMOVED_API = (
     "UncodedRecord", "SubfileId", "DemandVector", "step_demands", "pool_subfiles",
     "compare_schemes", "RatePoint", "window_for", "remainder_delivery",
-    "cauc_place", "cicc_place", "cicc_deliver",
+    "cauc_place", "cicc_place", "cicc_deliver", "schedule_to_text",
 )
 
 
@@ -408,8 +466,8 @@ _FLAG_VALUES = {
     "--grid": _csv(st.floats(-0.5, 1.5), max_size=4),
 }
 _COMMAND_FLAGS = {
-    "rates": ("--m", "--ratios", "--level-sizes", "--file-bits", "--seed"),
-    "optimize": ("--m", "--ratios", "--level-sizes", "--file-bits", "--seed"),
+    "rates": ("--m", "--ratios", "--level-sizes", "--file-bits"),
+    "optimize": ("--m", "--ratios", "--level-sizes", "--file-bits"),
     "simulate": (
         "--m", "--ratios", "--level-sizes", "--file-bits", "--seed", "--t",
         "--demands", "--scheme", "--fixture",

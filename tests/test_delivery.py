@@ -20,12 +20,13 @@ from corrcache import (
     place,
 )
 from corrcache import delivery
-from corrcache.combinat import step_payloads
+from corrcache.combinat import comb0, part_labels, step_payloads
 from corrcache.delivery import (
     LayerSpec,
     StepRecord,
     _CachedParts,
     _decode_parts,
+    _part_templates,
     _pattern,
     _window,
     _xor_step,
@@ -223,6 +224,52 @@ def test_opaque_delivery_repeats_cost_less():
     transcript = DeliveryPlan(config, None, store, scheme="cicc").deliver(demands)
     assert transcript.total_bits < 45 * config.file_size // 10
     decode_all(config, caches, transcript, demands, store)
+
+
+# ---------------------------------------------------------------------------
+# content-free decodability of the XOR-step kernel
+
+def _equality_patterns(k):
+    """Every step-item equality pattern of k users once: the restricted
+    growth strings of length k, e.g. (0, 1, 0, 2)."""
+    patterns = [(0,)]
+    for _ in range(k - 1):
+        patterns = [p + (c,) for p in patterns for c in range(max(p) + 2)]
+    return patterns
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_step_kernel_decodes_every_content(k):
+    """`_xor_step` and `_decode_parts` are GF(2)-linear and act on every bit
+    offset inside a part alike, so one run on "diagonal" content decides
+    decodability for all contents: part j of distinct item c is the single
+    bit c*C(K,t) + j of an L*C(K,t)-bit part, so a decoded part equals the
+    true one only if the XOR it is built from reduces to exactly that part.
+    Covers every equality pattern, every share t < K and every user; each
+    user must rebuild exactly the parts it does not cache."""
+    for t in range(k):
+        nparts = comb0(k, t)
+        labels = part_labels(k, t)
+        for pattern in _equality_patterns(k):
+            psize = (max(pattern) + 1) * nparts
+            content = [
+                sum(1 << (c * nparts + j) << (j * psize) for j in range(nparts))
+                for c in range(max(pattern) + 1)
+            ]
+            rec = _xor_step(k, 1, LayerSpec(t, 0, nparts * psize), pattern, content.__getitem__)
+            assert _pattern(pattern) == (pattern, tuple(range(len(content))))
+            templates = _part_templates(k, t, psize)
+            for user in range(1, k + 1):
+                mask = templates[user]
+                cached = [_CachedParts(mask, bits & mask, 0, psize) for bits in content]
+                got = _decode_parts(user, rec, pattern, [cached[c] for c in pattern])
+                c = pattern[user - 1]
+                want = [
+                    (j, 1 << (c * nparts + j))
+                    for j, label in enumerate(labels)
+                    if not label >> (user - 1) & 1
+                ]
+                assert got == want, (t, pattern, user)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from corrcache import (
     generate_schedule,
     load_schedule,
     schedule_from_text,
-    schedule_to_text,
     validate_schedule,
 )
 from corrcache import scheduling
@@ -45,12 +44,11 @@ def test_builtin_fixture_column_width():
 
 
 def test_fixture_text_roundtrip(tmp_path):
-    sched = load_schedule("example1")
-    text = schedule_to_text(sched)
-    assert schedule_from_text(text) == sched
+    """The fixture text, written to a file and loaded by path, parses to the
+    same schedule as the text itself."""
     path = tmp_path / "sched.txt"
-    path.write_text(text)
-    assert load_schedule(str(path)) == sched
+    path.write_text(scheduling.EXAMPLE1_TEXT)
+    assert load_schedule(str(path)) == schedule_from_text(scheduling.EXAMPLE1_TEXT)
 
 
 def test_fixture_text_requires_headers():
