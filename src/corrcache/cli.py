@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .allocation import optimize_allocation
-from .delivery import SCHEMES, DeliveryPlan, decode, place
+from .delivery import SCHEMES, DeliveryPlan, place
 from .model import (
     CacheAllocation,
     ContentStore,
@@ -33,7 +33,7 @@ from .rates import (
     cicc_rate,
     cutset_bound,
 )
-from .verification import verify_all_demands
+from .verification import decode_failures, verify_all_demands
 from . import __version__
 
 __all__ = ["SweepResult", "main", "rate_row", "run_sweep"]
@@ -57,7 +57,7 @@ class SweepResult:
         s = self.spec
         header = (
             f"# n={s.n_files} k={s.n_users} m={s.cache_capacity:g} "
-            f"file_bits={s.file_bits} sweep_level={s.sweep_level} seed={s.seed}"
+            f"file_bits={s.file_bits} sweep_level={s.sweep_level} seed=0"
         )
         rows = zip(self.x_values, self.r_cauc, self.r_cacc, self.r_cicc, self.r_cutset)
         return _curve_csv(header, "x", rows)
@@ -265,17 +265,7 @@ def _cmd_simulate(args) -> int:
     caches = place(config, alloc, store, scheme)
     transcript = plan.deliver(demands)
 
-    # Each demanded file is computed once and checked against all its
-    # requesters, one file at a time, so no two files are held at once.
-    requesters = {}
-    for user, d in enumerate(demands, start=1):
-        requesters.setdefault(d, []).append(user)
-    ok = True
-    for d, users in requesters.items():
-        want = store.file_bits(d)
-        for user in users:
-            if decode(user, caches[user - 1], transcript, demands) != want:
-                ok = False
+    failures = decode_failures(caches, transcript, demands, store)
     per_level = ";".join(
         f"{l}:{b}" for l, b in sorted(transcript.per_level_bits.items())
     )
@@ -286,10 +276,12 @@ def _cmd_simulate(args) -> int:
         f"rate={transcript.rate:.10g}",
         f"step_counts={','.join(map(str, transcript.step_counts))}",
         f"per_level_bits={per_level}",
-        f"decode={'ok' if ok else 'FAILED'}",
+        f"decode={'FAILED' if failures else 'ok'}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+    for line in failures:
+        print(f"violation: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_verify(args) -> int:
@@ -330,11 +322,10 @@ def _cmd_sweep(args) -> int:
             file_bits=_or(args.file_bits, _FILE_BITS),
             sweep_level=_or(args.sweep_level, 2),
             grid=grid,
-            seed=_or(args.seed, 0),
         )
         _emit(run_sweep(spec).to_csv(), args.out)
         return 0
-    _refuse(args, ("--sweep-level", "--seed"), "not used by a capacity sweep")
+    _refuse(args, ("--sweep-level",), "not used by a capacity sweep")
     sizes = _sizes_from_args(args, exact=True)
     if args.level_sizes is not None:
         library = "level_sizes=" + ",".join(f"{s:g}" for s in sizes)
@@ -411,8 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="comma list of grid points: ratios (default 0,0.1,...,1) "
                         "with --m, else capacities in files (default N*i/10)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="ratio sweep: seed echoed in the header (default 0)")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -36,15 +36,22 @@ vector only gathers its coded step patterns (the column table read at its
 users' window positions) and reuses the set's remainder records as they
 are.
 
+One table per (K, t), `_step_table`, states a share-t step once: its
+C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
+payload XORs, each the member's part labeled V minus the member; and per
+user, the parts it caches and its decode program, which lists per part it
+lacks the payload V (the part's label plus the user) and the other
+members' terms to XOR in.  Placement's part templates, `_xor_step` and the
+decoder all read it; nothing else walks a step's labels and members.
+
 Decoding is one part-indexed kernel (`_decode_parts`), which `decode` and
-the verifier both call.  A user's program for a share-t step lists, per
-part it lacks, the payload to read and the cached (member, part) terms to
-XOR in; it depends only on (K, t, user).  A payload whose user set has no
-leader is not sent: the step's equality pattern (its step items renumbered
-by first occurrence) fixes the family of sent payloads that XOR to it.
-Both memos are bounded.  The kernel reads cached parts through a per-item
-part table: `decode` fills it lazily from the cache, in place; the
-verifier splits each item once per sweep.
+the verifier both call: it runs the user's program from the table.  A
+payload whose user set has no leader is not sent: the step's equality
+pattern (its step items renumbered by first occurrence) fixes the family
+of sent payloads that XOR to it.  The table and family memos are both
+bounded.  The kernel reads cached parts through a per-item part table:
+`decode` fills it lazily from the cache, in place; the verifier splits
+each item once per sweep.
 
 Content layout conventions (shared by placement, delivery, and decode):
 an item is a subfile ("sub", mask) or a whole file ("file", index); an
@@ -60,6 +67,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .combinat import (
     comb0,
@@ -238,14 +246,12 @@ class UserCache:
 
 
 def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
-    """Per-user OR-mask of the part segments a user caches (offset 0)."""
+    """Per-user OR-mask of the part segments a user caches (offset 0),
+    indexed by user (entry 0 unused)."""
     seg = (1 << psize) - 1
-    tpl = [0] * (n_users + 1)
-    for i, lab in enumerate(part_labels(n_users, t)):
-        block = seg << (i * psize)
-        for u in members_of(lab):
-            tpl[u] |= block
-    return tuple(tpl)
+    return (0,) + tuple(
+        sum(seg << (i * psize) for i in held) for held in _step_table(n_users, t).held
+    )
 
 
 def _check_budget(config, caches, pad_bits):
@@ -334,9 +340,46 @@ class Transcript:
 # ---------------------------------------------------------------------------
 # coded steps
 
-@lru_cache(maxsize=None)
-def _label_index(n_users: int, t: int) -> dict:
-    return {lab: i for i, lab in enumerate(part_labels(n_users, t))}
+class _StepTable(NamedTuple):
+    """The structure of every share-t step among K users (`_step_table`).
+
+    rows: per (t+1)-user set V, in part_labels order, the payload's terms
+    (member index u, part index j): the part of user u + 1's step item
+    labeled V minus u + 1.  held[u]: the part indices user u + 1 caches.
+    programs[u]: per part i user u + 1 lacks, in part order, (i, V, the
+    other members' terms of V), V being the part's label plus the user.
+    """
+
+    labels: tuple
+    rows: tuple
+    held: tuple
+    programs: tuple
+
+
+# Bounded: a pass over many configs at K = 8 would otherwise keep every
+# (K, t) table it met; a placement, delivery or decode uses at most K + 1.
+@lru_cache(maxsize=16)
+def _step_table(n_users: int, t: int) -> _StepTable:
+    """The one walk over a share-t step's part labels and members: who
+    caches which part (placement), what each payload XORs (`_xor_step`) and
+    what each user reads to rebuild its missing parts (`_decode_parts`)."""
+    labels = part_labels(n_users, t)
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows = tuple(
+        (v, tuple((u - 1, index[v ^ 1 << (u - 1)]) for u in members_of(v)))
+        for v in part_labels(n_users, t + 1)
+    )
+    users = range(n_users)
+    held = tuple(tuple(i for i, lab in enumerate(labels) if lab >> u & 1) for u in users)
+    programs = tuple(
+        tuple(
+            (index[v ^ 1 << u], v, tuple(term for term in terms if term[0] != u))
+            for v, terms in rows
+            if v >> u & 1
+        )
+        for u in users
+    )
+    return _StepTable(labels, rows, held, programs)
 
 
 def _leaders(step_items) -> int:
@@ -359,27 +402,21 @@ def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
     distinct step items (L leaders), C(K-L, t+1) of the C(K, t+1) user sets
     avoid every leader, so the step sends C(K, t+1) - C(K-L, t+1) payloads.
     """
-    t = layer.t
-    index = _label_index(n_users, t)
-    psize = layer.size // comb0(n_users, t)
+    table = _step_table(n_users, layer.t)
+    offset, psize = layer.offset, layer.size // len(table.labels)
     pmask = (1 << psize) - 1
     leader_mask = _leaders(step_items)
-    contents = {}
+    contents = dict.fromkeys(step_items)
+    for key in contents:
+        contents[key] = content_of(key)
+    member_bits = [contents[key] for key in step_items]
     payloads = {}
-    for v in part_labels(n_users, t + 1):
+    for v, terms in table.rows:
         if not v & leader_mask:
             continue
         y = 0
-        vv = v
-        while vv:
-            b = vv & -vv
-            vv ^= b
-            key = step_items[b.bit_length() - 1]
-            c = contents.get(key)
-            if c is None:
-                c = contents[key] = content_of(key)
-            pos = layer.offset + index[v ^ b] * psize
-            y ^= (c >> pos) & pmask
+        for u, j in terms:
+            y ^= (member_bits[u] >> (offset + j * psize)) & pmask
         payloads[v] = y
     return StepRecord(
         level=level,
@@ -420,10 +457,9 @@ class DeliveryPlan:
 
     A plan is built from (config, alloc, store, schedule source, seed,
     scheme).  It runs the input checks and loads the fixture once; holds,
-    per placement group, the group's items with their file-set masks, its
-    count of demanded items per number of distinct demanded files, and its
-    delivered sublayers (t < K, size > 0) with their part sizes and step
-    memos; and builds, per (window, group), the scheme's column table.
+    per placement group, the group's items with their file-set masks and
+    its delivered sublayers (t < K, size > 0) with their part sizes and
+    step memos; and builds, per (window, group), the scheme's column table.
     Step payloads depend on the demand vector only through the per-step
     item pattern, so deliveries of many demand vectors through one plan
     (``plan.deliver(demands)``) share almost all bit-level work.  cicc
@@ -456,21 +492,16 @@ class DeliveryPlan:
         self.store = store
         self.seed = seed
         self.scheme = scheme
-        n, k = config.n_files, config.n_users
+        k = config.n_users
         levels = []
         for level, items, layers, _ in _groups(config, alloc, scheme):
             members = tuple((_files_of(item), item) for item in items)
-            # demanded_count[d]: the group's items touching d distinct files
-            demanded_count = tuple(
-                d if level == 0 else comb0(n, level) - comb0(n - d, level)
-                for d in range(n + 1)
-            )
             sublayers = tuple(
                 (layer, layer.size // comb0(k, layer.t), {})
                 for layer in layers
                 if layer.t < k and layer.size > 0
             )
-            levels.append((level, members, demanded_count, sublayers))
+            levels.append((level, members, sublayers))
         self._levels = tuple(levels)
         self._fixture = (
             self._load_fixture(schedule_source) if schedule_source is not None else None
@@ -494,7 +525,7 @@ class DeliveryPlan:
             raise ValueError(
                 f"fixture fixed part {fixture.fixed_part} lies outside 1..{n}"
             )
-        if fixture.level not in [level for level, _, _, subs in self._levels if subs]:
+        if fixture.level not in [level for level, _, subs in self._levels if subs]:
             raise ValueError(f"fixture level {fixture.level} has no delivered sublayer")
         return fixture
 
@@ -545,8 +576,9 @@ class DeliveryPlan:
         A step whose column holds L distinct items at the demanded window
         positions sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
         The coded steps go out when they total no more than the floor: one
-        remainder step of C(K-1, t) payloads per demanded item, every
-        demanded item's uncached size*(K-t)/K bits once.  Either way a level
+        remainder step of C(K-1, t) payloads per demanded item (an item
+        touching a demanded file, listed once per set), every demanded
+        item's uncached size*(K-t)/K bits once.  Either way a level
         costs the lesser of the two, the cacc formula's min(alpha, m).
         cicc's single coded step never exceeds the floor: C(K,t+1) -
         C(K-N_e,t+1) <= N_e*C(K-1,t) for N_e distinct demanded files.
@@ -556,24 +588,20 @@ class DeliveryPlan:
         window = _window(self.config.n_files, k, demands)
         positions = [i for i, f in enumerate(window) if demand_mask >> (f - 1) & 1]
         groups = []
-        for level, members, demanded_count, sublayers in self._levels:
+        for level, members, sublayers in self._levels:
             table = self._column_table(window, level) if sublayers else None
+            # one remainder step per demanded item, should the coded steps cost more
+            remainder = [(item,) * k for files, item in members if files & demand_mask]
             if table is not None:
                 # number of coded steps per count of distinct step items
                 steps_with = Counter([len({col[i] for i in positions}) for col in table])
-                floor_items = demanded_count[len(positions)]
-            remainder = None
             sent = []
             for layer, psize, steps in sublayers:
                 if table is not None and sum([
                     c * step_payloads(k, layer.t, n) for n, c in steps_with.items()
-                ]) <= floor_items * comb0(k - 1, layer.t):
+                ]) <= len(remainder) * comb0(k - 1, layer.t):
                     sent.append(None)  # coded: gathered per demand vector
                     continue
-                if remainder is None:
-                    remainder = [
-                        (item,) * k for files, item in members if files & demand_mask
-                    ]
                 records = tuple(self._records(level, layer, steps, remainder))
                 sent.append((records, psize * sum([len(r.payloads) for r in records])))
             groups.append((level, sublayers, table, tuple(sent)))
@@ -685,34 +713,8 @@ def _pattern(step_items):
     return pattern, tuple(ids)
 
 
-# Both memos are bounded: a pass over many configs at K = 8 would otherwise
-# keep every (K, t, user) program and every (pattern, V) family it met.  A
-# sweep or a decode cycles through at most K users times two shares.
-@lru_cache(maxsize=16)
-def _program(n_users: int, t: int, user: int) -> tuple:
-    """How `user` rebuilds the parts of its step item it lacks in a share-t
-    step: per part i whose label avoids the user, the payload key V = label
-    + user and the cache terms (member index, part index) to XOR in.  Each
-    term is the user's cached part of another member's step item, labeled V
-    minus that member, so its label contains the user.  A V without a leader
-    is not sent; the step's equality pattern picks its family (_family)."""
-    index = _label_index(n_users, t)
-    kbit = 1 << (user - 1)
-    out = []
-    for i, lab in enumerate(part_labels(n_users, t)):
-        if lab & kbit:
-            continue
-        v = lab | kbit
-        terms = []
-        rest = lab
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            terms.append((b.bit_length() - 1, index[v ^ b]))
-        out.append((i, v, tuple(terms)))
-    return tuple(out)
-
-
+# Bounded: a pass over many configs would otherwise keep every (pattern, V)
+# family it met.
 @lru_cache(maxsize=256)
 def _family(pattern, v: int) -> tuple[int, ...]:
     """The sent payloads whose XOR is the unsent leaderless payload V.
@@ -746,7 +748,7 @@ def _decode_parts(user: int, rec: StepRecord, pattern, parts) -> list:
     leader_mask = rec.leader_mask
     pmask = (1 << rec.part_size) - 1
     out = []
-    for i, v, terms in _program(len(pattern), rec.layer.t, user):
+    for i, v, terms in _step_table(len(pattern), rec.layer.t).programs[user - 1]:
         if v & leader_mask:
             y = payloads[v]
         else:

@@ -144,9 +144,6 @@ class CacheAllocation:
         """Build from per-level replication counts t_l = K * p_l."""
         return cls(tuple(c / n_users for c in counts))
 
-    def replication(self, n_users: int) -> tuple[float, ...]:
-        return tuple(p * n_users for p in self.fractions)
-
     def cached_bits(self, config: LibraryConfig):
         """Bits one user stores under this allocation: sum binom(N,l) p_l F_l."""
         n = config.n_files
@@ -196,9 +193,6 @@ class ContentStore:
                 contents[m] = random.Random(mix_seed(seed, level, m)).getrandbits(size)
         return cls(config=config, seed=seed, _contents=contents)
 
-    def subfile_bits(self, mask: int) -> int:
-        return self._contents[mask]
-
     def item_bits(self, item) -> int:
         """Bits of a placement/delivery item: ("sub", mask) is a subfile,
         ("file", i) a whole file."""
@@ -229,7 +223,6 @@ class ExperimentSpec:
     file_bits: int
     sweep_level: int = 2
     grid: tuple[float, ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))

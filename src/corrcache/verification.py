@@ -10,7 +10,9 @@ Every transmitted section is one leader-based XOR step whose payloads
 depend on demands only through its step-item pattern, so one plan plus
 per-record decode checks keep the full N^K sweep fast without weakening
 the quantifier: every emitted section is verified for every user, and
-sampled demands additionally run the end-to-end decoder.
+sampled demands additionally run the end-to-end decoder through
+`decode_failures`, the one whole-file decode check, which `corrcache
+simulate` runs too.
 
 The step check runs delivery's decode kernel (`_decode_parts`), the one
 decoder, on each distinct step record for every user, reading the caches
@@ -36,13 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .combinat import comb0
 from .delivery import (
     DeliveryPlan,
     StepRecord,
     _CachedParts,
     _decode_parts,
     _pattern,
+    _step_table,
     decode,
     place,
 )
@@ -105,6 +107,31 @@ def worst_case_demand(config: LibraryConfig) -> tuple[int, ...]:
     return tuple(i % n + 1 for i in range(k))
 
 
+def decode_failures(caches, transcript, demands, store) -> list[str]:
+    """Decode every user's file from its cache and the transcript and check
+    it against the store: one line per failing user, in user order, for a
+    decode that raises or one that returns wrong bits.
+
+    Each demanded file is assembled once and checked against all its
+    requesters, one file at a time, so no two files are held at once.
+    """
+    requesters = {}
+    for user, d in enumerate(demands, start=1):
+        requesters.setdefault(d, []).append(user)
+    failures = []
+    for d, users in requesters.items():
+        want = store.file_bits(d)
+        for user in users:
+            try:
+                got = decode(user, caches[user - 1], transcript, demands)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the caller
+                failures.append((user, f"user {user} decode raised {exc!r}"))
+                continue
+            if got != want:
+                failures.append((user, f"user {user} decode mismatch"))
+    return [line for _, line in sorted(failures)]
+
+
 def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
     """Every user must rebuild its step item's layer slice exactly, from the
     transcript record and its own cache alone.
@@ -117,7 +144,7 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
     out = []
     tag = f"level {rec.level} step {rec.step_items}"
     layer, psize = rec.layer, rec.part_size
-    nparts = comb0(len(caches), layer.t)
+    nparts = len(_step_table(len(caches), layer.t).labels)
     memo = layer_parts.get(layer)
     if memo is None:
         memo = layer_parts[layer] = ({}, [{} for _ in caches])
@@ -190,7 +217,6 @@ def verify_all_demands(
     passed: set = set()
     failed: set = set()
     layer_parts: dict = {}
-    file_bits_true = {}
     file_size = config.file_size
     limit = formula * file_size + 1e-9 * file_size + 1e-6
     for idx, d in enumerate(all_demands):  # product tuples are valid demands
@@ -219,20 +245,9 @@ def verify_all_demands(
             demand_ok = False
 
         if idx in sample_idx:
-            transcript = plan.deliver(d)
-            for user in range(1, k + 1):
-                want = file_bits_true.get(d[user - 1])
-                if want is None:
-                    want = file_bits_true[d[user - 1]] = store.file_bits(d[user - 1])
-                try:
-                    got = decode(user, caches[user - 1], transcript, d)
-                except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-                    violations.append(f"demand {d}: user {user} decode raised {exc!r}")
-                    demand_ok = False
-                    continue
-                if got != want:
-                    violations.append(f"demand {d}: user {user} decode mismatch")
-                    demand_ok = False
+            failures = decode_failures(caches, plan.deliver(d), d, store)
+            violations.extend(f"demand {d}: {line}" for line in failures)
+            demand_ok = demand_ok and not failures
         ok_flags.append(demand_ok)
 
     max_rate = max(rates) if rates else 0.0

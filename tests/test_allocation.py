@@ -38,7 +38,7 @@ def test_single_level_budget_at_vertex():
     cap = (10 * f2 * 2 / 5) / config.file_size
     config = LibraryConfig(5, 5, cap, config.subfile_sizes)
     sol = optimize_allocation(config)
-    assert sol.alloc.replication(5)[1] == pytest.approx(2.0)
+    assert sol.alloc.fractions[1] * 5 == pytest.approx(2.0)
     curve = build_level_curve(config, 2)
     assert sol.rate == pytest.approx(curve.envelope_value(2.0))
 
@@ -51,7 +51,7 @@ def test_stop_inside_segment_avoids_integer_share():
     cap = (10 * f2 * 1 / 5) / config.file_size  # lands exactly on t=1
     config = LibraryConfig(5, 5, cap, config.subfile_sizes)
     sol = optimize_allocation(config)
-    t = sol.alloc.replication(5)[1]
+    t = sol.alloc.fractions[1] * 5
     assert t != 1.0 and abs(t - 1.0) < 1e-4
     curve = build_level_curve(config, 2)
     assert sol.rate <= curve.envelope_value(1.0) + 1e-4 * f2 / config.file_size
@@ -80,7 +80,7 @@ def test_greedy_rate_is_cacc_rate_exactly():
         config = random_config(rng, n_max=8, k_max=8)
         sol = optimize_allocation(config)
         assert sol.rate == cacc_rate(config, sol.alloc)
-        shares = sol.alloc.replication(config.n_users)
+        shares = [p * config.n_users for p in sol.alloc.fractions]
         fractional += any(t != round(t) for t in shares)
     assert fractional >= 10
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrcache
-from corrcache import ExperimentSpec, LibraryConfig, __version__
+from corrcache import ExperimentSpec, LibraryConfig, __version__, cli
 from corrcache.cli import main, rate_row, run_sweep
 from corrcache.model import exact_sizes_from_ratios
 from corrcache.scheduling import EXAMPLE1_TEXT
@@ -73,6 +74,38 @@ def test_simulate_cauc_with_capacity_uses_whole_bit_uncoded_prefixes(capsys):
     )
     assert rc == 0 and "decode=ok" in out
     assert "per_level_bits=1:12;2:0;3:0" in out
+
+
+def test_simulate_reports_a_decode_fault_and_exits_1(capsys, monkeypatch):
+    """User 1's cache loses one bit of subfile {1}, so its decode raises.
+    simulate still prints every result line, with decode=FAILED, reports
+    the user on stderr and exits 1 (a decode failure, not a usage error)."""
+    place = cli.place
+
+    def place_dropping_a_bit(*args, **kwargs):
+        caches = place(*args, **kwargs)
+        item = ("sub", 0b001)
+        mask = caches[0].known_masks[item]
+        caches[0].known_masks[item] = mask & (mask - 1)
+        caches[0].known_bits[item] &= mask & (mask - 1)
+        return caches
+
+    monkeypatch.setattr(cli, "place", place_dropping_a_bit)
+    rc, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "3", "--k", "3", "--level-sizes", "6,6,6",
+        "--t", "1,1,1", "--demands", "1,2,3",
+    )
+    assert rc == 1
+    lines = out.splitlines()
+    assert [line.partition("=")[0] for line in lines[1:]] == [
+        "demands", "total_bits", "rate", "step_counts", "per_level_bits", "decode",
+    ]
+    assert lines[-1] == "decode=FAILED"
+    assert err.splitlines() == [
+        "violation: user 1 decode raised "
+        "RuntimeError(\"user 1 cannot reconstruct ('sub', 1)\")"
+    ]
 
 
 def test_rates_requires_capacity(capsys):
@@ -170,7 +203,7 @@ def test_sweep_capacity_axis(capsys):
         ("sweep", "--m", "1", "--ratios", "0.5,0.5"),
         ("sweep", "--m", "1", "--level-sizes", "4,4"),
         ("sweep",),
-        ("sweep", "--ratios", "0.5,0.5", "--seed", "3"),
+        ("simulate", "--level-sizes", "6,6", "--file-bits", "5", "--demands", "1,2"),
         ("sweep", "--ratios", "0.5,0.5", "--sweep-level", "2"),
         ("rates", "--m", "1", "--level-sizes", "6,6", "--ratios", "0.9,0.1", "--file-bits", "5"),
         ("rates", "--m", "1", "--level-sizes", "6,6", "--ratios", "0.9,0.1"),
@@ -186,10 +219,16 @@ def test_flags_that_would_be_ignored_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["rates", "optimize"])
+@pytest.mark.parametrize("command", ["rates", "optimize", "sweep"])
 def test_formula_commands_take_no_seed(capsys, command):
+    """No formula-only command takes --seed: argparse refuses it (exit 2).
+    The sweep's library flags pick the capacity axis, which draws nothing
+    at random either."""
+    library = ["--m", "1", "--level-sizes", "6,6"]
+    if command == "sweep":
+        library = ["--ratios", "0.5,0.5"]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--n", "2", "--k", "2", "--m", "1", "--level-sizes", "6,6", "--seed", "3"])
+        main([command, "--n", "2", "--k", "2", *library, "--seed", "3"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -440,6 +479,9 @@ def test_public_api_resolves_and_removed_names_are_gone():
             assert hasattr(module, name), f"{module.__name__}.{name}"
         for name in REMOVED_API:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(corrcache.CacheAllocation, "replication")
+    assert not hasattr(corrcache.ContentStore, "subfile_bits")
+    assert "seed" not in {f.name for f in dataclasses.fields(ExperimentSpec)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +518,7 @@ _COMMAND_FLAGS = {
         "--m", "--ratios", "--level-sizes", "--file-bits", "--seed", "--t", "--scheme",
     ),
     "sweep": (
-        "--m", "--ratios", "--level-sizes", "--file-bits", "--seed", "--sweep-level",
-        "--grid",
+        "--m", "--ratios", "--level-sizes", "--file-bits", "--sweep-level", "--grid",
     ),
 }
 

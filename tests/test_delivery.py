@@ -20,7 +20,7 @@ from corrcache import (
     place,
 )
 from corrcache import delivery
-from corrcache.combinat import comb0, part_labels, step_payloads
+from corrcache.combinat import comb0, members_of, part_labels, step_payloads
 from corrcache.delivery import (
     LayerSpec,
     StepRecord,
@@ -28,6 +28,7 @@ from corrcache.delivery import (
     _decode_parts,
     _part_templates,
     _pattern,
+    _step_table,
     _window,
     _xor_step,
     cacc_layers,
@@ -138,7 +139,7 @@ def test_place_splits_at_integer_share():
     m = 0b00011
     got = caches[0].known_bits[("sub", m)]
     mask = caches[0].known_masks[("sub", m)]
-    assert got == store.subfile_bits(m) & mask
+    assert got == store.item_bits(("sub", m)) & mask
 
 
 def test_place_rejects_overcommitted_allocation():
@@ -227,6 +228,37 @@ def test_opaque_delivery_repeats_cost_less():
 
 
 # ---------------------------------------------------------------------------
+# the share-t step table
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_step_table_rows_and_programs(k):
+    """For every t < K: the rows touching users 1..L number the step's
+    payload count step_payloads(K, t, L) for every L <= K, every term's part
+    is labeled V minus its member, and each user's held parts and its
+    program's parts partition the C(K, t) parts."""
+    for t in range(k):
+        table = _step_table(k, t)
+        labels = part_labels(k, t)
+        assert table.labels == labels
+        for n_leaders in range(k + 1):
+            touching = [v for v, _ in table.rows if v & ((1 << n_leaders) - 1)]
+            assert len(touching) == step_payloads(k, t, n_leaders), (t, n_leaders)
+        rows = dict(table.rows)
+        assert list(rows) == list(part_labels(k, t + 1))
+        for v, terms in table.rows:
+            assert [u + 1 for u, _ in terms] == list(members_of(v))
+            assert all(labels[j] == v & ~(1 << u) for u, j in terms)
+        for u in range(k):
+            held = table.held[u]
+            lacked = [i for i, _, _ in table.programs[u]]
+            assert sorted(held + tuple(lacked)) == list(range(comb0(k, t)))
+            assert all(labels[i] >> u & 1 for i in held)
+            for i, v, terms in table.programs[u]:
+                assert labels[i] | 1 << u == v
+                assert terms == tuple(term for term in rows[v] if term[0] != u)
+
+
+# ---------------------------------------------------------------------------
 # content-free decodability of the XOR-step kernel
 
 def _equality_patterns(k):
@@ -299,7 +331,7 @@ def test_random_delivery_payload_near_unknown_count():
             mask |= ((1 << psize) - 1) << (i * psize)
             bits |= y << (i * psize)
         assert mask == (1 << 1000) - 1
-        assert bits == store.subfile_bits(0b11111)
+        assert bits == store.item_bits(("sub", 0b11111))
 
 
 def assert_plain_sends(records, masks, store, size):
@@ -308,7 +340,7 @@ def assert_plain_sends(records, masks, store, size):
     for rec, m in zip(records, masks):
         assert rec.leader_mask == 0b001
         assert rec.part_size == size
-        assert rec.payloads == {0b001: store.subfile_bits(m)}
+        assert rec.payloads == {0b001: store.item_bits(("sub", m))}
 
 
 def test_random_delivery_uncached_layer_ships_plain():

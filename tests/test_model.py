@@ -136,7 +136,6 @@ def test_demand_vector_validation():
 def test_allocation_replication_roundtrip():
     alloc = CacheAllocation.from_replication((2, 1), 4)
     assert alloc.fractions == (0.5, 0.25)
-    assert alloc.replication(4) == (2.0, 1.0)
     with pytest.raises(ValueError):
         CacheAllocation((1.5, 0.0))
 
@@ -170,7 +169,7 @@ def test_content_store_file_assembly():
     assert layout == [(0b010, 4, 0), (0b011, 4, 4), (0b110, 4, 8), (0b111, 4, 12)]
     want = 0
     for m, _, offset in layout:
-        want |= store.subfile_bits(m) << offset
+        want |= store.item_bits(("sub", m)) << offset
     assert store.file_bits(2) == want
     assert store.file_bits(2).bit_length() <= config.file_size
 
@@ -182,7 +181,7 @@ def test_content_store_deterministic_per_level():
     a = ContentStore.generate(LibraryConfig(3, 2, 0.0, (6, 12, 0)), seed=3)
     b = ContentStore.generate(LibraryConfig(3, 2, 0.0, (0, 12, 6)), seed=3)
     for m in subset_masks(range(1, 4), 2):
-        assert a.subfile_bits(m) == b.subfile_bits(m)
+        assert a.item_bits(("sub", m)) == b.item_bits(("sub", m))
 
 
 def test_content_store_rejects_fractional_sizes():

@@ -20,7 +20,7 @@ from corrcache import (
 )
 from corrcache import delivery, verification
 from corrcache.combinat import divisibility_unit
-from corrcache.delivery import _family, _pattern, _program, cacc_layers
+from corrcache.delivery import _family, _pattern, _step_table, cacc_layers
 
 
 def test_two_user_grid_clean():
@@ -297,8 +297,9 @@ def test_corrupt_payload_caught_through_family_xor(monkeypatch):
     target = (a, a, a, b)
     pattern, _ = _pattern(target)
     leaders = 0b1001
-    sent = [v for _, v, _ in _program(4, 1, 2) if v & leaders]
-    family = [_family(pattern, v) for _, v, _ in _program(4, 1, 2) if not v & leaders]
+    program = _step_table(4, 1).programs[1]  # user 2's
+    sent = [v for _, v, _ in program if v & leaders]
+    family = [_family(pattern, v) for _, v, _ in program if not v & leaders]
     assert 0b0101 not in sent and family == [(0b0011, 0b0101)]
 
     def corrupt(rec):
