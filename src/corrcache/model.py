@@ -278,8 +278,3 @@ def ratios_to_sizes(spec: ExperimentSpec) -> LibraryConfig:
         cache_capacity=spec.cache_capacity,
         subfile_sizes=tuple(sizes),
     )
-
-
-def rounding_loss_bits(spec: ExperimentSpec, config: LibraryConfig):
-    """Total file-size deficit introduced by divisibility rounding."""
-    return spec.file_bits - config.file_size

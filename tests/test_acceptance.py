@@ -390,10 +390,10 @@ def test_criterion_7_schedule_validity(capsys):
     start = time.perf_counter()
     failures = []
     built = 0
-    for w in range(1, 9):
+    for w in range(1, 11):
         window = tuple(range(1, w + 1))
         for s in (0, 1, 2):
-            if w + s > 8:
+            if w + s > max(w, 8):  # w + s <= 8, and windows 9, 10 at s = 0
                 continue
             fixed = tuple(range(w + 1, w + s + 1))
             for block in range(1, w + 1):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrcache
-from corrcache import ExperimentSpec, LibraryConfig, __version__, cli
+from corrcache import ExperimentSpec, LibraryConfig, __version__, cli, scheduling
 from corrcache.cli import main, rate_row, run_sweep
 from corrcache.model import exact_sizes_from_ratios
 from corrcache.scheduling import EXAMPLE1_TEXT
@@ -253,6 +253,32 @@ def test_verify_prints_formula_gap(capsys):
     assert "# max_rate=1.25 argmax=1-1-1-2 gap=0.25 violations=0" in out
 
 
+K9_SIMULATE = (
+    "simulate", "--n", "9", "--k", "9", "--level-sizes", "0,0,252",
+    "--t", "0,0,1", "--demands", "1,2,3,4,5,6,7,8,9",
+)
+
+
+def test_simulate_nine_users_finishes_and_decodes(capsys):
+    """Window 9 with blocks of 3 needs hundreds of budgeted schedule
+    attempts; the command still finishes and every user decodes."""
+    rc, out, _ = run_cli(capsys, *K9_SIMULATE)
+    assert rc == 0
+    assert out.splitlines()[-1] == "decode=ok"
+
+
+def test_schedule_out_of_attempts_exits_2(capsys, monkeypatch):
+    """The same command with one schedule attempt: the first attempt
+    dead-ends, so simulate reports the shape and exits 2, no traceback."""
+    monkeypatch.setattr(scheduling, "_ATTEMPTS", 1)
+    rc, out, err = run_cli(capsys, *K9_SIMULATE)
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [
+        "error: no schedule found for window=(1, 2, 3, 4, 5, 6, 7, 8, 9) "
+        "fixed=() level=3"
+    ]
+
+
 def test_usage_errors_exit_2(capsys):
     # demanded file index outside the library
     rc, _, err = run_cli(
@@ -462,7 +488,7 @@ def test_package_imports_without_numpy():
 REMOVED_API = (
     "UncodedRecord", "SubfileId", "DemandVector", "step_demands", "pool_subfiles",
     "compare_schemes", "RatePoint", "window_for", "remainder_delivery",
-    "cauc_place", "cicc_place", "cicc_deliver", "schedule_to_text",
+    "cauc_place", "cicc_place", "cicc_deliver", "schedule_to_text", "rounding_loss_bits",
 )
 
 

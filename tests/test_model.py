@@ -22,7 +22,6 @@ from corrcache.model import (
     as_demands,
     exact_sizes_from_ratios,
     file_layout,
-    rounding_loss_bits,
 )
 
 
@@ -221,7 +220,7 @@ def test_ratios_to_sizes_rounds_down_to_unit(n, k):
     config = ratios_to_sizes(spec)
     unit = divisibility_unit(k)
     assert all(s % unit == 0 for s in config.subfile_sizes)
-    loss = rounding_loss_bits(spec, config)
+    loss = spec.file_bits - config.file_size
     assert 0 <= loss < unit * n
 
 

@@ -161,15 +161,17 @@ def test_shipped_fixture_file_matches_builtin():
 
 def schedule_shapes():
     """(window size, fixed-part size, block, seeds) of every pinned shape:
-    criterion 7's grid at seeds 0-19, plus three shapes at seed 0 on which
-    every seeded attempt fails and the exhaustive order builds the schedule."""
+    criterion 7's grid up to window 8 at seeds 0-19, plus six window-9 and
+    window-10 shapes at seed 0 whose first descent dead-ends: (9, 4),
+    (10, 3) and (10, 4) backtrack to a schedule within four attempts, while
+    (9, 3), (9, 6) and (10, 6) need 294, 95 and 23."""
     for w in range(1, 9):
         for s in (0, 1, 2):
             if w + s > 8:
                 continue
             for block in range(1, w + 1):
                 yield w, s, block, range(20)
-    for w, block in ((9, 4), (10, 3), (10, 4)):
+    for w, block in ((9, 4), (10, 3), (10, 4), (9, 3), (9, 6), (10, 6)):
         yield w, 0, block, (0,)
 
 
@@ -195,20 +197,19 @@ def test_schedules_match_golden_digest():
     assert not changed, f"{len(changed)} shapes changed, first: {changed[0]}"
 
 
-def test_exhaustive_order_needs_no_recursion():
-    """Window 12, block 6: the exhaustive order's path is one pick per pool
+def test_search_needs_no_recursion():
+    """Window 12, block 6: a schedule's search path is one pick per pool
     block, 924 deep, beyond Python's default recursion limit."""
-    window = tuple(range(1, 13))
-    pool = subset_masks(window, 6)
-    columns = scheduling._search(pool, mask_of(window), 6, comb0(11, 5))
-    assert columns is not None
-    sched = AssignmentSchedule(
-        window=window,
-        fixed_part=(),
-        level=6,
-        columns=tuple(tuple(col[i] for i in window) for col in columns),
-    )
+    sched = generate_schedule(range(1, 13), (), 6)
     assert validate_schedule(sched) == []
+    assert sched.n_columns == comb0(11, 5)
+
+
+def test_search_out_of_attempts_raises_naming_the_shape(monkeypatch):
+    """(9, 3) at seed 0 needs hundreds of attempts; with one it runs out."""
+    monkeypatch.setattr(scheduling, "_ATTEMPTS", 1)
+    with pytest.raises(RuntimeError, match=r"window=\(1, 2, 3, 4, 5, 6, 7, 8, 9\) fixed=\(\) level=3"):
+        generate_schedule(range(1, 10), (), 3, seed=0)
 
 
 if __name__ == "__main__":
