@@ -15,7 +15,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from .allocation import optimize_allocation
 from .delivery import SCHEMES, DeliveryPlan, place
@@ -36,31 +35,10 @@ from .rates import (
 from .verification import decode_failures, verify_all_demands
 from . import __version__
 
-__all__ = ["SweepResult", "main", "rate_row", "run_sweep"]
+__all__ = ["main", "rate_row"]
 
 _DEFAULT_GRID = tuple(i / 10 for i in range(11))
 _FILE_BITS = 100_000
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Rate curves of the four schemes along one commonness-ratio sweep."""
-
-    spec: ExperimentSpec
-    x_values: tuple[float, ...]
-    r_cauc: tuple[float, ...]
-    r_cacc: tuple[float, ...]
-    r_cicc: tuple[float, ...]
-    r_cutset: tuple[float, ...]
-
-    def to_csv(self) -> str:
-        s = self.spec
-        header = (
-            f"# n={s.n_files} k={s.n_users} m={s.cache_capacity:g} "
-            f"file_bits={s.file_bits} sweep_level={s.sweep_level} seed=0"
-        )
-        rows = zip(self.x_values, self.r_cauc, self.r_cacc, self.r_cicc, self.r_cutset)
-        return _curve_csv(header, "x", rows)
 
 
 def rate_row(config: LibraryConfig) -> tuple[float, float, float, float]:
@@ -83,27 +61,6 @@ def _curve_csv(header: str, axis: str, rows) -> str:
     lines = [header, f"{axis},r_cauc,r_cacc,r_cicc,r_cutset"]
     lines.extend(",".join(f"{v:.10g}" for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Evaluate all four rate formulas along the requested ratio grid.
-
-    The swept level carries ratio x and level 1 the complement 1-x; sizes
-    are kept exact (no divisibility rounding) since only formulas run here.
-    """
-    if not 1 <= spec.sweep_level <= spec.n_files:
-        raise ValueError("sweep_level out of range")
-
-    def config_at(x):
-        if not 0 <= x <= 1:
-            raise ValueError(f"grid ratio {x} outside [0, 1]")
-        ratios = [0.0] * spec.n_files
-        ratios[spec.sweep_level - 1] = x
-        ratios[0] += 1 - x
-        sizes = exact_sizes_from_ratios(spec.n_files, ratios, spec.file_bits)
-        return LibraryConfig(spec.n_files, spec.n_users, spec.cache_capacity, sizes)
-
-    return SweepResult(spec, *zip(*_curve(spec.grid or _DEFAULT_GRID, config_at)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +263,8 @@ def _cmd_sweep(args) -> int:
     """The flags pick the axis.  --m fixes the capacity and sweeps the ratio
     of --sweep-level (level 1 takes the complement) over --grid in [0, 1];
     --ratios or --level-sizes fix the library and sweep the capacity over
-    --grid in files, by default N*i/10 for i = 0..10."""
+    --grid in files, by default N*i/10 for i = 0..10.  Either way the rates
+    are formulas on exact sizes, with no divisibility rounding."""
     grid = _floats(args.grid) if args.grid else ()
     if (args.m is not None) == (args.ratios is not None or args.level_sizes is not None):
         raise ValueError(
@@ -314,16 +272,28 @@ def _cmd_sweep(args) -> int:
             "(a capacity sweep)"
         )
     if args.m is not None:
-        spec = ExperimentSpec(
-            n_files=args.n,
-            n_users=args.k,
-            cache_capacity=args.m,
-            ratios=(1.0,) + (0.0,) * (args.n - 1),
-            file_bits=_or(args.file_bits, _FILE_BITS),
-            sweep_level=_or(args.sweep_level, 2),
-            grid=grid,
+        n, level = args.n, _or(args.sweep_level, 2)
+        file_bits = _or(args.file_bits, _FILE_BITS)
+        if file_bits <= 0:
+            raise ValueError("file_bits must be positive")
+        if not 1 <= level <= n:
+            raise ValueError("sweep_level out of range")
+
+        def config_at(x):
+            if not 0 <= x <= 1:
+                raise ValueError(f"grid ratio {x} outside [0, 1]")
+            ratios = [0.0] * n
+            ratios[level - 1] = x
+            ratios[0] += 1 - x
+            sizes = exact_sizes_from_ratios(n, ratios, file_bits)
+            return LibraryConfig(n, args.k, args.m, sizes)
+
+        rows = _curve(grid or _DEFAULT_GRID, config_at)
+        header = (
+            f"# n={n} k={args.k} m={args.m:g} file_bits={file_bits} "
+            f"sweep_level={level} seed=0"
         )
-        _emit(run_sweep(spec).to_csv(), args.out)
+        _emit(_curve_csv(header, "x", rows), args.out)
         return 0
     _refuse(args, ("--sweep-level",), "not used by a capacity sweep")
     sizes = _sizes_from_args(args, exact=True)

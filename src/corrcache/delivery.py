@@ -13,8 +13,10 @@ placement groups (level, items, layers, nominal cached bits per item):
   share (`cacc_layers`);
 * cauc (uncoded) caches a share-K prefix layer of every subfile and leaves
   the rest at share 0;
-* cicc (correlation-ignorant coded) splits whole files, as one group of
-  level 0, at the share K*M/N of the classic envelope.
+* cicc (correlation-ignorant coded) runs on the library seen as N
+  unrelated files, a library whose only subfiles are the level-1 ones,
+  subfile {i} holding file i; it splits them, as one group of level 0, at
+  the share K*M/N of the classic envelope.
 
 `place` spreads every group's layers over the caches.  `DeliveryPlan`
 delivers every group's layers the same way; the scheme only picks the
@@ -54,10 +56,11 @@ bounded.  The kernel reads cached parts through a per-item part table:
 each item once per sweep.
 
 Content layout conventions (shared by placement, delivery, and decode):
-an item is a subfile ("sub", mask) or a whole file ("file", index); an
-integer-share layer of size ``s`` at offset ``o`` within an item is split
-into binom(K, t) equal parts ordered by the canonical part labels, part i
-occupying item positions [o + i*psize, o + (i+1)*psize).
+an item is a nonempty subfile of the library the scheme works on, named by
+its file-set mask (a plain int); an integer-share layer of size ``s`` at
+offset ``o`` within an item is split into binom(K, t) equal parts ordered
+by the canonical part labels, part i occupying item positions
+[o + i*psize, o + (i+1)*psize).
 """
 
 from __future__ import annotations
@@ -171,21 +174,29 @@ def _prefix_bits(alloc: CacheAllocation, level: int, size: int) -> int:
     return c
 
 
-def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
-    """Check the inputs and return the scheme's placement groups (level,
-    items, layers, nominal cached bits per item): one per nonempty level, or
-    one level-0 group of whole files for cicc, which ignores the allocation.
-    Every share-t layer must split into C(K, t) equal parts."""
+def _groups(
+    config: LibraryConfig, alloc: CacheAllocation, store: ContentStore, scheme: str
+):
+    """Check the inputs and return the library the scheme works on, as
+    (config, store, placement groups), each group being (level, items,
+    layers, nominal cached bits per item): one per nonempty level, or for
+    cicc, which ignores the allocation, the library seen as N unrelated
+    files, (F, 0, ..., 0) with subfile {i} holding file i, and one level-0
+    group of its N subfiles.  Every share-t layer must split into C(K, t)
+    equal parts."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not config.is_integral():
         raise ValueError("placement and delivery need integer subfile sizes")
     n, k = config.n_files, config.n_users
     if scheme == "cicc":
+        f = int(config.file_size)
         t_exact = k * min(config.cache_capacity, n) / n
-        layers = _split_layers(int(config.file_size), t_exact, cicc_curve(config), k)
-        items = tuple(("file", i) for i in range(1, n + 1))
-        groups = [(0, items, layers, t_exact * config.file_size / k)]
+        layers = _split_layers(f, t_exact, cicc_curve(config), k)
+        groups = [(0, part_labels(n, 1), layers, t_exact * f / k)]
+        files = {1 << (i - 1): store.file_bits(i) for i in range(1, n + 1)}
+        config = LibraryConfig(n, k, config.cache_capacity, (f,) + (0,) * (n - 1))
+        store = ContentStore(config=config, seed=store.seed, _contents=files)
     else:
         check_allocation(config, alloc)
         groups = []
@@ -206,7 +217,7 @@ def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
                     for layer in (LayerSpec(k, 0, c), LayerSpec(0, c, size - c))
                     if layer.size
                 )
-            groups.append((level, tuple(("sub", m) for m in masks), layers, nominal))
+            groups.append((level, tuple(masks), layers, nominal))
     for _, _, layers, _ in groups:
         for layer in layers:
             nparts = comb0(k, layer.t)
@@ -214,13 +225,12 @@ def _groups(config: LibraryConfig, alloc: CacheAllocation, scheme: str) -> list:
                 raise ValueError(
                     f"layer size {layer.size} not divisible into {nparts} parts"
                 )
-    return groups
+    return config, store, groups
 
 
-def _files_of(item) -> int:
-    """The files an item belongs to, as a file-set mask."""
-    kind, ident = item
-    return ident if kind == "sub" else 1 << (ident - 1)
+def _item_name(item: int) -> str:
+    """An item named by its member files, e.g. {1,3}."""
+    return "{" + ",".join(map(str, members_of(item))) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +284,12 @@ def place(
     """Every user's cache under `scheme`: each group's items are split into
     labeled parts per layer, and each user keeps the parts whose label
     contains it (a share-K layer is one part every user keeps)."""
+    config, store, groups = _groups(config, alloc, store, scheme)
     k = config.n_users
     caches = [UserCache(user=u) for u in range(1, k + 1)]
     templates = {}  # (t, part size) -> _part_templates, for this call only
     pad = 0.0
-    for _, items, layers, nominal in _groups(config, alloc, scheme):
+    for _, items, layers, nominal in groups:
         cached = sum(layer.t * layer.size for layer in layers) / k
         pad += max(cached - nominal, 0.0) * len(items)
         for item in items:
@@ -323,7 +334,8 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Everything the server put on air for one demand vector."""
+    """Everything the server put on air for one demand vector.  `config` is
+    the library the scheme works on: for cicc, the N unrelated files."""
 
     scheme: str
     config: LibraryConfig
@@ -456,9 +468,10 @@ class DeliveryPlan:
     """The demand-independent work of delivery, done once.
 
     A plan is built from (config, alloc, store, schedule source, seed,
-    scheme).  It runs the input checks and loads the fixture once; holds,
-    per placement group, the group's items with their file-set masks and
-    its delivered sublayers (t < K, size > 0) with their part sizes and
+    scheme).  It runs the input checks and loads the fixture once; holds the
+    library the scheme works on (`config`, `store`: for cicc, the library
+    seen as N unrelated files) and, per placement group, the group's items
+    and its delivered sublayers (t < K, size > 0) with their part sizes and
     step memos; and builds, per (window, group), the scheme's column table.
     Step payloads depend on the demand vector only through the per-step
     item pattern, so deliveries of many demand vectors through one plan
@@ -488,20 +501,18 @@ class DeliveryPlan:
         seed: int = 0,
         scheme: str = "cacc",
     ):
-        self.config = config
-        self.store = store
+        self.config, self.store, groups = _groups(config, alloc, store, scheme)
         self.seed = seed
         self.scheme = scheme
         k = config.n_users
         levels = []
-        for level, items, layers, _ in _groups(config, alloc, scheme):
-            members = tuple((_files_of(item), item) for item in items)
+        for level, items, layers, _ in groups:
             sublayers = tuple(
                 (layer, layer.size // comb0(k, layer.t), {})
                 for layer in layers
                 if layer.t < k and layer.size > 0
             )
-            levels.append((level, members, sublayers))
+            levels.append((level, items, sublayers))
         self._levels = tuple(levels)
         self._fixture = (
             self._load_fixture(schedule_source) if schedule_source is not None else None
@@ -554,10 +565,10 @@ class DeliveryPlan:
         table = self._columns.get(key)
         if table is None:
             if self.scheme == "cicc":
-                table = (tuple(("file", f) for f in window),)
+                table = (tuple(1 << (f - 1) for f in window),)
             else:
                 table = tuple(
-                    tuple(("sub", m) for m in col)
+                    col
                     for rbar in _pools(self.config, level, window)
                     for col in self._schedule(window, rbar, level).columns
                 )
@@ -588,10 +599,10 @@ class DeliveryPlan:
         window = _window(self.config.n_files, k, demands)
         positions = [i for i, f in enumerate(window) if demand_mask >> (f - 1) & 1]
         groups = []
-        for level, members, sublayers in self._levels:
+        for level, items, sublayers in self._levels:
             table = self._column_table(window, level) if sublayers else None
             # one remainder step per demanded item, should the coded steps cost more
-            remainder = [(item,) * k for files, item in members if files & demand_mask]
+            remainder = [(item,) * k for item in items if item & demand_mask]
             if table is not None:
                 # number of coded steps per count of distinct step items
                 steps_with = Counter([len({col[i] for i in positions}) for col in table])
@@ -760,7 +771,8 @@ def _decode_parts(user: int, rec: StepRecord, pattern, parts) -> list:
             if part is None:
                 pos = rec.layer.offset + j * rec.part_size
                 raise RuntimeError(
-                    f"decoder missing bits of {rec.step_items[u]} at {pos}"
+                    f"decoder missing bits of subfile {_item_name(rec.step_items[u])} "
+                    f"at {pos}"
                 )
             y ^= part
         out.append((i, y & pmask))
@@ -791,15 +803,12 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
     """Reconstruct user's demanded file from its cache and the transcript.
 
     Runs the decode kernel on every section whose step item for this user
-    belongs to its file, reading the cache in place.
+    is a subfile of its file in the transcript's library, reading the cache
+    in place.
     """
     config = transcript.config
     demands = as_demands(demands, config)
-    d = demands[user - 1]
-    if transcript.scheme == "cicc":
-        layout = [(("file", d), int(config.file_size))]
-    else:
-        layout = [(("sub", m), size) for m, size, _ in file_layout(config, d) if size]
+    layout = [(m, size) for m, size, _ in file_layout(config, demands[user - 1])]
     masks, bits = cache.known_masks, cache.known_bits
     got_masks = {item: masks.get(item, 0) for item, _ in layout}
     got_bits = {item: bits.get(item, 0) for item, _ in layout}
@@ -833,5 +842,7 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
     for item, size in layout:
         seg = (1 << size) - 1
         if got_masks[item] & seg != seg:
-            raise RuntimeError(f"user {user} cannot reconstruct {item}")
+            raise RuntimeError(
+                f"user {user} cannot reconstruct subfile {_item_name(item)}"
+            )
     return concat_bits((got_bits[item] & ((1 << size) - 1), size) for item, size in layout)

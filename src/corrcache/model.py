@@ -98,7 +98,8 @@ class LibraryConfig:
 
 def file_layout(config: LibraryConfig, file_index: int):
     """(subfile mask, size, offset) triples making up one file, in
-    concatenation order: level ascending, then lexicographic members."""
+    concatenation order: level ascending, then lexicographic members.  Only
+    nonempty subfiles are listed."""
     if not 1 <= file_index <= config.n_files:
         raise ValueError("file index out of range")
     bit = 1 << (file_index - 1)
@@ -106,6 +107,8 @@ def file_layout(config: LibraryConfig, file_index: int):
     offset = 0
     for level in config.levels():
         size = int(config.subfile_sizes[level - 1])
+        if not size:
+            continue
         for m in part_labels(config.n_files, level):
             if m & bit:
                 out.append((m, size, offset))
@@ -166,8 +169,10 @@ def check_allocation(config: LibraryConfig, alloc: CacheAllocation) -> None:
 
 @dataclass
 class ContentStore:
-    """Server-side ground truth: concrete bits for every subfile.
+    """Server-side ground truth: concrete bits for every nonempty subfile.
 
+    An item, the unit placement and delivery move, is a subfile named by
+    its file-set mask; its bits are the store's entry for that mask.
     Contents are pseudorandom from the seed; files are assembled by
     concatenating the subfiles containing the file index in canonical order
     (level ascending, then lexicographic members), least-significant bits
@@ -185,19 +190,15 @@ class ContentStore:
         contents = {}
         for level in config.levels():
             size = int(config.subfile_sizes[level - 1])
-            masks = part_labels(config.n_files, level)
             if not size:
-                contents.update(dict.fromkeys(masks, 0))
                 continue
-            for m in masks:
+            for m in part_labels(config.n_files, level):
                 contents[m] = random.Random(mix_seed(seed, level, m)).getrandbits(size)
         return cls(config=config, seed=seed, _contents=contents)
 
-    def item_bits(self, item) -> int:
-        """Bits of a placement/delivery item: ("sub", mask) is a subfile,
-        ("file", i) a whole file."""
-        kind, ident = item
-        return self._contents[ident] if kind == "sub" else self.file_bits(ident)
+    def item_bits(self, item: int) -> int:
+        """Bits of a placement/delivery item, the subfile of file-set mask `item`."""
+        return self._contents[item]
 
     def file_bits(self, file_index: int) -> int:
         """Ground-truth assembled file, file_size bits."""
@@ -212,8 +213,7 @@ class ExperimentSpec:
 
     ratios are commonness ratios r_l (fraction of one file made of level-l
     subfiles, summing to 1); file_bits is the target file size F before
-    divisibility rounding.  sweep_level/grid describe which ratio is swept,
-    with the complement assigned to level 1.
+    divisibility rounding.
     """
 
     n_files: int
@@ -221,12 +221,9 @@ class ExperimentSpec:
     cache_capacity: float
     ratios: tuple[float, ...]
     file_bits: int
-    sweep_level: int = 2
-    grid: tuple[float, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         if len(self.ratios) != self.n_files:
             raise ValueError("need one ratio per level")
         # written so that NaN fails too, and inf with it

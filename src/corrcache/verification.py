@@ -43,6 +43,7 @@ from .delivery import (
     StepRecord,
     _CachedParts,
     _decode_parts,
+    _item_name,
     _pattern,
     _step_table,
     decode,
@@ -136,13 +137,14 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
     """Every user must rebuild its step item's layer slice exactly, from the
     transcript record and its own cache alone.
 
+    store holds the truth of the items the records name: the plan's store,
+    the library the scheme works on (for cicc, the N unrelated files).
     layer_parts is the sweep's memo, per layer: the true parts of each item
     and, per user, the cached parts of each item, each listed once per
     sweep from delivery's part table (a part is None when the mask does not
     cover it).
     """
     out = []
-    tag = f"level {rec.level} step {rec.step_items}"
     layer, psize = rec.layer, rec.part_size
     nparts = len(_step_table(len(caches), layer.t).labels)
     memo = layer_parts.get(layer)
@@ -165,13 +167,13 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
         try:
             decoded = _decode_parts(k, rec, pattern, [parts[c] for c in pattern])
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
-            out.append(f"{tag}: user {k} raised {exc!r}")
+            out.append(f"user {k} raised {exc!r}")
             continue
         own = list(parts[pattern[k - 1]])
         for i, y in decoded:
             own[i] = y
         if None in own:
-            out.append(f"{tag}: user {k} missing bits")
+            out.append(f"user {k} missing bits")
             continue
         item = classes[pattern[k - 1]]
         want = truth.get(item)
@@ -179,8 +181,11 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
             table = _CachedParts(-1, store.item_bits(item), layer.offset, psize)
             want = truth[item] = [table[j] for j in range(nparts)]
         if own != want:
-            out.append(f"{tag}: user {k} wrong bits")
-    return out
+            out.append(f"user {k} wrong bits")
+    if not out:
+        return out
+    tag = f"level {rec.level} step ({', '.join(map(_item_name, rec.step_items))})"
+    return [f"{tag}: {line}" for line in out]
 
 
 def verify_all_demands(
@@ -229,7 +234,7 @@ def verify_all_demands(
                 if key in passed:
                     continue
                 if key not in failed:
-                    errs = _check_step(rec, caches, store, layer_parts)
+                    errs = _check_step(rec, caches, plan.store, layer_parts)
                     if not errs:
                         passed.add(key)
                         continue

@@ -12,6 +12,7 @@ import functools
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from conftest import random_config
 from corrcache import (
     CacheAllocation,
     ContentStore,
-    ExperimentSpec,
     LibraryConfig,
     cauc_deliver,
     cauc_optimal_allocation,
@@ -34,8 +34,9 @@ from corrcache import (
     verify_all_demands,
     worst_case_demand,
 )
-from corrcache.cli import run_sweep
+from corrcache.cli import rate_row
 from corrcache.combinat import comb0, divisibility_unit
+from corrcache.model import exact_sizes_from_ratios
 
 
 def _report(capsys, num, ok, detail):
@@ -331,19 +332,22 @@ def test_criterion_6_ten_user_trend_sweeps(capsys):
     tol = 1e-9
     results = {}
     for sweep_level in (2, 10):
-        spec = ExperimentSpec(
-            n_files=10,
-            n_users=10,
-            cache_capacity=1.0,
-            ratios=(1.0,) + (0.0,) * 9,
-            file_bits=100_000,
-            sweep_level=sweep_level,
+        # the configs of `corrcache sweep --n 10 --k 10 --m 1 --sweep-level L`:
+        # ratio x on level L, 1 - x on level 1, exact sizes at F = 100,000
+        rows = []
+        for x in (i / 10 for i in range(11)):
+            ratios = [0.0] * 10
+            ratios[sweep_level - 1] = x
+            ratios[0] += 1 - x
+            sizes = exact_sizes_from_ratios(10, ratios, 100_000)
+            rows.append(rate_row(LibraryConfig(10, 10, 1.0, sizes)))
+        res = SimpleNamespace(
+            **dict(zip(("r_cauc", "r_cacc", "r_cicc", "r_cutset"), zip(*rows)))
         )
-        res = run_sweep(spec)
         results[sweep_level] = res
         name = f"levels 1/{sweep_level}"
-        if len(res.x_values) != 11:
-            failures.append(f"{name}: {len(res.x_values)} points != 11")
+        if len(rows) != 11:
+            failures.append(f"{name}: {len(rows)} points != 11")
         for i, r in enumerate(res.r_cicc):
             if abs(r - 4.5) > tol:
                 failures.append(f"{name}: structure-blind rate {r} != 4.5 at {i}")

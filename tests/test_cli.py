@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import corrcache
 from corrcache import ExperimentSpec, LibraryConfig, __version__, cli, scheduling
-from corrcache.cli import main, rate_row, run_sweep
+from corrcache.cli import main, rate_row
 from corrcache.model import exact_sizes_from_ratios
 from corrcache.scheduling import EXAMPLE1_TEXT
 
@@ -84,7 +84,7 @@ def test_simulate_reports_a_decode_fault_and_exits_1(capsys, monkeypatch):
 
     def place_dropping_a_bit(*args, **kwargs):
         caches = place(*args, **kwargs)
-        item = ("sub", 0b001)
+        item = 0b001
         mask = caches[0].known_masks[item]
         caches[0].known_masks[item] = mask & (mask - 1)
         caches[0].known_bits[item] &= mask & (mask - 1)
@@ -104,7 +104,7 @@ def test_simulate_reports_a_decode_fault_and_exits_1(capsys, monkeypatch):
     assert lines[-1] == "decode=FAILED"
     assert err.splitlines() == [
         "violation: user 1 decode raised "
-        "RuntimeError(\"user 1 cannot reconstruct ('sub', 1)\")"
+        "RuntimeError('user 1 cannot reconstruct subfile {1}')"
     ]
 
 
@@ -267,6 +267,17 @@ def test_simulate_nine_users_finishes_and_decodes(capsys):
     assert out.splitlines()[-1] == "decode=ok"
 
 
+def test_simulate_sparse_twenty_file_library(capsys):
+    """Twenty files whose only bits are the level-1 subfiles: placement,
+    delivery and decode see only the twenty nonempty subfiles."""
+    rc, out, _ = run_cli(
+        capsys,
+        "simulate", "--n", "20", "--k", "2", "--level-sizes", "6", "--demands", "1,2",
+    )
+    assert rc == 0
+    assert out.splitlines()[-1] == "decode=ok"
+
+
 def test_schedule_out_of_attempts_exits_2(capsys, monkeypatch):
     """The same command with one schedule attempt: the first attempt
     dead-ends, so simulate reports the shape and exits 2, no traceback."""
@@ -409,11 +420,10 @@ def test_rates_uses_exact_sizes_like_sweep(capsys):
     assert rc == 0, err
     lines = out.strip().split("\n")
     vals = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
-    spec = ExperimentSpec(
-        n_files=10, n_users=10, cache_capacity=1.0, ratios=(1.0,) + (0.0,) * 9,
-        file_bits=1000, sweep_level=2, grid=(0.5,),
-    )
-    assert vals["r_cacc"] == pytest.approx(run_sweep(spec).r_cacc[0], rel=1e-9)
+    # the sweep's row at x = 0.5: ratio 0.5 on level 2, 1 - 0.5 on level 1
+    sizes = exact_sizes_from_ratios(10, (0.5, 0.5) + (0.0,) * 8, 1000)
+    row = rate_row(LibraryConfig(10, 10, 1.0, sizes))
+    assert vals["r_cacc"] == pytest.approx(row[1], rel=1e-9)
     rc, _, err = run_cli(
         capsys,
         "optimize", "--n", "10", "--k", "10", "--m", "1", "--ratios", "0.5,0.5",
@@ -489,6 +499,7 @@ REMOVED_API = (
     "UncodedRecord", "SubfileId", "DemandVector", "step_demands", "pool_subfiles",
     "compare_schemes", "RatePoint", "window_for", "remainder_delivery",
     "cauc_place", "cicc_place", "cicc_deliver", "schedule_to_text", "rounding_loss_bits",
+    "SweepResult", "run_sweep",
 )
 
 
@@ -507,7 +518,8 @@ def test_public_api_resolves_and_removed_names_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(corrcache.CacheAllocation, "replication")
     assert not hasattr(corrcache.ContentStore, "subfile_bits")
-    assert "seed" not in {f.name for f in dataclasses.fields(ExperimentSpec)}
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    assert not fields & {"seed", "sweep_level", "grid"}
 
 
 # ---------------------------------------------------------------------------

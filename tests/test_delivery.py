@@ -137,9 +137,9 @@ def test_place_splits_at_integer_share():
         assert cache.total_bits() <= config.cache_capacity * config.file_size
     # cached bits are true content bits
     m = 0b00011
-    got = caches[0].known_bits[("sub", m)]
-    mask = caches[0].known_masks[("sub", m)]
-    assert got == store.item_bits(("sub", m)) & mask
+    got = caches[0].known_bits[m]
+    mask = caches[0].known_masks[m]
+    assert got == store.item_bits(m) & mask
 
 
 def test_place_rejects_overcommitted_allocation():
@@ -154,8 +154,8 @@ def test_cauc_place_prefixes():
     store = ContentStore.generate(config, seed=2)
     caches = place(config, CacheAllocation((0.5, 0.25)), store, scheme="cauc")
     for cache in caches:
-        assert cache.known_masks[("sub", 0b01)] == 0b0011
-        assert cache.known_masks[("sub", 0b11)] == 0b0001
+        assert cache.known_masks[0b01] == 0b0011
+        assert cache.known_masks[0b11] == 0b0001
         assert cache.total_bits() == 2 * 2 + 1
 
 
@@ -314,10 +314,10 @@ def test_random_delivery_payload_near_unknown_count():
     store = ContentStore.generate(config, seed=0)
     caches = place(config, t_alloc((0, 0, 0, 0, 1), 5), store)
     layer = LayerSpec(t=1, offset=0, size=1000)
-    item = ("sub", 0b11111)
+    item = 0b11111
     rec = _xor_step(5, 5, layer, (item,) * 5, store.item_bits)
     assert isinstance(rec, StepRecord)
-    assert rec.step_items == (("sub", 0b11111),) * 5
+    assert rec.step_items == (0b11111,) * 5
     assert rec.leader_mask == 0b00001
     assert rec.bits == 800
     # every requester recovers the whole subfile from its own cache
@@ -331,16 +331,16 @@ def test_random_delivery_payload_near_unknown_count():
             mask |= ((1 << psize) - 1) << (i * psize)
             bits |= y << (i * psize)
         assert mask == (1 << 1000) - 1
-        assert bits == store.item_bits(("sub", 0b11111))
+        assert bits == store.item_bits(0b11111)
 
 
 def assert_plain_sends(records, masks, store, size):
     """Each record is one payload of the full layer, user 1 the only leader."""
-    assert [r.step_items for r in records] == [(("sub", m),) * 3 for m in masks]
+    assert [r.step_items for r in records] == [(m,) * 3 for m in masks]
     for rec, m in zip(records, masks):
         assert rec.leader_mask == 0b001
         assert rec.part_size == size
-        assert rec.payloads == {0b001: store.item_bits(("sub", m))}
+        assert rec.payloads == {0b001: store.item_bits(m)}
 
 
 def test_random_delivery_uncached_layer_ships_plain():
@@ -349,7 +349,7 @@ def test_random_delivery_uncached_layer_ships_plain():
     size = config.level_size(2)
     layer = LayerSpec(t=0, offset=0, size=size)
     records = [
-        _xor_step(3, 2, layer, (("sub", m),) * 3, store.item_bits)
+        _xor_step(3, 2, layer, (m,) * 3, store.item_bits)
         for m in (0b011, 0b110)
     ]
     assert_plain_sends(records, [0b011, 0b110], store, size)

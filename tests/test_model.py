@@ -168,7 +168,7 @@ def test_content_store_file_assembly():
     assert layout == [(0b010, 4, 0), (0b011, 4, 4), (0b110, 4, 8), (0b111, 4, 12)]
     want = 0
     for m, _, offset in layout:
-        want |= store.item_bits(("sub", m)) << offset
+        want |= store.item_bits(m) << offset
     assert store.file_bits(2) == want
     assert store.file_bits(2).bit_length() <= config.file_size
 
@@ -180,7 +180,20 @@ def test_content_store_deterministic_per_level():
     a = ContentStore.generate(LibraryConfig(3, 2, 0.0, (6, 12, 0)), seed=3)
     b = ContentStore.generate(LibraryConfig(3, 2, 0.0, (0, 12, 6)), seed=3)
     for m in subset_masks(range(1, 4), 2):
-        assert a.item_bits(("sub", m)) == b.item_bits(("sub", m))
+        assert a.item_bits(m) == b.item_bits(m)
+
+
+def test_sparse_library_lists_and_stores_nonempty_subfiles_only():
+    """Twenty files of which only the level-1 subfiles have bits: a file is
+    its one subfile, and the store holds those twenty subfiles, not the
+    2**20 - 1 subsets of the library."""
+    config = LibraryConfig(20, 2, 1.0, (6,) + (0,) * 19)
+    assert file_layout(config, 1) == [(0b1, 6, 0)]
+    store = ContentStore.generate(config, seed=0)
+    for i in range(1, 21):
+        assert store.file_bits(i) == store.item_bits(1 << (i - 1))
+    with pytest.raises(KeyError):
+        store.item_bits(0b11)
 
 
 def test_content_store_rejects_fractional_sizes():

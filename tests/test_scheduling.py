@@ -141,7 +141,7 @@ def test_coded_steps_map_users_to_schedule_entries():
     alloc = CacheAllocation.from_replication((0, 1, 0, 0, 0), 5)
     transcript = deliver(config, alloc, demands, store, schedule_source="example1")
     assert [rec.step_items for rec in transcript.sections] == [
-        tuple(("sub", col[d - 1]) for d in demands) for col in sched.columns
+        tuple(col[d - 1] for d in demands) for col in sched.columns
     ]
 
 

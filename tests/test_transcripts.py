@@ -16,6 +16,10 @@ The cases cover:
 * cauc at fractional prefix shares on seeded multi-level libraries;
 * cacc at optimize_allocation shares on seeded multi-level libraries.
 
+Items, file-set masks, are hashed in the tagged form the digest was first
+written in (`_tagged`), so the fixture did not move when items became
+masks.
+
 `python tests/test_transcripts.py` prints the transcript digest lines and
 `python tests/test_transcripts.py verify` the verifier's; regenerate a fixture
 with them only for a change that is meant to alter transcripts or verdicts.
@@ -90,12 +94,20 @@ def cases():
             yield f"cacc optimizer {i} m={frac}n", "cacc", config, alloc
 
 
+def _tagged(scheme, item):
+    """An item, a file-set mask, in the tagged form the digest was first
+    written in: ("file", i) for cicc's file i, ("sub", mask) otherwise."""
+    return ("file", item.bit_length()) if scheme == "cicc" else ("sub", item)
+
+
 def case_digest(scheme, config, alloc) -> str:
     store = ContentStore.generate(config, seed=1)
     h = hashlib.sha256()
     for cache in place(config, alloc, store, scheme=scheme):
-        masks = sorted(cache.known_masks.items())
-        bits = sorted(cache.known_bits.items())
+        masks, bits = (
+            [(_tagged(scheme, item), v) for item, v in sorted(known.items())]
+            for known in (cache.known_masks, cache.known_bits)
+        )
         h.update(repr((cache.user, masks, bits)).encode())
     plan = DeliveryPlan(config, alloc, store, scheme=scheme)
     for demands in product(range(1, config.n_files + 1), repeat=config.n_users):
@@ -105,9 +117,10 @@ def case_digest(scheme, config, alloc) -> str:
         for rec in tr.sections:
             layer = (rec.layer.t, rec.layer.offset, rec.layer.size)
             payloads = sorted(rec.payloads.items())
+            items = tuple(_tagged(scheme, item) for item in rec.step_items)
             h.update(
                 repr(
-                    (rec.level, layer, rec.step_items, rec.leader_mask,
+                    (rec.level, layer, items, rec.leader_mask,
                      rec.part_size, payloads)
                 ).encode()
             )

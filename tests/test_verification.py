@@ -286,6 +286,36 @@ def test_cache_missing_a_part_is_reported(monkeypatch):
     assert not all(report.decode_ok)
 
 
+@pytest.mark.parametrize("capacity", [1.0, 1.5])  # share t = 1, then 1.5
+def test_opaque_grid_on_shared_subfile_library(monkeypatch, capacity):
+    """cicc on a library with shared subfiles works on the library seen as
+    N unrelated files, where subfile {i} is file i; in the caller's library
+    subfile {i} is only part of file i.  The step check reads each item's
+    truth from the plan's view, so the clean sweep passes, and one flipped
+    payload bit is reported as wrong bits."""
+    config = LibraryConfig(3, 3, capacity, (6, 6, 6))
+    store = ContentStore.generate(config, seed=2)
+    transcript = DeliveryPlan(config, None, store, scheme="cicc").deliver((1, 2, 3))
+    assert transcript.config == LibraryConfig(3, 3, capacity, (24, 0, 0))
+    report = verify_all_demands(config, None, scheme="cicc", seed=2)
+    assert report.ok, report.violations[:3]
+
+    flipped = []
+
+    def corrupt(rec):
+        if flipped:
+            return rec.payloads
+        flipped.append(rec)
+        v = min(rec.payloads)
+        return {**rec.payloads, v: rec.payloads[v] ^ 1}
+
+    _flip_payloads(monkeypatch, corrupt)
+    report = verify_all_demands(config, None, scheme="cicc", seed=2)
+    assert len(flipped) == 1
+    assert any(v.endswith("wrong bits") for v in report.violations), report.violations
+    assert not all(report.decode_ok)
+
+
 def test_corrupt_payload_caught_through_family_xor(monkeypatch):
     """Four users, step items (A, A, A, B) at t = 1: the user set {2, 3}
     has no leader, so user 2 rebuilds its payload from the family
@@ -293,7 +323,7 @@ def test_corrupt_payload_caught_through_family_xor(monkeypatch):
     it must still show up as user 2's wrong bits."""
     config = LibraryConfig(2, 4, 2.0, (12, 0))
     alloc = CacheAllocation.from_replication((1, 0), 4)
-    a, b = ("sub", 0b01), ("sub", 0b10)
+    a, b = 0b01, 0b10
     target = (a, a, a, b)
     pattern, _ = _pattern(target)
     leaders = 0b1001
@@ -310,7 +340,7 @@ def test_corrupt_payload_caught_through_family_xor(monkeypatch):
 
     _flip_payloads(monkeypatch, corrupt)
     report = verify_all_demands(config, alloc, seed=0)
-    tag = f"level 1 step {target}"
+    tag = "level 1 step ({1}, {1}, {1}, {2})"
     assert f"{tag}: user 2 wrong bits" in report.violations
     assert not report.decode_ok[report.demands.index((1, 1, 1, 2))]
 
@@ -323,7 +353,7 @@ def test_fault_first_emitted_mid_sweep_flags_exactly_its_holders(monkeypatch):
     checked once already, and its violation must be reported once."""
     config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
     alloc = CacheAllocation.from_replication((0, 1, 0), 3)
-    target = (("sub", 0b110), ("sub", 0b011), ("sub", 0b110))
+    target = (0b110, 0b011, 0b110)
     plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0))
     demands = list(itertools.product(range(1, 4), repeat=3))
     holders = [
@@ -344,5 +374,5 @@ def test_fault_first_emitted_mid_sweep_flags_exactly_its_holders(monkeypatch):
     flagged = [d for d, ok in zip(report.demands, report.decode_ok) if not ok]
     assert flagged == holders
     assert all(report.decode_ok[:first])
-    tag = f"level 2 step {target}"
+    tag = "level 2 step ({2,3}, {1,2}, {2,3})"
     assert report.violations == tuple(f"{tag}: user {k} wrong bits" for k in (1, 2, 3))
