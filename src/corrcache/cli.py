@@ -219,10 +219,10 @@ def _cmd_simulate(args) -> int:
         config, alloc, store, schedule_source=args.fixture, seed=args.seed,
         scheme=scheme,
     )
-    caches = place(config, alloc, store, scheme)
+    caches = place(config, alloc, store, scheme, plan=plan)
     transcript = plan.deliver(demands)
 
-    failures = decode_failures(caches, transcript, demands, store)
+    failures = decode_failures(caches, transcript, demands, plan.store)
     per_level = ";".join(
         f"{l}:{b}" for l, b in sorted(transcript.per_level_bits.items())
     )

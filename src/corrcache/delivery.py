@@ -43,17 +43,24 @@ C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
 payload XORs, each the member's part labeled V minus the member; and per
 user, the parts it caches and its decode program, which lists per part it
 lacks the payload V (the part's label plus the user) and the other
-members' terms to XOR in.  Placement's part templates, `_xor_step` and the
-decoder all read it; nothing else walks a step's labels and members.
+members' terms to XOR in.  Placement's part templates, `_xor_step`, the
+decoder and the verifier's lane table all read it; nothing else walks a
+step's labels and members.
 
-Decoding is one part-indexed kernel (`_decode_parts`), which `decode` and
-the verifier both call: it runs the user's program from the table.  A
-payload whose user set has no leader is not sent: the step's equality
-pattern (its step items renumbered by first occurrence) fixes the family
-of sent payloads that XOR to it.  The table and family memos are both
-bounded.  The kernel reads cached parts through a per-item part table:
-`decode` fills it lazily from the cache, in place; the verifier splits
-each item once per sweep.
+Decoding is one part-indexed kernel (`_decode_parts`): it runs the user's
+program from the table.  `decode` calls it, and so does the verifier's
+reference step check; the verifier's fast path checks a record for all
+users at once with lane-packed big-int XORs (see verification.py), and
+the encoder stays on the table's rows.  A payload whose user set has no
+leader is not sent: the step's equality pattern (its step items
+renumbered by first occurrence, stored on the record with the distinct
+items by `_xor_step`) fixes the family of sent payloads that XOR to it.
+The table and family memos are both bounded.  The kernel reads cached
+parts through a per-item part table: `decode` fills it lazily from the
+cache, in place; the reference check splits each item once per sweep.
+`decode` returns the joined file; `_decoded_items`, which it wraps, gives
+the per-subfile result that the verifier's end-to-end check compares with
+the store.
 
 Content layout conventions (shared by placement, delivery, and decode):
 an item is a nonempty subfile of the library the scheme works on, named by
@@ -280,11 +287,21 @@ def place(
     alloc: CacheAllocation,
     store: ContentStore,
     scheme: str = "cacc",
+    plan: "DeliveryPlan | None" = None,
 ):
     """Every user's cache under `scheme`: each group's items are split into
     labeled parts per layer, and each user keeps the parts whose label
-    contains it (a share-K layer is one part every user keeps)."""
-    config, store, groups = _groups(config, alloc, store, scheme)
+    contains it (a share-K layer is one part every user keeps).
+
+    `plan`, a DeliveryPlan built from the same inputs, lends the library it
+    works on and its placement groups, so a caller that delivers too checks
+    the inputs and, for cicc, builds the N-file view only once."""
+    if plan is None:
+        config, store, groups = _groups(config, alloc, store, scheme)
+    elif plan.scheme != scheme:
+        raise ValueError(f"a {plan.scheme} plan cannot place scheme {scheme}")
+    else:
+        config, store, groups = plan.config, plan.store, plan._groups
     k = config.n_users
     caches = [UserCache(user=u) for u in range(1, k + 1)]
     templates = {}  # (t, part size) -> _part_templates, for this call only
@@ -326,6 +343,8 @@ class StepRecord:
     leader_mask: int
     part_size: int
     payloads: dict  # user-set mask V -> XOR payload
+    pattern: tuple  # step_items renumbered by first occurrence (`_pattern`)
+    classes: tuple  # the distinct step items, in that order
 
     @property
     def bits(self) -> int:
@@ -417,11 +436,10 @@ def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
     table = _step_table(n_users, layer.t)
     offset, psize = layer.offset, layer.size // len(table.labels)
     pmask = (1 << psize) - 1
-    leader_mask = _leaders(step_items)
-    contents = dict.fromkeys(step_items)
-    for key in contents:
-        contents[key] = content_of(key)
-    member_bits = [contents[key] for key in step_items]
+    pattern, classes = _pattern(step_items)
+    leader_mask = _leaders(pattern)
+    contents = [content_of(item) for item in classes]
+    member_bits = [contents[c] for c in pattern]
     payloads = {}
     for v, terms in table.rows:
         if not v & leader_mask:
@@ -437,6 +455,8 @@ def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
         leader_mask=leader_mask,
         part_size=psize,
         payloads=payloads,
+        pattern=pattern,
+        classes=classes,
     )
 
 
@@ -473,6 +493,7 @@ class DeliveryPlan:
     seen as N unrelated files) and, per placement group, the group's items
     and its delivered sublayers (t < K, size > 0) with their part sizes and
     step memos; and builds, per (window, group), the scheme's column table.
+    `place(..., plan=plan)` reuses its checked library and placement groups.
     Step payloads depend on the demand vector only through the per-step
     item pattern, so deliveries of many demand vectors through one plan
     (``plan.deliver(demands)``) share almost all bit-level work.  cicc
@@ -501,12 +522,12 @@ class DeliveryPlan:
         seed: int = 0,
         scheme: str = "cacc",
     ):
-        self.config, self.store, groups = _groups(config, alloc, store, scheme)
+        self.config, self.store, self._groups = _groups(config, alloc, store, scheme)
         self.seed = seed
         self.scheme = scheme
         k = config.n_users
         levels = []
-        for level, items, layers, _ in groups:
+        for level, items, layers, _ in self._groups:
             sublayers = tuple(
                 (layer, layer.size // comb0(k, layer.t), {})
                 for layer in layers
@@ -747,16 +768,16 @@ def _family(pattern, v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _decode_parts(user: int, rec: StepRecord, pattern, parts) -> list:
+def _decode_parts(user: int, rec: StepRecord, parts) -> list:
     """The decode kernel: `user`'s missing parts of its step item in `rec`,
     as (part index, bits) pairs.
 
-    `pattern` is the record's equality pattern, and parts[u][j] is the
-    user's cached part j, in the record's layer, of user u + 1's step item,
-    or None when that part is not fully cached.
+    parts[u][j] is the user's cached part j, in the record's layer, of user
+    u + 1's step item, or None when that part is not fully cached.
     """
     payloads = rec.payloads
     leader_mask = rec.leader_mask
+    pattern = rec.pattern
     pmask = (1 << rec.part_size) - 1
     out = []
     for i, v, terms in _step_table(len(pattern), rec.layer.t).programs[user - 1]:
@@ -799,8 +820,10 @@ class _CachedParts(dict):
         return part
 
 
-def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
-    """Reconstruct user's demanded file from its cache and the transcript.
+def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands):
+    """user's demanded file as decoded from its cache and the transcript, one
+    (item, size, bits) per subfile in file layout order (`decode` joins
+    them; the verifier compares each with the store).
 
     Runs the decode kernel on every section whose step item for this user
     is a subfile of its file in the transcript's library, reading the cache
@@ -818,17 +841,16 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
         item = rec.step_items[user - 1]
         if item not in got_masks:
             continue
-        pattern, classes = _pattern(rec.step_items)
         off, psize = rec.layer.offset, rec.part_size
         class_parts = []
-        for x in classes:
+        for x in rec.classes:
             parts = read.get((x, off))
             if parts is None:
                 parts = read[x, off] = _CachedParts(
                     masks.get(x, 0), bits.get(x, 0), off, psize
                 )
             class_parts.append(parts)
-        decoded = _decode_parts(user, rec, pattern, [class_parts[c] for c in pattern])
+        decoded = _decode_parts(user, rec, [class_parts[c] for c in rec.pattern])
         got = 0
         for i, y in decoded:
             got |= y << (i * psize)
@@ -845,4 +867,12 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
             raise RuntimeError(
                 f"user {user} cannot reconstruct subfile {_item_name(item)}"
             )
-    return concat_bits((got_bits[item] & ((1 << size) - 1), size) for item, size in layout)
+    return [(item, size, got_bits[item] & ((1 << size) - 1)) for item, size in layout]
+
+
+def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
+    """Reconstruct user's demanded file from its cache and the transcript:
+    its subfiles as `_decoded_items` rebuilds them, joined in file order."""
+    return concat_bits(
+        (bits, size) for _, size, bits in _decoded_items(user, cache, transcript, demands)
+    )

@@ -11,16 +11,30 @@ depend on demands only through its step-item pattern, so one plan plus
 per-record decode checks keep the full N^K sweep fast without weakening
 the quantifier: every emitted section is verified for every user, and
 sampled demands additionally run the end-to-end decoder through
-`decode_failures`, the one whole-file decode check, which `corrcache
-simulate` runs too.
+`decode_failures`, the one end-to-end decode check, which `corrcache
+simulate` runs too; it compares every decoded subfile with the store of
+the plan's library and assembles no file.
 
-The step check runs delivery's decode kernel (`_decode_parts`), the one
-decoder, on each distinct step record for every user, reading the caches
-without copying them.  Per sweep it memoizes, per (user, layer), the
-user's cached parts of each item and, per (item, layer), the true parts,
-both listed from delivery's part table (`_CachedParts`, None where a part
-is not fully cached); a user passes when its decoded part list equals the
-true one.
+The step check has two stages.  The lane pass (`_lanes_clear`) checks a
+record for all K users at once with a few big-int XORs: the payloads,
+masked to the part size, sit side by side in one int, payload V in lane
+index(V) of the (t+1)-user sets, with the unsent lanes rebuilt from their
+families once per record.  User k's decoded lanes are the lanes holding
+k, XORed with one lifted view of its cache per other member u (its cached
+parts S of u's step item, k in S and u not, moved to lane S + u); they
+must equal the lifted truth of k's own item.  The lane layout per (K, t)
+is read from delivery's step table (`_lanes`, a bounded lru), and the
+lifted views are built once per sweep per (layer, item), from the store,
+for the users whose cache holds that item's parts exactly.  A record the
+lane pass does not clear goes to `_check_step`, the reference: it runs
+delivery's decode kernel (`_decode_parts`) once per user, reading the
+caches without copying them, and words every violation.  Per sweep it
+memoizes, per (user, layer), the user's cached parts of each item and,
+per (item, layer), the true parts, both listed from delivery's part table
+(`_CachedParts`, None where a part is not fully cached); a user passes
+when its decoded part list equals the true one.  The lane pass clears a
+record only if `_check_step` passes it, so the verdicts are the
+reference's.
 
 The sweep is lean per demand vector.  It delivers every vector through
 the plan's `_send`, which returns the sections and bit total without a
@@ -36,17 +50,22 @@ get a full `Transcript`, for the end-to-end decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
+from .combinat import comb0
 from .delivery import (
     DeliveryPlan,
+    LayerSpec,
     StepRecord,
     _CachedParts,
     _decode_parts,
+    _decoded_items,
+    _family,
     _item_name,
-    _pattern,
+    _part_templates,
     _step_table,
-    decode,
     place,
 )
 from .model import ContentStore, LibraryConfig
@@ -110,32 +129,29 @@ def worst_case_demand(config: LibraryConfig) -> tuple[int, ...]:
 
 def decode_failures(caches, transcript, demands, store) -> list[str]:
     """Decode every user's file from its cache and the transcript and check
-    it against the store: one line per failing user, in user order, for a
-    decode that raises or one that returns wrong bits.
+    it against `store`, the store of the transcript's library (a plan's
+    `store`; for cicc, the N-file view): one line per failing user, in user
+    order, for a decode that raises or one that returns wrong bits.
 
-    Each demanded file is assembled once and checked against all its
-    requesters, one file at a time, so no two files are held at once.
+    Each decoded subfile is compared with the store's item, so neither the
+    decoded nor the true file is ever assembled.
     """
-    requesters = {}
-    for user, d in enumerate(demands, start=1):
-        requesters.setdefault(d, []).append(user)
     failures = []
-    for d, users in requesters.items():
-        want = store.file_bits(d)
-        for user in users:
-            try:
-                got = decode(user, caches[user - 1], transcript, demands)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash the caller
-                failures.append((user, f"user {user} decode raised {exc!r}"))
-                continue
-            if got != want:
-                failures.append((user, f"user {user} decode mismatch"))
-    return [line for _, line in sorted(failures)]
+    for user in range(1, len(demands) + 1):
+        try:
+            got = _decoded_items(user, caches[user - 1], transcript, demands)
+        except Exception as exc:  # noqa: BLE001 - report, don't crash the caller
+            failures.append(f"user {user} decode raised {exc!r}")
+            continue
+        if any(bits != store.item_bits(item) for item, _, bits in got):
+            failures.append(f"user {user} decode mismatch")
+    return failures
 
 
 def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
     """Every user must rebuild its step item's layer slice exactly, from the
-    transcript record and its own cache alone.
+    transcript record and its own cache alone: the reference check, one
+    decode-kernel run per user, which words every violation.
 
     store holds the truth of the items the records name: the plan's store,
     the library the scheme works on (for cicc, the N unrelated files).
@@ -151,7 +167,7 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
     if memo is None:
         memo = layer_parts[layer] = ({}, [{} for _ in caches])
     truth, cached = memo
-    pattern, classes = _pattern(rec.step_items)
+    pattern, classes = rec.pattern, rec.classes
     for k, cache in enumerate(caches, start=1):
         held = cached[k - 1]
         parts = []
@@ -165,7 +181,7 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
                 p = held[item] = [table[j] for j in range(nparts)]
             parts.append(p)
         try:
-            decoded = _decode_parts(k, rec, pattern, [parts[c] for c in pattern])
+            decoded = _decode_parts(k, rec, [parts[c] for c in pattern])
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
             out.append(f"user {k} raised {exc!r}")
             continue
@@ -188,6 +204,138 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
     return [f"{tag}: {line}" for line in out]
 
 
+# ---------------------------------------------------------------------------
+# the lane pass: one record checked for all K users at once
+
+class _LaneTable(NamedTuple):
+    """A share-t step's payloads side by side (`_lanes`).
+
+    Lane l of a packed record holds the payload of the l-th (t+1)-user set
+    V, in part_labels order: the payload user k in V decodes its part
+    labeled V minus k from.  lanes: the sets V in lane order.  users[k]:
+    the lanes of the sets V holding user k + 1.  lifts[k][u], for u != k:
+    per part S that user k + 1 caches and user u + 1 is not in, (part index
+    of S, lane of S plus u + 1), the lane whose payload XORs that part of
+    user u + 1's step item.  lifts[k][k]: per part S that user k + 1 lacks,
+    (part index of S, lane of S plus k + 1), the lane it decodes S in.
+    """
+
+    lanes: tuple
+    users: tuple
+    lifts: tuple
+
+
+# Bounded like `_step_table`, which it is read from.
+@lru_cache(maxsize=16)
+def _lanes(n_users: int, t: int) -> _LaneTable:
+    """The lane layout of a share-t step among K users, read from the
+    users' decode programs in `_step_table`."""
+    table = _step_table(n_users, t)
+    lanes = tuple(v for v, _ in table.rows)
+    lane = {v: l for l, v in enumerate(lanes)}
+    users, lifts = [], []
+    for k, program in enumerate(table.programs):
+        users.append(tuple(lane[v] for _, v, _ in program))
+        by_member = [[] for _ in range(n_users)]
+        for i, v, terms in program:
+            by_member[k].append((i, lane[v]))
+            for u, j in terms:
+                by_member[u].append((j, lane[v]))
+        lifts.append(tuple(map(tuple, by_member)))
+    return _LaneTable(lanes, tuple(users), tuple(lifts))
+
+
+class _LaneViews(dict):
+    """One layer's lifted views for one sweep, built per item x when first
+    asked for.
+
+    views[x][k] is None when user k + 1's cache does not hold its parts of x
+    exactly (each fully cached and equal to the store's).  Otherwise
+    views[x][k][u] is, for u != k, the parts of x that user k + 1 reads for
+    user u + 1's payload terms and, for u == k, the true parts of x that
+    user k + 1 decodes, each moved to its lane (`_LaneTable.lifts`).  masks[k]
+    covers the lanes user k + 1 decodes.
+    """
+
+    __slots__ = ("table", "offset", "psize", "nparts", "masks", "held", "caches", "store")
+
+    def __init__(self, layer: LayerSpec, psize: int, caches, store):
+        super().__init__()
+        k = len(caches)
+        self.table = _lanes(k, layer.t)
+        self.offset, self.psize = layer.offset, psize
+        self.nparts = comb0(k, layer.t)
+        pmask = (1 << psize) - 1
+        self.masks = tuple(
+            sum(pmask << lane * psize for lane in lanes) for lanes in self.table.users
+        )
+        self.held = tuple(m << layer.offset for m in _part_templates(k, layer.t, psize)[1:])
+        self.caches, self.store = caches, store
+
+    def __missing__(self, x):
+        off, psize = self.offset, self.psize
+        pmask = (1 << psize) - 1
+        bits = self.store.item_bits(x)
+        parts = [(bits >> (off + j * psize)) & pmask for j in range(self.nparts)]
+        views = []
+        for cache, held, lifts in zip(self.caches, self.held, self.table.lifts):
+            if (
+                cache.known_masks.get(x, 0) & held != held
+                or (cache.known_bits.get(x, 0) ^ bits) & held
+            ):
+                views.append(None)
+                continue
+            views.append(tuple(
+                sum([parts[j] << lane * psize for j, lane in lift]) for lift in lifts
+            ))
+        self[x] = views = tuple(views)
+        return views
+
+
+def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
+    """The lane pass: True when every user rebuilds its step item's layer
+    slice exactly, False when the pass cannot tell, and `_check_step`
+    decides.
+
+    The record's payloads, each masked to the part size, are packed into
+    one int, lane by lane, with every unsent lane rebuilt from its family.
+    User k's decoded lanes are the packed lanes holding it, XORed with the
+    lifted view of every other member's step item; they must equal the view
+    of its own item's true parts.  lane_views is the sweep's memo of
+    `_LaneViews`, per (layer, part size).
+    """
+    psize = rec.part_size
+    views = lane_views.get((rec.layer, psize))
+    if views is None:
+        views = lane_views[rec.layer, psize] = _LaneViews(rec.layer, psize, caches, store)
+    pmask = (1 << psize) - 1
+    payloads, leaders, pattern = rec.payloads, rec.leader_mask, rec.pattern
+    packed = shift = 0
+    try:
+        for v in views.table.lanes:
+            if v & leaders:
+                y = payloads[v]
+            else:
+                y = 0
+                for w in _family(pattern, v):
+                    y ^= payloads[w]
+            packed |= (y & pmask) << shift
+            shift += psize
+    except KeyError:
+        return False
+    rows = [views[x] for x in rec.classes]
+    for k, mask in enumerate(views.masks):
+        acc = packed & mask
+        for u, c in enumerate(pattern):
+            view = rows[c][k]
+            if view is None:
+                return False
+            acc ^= view[u]
+        if acc:
+            return False
+    return True
+
+
 def verify_all_demands(
     config: LibraryConfig,
     alloc,
@@ -207,7 +355,7 @@ def verify_all_demands(
         raise ValueError(f"{n}**{k} demand vectors exceed the enumeration guard")
     store = ContentStore.generate(config, seed)
     plan = DeliveryPlan(config, alloc, store, scheme=scheme)
-    caches = place(config, alloc, store, scheme)
+    caches = place(config, alloc, store, scheme, plan=plan)
     formula = _FORMULAS[scheme](config, alloc)
 
     all_demands = list(product(range(1, n + 1), repeat=k))
@@ -222,6 +370,7 @@ def verify_all_demands(
     passed: set = set()
     failed: set = set()
     layer_parts: dict = {}
+    lane_views: dict = {}
     file_size = config.file_size
     limit = formula * file_size + 1e-9 * file_size + 1e-6
     for idx, d in enumerate(all_demands):  # product tuples are valid demands
@@ -234,7 +383,11 @@ def verify_all_demands(
                 if key in passed:
                     continue
                 if key not in failed:
-                    errs = _check_step(rec, caches, plan.store, layer_parts)
+                    errs = (
+                        []
+                        if _lanes_clear(rec, lane_views, caches, plan.store)
+                        else _check_step(rec, caches, plan.store, layer_parts)
+                    )
                     if not errs:
                         passed.add(key)
                         continue
@@ -250,7 +403,7 @@ def verify_all_demands(
             demand_ok = False
 
         if idx in sample_idx:
-            failures = decode_failures(caches, plan.deliver(d), d, store)
+            failures = decode_failures(caches, plan.deliver(d), d, plan.store)
             violations.extend(f"demand {d}: {line}" for line in failures)
             demand_ok = demand_ok and not failures
         ok_flags.append(demand_ok)

@@ -27,7 +27,6 @@ from corrcache.delivery import (
     _CachedParts,
     _decode_parts,
     _part_templates,
-    _pattern,
     _step_table,
     _window,
     _xor_step,
@@ -289,12 +288,12 @@ def test_step_kernel_decodes_every_content(k):
                 for c in range(max(pattern) + 1)
             ]
             rec = _xor_step(k, 1, LayerSpec(t, 0, nparts * psize), pattern, content.__getitem__)
-            assert _pattern(pattern) == (pattern, tuple(range(len(content))))
+            assert (rec.pattern, rec.classes) == (pattern, tuple(range(len(content))))
             templates = _part_templates(k, t, psize)
             for user in range(1, k + 1):
                 mask = templates[user]
                 cached = [_CachedParts(mask, bits & mask, 0, psize) for bits in content]
-                got = _decode_parts(user, rec, pattern, [cached[c] for c in pattern])
+                got = _decode_parts(user, rec, [cached[c] for c in pattern])
                 c = pattern[user - 1]
                 want = [
                     (j, 1 << (c * nparts + j))
@@ -321,13 +320,12 @@ def test_random_delivery_payload_near_unknown_count():
     assert rec.leader_mask == 0b00001
     assert rec.bits == 800
     # every requester recovers the whole subfile from its own cache
-    pattern, _ = _pattern(rec.step_items)
     psize = rec.part_size
     for user in range(1, 6):
         mask = caches[user - 1].known_masks[item]
         bits = caches[user - 1].known_bits[item]
         parts = [_CachedParts(mask, bits, 0, psize)] * 5
-        for i, y in _decode_parts(user, rec, pattern, parts):
+        for i, y in _decode_parts(user, rec, parts):
             mask |= ((1 << psize) - 1) << (i * psize)
             bits |= y << (i * psize)
         assert mask == (1 << 1000) - 1

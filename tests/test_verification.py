@@ -19,8 +19,9 @@ from corrcache import (
     worst_case_demand,
 )
 from corrcache import delivery, verification
-from corrcache.combinat import divisibility_unit
-from corrcache.delivery import _family, _pattern, _step_table, cacc_layers
+from corrcache.combinat import divisibility_unit, part_labels
+from corrcache.delivery import UserCache, _family, _pattern, _step_table, cacc_layers, place
+from corrcache.verification import _check_step, _lanes, _lanes_clear
 
 
 def test_two_user_grid_clean():
@@ -376,3 +377,143 @@ def test_fault_first_emitted_mid_sweep_flags_exactly_its_holders(monkeypatch):
     assert all(report.decode_ok[:first])
     tag = "level 2 step ({2,3}, {1,2}, {2,3})"
     assert report.violations == tuple(f"{tag}: user {k} wrong bits" for k in (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the lane pass against the reference step check
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lane_table_agrees_with_step_table(k):
+    """`_lanes(K, t)` lays a share-t step out by the labels alone: lane l is
+    the l-th (t+1)-user set, a lift puts a part labeled S of member w's step
+    item at the lane of S plus w, and user u's lifts cover exactly the
+    terms of its decode program, each once.  For each user of a lane, the
+    terms it lifts there plus the part it decodes there are the table's
+    row for that payload."""
+    for t in range(k):
+        table, lanes = _step_table(k, t), _lanes(k, t)
+        labels = table.labels
+        assert lanes.lanes == part_labels(k, t + 1) == tuple(v for v, _ in table.rows)
+        for u, program in enumerate(table.programs):
+            lane_terms = {l: [] for l in lanes.users[u]}
+            assert [lanes.lanes[l] for l in lanes.users[u]] == [v for _, v, _ in program]
+            assert lanes.lifts[u][u] == tuple(
+                (labels.index(lanes.lanes[l] ^ 1 << u), l) for l in lanes.users[u]
+            )
+            lifted = []
+            for w, lift in enumerate(lanes.lifts[u]):
+                for j, l in lift:
+                    assert not labels[j] >> w & 1 and labels[j] | 1 << w == lanes.lanes[l]
+                    assert labels[j] >> u & 1 == (w != u)  # held, or decoded if w == u
+                    lane_terms[l].append((w, j))
+                    if w != u:
+                        lifted.append((w, j, lanes.lanes[l]))
+            terms = [(w, j, v) for _, v, row in program for w, j in row]
+            assert sorted(lifted) == sorted(terms)
+            assert {l: sorted(terms) for l, terms in lane_terms.items()} == {
+                l: sorted(table.rows[l][1]) for l in lanes.users[u]
+            }
+
+
+def _fault_cases():
+    """Every shape at N, K <= 4: each level at each integer share t < K,
+    and at share t + 1/2, which splits the level into a share-t layer and a
+    layer above it at offset > 0; cicc at a fractional share K*M/N; and
+    cauc, whose share-0 rest lies above its prefix."""
+    for n in range(1, 5):
+        for k in range(1, 5):
+            for level in range(1, n + 1):
+                counts = [0] * n
+                for t in range(k):
+                    for share, units in ((t, 1), (t + 0.5, 2)):
+                        counts[level - 1] = share
+                        alloc = CacheAllocation.from_replication(counts, k)
+                        yield single_level_config(n, k, level, units), alloc, "cacc"
+                config = single_level_config(n, k, level, units=2)
+                counts[level - 1] = 0.5
+                yield config, CacheAllocation(tuple(counts)), "cauc"
+            if k * 0.5 % n:
+                yield single_level_config(n, k, 1, units=2, capacity=0.5), None, "cicc"
+
+
+def _with_cache(caches, k, item, mask_fault=0, bit_fault=0):
+    """The caches, with user k + 1's copy missing `mask_fault` of item and
+    its bits at `bit_fault` flipped."""
+    cache = caches[k]
+    masks, bits = dict(cache.known_masks), dict(cache.known_bits)
+    masks[item] = masks.get(item, 0) & ~mask_fault
+    bits[item] = (bits.get(item, 0) & ~mask_fault) ^ bit_fault
+    out = list(caches)
+    out[k] = UserCache(cache.user, masks, bits)
+    return out
+
+
+def _faults(rec, caches, rng):
+    """One of each fault for `rec`, as (kind, record, caches)."""
+    v = rng.choice(sorted(rec.payloads))
+    psize = rec.part_size
+    y = rec.payloads[v]
+    missing = dict(rec.payloads)
+    del missing[v]
+    for kind, payloads in (
+        ("flipped payload bit", {**rec.payloads, v: y ^ 1 << rng.randrange(psize)}),
+        ("oversized payload", {**rec.payloads, v: y | 1 << psize}),
+        ("missing payload key", missing),
+    ):
+        yield kind, dataclasses.replace(rec, payloads=payloads), caches
+    k = rng.randrange(len(caches))
+    held = _step_table(len(caches), rec.layer.t).held[k]
+    if not held:  # a share-0 layer: the user caches nothing of it
+        return
+    pos = rec.layer.offset + rng.choice(held) * psize
+    part, bit = ((1 << psize) - 1) << pos, 1 << pos + rng.randrange(psize)
+    own = rec.step_items[k]
+    yield "dropped cached part", rec, _with_cache(caches, k, rng.choice(rec.classes), part)
+    yield "wrong cached bit, own item", rec, _with_cache(caches, k, own, bit_fault=bit)
+    others = [x for x in rec.classes if x != own]
+    if others:
+        item = rng.choice(others)
+        yield "wrong cached bit, other item", rec, _with_cache(caches, k, item, bit_fault=bit)
+
+
+def test_lane_pass_never_clears_a_failing_record():
+    """The lane pass clears every clean record of each sweep at N, K <= 4.
+    With each fault injected in turn into up to four records per layer, it
+    clears none that `_check_step`, the reference, fails.  An oversized payload is no
+    fault to either: both read a payload's part-size low bits only."""
+    rng = random.Random(18)
+    flagged = dict.fromkeys(
+        ["flipped payload bit", "missing payload key", "dropped cached part",
+         "wrong cached bit, own item", "wrong cached bit, other item"], 0,
+    )
+    offsets = set()
+    for config, alloc, scheme in _fault_cases():
+        store = ContentStore.generate(config, seed=rng.randrange(99))
+        plan = DeliveryPlan(config, alloc, store, scheme=scheme)
+        caches = place(config, alloc, store, scheme, plan=plan)
+        n, k = config.n_files, config.n_users
+        records = {
+            id(rec): rec
+            for d in itertools.product(range(1, n + 1), repeat=k)
+            for rec in plan._send(d)[0]
+        }
+        lane_views = {}
+        by_layer = {}
+        for rec in records.values():
+            assert _lanes_clear(rec, lane_views, caches, plan.store)
+            by_layer.setdefault(rec.layer, []).append(rec)
+        for layer, recs in by_layer.items():
+            offsets.add((scheme, layer.offset > 0))
+            for rec in rng.sample(recs, min(len(recs), 4)):
+                assert _check_step(rec, caches, plan.store, {}) == []
+                for kind, bad, bad_caches in _faults(rec, caches, rng):
+                    errs = _check_step(bad, bad_caches, plan.store, {})
+                    if errs:
+                        assert not _lanes_clear(bad, {}, bad_caches, plan.store), (kind, errs)
+                        flagged[kind] += 1
+                    else:
+                        assert kind not in ("flipped payload bit", "missing payload key")
+    assert all(flagged.values()), flagged
+    assert offsets == {("cacc", False), ("cicc", False)} | {
+        (s, True) for s in ("cacc", "cauc", "cicc")
+    }
