@@ -17,7 +17,7 @@ import math
 import sys
 
 from .allocation import optimize_allocation
-from .delivery import SCHEMES, DeliveryPlan, place
+from .delivery import SCHEMES, DeliveryPlan
 from .model import (
     CacheAllocation,
     ContentStore,
@@ -219,7 +219,7 @@ def _cmd_simulate(args) -> int:
         config, alloc, store, schedule_source=args.fixture, seed=args.seed,
         scheme=scheme,
     )
-    caches = place(config, alloc, store, scheme, plan=plan)
+    caches = plan.place()
     transcript = plan.deliver(demands)
 
     failures = decode_failures(caches, transcript, demands, plan.store)

@@ -7,7 +7,7 @@ formulas never enter the data path, so measured transcripts can be compared
 against them honestly.
 
 One engine serves all three schemes.  A scheme is described once, as
-placement groups (level, items, layers, nominal cached bits per item):
+placement groups (level, items, layers):
 
 * cacc (shared-subfile coded) splits every level-l subfile at the level's
   share (`cacc_layers`);
@@ -18,10 +18,14 @@ placement groups (level, items, layers, nominal cached bits per item):
   subfile {i} holding file i; it splits them, as one group of level 0, at
   the share K*M/N of the classic envelope.
 
-`place` spreads every group's layers over the caches.  `DeliveryPlan`
-delivers every group's layers the same way; the scheme only picks the
-column table of coded steps for each (window, group): the schedule columns
-for cacc, one column of the window's files for cicc, and none for cauc.
+A `DeliveryPlan` owns the library the scheme works on and its groups.
+`plan.place()` spreads every group's layers over the caches and checks, in
+whole bits, that each cache holds exactly what the layers place: per item
+and share-t layer, C(K-1, t-1) of its C(K, t) parts (`place` is a one-line
+wrapper).  The plan delivers every group's layers the same way; the scheme
+only picks the column table of coded steps for each (window, group): the
+schedule columns for cacc, one column of the window's files for cicc, and
+none for cauc.
 Every section is one leader-based XOR step, and a share-t step whose users
 want L distinct items sends C(K, t+1) - C(K-L, t+1) payloads.  A constant
 step pattern, one item for every user, is a remainder step: it sends
@@ -40,18 +44,20 @@ are.
 
 One table per (K, t), `_step_table`, states a share-t step once: its
 C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
-payload XORs, each the member's part labeled V minus the member; and per
+payload XORs, each the member's part labeled V minus the member; per
 user, the parts it caches and its decode program, which lists per part it
 lacks the payload V (the part's label plus the user) and the other
-members' terms to XOR in.  Placement's part templates, `_xor_step`, the
-decoder and the verifier's lane table all read it; nothing else walks a
-step's labels and members.
+members' terms to XOR in; and the lane layout of the verifier's lane
+pass, where each part sits among the packed payloads.  Placement's part
+templates, `_xor_step`, the decoder and the lane pass all read it;
+nothing else walks a step's labels and members.
 
 Decoding is one part-indexed kernel (`_decode_parts`): it runs the user's
-program from the table.  `decode` calls it, and so does the verifier's
-reference step check; the verifier's fast path checks a record for all
-users at once with lane-packed big-int XORs (see verification.py), and
-the encoder stays on the table's rows.  A payload whose user set has no
+program from the table, and raises on a payload wider than its part.
+`decode` calls it, and so does the verifier's reference step check; the
+verifier's fast path checks a record for all users at once with
+lane-packed big-int XORs (see verification.py), and the encoder stays on
+the table's rows.  A payload whose user set has no
 leader is not sent: the step's equality pattern (its step items
 renumbered by first occurrence, stored on the record with the distinct
 items by `_xor_step`) fixes the family of sent payloads that XOR to it.
@@ -134,9 +140,10 @@ def _split_layers(total_size: int, t_exact: float, curve, n_users: int):
     A share at which the rate curve reads its raw integer point keeps the
     item whole.  Fractional shares split it between the two envelope
     vertices bracketing t_exact; the low-share slice is rounded down to the
-    divisibility unit, which keeps the delivered bits at or below the
-    envelope value while slightly over-filling the cache (the overage is
-    declared as padding slack by the placement).
+    divisibility unit.  That keeps the delivered bits at or below the
+    envelope value, but a cache may then hold more than the nominal share:
+    the placed layers fix what each cache holds and what the verifier
+    allows, and nothing yet reports the overage against the budget.
     """
     if curve.reads_point(t_exact):
         return (LayerSpec(int(round(t_exact)), 0, total_size),)
@@ -186,7 +193,7 @@ def _groups(
 ):
     """Check the inputs and return the library the scheme works on, as
     (config, store, placement groups), each group being (level, items,
-    layers, nominal cached bits per item): one per nonempty level, or for
+    layers): one per nonempty level, or for
     cicc, which ignores the allocation, the library seen as N unrelated
     files, (F, 0, ..., 0) with subfile {i} holding file i, and one level-0
     group of its N subfiles.  Every share-t layer must split into C(K, t)
@@ -200,7 +207,7 @@ def _groups(
         f = int(config.file_size)
         t_exact = k * min(config.cache_capacity, n) / n
         layers = _split_layers(f, t_exact, cicc_curve(config), k)
-        groups = [(0, part_labels(n, 1), layers, t_exact * f / k)]
+        groups = [(0, part_labels(n, 1), layers)]
         files = {1 << (i - 1): store.file_bits(i) for i in range(1, n + 1)}
         config = LibraryConfig(n, k, config.cache_capacity, (f,) + (0,) * (n - 1))
         store = ContentStore(config=config, seed=store.seed, _contents=files)
@@ -215,17 +222,16 @@ def _groups(
             if scheme == "cacc":
                 t_exact = alloc.fractions[level - 1] * k
                 layers = cacc_layers(config, level, t_exact)
-                nominal = t_exact * size / k
                 masks = sorted(masks)  # remainder steps go out in mask order
             else:
-                nominal = c = _prefix_bits(alloc, level, size)
+                c = _prefix_bits(alloc, level, size)
                 layers = tuple(
                     layer
                     for layer in (LayerSpec(k, 0, c), LayerSpec(0, c, size - c))
                     if layer.size
                 )
-            groups.append((level, tuple(masks), layers, nominal))
-    for _, _, layers, _ in groups:
+            groups.append((level, tuple(masks), layers))
+    for _, _, layers in groups:
         for layer in layers:
             nparts = comb0(k, layer.t)
             if layer.size % nparts:
@@ -269,61 +275,6 @@ def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
     return (0,) + tuple(
         sum(seg << (i * psize) for i in held) for held in _step_table(n_users, t).held
     )
-
-
-def _check_budget(config, caches, pad_bits):
-    """Every cache fits the budget plus the declared divisibility padding."""
-    budget = config.cache_capacity * config.file_size
-    for cache in caches:
-        if cache.total_bits() > budget + pad_bits + 1e-6 * config.file_size + 1e-9:
-            raise RuntimeError(
-                f"user {cache.user} caches {cache.total_bits()} bits, over "
-                f"budget {budget} + declared padding {pad_bits}"
-            )
-
-
-def place(
-    config: LibraryConfig,
-    alloc: CacheAllocation,
-    store: ContentStore,
-    scheme: str = "cacc",
-    plan: "DeliveryPlan | None" = None,
-):
-    """Every user's cache under `scheme`: each group's items are split into
-    labeled parts per layer, and each user keeps the parts whose label
-    contains it (a share-K layer is one part every user keeps).
-
-    `plan`, a DeliveryPlan built from the same inputs, lends the library it
-    works on and its placement groups, so a caller that delivers too checks
-    the inputs and, for cicc, builds the N-file view only once."""
-    if plan is None:
-        config, store, groups = _groups(config, alloc, store, scheme)
-    elif plan.scheme != scheme:
-        raise ValueError(f"a {plan.scheme} plan cannot place scheme {scheme}")
-    else:
-        config, store, groups = plan.config, plan.store, plan._groups
-    k = config.n_users
-    caches = [UserCache(user=u) for u in range(1, k + 1)]
-    templates = {}  # (t, part size) -> _part_templates, for this call only
-    pad = 0.0
-    for _, items, layers, nominal in groups:
-        cached = sum(layer.t * layer.size for layer in layers) / k
-        pad += max(cached - nominal, 0.0) * len(items)
-        for item in items:
-            content = store.item_bits(item)
-            for layer in layers:
-                if layer.t == 0:
-                    continue
-                key = (layer.t, layer.size // comb0(k, layer.t))
-                tpl = templates.get(key)
-                if tpl is None:
-                    tpl = templates[key] = _part_templates(k, *key)
-                for cache in caches:
-                    pm = tpl[cache.user] << layer.offset
-                    if pm:
-                        cache.add(item, pm, content & pm)
-    _check_budget(config, caches, pad)
-    return caches
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +330,21 @@ class _StepTable(NamedTuple):
     labeled V minus u + 1.  held[u]: the part indices user u + 1 caches.
     programs[u]: per part i user u + 1 lacks, in part order, (i, V, the
     other members' terms of V), V being the part's label plus the user.
+
+    lifts, the verifier's lane layout: lane l of a packed record holds the
+    payload of the l-th (t+1)-user set, the row order.  lifts[k][u], for
+    u != k: per part S that user k + 1 caches and user u + 1 is not in,
+    (part index of S, lane of S plus u + 1), the lane whose payload XORs
+    that part of user u + 1's step item.  lifts[k][k]: per part S that user
+    k + 1 lacks, (part index of S, lane of S plus k + 1), the lane it
+    decodes S in; those are the lanes of the sets holding user k + 1.
     """
 
     labels: tuple
     rows: tuple
     held: tuple
     programs: tuple
+    lifts: tuple
 
 
 # Bounded: a pass over many configs at K = 8 would otherwise keep every
@@ -392,13 +352,15 @@ class _StepTable(NamedTuple):
 @lru_cache(maxsize=16)
 def _step_table(n_users: int, t: int) -> _StepTable:
     """The one walk over a share-t step's part labels and members: who
-    caches which part (placement), what each payload XORs (`_xor_step`) and
-    what each user reads to rebuild its missing parts (`_decode_parts`)."""
+    caches which part (placement), what each payload XORs (`_xor_step`),
+    what each user reads to rebuild its missing parts (`_decode_parts`) and
+    where the verifier's lane pass puts each part."""
     labels = part_labels(n_users, t)
+    lanes = part_labels(n_users, t + 1)
     index = {lab: i for i, lab in enumerate(labels)}
     rows = tuple(
         (v, tuple((u - 1, index[v ^ 1 << (u - 1)]) for u in members_of(v)))
-        for v in part_labels(n_users, t + 1)
+        for v in lanes
     )
     users = range(n_users)
     held = tuple(tuple(i for i, lab in enumerate(labels) if lab >> u & 1) for u in users)
@@ -410,18 +372,16 @@ def _step_table(n_users: int, t: int) -> _StepTable:
         )
         for u in users
     )
-    return _StepTable(labels, rows, held, programs)
-
-
-def _leaders(step_items) -> int:
-    """First user per distinct step-item, as a user-set mask."""
-    seen = set()
-    mask = 0
-    for k, key in enumerate(step_items, start=1):
-        if key not in seen:
-            seen.add(key)
-            mask |= 1 << (k - 1)
-    return mask
+    lifts = tuple(
+        tuple(
+            tuple(
+                (index[v ^ 1 << u], l) for l, v in enumerate(lanes) if v >> k & 1 and v >> u & 1
+            )
+            for u in users
+        )
+        for k in users
+    )
+    return _StepTable(labels, rows, held, programs, lifts)
 
 
 def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
@@ -436,8 +396,7 @@ def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
     table = _step_table(n_users, layer.t)
     offset, psize = layer.offset, layer.size // len(table.labels)
     pmask = (1 << psize) - 1
-    pattern, classes = _pattern(step_items)
-    leader_mask = _leaders(pattern)
+    pattern, classes, leader_mask = _pattern(step_items)
     contents = [content_of(item) for item in classes]
     member_bits = [contents[c] for c in pattern]
     payloads = {}
@@ -493,7 +452,7 @@ class DeliveryPlan:
     seen as N unrelated files) and, per placement group, the group's items
     and its delivered sublayers (t < K, size > 0) with their part sizes and
     step memos; and builds, per (window, group), the scheme's column table.
-    `place(..., plan=plan)` reuses its checked library and placement groups.
+    `place()` builds the users' caches from the same library and groups.
     Step payloads depend on the demand vector only through the per-step
     item pattern, so deliveries of many demand vectors through one plan
     (``plan.deliver(demands)``) share almost all bit-level work.  cicc
@@ -527,7 +486,7 @@ class DeliveryPlan:
         self.scheme = scheme
         k = config.n_users
         levels = []
-        for level, items, layers, _ in self._groups:
+        for level, items, layers in self._groups:
             sublayers = tuple(
                 (layer, layer.size // comb0(k, layer.t), {})
                 for layer in layers
@@ -560,6 +519,39 @@ class DeliveryPlan:
         if fixture.level not in [level for level, _, subs in self._levels if subs]:
             raise ValueError(f"fixture level {fixture.level} has no delivered sublayer")
         return fixture
+
+    def place(self) -> list:
+        """Every user's cache: each group's items are split into labeled
+        parts per layer, and each user keeps the parts whose label contains
+        it (a share-K layer is one part every user keeps).
+
+        Checked in whole bits: every cache holds exactly what the layers
+        place, per item and share-t layer C(K-1, t-1) of its C(K, t) parts.
+        """
+        k = self.config.n_users
+        caches = [UserCache(user=u) for u in range(1, k + 1)]
+        placed = 0  # bits every cache holds
+        for _, items, layers in self._groups:
+            held = []  # (offset, per-user part masks) of each cached layer
+            for layer in layers:
+                if layer.t:
+                    psize = layer.size // comb0(k, layer.t)
+                    placed += len(items) * psize * comb0(k - 1, layer.t - 1)
+                    held.append((layer.offset, _part_templates(k, layer.t, psize)))
+            for item in items:
+                content = self.store.item_bits(item)
+                for offset, tpl in held:
+                    for cache in caches:
+                        pm = tpl[cache.user] << offset
+                        if pm:
+                            cache.add(item, pm, content & pm)
+        for cache in caches:
+            if cache.total_bits() != placed:
+                raise RuntimeError(
+                    f"user {cache.user} caches {cache.total_bits()} bits, not the "
+                    f"{placed} its layers place"
+                )
+        return caches
 
     def _schedule(self, window, rbar, level):
         fixed = members_of(rbar)
@@ -708,6 +700,17 @@ class DeliveryPlan:
         )
 
 
+def place(
+    config: LibraryConfig,
+    alloc: CacheAllocation,
+    store: ContentStore,
+    scheme: str = "cacc",
+) -> list:
+    """Every user's cache under `scheme`: builds a DeliveryPlan for this call
+    and places through it (see DeliveryPlan.place)."""
+    return DeliveryPlan(config, alloc, store, scheme=scheme).place()
+
+
 def deliver(
     config: LibraryConfig,
     alloc: CacheAllocation,
@@ -736,13 +739,22 @@ def cauc_deliver(
 # decoding (transcript + own cache only): one part-indexed kernel
 
 def _pattern(step_items):
-    """A step's equality pattern -- its step items renumbered by first
-    occurrence, e.g. (0, 1, 0, 2, 2) -- and its distinct items in that order.
-    The pattern alone fixes the leaders and the family of every unsent
-    payload."""
+    """A step's equality pattern, distinct items and leaders, from one walk
+    over its step items: the pattern renumbers the step items by first
+    occurrence, e.g. (0, 1, 0, 2, 2), the distinct items come in that
+    order, and the leaders, the first user per distinct item, form a
+    user-set mask.  The pattern alone fixes the leaders and the family of
+    every unsent payload."""
     ids = {}
-    pattern = tuple([ids.setdefault(item, len(ids)) for item in step_items])
-    return pattern, tuple(ids)
+    pattern = []
+    leaders = 0
+    for k, item in enumerate(step_items):
+        c = ids.get(item)
+        if c is None:
+            c = ids[item] = len(ids)
+            leaders |= 1 << k
+        pattern.append(c)
+    return tuple(pattern), tuple(ids), leaders
 
 
 # Bounded: a pass over many configs would otherwise keep every (pattern, V)
@@ -756,7 +768,7 @@ def _family(pattern, v: int) -> tuple[int, ...]:
     zero; V is the only such subset avoiding every leader, so it equals the
     XOR of the rest.
     """
-    c = v | _leaders(pattern)
+    c = v | _pattern(pattern)[2]
     out = []
     for combo in combinations(members_of(c), v.bit_count()):
         w = mask_of(combo)
@@ -773,12 +785,15 @@ def _decode_parts(user: int, rec: StepRecord, parts) -> list:
     as (part index, bits) pairs.
 
     parts[u][j] is the user's cached part j, in the record's layer, of user
-    u + 1's step item, or None when that part is not fully cached.
+    u + 1's step item, or None when that part is not fully cached.  A
+    payload wider than its part raises: cached parts fit the part size, so
+    any bit above it comes from the payloads, and each member of a sent
+    payload reads that payload directly.
     """
     payloads = rec.payloads
     leader_mask = rec.leader_mask
     pattern = rec.pattern
-    pmask = (1 << rec.part_size) - 1
+    psize = rec.part_size
     out = []
     for i, v, terms in _step_table(len(pattern), rec.layer.t).programs[user - 1]:
         if v & leader_mask:
@@ -790,13 +805,17 @@ def _decode_parts(user: int, rec: StepRecord, parts) -> list:
         for u, j in terms:
             part = parts[u][j]
             if part is None:
-                pos = rec.layer.offset + j * rec.part_size
+                pos = rec.layer.offset + j * psize
                 raise RuntimeError(
                     f"decoder missing bits of subfile {_item_name(rec.step_items[u])} "
                     f"at {pos}"
                 )
             y ^= part
-        out.append((i, y & pmask))
+        if y >> psize:
+            raise RuntimeError(
+                f"payload of users {_item_name(v)} is wider than its {psize}-bit part"
+            )
+        out.append((i, y))
     return out
 
 

@@ -3,9 +3,12 @@
 verify_all_demands drives the bit-level engine over every demand vector of a
 config and checks two things everywhere: decodability (every user can
 rebuild its file from cache + transcript) and rate soundness (measured bits
-never exceed the scheme's formula; the limit allows float rounding and
-nothing else).  All three schemes run through the same `place` and
-`DeliveryPlan` with a `scheme` argument; the scheme only picks the formula.
+never exceed the scheme's formula at the placed layers, an int with no
+slack: per delivered sublayer, its part size times the worst-case payload
+count at its share, `_limit_bits`).  All three schemes run through the
+same `DeliveryPlan` with a `scheme` argument, which places the caches too
+(`plan.place()`); the scheme only picks the worst-case counts.  The
+report's `formula_rate` stays the nominal formula.
 Every transmitted section is one leader-based XOR step whose payloads
 depend on demands only through its step-item pattern, so one plan plus
 per-record decode checks keep the full N^K sweep fast without weakening
@@ -17,14 +20,14 @@ the plan's library and assembles no file.
 
 The step check has two stages.  The lane pass (`_lanes_clear`) checks a
 record for all K users at once with a few big-int XORs: the payloads,
-masked to the part size, sit side by side in one int, payload V in lane
-index(V) of the (t+1)-user sets, with the unsent lanes rebuilt from their
-families once per record.  User k's decoded lanes are the lanes holding
-k, XORed with one lifted view of its cache per other member u (its cached
-parts S of u's step item, k in S and u not, moved to lane S + u); they
-must equal the lifted truth of k's own item.  The lane layout per (K, t)
-is read from delivery's step table (`_lanes`, a bounded lru), and the
-lifted views are built once per sweep per (layer, item), from the store,
+none wider than the part size, sit side by side in one int, payload V in
+lane index(V) of the (t+1)-user sets, with the unsent lanes rebuilt from
+their families once per record.  User k's decoded lanes are the lanes
+holding k, XORed with one lifted view of its cache per other member u (its
+cached parts S of u's step item, k in S and u not, moved to lane S + u);
+they must equal the lifted truth of k's own item.  The lane layout per (K, t)
+is part of delivery's step table (`_StepTable.lifts`), and the lifted
+views are built once per sweep per (layer, item), from the store,
 for the users whose cache holds that item's parts exactly.  A record the
 lane pass does not clear goes to `_check_step`, the reference: it runs
 delivery's decode kernel (`_decode_parts`) once per user, reading the
@@ -50,11 +53,9 @@ get a full `Transcript`, for the end-to-end decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
-from .combinat import comb0
+from .combinat import comb0, part_labels, step_payloads
 from .delivery import (
     DeliveryPlan,
     LayerSpec,
@@ -66,10 +67,9 @@ from .delivery import (
     _item_name,
     _part_templates,
     _step_table,
-    place,
 )
 from .model import ContentStore, LibraryConfig
-from .rates import cacc_rate, cauc_rate, cicc_rate
+from .rates import _alpha_numerators, _needed_subfile_count, cacc_rate, cauc_rate, cicc_rate
 
 __all__ = [
     "GridReport",
@@ -207,44 +207,6 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # the lane pass: one record checked for all K users at once
 
-class _LaneTable(NamedTuple):
-    """A share-t step's payloads side by side (`_lanes`).
-
-    Lane l of a packed record holds the payload of the l-th (t+1)-user set
-    V, in part_labels order: the payload user k in V decodes its part
-    labeled V minus k from.  lanes: the sets V in lane order.  users[k]:
-    the lanes of the sets V holding user k + 1.  lifts[k][u], for u != k:
-    per part S that user k + 1 caches and user u + 1 is not in, (part index
-    of S, lane of S plus u + 1), the lane whose payload XORs that part of
-    user u + 1's step item.  lifts[k][k]: per part S that user k + 1 lacks,
-    (part index of S, lane of S plus k + 1), the lane it decodes S in.
-    """
-
-    lanes: tuple
-    users: tuple
-    lifts: tuple
-
-
-# Bounded like `_step_table`, which it is read from.
-@lru_cache(maxsize=16)
-def _lanes(n_users: int, t: int) -> _LaneTable:
-    """The lane layout of a share-t step among K users, read from the
-    users' decode programs in `_step_table`."""
-    table = _step_table(n_users, t)
-    lanes = tuple(v for v, _ in table.rows)
-    lane = {v: l for l, v in enumerate(lanes)}
-    users, lifts = [], []
-    for k, program in enumerate(table.programs):
-        users.append(tuple(lane[v] for _, v, _ in program))
-        by_member = [[] for _ in range(n_users)]
-        for i, v, terms in program:
-            by_member[k].append((i, lane[v]))
-            for u, j in terms:
-                by_member[u].append((j, lane[v]))
-        lifts.append(tuple(map(tuple, by_member)))
-    return _LaneTable(lanes, tuple(users), tuple(lifts))
-
-
 class _LaneViews(dict):
     """One layer's lifted views for one sweep, built per item x when first
     asked for.
@@ -253,21 +215,25 @@ class _LaneViews(dict):
     exactly (each fully cached and equal to the store's).  Otherwise
     views[x][k][u] is, for u != k, the parts of x that user k + 1 reads for
     user u + 1's payload terms and, for u == k, the true parts of x that
-    user k + 1 decodes, each moved to its lane (`_LaneTable.lifts`).  masks[k]
-    covers the lanes user k + 1 decodes.
+    user k + 1 decodes, each moved to its lane (`_StepTable.lifts`).
+    lanes: the (t+1)-user sets in lane order.  masks[k] covers the lanes
+    user k + 1 decodes.
     """
 
-    __slots__ = ("table", "offset", "psize", "nparts", "masks", "held", "caches", "store")
+    __slots__ = (
+        "lanes", "lifts", "offset", "psize", "nparts", "masks", "held", "caches", "store",
+    )
 
     def __init__(self, layer: LayerSpec, psize: int, caches, store):
         super().__init__()
         k = len(caches)
-        self.table = _lanes(k, layer.t)
+        self.lanes = part_labels(k, layer.t + 1)
+        self.lifts = _step_table(k, layer.t).lifts
         self.offset, self.psize = layer.offset, psize
         self.nparts = comb0(k, layer.t)
         pmask = (1 << psize) - 1
         self.masks = tuple(
-            sum(pmask << lane * psize for lane in lanes) for lanes in self.table.users
+            sum(pmask << lane * psize for _, lane in lift[k]) for k, lift in enumerate(self.lifts)
         )
         self.held = tuple(m << layer.offset for m in _part_templates(k, layer.t, psize)[1:])
         self.caches, self.store = caches, store
@@ -278,7 +244,7 @@ class _LaneViews(dict):
         bits = self.store.item_bits(x)
         parts = [(bits >> (off + j * psize)) & pmask for j in range(self.nparts)]
         views = []
-        for cache, held, lifts in zip(self.caches, self.held, self.table.lifts):
+        for cache, held, lifts in zip(self.caches, self.held, self.lifts):
             if (
                 cache.known_masks.get(x, 0) & held != held
                 or (cache.known_bits.get(x, 0) ^ bits) & held
@@ -297,7 +263,7 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
     slice exactly, False when the pass cannot tell, and `_check_step`
     decides.
 
-    The record's payloads, each masked to the part size, are packed into
+    The record's payloads, none wider than the part size, are packed into
     one int, lane by lane, with every unsent lane rebuilt from its family.
     User k's decoded lanes are the packed lanes holding it, XORed with the
     lifted view of every other member's step item; they must equal the view
@@ -308,18 +274,19 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
     views = lane_views.get((rec.layer, psize))
     if views is None:
         views = lane_views[rec.layer, psize] = _LaneViews(rec.layer, psize, caches, store)
-    pmask = (1 << psize) - 1
     payloads, leaders, pattern = rec.payloads, rec.leader_mask, rec.pattern
+    if max(payloads.values(), default=0) >> psize:
+        return False
     packed = shift = 0
     try:
-        for v in views.table.lanes:
+        for v in views.lanes:
             if v & leaders:
                 y = payloads[v]
             else:
                 y = 0
                 for w in _family(pattern, v):
                     y ^= payloads[w]
-            packed |= (y & pmask) << shift
+            packed |= y << shift
             shift += psize
     except KeyError:
         return False
@@ -334,6 +301,28 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
         if acc:
             return False
     return True
+
+
+def _limit_bits(plan: DeliveryPlan) -> int:
+    """The scheme's formula at the placed layers, in whole bits: per
+    delivered sublayer, its part size times the worst-case payload count at
+    its share t under the step-cost rule (Yu, Maddah-Ali and Avestimehr,
+    arXiv:1609.07817, Thm. 1).  For cacc that count is the lesser of
+    alpha's numerator and the floor, one remainder step of C(K-1, t)
+    payloads per needed subfile; for cauc it is the floor; for cicc, the
+    one coded step over min(N, K) distinct files."""
+    n, k = plan.config.n_files, plan.config.n_users
+    bits = 0
+    for level, _, sublayers in plan._levels:
+        for layer, psize, _ in sublayers:
+            if plan.scheme == "cicc":
+                count = step_payloads(k, layer.t, min(n, k))
+            else:
+                count = _needed_subfile_count(n, k, level) * comb0(k - 1, layer.t)
+                if plan.scheme == "cacc":
+                    count = min(_alpha_numerators(n, k, level)[layer.t], count)
+            bits += psize * count
+    return bits
 
 
 def verify_all_demands(
@@ -355,8 +344,9 @@ def verify_all_demands(
         raise ValueError(f"{n}**{k} demand vectors exceed the enumeration guard")
     store = ContentStore.generate(config, seed)
     plan = DeliveryPlan(config, alloc, store, scheme=scheme)
-    caches = place(config, alloc, store, scheme, plan=plan)
+    caches = plan.place()
     formula = _FORMULAS[scheme](config, alloc)
+    limit = _limit_bits(plan)
 
     all_demands = list(product(range(1, n + 1), repeat=k))
     step = max(1, len(all_demands) // _FULL_DECODE_SAMPLES)
@@ -372,7 +362,6 @@ def verify_all_demands(
     layer_parts: dict = {}
     lane_views: dict = {}
     file_size = config.file_size
-    limit = formula * file_size + 1e-9 * file_size + 1e-6
     for idx, d in enumerate(all_demands):  # product tuples are valid demands
         sections, total_bits, _, _ = plan._send(d)
         rates.append(total_bits / file_size)
@@ -397,8 +386,8 @@ def verify_all_demands(
 
         if total_bits > limit:
             violations.append(
-                f"demand {d}: {total_bits} bits > formula "
-                f"{formula * file_size:.6f}"
+                f"demand {d}: {total_bits} bits > {limit}, the formula at the "
+                "placed layers"
             )
             demand_ok = False
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import corrcache
 from corrcache import (
-    ContentStore, ExperimentSpec, LibraryConfig, __version__, cli, scheduling,
+    ContentStore, DeliveryPlan, ExperimentSpec, LibraryConfig, __version__, scheduling,
 )
 from corrcache.cli import main, rate_row
 from corrcache.model import exact_sizes_from_ratios
@@ -82,17 +82,17 @@ def test_simulate_reports_a_decode_fault_and_exits_1(capsys, monkeypatch):
     """User 1's cache loses one bit of subfile {1}, so its decode raises.
     simulate still prints every result line, with decode=FAILED, reports
     the user on stderr and exits 1 (a decode failure, not a usage error)."""
-    place = cli.place
+    place = DeliveryPlan.place
 
-    def place_dropping_a_bit(*args, **kwargs):
-        caches = place(*args, **kwargs)
+    def place_dropping_a_bit(plan):
+        caches = place(plan)
         item = 0b001
         mask = caches[0].known_masks[item]
         caches[0].known_masks[item] = mask & (mask - 1)
         caches[0].known_bits[item] &= mask & (mask - 1)
         return caches
 
-    monkeypatch.setattr(cli, "place", place_dropping_a_bit)
+    monkeypatch.setattr(DeliveryPlan, "place", place_dropping_a_bit)
     rc, out, err = run_cli(
         capsys,
         "simulate", "--n", "3", "--k", "3", "--level-sizes", "6,6,6",

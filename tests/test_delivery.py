@@ -141,6 +141,26 @@ def test_place_splits_at_integer_share():
     assert got == store.item_bits(m) & mask
 
 
+def test_place_refuses_a_cache_holding_one_extra_part(monkeypatch):
+    """Each cache holds exactly what the layers place, in whole bits: with
+    user 1 also keeping user 2's part of the one subfile, placement raises,
+    though the cache stays inside its capacity (8 of 12 bits)."""
+    config = LibraryConfig(3, 3, 1.0, (0, 0, 12))
+    store = ContentStore.generate(config, seed=0)
+    alloc = t_alloc((0, 0, 1), 3)
+    assert [c.total_bits() for c in place(config, alloc, store)] == [4, 4, 4]
+    real = delivery._part_templates
+
+    def one_extra_part(k, t, psize):
+        tpl = list(real(k, t, psize))
+        tpl[1] |= ((1 << psize) - 1) << psize  # part 1, labeled {2}
+        return tuple(tpl)
+
+    monkeypatch.setattr(delivery, "_part_templates", one_extra_part)
+    with pytest.raises(RuntimeError, match="user 1 caches 8 bits, not the 4"):
+        place(config, alloc, store)
+
+
 def test_place_rejects_overcommitted_allocation():
     config = single_level_config(5, 5, 2, units=1, capacity=0.1)
     store = ContentStore.generate(config, seed=1)

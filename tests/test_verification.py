@@ -18,10 +18,12 @@ from corrcache import (
     verify_all_demands,
     worst_case_demand,
 )
-from corrcache import delivery, verification
+from corrcache import delivery
 from corrcache.combinat import divisibility_unit, part_labels
-from corrcache.delivery import UserCache, _family, _pattern, _step_table, cacc_layers, place
-from corrcache.verification import _check_step, _lanes, _lanes_clear
+from corrcache.delivery import (
+    UserCache, _family, _pattern, _step_table, cacc_layers, decode,
+)
+from corrcache.verification import _check_step, _lanes_clear, _limit_bits
 
 
 def test_two_user_grid_clean():
@@ -266,10 +268,10 @@ def test_cache_missing_a_part_is_reported(monkeypatch):
     config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
     alloc = CacheAllocation.from_replication((0, 1, 0), 3)
     psize = 4  # 12 bits in C(3, 1) parts
-    real_place = verification.place
+    real_place = DeliveryPlan.place
 
-    def place_with_hole(*args, **kwargs):
-        caches = real_place(*args, **kwargs)
+    def place_with_hole(plan):
+        caches = real_place(plan)
         cache = caches[1]
         item = min(cache.known_masks)
         mask = cache.known_masks[item]
@@ -278,7 +280,7 @@ def test_cache_missing_a_part_is_reported(monkeypatch):
         cache.known_bits[item] &= ~hole
         return caches
 
-    monkeypatch.setattr(verification, "place", place_with_hole)
+    monkeypatch.setattr(DeliveryPlan, "place", place_with_hole)
     report = verify_all_demands(config, alloc, seed=0)
     assert not report.ok
     assert any(
@@ -326,8 +328,8 @@ def test_corrupt_payload_caught_through_family_xor(monkeypatch):
     alloc = CacheAllocation.from_replication((1, 0), 4)
     a, b = 0b01, 0b10
     target = (a, a, a, b)
-    pattern, _ = _pattern(target)
-    leaders = 0b1001
+    pattern, _, leaders = _pattern(target)
+    assert leaders == 0b1001
     program = _step_table(4, 1).programs[1]  # user 2's
     sent = [v for _, v, _ in program if v & leaders]
     family = [_family(pattern, v) for _, v, _ in program if not v & leaders]
@@ -379,39 +381,106 @@ def test_fault_first_emitted_mid_sweep_flags_exactly_its_holders(monkeypatch):
     assert report.violations == tuple(f"{tag}: user {k} wrong bits" for k in (1, 2, 3))
 
 
+def test_extra_payload_above_the_placed_layers_is_reported(monkeypatch):
+    """(N, K) = (2, 2), sizes (4, 2), M = 0.4: placement puts level 1 at
+    share 1 for all its bits, so the worst delivery is 4 bits against a
+    nominal formula of 6.4.  The gate is the formula at the placed layers,
+    4 bits: one extra 2-bit payload on demand (1, 1)'s level-1 step lifts
+    that vector to 6 bits, under the nominal formula, and it is reported."""
+    config = LibraryConfig(2, 2, 0.4, (4, 2))
+    alloc = optimize_allocation(config).alloc
+    plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0))
+    assert _limit_bits(plan) == 4
+    assert verify_all_demands(config, alloc).max_rate * config.file_size == 4
+
+    def extra_payload(rec):
+        if rec.level == 1 and rec.step_items == (0b01, 0b01):
+            return {**rec.payloads, 0b01: 0}
+        return rec.payloads
+
+    _flip_payloads(monkeypatch, extra_payload)
+    report = verify_all_demands(config, alloc)
+    assert report.max_rate * config.file_size == 6 < report.formula_rate * config.file_size
+    assert report.violations == (
+        "demand (1, 1): 6 bits > 4, the formula at the placed layers",
+    )
+    assert report.decode_ok == (False, True, True, True)
+
+
+def test_worst_delivery_meets_the_placed_bound_exactly():
+    """(N, K) = (3, 5), sizes (20, 20, 0), M = 1.5: the optimizer's shares
+    (0.6, 0.9, 0) place level 1 at share 3 and level 2 at shares 4 and 5;
+    the formula at those layers is 14 bits, and the worst delivery sends
+    exactly that."""
+    config = LibraryConfig(3, 5, 1.5, (20, 20, 0))
+    alloc = optimize_allocation(config).alloc
+    plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0))
+    assert _limit_bits(plan) == 14
+    report = verify_all_demands(config, alloc)
+    assert report.ok, report.violations[:3]
+    assert report.max_rate * config.file_size == 14
+
+
+def test_payload_wider_than_its_part_is_a_fault():
+    """One payload with a bit above its part size: `decode` raises for a
+    member of its user set, the lane pass does not clear the record and the
+    reference names the violation."""
+    config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
+    alloc = CacheAllocation.from_replication((0, 1, 0), 3)
+    store = ContentStore.generate(config, seed=0)
+    plan = DeliveryPlan(config, alloc, store)
+    caches = plan.place()
+    demands = (1, 2, 3)
+    transcript = plan.deliver(demands)
+    rec = transcript.sections[0]
+    v = min(rec.payloads)
+    wide = dataclasses.replace(
+        rec, payloads={**rec.payloads, v: rec.payloads[v] | 1 << rec.part_size}
+    )
+    bad = dataclasses.replace(transcript, sections=(wide,) + transcript.sections[1:])
+    user = (v & -v).bit_length()  # the first member of V
+    with pytest.raises(RuntimeError, match="wider than its 4-bit part"):
+        decode(user, caches[user - 1], bad, demands)
+    assert _lanes_clear(rec, {}, caches, plan.store)
+    assert not _lanes_clear(wide, {}, caches, plan.store)
+    errs = _check_step(wide, caches, plan.store, {})
+    assert errs and all("wider than its 4-bit part" in e for e in errs), errs
+
+
 # ---------------------------------------------------------------------------
 # the lane pass against the reference step check
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_lane_table_agrees_with_step_table(k):
-    """`_lanes(K, t)` lays a share-t step out by the labels alone: lane l is
-    the l-th (t+1)-user set, a lift puts a part labeled S of member w's step
-    item at the lane of S plus w, and user u's lifts cover exactly the
-    terms of its decode program, each once.  For each user of a lane, the
-    terms it lifts there plus the part it decodes there are the table's
-    row for that payload."""
+    """`_step_table(K, t)` lays a share-t step out in lanes by the labels
+    alone: lane l is the l-th (t+1)-user set, a lift puts a part labeled S
+    of member w's step item at the lane of S plus w, and user u's lifts
+    cover exactly the terms of its decode program, each once.  For each
+    user of a lane, the terms it lifts there plus the part it decodes there
+    are the table's row for that payload."""
     for t in range(k):
-        table, lanes = _step_table(k, t), _lanes(k, t)
-        labels = table.labels
-        assert lanes.lanes == part_labels(k, t + 1) == tuple(v for v, _ in table.rows)
+        table = _step_table(k, t)
+        labels, lanes = table.labels, part_labels(k, t + 1)
+        assert lanes == tuple(v for v, _ in table.rows)
         for u, program in enumerate(table.programs):
-            lane_terms = {l: [] for l in lanes.users[u]}
-            assert [lanes.lanes[l] for l in lanes.users[u]] == [v for _, v, _ in program]
-            assert lanes.lifts[u][u] == tuple(
-                (labels.index(lanes.lanes[l] ^ 1 << u), l) for l in lanes.users[u]
+            users = [l for l, v in enumerate(lanes) if v >> u & 1]  # lanes u decodes
+            lane_terms = {l: [] for l in users}
+            assert [lanes[l] for l in users] == [v for _, v, _ in program]
+            assert table.lifts[u][u] == tuple(
+                (labels.index(lanes[l] ^ 1 << u), l) for l in users
             )
             lifted = []
-            for w, lift in enumerate(lanes.lifts[u]):
+            for w, lift in enumerate(table.lifts[u]):
                 for j, l in lift:
-                    assert not labels[j] >> w & 1 and labels[j] | 1 << w == lanes.lanes[l]
+                    assert not labels[j] >> w & 1 and labels[j] | 1 << w == lanes[l]
                     assert labels[j] >> u & 1 == (w != u)  # held, or decoded if w == u
                     lane_terms[l].append((w, j))
                     if w != u:
-                        lifted.append((w, j, lanes.lanes[l]))
+                        lifted.append((w, j, lanes[l]))
             terms = [(w, j, v) for _, v, row in program for w, j in row]
             assert sorted(lifted) == sorted(terms)
             assert {l: sorted(terms) for l, terms in lane_terms.items()} == {
-                l: sorted(table.rows[l][1]) for l in lanes.users[u]
+                l: sorted(table.rows[l][1]) for l in users
             }
 
 
@@ -479,18 +548,18 @@ def _faults(rec, caches, rng):
 def test_lane_pass_never_clears_a_failing_record():
     """The lane pass clears every clean record of each sweep at N, K <= 4.
     With each fault injected in turn into up to four records per layer, it
-    clears none that `_check_step`, the reference, fails.  An oversized payload is no
-    fault to either: both read a payload's part-size low bits only."""
+    clears none that `_check_step`, the reference, fails."""
     rng = random.Random(18)
     flagged = dict.fromkeys(
-        ["flipped payload bit", "missing payload key", "dropped cached part",
-         "wrong cached bit, own item", "wrong cached bit, other item"], 0,
+        ["flipped payload bit", "oversized payload", "missing payload key",
+         "dropped cached part", "wrong cached bit, own item",
+         "wrong cached bit, other item"], 0,
     )
     offsets = set()
     for config, alloc, scheme in _fault_cases():
         store = ContentStore.generate(config, seed=rng.randrange(99))
         plan = DeliveryPlan(config, alloc, store, scheme=scheme)
-        caches = place(config, alloc, store, scheme, plan=plan)
+        caches = plan.place()
         n, k = config.n_files, config.n_users
         records = {
             id(rec): rec
@@ -512,7 +581,9 @@ def test_lane_pass_never_clears_a_failing_record():
                         assert not _lanes_clear(bad, {}, bad_caches, plan.store), (kind, errs)
                         flagged[kind] += 1
                     else:
-                        assert kind not in ("flipped payload bit", "missing payload key")
+                        assert kind not in (
+                            "flipped payload bit", "oversized payload", "missing payload key",
+                        )
     assert all(flagged.values()), flagged
     assert offsets == {("cacc", False), ("cicc", False)} | {
         (s, True) for s in ("cacc", "cauc", "cicc")
