@@ -4,19 +4,23 @@ optimize_allocation runs a greedy marginal allocation over the per-level
 convex rate envelopes: every envelope segment offers a rate decrease per
 cached bit, and since each envelope is convex and the capacity constraint is
 linear, consuming segments steepest-first is globally optimal over the
-envelope relaxation.  exhaustive_allocation_oracle brute-forces a share grid
-and exists purely to cross-check the greedy result.
+envelope relaxation.  The segments and their order come from the rates
+module's exact slope table, one per (N, K): a segment's rate drop per
+cached bit does not depend on the level sizes, so every config with the
+same (N, K) walks one table, steepest first, ties to the lower level, then
+the lower t0, with the empty levels skipped.  exhaustive_allocation_oracle
+brute-forces a share grid and exists purely to cross-check the greedy
+result.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import product
 
 from .combinat import comb0
 from .model import CacheAllocation, LibraryConfig
-from .rates import build_level_curve, cacc_level_rate
+from .rates import _slope_table, cacc_level_rate, cacc_rate, reads_point
 
 _NUDGE = 1e-6
 
@@ -32,62 +36,40 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
     """Minimize the coded rate subject to the cache capacity constraint.
 
     Raising level l's share from t to t+dt costs binom(N,l) F_l dt / K cached
-    bits.  Envelope segments are consumed in order of steepest rate decrease
-    per bit (ties: lower level first); the final partial segment may stop at
-    a fractional share.  The per-level segment lists are merged, so each
-    level's segments are taken in envelope order even where float noise
-    makes a collinear envelope's slopes tie or invert.  A stop that would
-    land exactly on an integer share interior to a hull segment is nudged
-    down, because the rate curve reads its integer point there (no memory
-    sharing), which can sit above the envelope.
+    bits.  Envelope segments are consumed in the slope table's order,
+    steepest rate decrease per bit first (ties: lower level, then lower
+    t0); the final partial segment may stop at a fractional share.  A stop
+    that would land exactly on an integer share interior to a hull segment
+    is nudged down, because the rate curve reads its integer point there
+    (no memory sharing), which can sit above the envelope.  The rate is
+    cacc_rate's at the returned shares.
     """
-    curves = {
-        l: build_level_curve(config, l)
-        for l in config.levels()
-        if config.subfile_sizes[l - 1] > 0
-    }
     n, k = config.n_files, config.n_users
-    budget = config.cache_capacity * config.file_size
-
-    per_level = []
-    for l, curve in curves.items():
-        bits_per_share = comb0(n, l) * config.subfile_sizes[l - 1] / k
-        segments = []
-        for (t0, r0), (t1, r1) in zip(curve.envelope, curve.envelope[1:]):
-            drop_per_bit = (r0 - r1) / ((t1 - t0) * bits_per_share)
-            if drop_per_bit <= 0:
-                continue
-            segments.append((-drop_per_bit, l, t0, t1, bits_per_share))
-        per_level.append(segments)
-
-    shares = dict.fromkeys(curves, 0.0)
-    remaining = budget
-    for _, l, t0, t1, bits_per_share in heapq.merge(*per_level):
+    sizes = config.subfile_sizes
+    table = _slope_table(n, k)
+    shares = [0.0] * n
+    remaining = config.cache_capacity * config.file_size
+    for l, t0, t1 in table.segments:
+        if not sizes[l - 1]:
+            continue
         if remaining <= 0:
             break
+        bits_per_share = comb0(n, l) * sizes[l - 1] / k
         seg_bits = (t1 - t0) * bits_per_share
         if remaining >= seg_bits - 1e-9:
-            shares[l] = t1
+            shares[l - 1] = t1
             remaining -= seg_bits
         else:
             stop = t0 + remaining / bits_per_share
-            curve = curves[l]
-            vertices = [v for v, _ in curve.envelope]
-            if curve.reads_point(stop) and round(stop) not in vertices:
+            if reads_point(stop) and round(stop) not in table.vertices[l - 1]:
                 stop = max(t0, stop - _NUDGE)
-            shares[l] = stop
-            remaining = 0.0
+            shares[l - 1] = stop
             break
 
-    fractions = tuple(
-        min(1.0, shares.get(l, 0.0) / k) for l in config.levels()
+    alloc = CacheAllocation(tuple(min(1.0, t / k) for t in shares))
+    return AllocationSolution(
+        alloc=alloc, rate=cacc_rate(config, alloc), method="greedy-marginal"
     )
-    alloc = CacheAllocation(fractions)
-    # cacc_rate's sum, read from the curves in hand: same levels, same order
-    rate = 0.0
-    for l, curve in curves.items():
-        rate += curve.rate_at(alloc.fractions[l - 1] * k)
-    return AllocationSolution(alloc=alloc, rate=rate, method="greedy-marginal")
 
 
 def exhaustive_allocation_oracle(

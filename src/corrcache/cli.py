@@ -233,6 +233,8 @@ def _cmd_simulate(args) -> int:
         f"rate={transcript.rate:.10g}",
         f"step_counts={','.join(map(str, transcript.step_counts))}",
         f"per_level_bits={per_level}",
+        f"cached_bits={plan.cached_bits()}",
+        f"budget_bits={config.cache_capacity * config.file_size:.10g}",
         f"decode={'FAILED' if failures else 'ok'}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
@@ -249,7 +251,9 @@ def _cmd_verify(args) -> int:
         f"# max_rate={report.max_rate:.10g} "
         f"argmax={'-'.join(map(str, report.argmax_demand))} "
         f"gap={report.formula_gap:.10g} "
-        f"violations={len(report.violations)}"
+        f"violations={len(report.violations)} "
+        f"cached_bits={report.cached_bits} "
+        f"budget_bits={config.cache_capacity * config.file_size:.10g}"
     )
     _emit(header + "\n" + stats + "\n" + report.to_csv(), args.out)
     if report.violations:

@@ -104,7 +104,7 @@ from .model import (
     check_allocation,
     file_layout,
 )
-from .rates import build_level_curve, cicc_curve
+from .rates import _slope_table, cicc_curve, reads_point
 from .scheduling import generate_schedule, load_schedule
 
 __all__ = [
@@ -134,22 +134,22 @@ class LayerSpec:
     size: int
 
 
-def _split_layers(total_size: int, t_exact: float, curve, n_users: int):
+def _split_layers(total_size: int, t_exact: float, vertices, n_users: int):
     """Sublayers realizing share t_exact over an item of total_size bits.
 
     A share at which the rate curve reads its raw integer point keeps the
     item whole.  Fractional shares split it between the two envelope
-    vertices bracketing t_exact; the low-share slice is rounded down to the
-    divisibility unit.  That keeps the delivered bits at or below the
-    envelope value, but a cache may then hold more than the nominal share:
-    the placed layers fix what each cache holds and what the verifier
-    allows, and nothing yet reports the overage against the budget.
+    vertices (integer shares, ascending) bracketing t_exact; the low-share
+    slice is rounded down to the divisibility unit.  That keeps the
+    delivered bits at or below the envelope value, but a cache may then
+    hold more than the nominal share: the placed layers fix what each cache
+    holds and what the verifier allows, and its converse check and the
+    CLI's cached_bits report show the overage against the budget.
     """
-    if curve.reads_point(t_exact):
+    if reads_point(t_exact):
         return (LayerSpec(int(round(t_exact)), 0, total_size),)
-    envelope = curve.envelope
     ta = tb = None
-    for (a, _), (b, _) in zip(envelope, envelope[1:]):
+    for a, b in zip(vertices, vertices[1:]):
         ta, tb = a, b
         if t_exact < b:
             break
@@ -160,17 +160,18 @@ def _split_layers(total_size: int, t_exact: float, curve, n_users: int):
     size_a = int(lam * total_size / unit + 1e-9) * unit  # absorb float noise
     layers = []
     if size_a:
-        layers.append(LayerSpec(int(round(ta)), 0, size_a))
+        layers.append(LayerSpec(ta, 0, size_a))
     if total_size - size_a:
-        layers.append(LayerSpec(int(round(tb)), size_a, total_size - size_a))
+        layers.append(LayerSpec(tb, size_a, total_size - size_a))
     return tuple(layers)
 
 
 def cacc_layers(config: LibraryConfig, level: int, t_exact: float):
-    """Sublayer plan for one level of the shared-subfile coded scheme."""
+    """Sublayer plan for one level of the shared-subfile coded scheme, split
+    at the slope table's envelope vertices."""
     size = int(config.level_size(level))
-    curve = build_level_curve(config, level)
-    return _split_layers(size, t_exact, curve, config.n_users)
+    vertices = _slope_table(config.n_files, config.n_users).vertices[level - 1]
+    return _split_layers(size, t_exact, vertices, config.n_users)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,8 @@ def _groups(
     if scheme == "cicc":
         f = int(config.file_size)
         t_exact = k * min(config.cache_capacity, n) / n
-        layers = _split_layers(f, t_exact, cicc_curve(config), k)
+        vertices = [t for t, _ in cicc_curve(config).envelope]
+        layers = _split_layers(f, t_exact, vertices, k)
         groups = [(0, part_labels(n, 1), layers)]
         files = {1 << (i - 1): store.file_bits(i) for i in range(1, n + 1)}
         config = LibraryConfig(n, k, config.cache_capacity, (f,) + (0,) * (n - 1))
@@ -520,24 +522,33 @@ class DeliveryPlan:
             raise ValueError(f"fixture level {fixture.level} has no delivered sublayer")
         return fixture
 
+    def cached_bits(self) -> int:
+        """The bits every cache holds after `place()`: per item and share-t
+        layer, C(K-1, t-1) of its C(K, t) parts."""
+        k = self.config.n_users
+        return sum(
+            len(items) * (layer.size // comb0(k, layer.t)) * comb0(k - 1, layer.t - 1)
+            for _, items, layers in self._groups
+            for layer in layers
+            if layer.t
+        )
+
     def place(self) -> list:
         """Every user's cache: each group's items are split into labeled
         parts per layer, and each user keeps the parts whose label contains
         it (a share-K layer is one part every user keeps).
 
-        Checked in whole bits: every cache holds exactly what the layers
-        place, per item and share-t layer C(K-1, t-1) of its C(K, t) parts.
+        Checked in whole bits: every cache holds exactly `cached_bits()`.
         """
         k = self.config.n_users
         caches = [UserCache(user=u) for u in range(1, k + 1)]
-        placed = 0  # bits every cache holds
         for _, items, layers in self._groups:
-            held = []  # (offset, per-user part masks) of each cached layer
-            for layer in layers:
-                if layer.t:
-                    psize = layer.size // comb0(k, layer.t)
-                    placed += len(items) * psize * comb0(k - 1, layer.t - 1)
-                    held.append((layer.offset, _part_templates(k, layer.t, psize)))
+            # (offset, per-user part masks) of each cached layer
+            held = [
+                (layer.offset, _part_templates(k, layer.t, layer.size // comb0(k, layer.t)))
+                for layer in layers
+                if layer.t
+            ]
             for item in items:
                 content = self.store.item_bits(item)
                 for offset, tpl in held:
@@ -545,6 +556,7 @@ class DeliveryPlan:
                         pm = tpl[cache.user] << offset
                         if pm:
                             cache.add(item, pm, content & pm)
+        placed = self.cached_bits()
         for cache in caches:
             if cache.total_bits() != placed:
                 raise RuntimeError(

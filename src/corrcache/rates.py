@@ -15,9 +15,20 @@ a capacity sweep computes every capacity-independent quantity once:
 
 * the coded alpha rate reads its integer numerator, per share t, from one
   table keyed by (N, K, level);
-* a level curve (its K+1 points and their hull) depends on the config only
-  through (N, K, level, F_l, F), and is memoized on that key; configs that
-  differ only in capacity share one curve object;
+* every level's envelope and the allocator's segment order come from one
+  exact slope table per (N, K) (`_slope_table`).  Level l's point at share
+  t is (F_l / F) u_t with u_t = min(alpha numerator / C(K, t),
+  needed (K - t) / K), so the envelope's vertices depend only on
+  (N, K, l); the table scales every u_t by lcm C(K, t) to an integer and
+  takes the hull in integers.  A segment's rate drop per cached bit is
+  K (u_t0 - u_t1) / (F C(N, l) (t1 - t0)): F_l cancels, so the table also
+  sorts every level's segments steepest first, by integer keys over one
+  common denominator, ties to the lower level, then the lower t0;
+* a level curve (its K+1 float points and their values at the table's
+  vertices) depends on the config only through (N, K, level, F_l, F), and
+  is memoized on that key; configs that differ only in capacity share one
+  curve object.  The coded rate itself builds no curve: it reads at most
+  the two points that bracket its share (`_level_rate`);
 * the cut-set bound's exposed-bit count uses Vandermonde's identity,
   sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
   = sum_j F_j (binom(N, j) - binom(N-e, j)),
@@ -29,15 +40,28 @@ a capacity sweep computes every capacity-independent quantity once:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .combinat import comb0, step_payloads
+from .combinat import comb0, divisibility_unit, step_payloads
 from .model import CacheAllocation, LibraryConfig
 
 _INT_TOL = 1e-9
+
+
+def reads_point(t: float) -> bool:
+    """Whether share t is an integer up to float noise, so that a rate curve
+    reads its raw integer point there rather than its envelope."""
+    return abs(t - round(t)) <= _INT_TOL
+
+
+def _interpolate(t: float, t0, r0: float, t1, r1: float) -> float:
+    """The envelope's value at t between its vertices (t0, r0) and (t1, r1)."""
+    return r0 + (t - t0) / (t1 - t0) * (r1 - r0)
 
 
 @dataclass(frozen=True)
@@ -50,7 +74,7 @@ class LevelRateCurve:
     """
 
     points: tuple[tuple[int, float], ...]
-    envelope: tuple[tuple[float, float], ...]
+    envelope: tuple[tuple[int, float], ...]
 
     def envelope_value(self, t: float) -> float:
         verts = self.envelope
@@ -59,32 +83,25 @@ class LevelRateCurve:
         t = min(max(t, verts[0][0]), verts[-1][0])
         for (t0, r0), (t1, r1) in zip(verts, verts[1:]):
             if t <= t1 + _INT_TOL:
-                if t1 == t0:
-                    return r1
-                w = (t - t0) / (t1 - t0)
-                return r0 + w * (r1 - r0)
+                return _interpolate(t, t0, r0, t1, r1)
         return verts[-1][1]
-
-    def reads_point(self, t: float) -> bool:
-        """Whether share t is an integer up to float noise, so that rate_at
-        reads the raw integer point there rather than the envelope."""
-        return abs(t - round(t)) <= _INT_TOL
 
     def rate_at(self, t: float) -> float:
         """Integer t reads the raw point; fractional t reads the envelope,
         which memory sharing between its two bracketing vertices achieves."""
-        if self.reads_point(t):
+        if reads_point(t):
             return self.points[int(round(t))][1]
         return self.envelope_value(t)
 
 
-def lower_convex_hull(points) -> tuple[tuple[float, float], ...]:
+def lower_convex_hull(points) -> tuple[tuple, ...]:
     """Lower convex hull of (x, y) points with strictly increasing x.
 
     Monotone-chain construction; collinear middle points are dropped so ties
-    resolve toward the smaller x vertex.
+    resolve toward the smaller x vertex.  The vertices keep the points' own
+    number type, so integer or Fraction points give an exact hull.
     """
-    hull: list[tuple[float, float]] = []
+    hull: list[tuple] = []
     for x, y in points:
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
@@ -93,7 +110,7 @@ def lower_convex_hull(points) -> tuple[tuple[float, float], ...]:
                 hull.pop()
             else:
                 break
-        hull.append((float(x), float(y)))
+        hull.append((x, y))
     return tuple(hull)
 
 
@@ -179,6 +196,71 @@ def _m(n_files: int, n_users: int, level: int, size, file_size, t) -> float:
     return needed * (size - t * size / n_users) / file_size
 
 
+def _point(n_files: int, n_users: int, level: int, size, file_size, t: int) -> float:
+    """The level curve's raw point at integer share t: min(alpha, m)."""
+    terms = (n_files, n_users, level, size, file_size)
+    return min(_alpha(*terms, t), _m(*terms, t))
+
+
+class _SlopeTable(NamedTuple):
+    """One (N, K)'s exact envelopes and segment order (see _slope_table)."""
+
+    vertices: tuple[tuple[int, ...], ...]  # per level 1..N, t ascending
+    segments: tuple[tuple[int, int, int], ...]  # (level, t0, t1), steepest first
+
+
+@functools.lru_cache(maxsize=64)
+def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
+    """Every level's envelope vertices and every envelope segment in the
+    allocator's order, in integers only.
+
+    Level l's point at share t is (F_l / F) u_t, with u_t the lesser of
+    alpha's numerator over C(K, t) and needed (K - t) / K.  Scaled by
+    D = lcm C(K, t), which K divides, U_t = D u_t is an integer, and the
+    hull of the points (t, U_t) is exact.  Raising level l's share along a
+    segment (t0, t1) drops the rate by K (U_t0 - U_t1) / (D F C(N, l)
+    (t1 - t0)) per cached bit; K, D and F are common to every level, so the
+    segments sort by (U_t0 - U_t1) / (C(N, l) (t1 - t0)), compared as
+    integers over the lcm of those denominators.  Steepest first; ties go to
+    the lower level, then the lower t0.  Segments that drop nothing are
+    left out.
+    """
+    n, k = n_files, n_users
+    scale = divisibility_unit(k)
+    vertices = []
+    segments = []  # (drop, denominator, level, t0, t1)
+    for level in range(1, n + 1):
+        remainder = _needed_subfile_count(n, k, level) * (scale // k)
+        units = [
+            min(num * (scale // comb0(k, t)), remainder * (k - t))
+            for t, num in enumerate(_alpha_numerators(n, k, level))
+        ]
+        hull = lower_convex_hull(enumerate(units))
+        vertices.append(tuple(t for t, _ in hull))
+        width = comb0(n, level)
+        segments.extend(
+            (u0 - u1, width * (t1 - t0), level, t0, t1)
+            for (t0, u0), (t1, u1) in zip(hull, hull[1:])
+            if u0 > u1
+        )
+    common = math.lcm(*(den for _, den, *_ in segments))
+    segments.sort(key=lambda s: (-s[0] * (common // s[1]), s[2], s[3]))
+    return _SlopeTable(tuple(vertices), tuple(s[2:] for s in segments))
+
+
+def _level_rate(n_files: int, n_users: int, level: int, size, file_size, t: float) -> float:
+    """The level curve's rate_at(t) without building the curve: the raw
+    point at an integer share, else the envelope between the two table
+    vertices that bracket t, from those two points only."""
+    terms = (n_files, n_users, level, size, file_size)
+    if reads_point(t):
+        return _point(*terms, int(round(t)))
+    verts = _slope_table(n_files, n_users).vertices[level - 1]
+    i = bisect.bisect(verts, t)
+    t0, t1 = verts[i - 1], verts[i]
+    return _interpolate(t, t0, _point(*terms, t0), t1, _point(*terms, t1))
+
+
 def _level_terms(config: LibraryConfig, level: int) -> tuple:
     """The leading arguments of _alpha and _m: (N, K, level, F_l, F)."""
     return (
@@ -219,8 +301,9 @@ def _check_level_t(config: LibraryConfig, level: int, t) -> None:
 
 
 def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
-    """Raw integer points min(alpha, m) and their lower convex hull, shared
-    by every config with the same (N, K, level, F_l, F)."""
+    """Raw integer points min(alpha, m) and the envelope at the slope
+    table's exact vertices, shared by every config with the same
+    (N, K, level, F_l, F)."""
     config.level_size(level)  # range check
     return _level_curve(*_level_terms(config, level))
 
@@ -228,17 +311,16 @@ def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
 @functools.lru_cache(maxsize=256)
 def _level_curve(n_files: int, n_users: int, level: int, size, file_size) -> LevelRateCurve:
     terms = (n_files, n_users, level, size, file_size)
-    pts = tuple(
-        (t, min(_alpha(*terms, t), _m(*terms, t))) for t in range(n_users + 1)
-    )
-    return LevelRateCurve(points=pts, envelope=lower_convex_hull(pts))
+    pts = tuple((t, _point(*terms, t)) for t in range(n_users + 1))
+    verts = _slope_table(n_files, n_users).vertices[level - 1]
+    return LevelRateCurve(points=pts, envelope=tuple(pts[t] for t in verts))
 
 
 def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
     """Coded per-level rate at share t: the level curve's raw point
     min(alpha, m) at integer t, its lower convex hull at fractional t."""
     _check_level_t(config, level, t)
-    return build_level_curve(config, level).rate_at(t)
+    return _level_rate(*_level_terms(config, level), t)
 
 
 def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:

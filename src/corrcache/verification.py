@@ -5,7 +5,10 @@ config and checks two things everywhere: decodability (every user can
 rebuild its file from cache + transcript) and rate soundness (measured bits
 never exceed the scheme's formula at the placed layers, an int with no
 slack: per delivered sublayer, its part size times the worst-case payload
-count at its share, `_limit_bits`).  All three schemes run through the
+count at its share, `_limit_bits`).  After the sweep, the worst measured
+bits must also respect the cut-set converse at the bits the caches
+actually hold (`_converse_misses`): a delivery that beats it reads
+something it should not.  All three schemes run through the
 same `DeliveryPlan` with a `scheme` argument, which places the caches too
 (`plan.place()`); the scheme only picks the worst-case counts.  The
 report's `formula_rate` stays the nominal formula.
@@ -52,6 +55,7 @@ get a full `Transcript`, for the end-to-end decoder.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -69,7 +73,14 @@ from .delivery import (
     _step_table,
 )
 from .model import ContentStore, LibraryConfig
-from .rates import _alpha_numerators, _needed_subfile_count, cacc_rate, cauc_rate, cicc_rate
+from .rates import (
+    _alpha_numerators,
+    _exposed_counts,
+    _needed_subfile_count,
+    cacc_rate,
+    cauc_rate,
+    cicc_rate,
+)
 
 __all__ = [
     "GridReport",
@@ -100,6 +111,7 @@ class GridReport:
     max_rate: float
     argmax_demand: tuple
     violations: tuple
+    cached_bits: int  # the bits placement put in each cache
 
     @property
     def ok(self) -> bool:
@@ -325,6 +337,31 @@ def _limit_bits(plan: DeliveryPlan) -> int:
     return bits
 
 
+def _converse_misses(config: LibraryConfig, worst_bits: int, cached_bits: int) -> list[str]:
+    """The cut-set converse in whole bits, one line per cut it fails.
+
+    A cut of p caches over b = floor(N/p) demand rounds exposes p*b files:
+    the p caches and b deliveries, each at most the worst measured one,
+    must carry every bit of every subfile touching an exposed file, so
+    b * worst_bits >= exposed_bits(p) - p * cached_bits.  cached_bits is
+    what placement put in one cache, so a cache over its budget counts
+    with what it holds.  The library is the caller's, with its shared
+    subfiles, for every scheme.
+    """
+    n = config.n_files
+    sizes = [int(s) for s in config.subfile_sizes]
+    out = []
+    for p in range(1, min(n, config.n_users) + 1):
+        b = n // p
+        exposed = sum(map(operator.mul, sizes, _exposed_counts(n, n - p * b)))
+        if b * worst_bits < exposed - p * cached_bits:
+            out.append(
+                f"converse at p={p}, b={b}: {b} x {worst_bits} worst-case bits < "
+                f"{exposed} exposed - {p} x {cached_bits} cached bits"
+            )
+    return out
+
+
 def verify_all_demands(
     config: LibraryConfig,
     alloc,
@@ -361,10 +398,13 @@ def verify_all_demands(
     failed: set = set()
     layer_parts: dict = {}
     lane_views: dict = {}
+    worst_bits = 0
     file_size = config.file_size
     for idx, d in enumerate(all_demands):  # product tuples are valid demands
         sections, total_bits, _, _ = plan._send(d)
         rates.append(total_bits / file_size)
+        if total_bits > worst_bits:
+            worst_bits = total_bits
         demand_ok = True
         if not passed.issuperset(map(id, sections)):
             for rec in sections:
@@ -397,6 +437,8 @@ def verify_all_demands(
             demand_ok = demand_ok and not failures
         ok_flags.append(demand_ok)
 
+    cached_bits = plan.cached_bits()
+    violations.extend(_converse_misses(config, worst_bits, cached_bits))
     max_rate = max(rates) if rates else 0.0
     argmax = all_demands[rates.index(max_rate)] if rates else ()
     return GridReport(
@@ -408,4 +450,5 @@ def verify_all_demands(
         max_rate=max_rate,
         argmax_demand=tuple(argmax),
         violations=tuple(violations),
+        cached_bits=cached_bits,
     )

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_config, single_level_config
 from corrcache import (
@@ -12,7 +14,9 @@ from corrcache import (
     cauc_rate,
     exhaustive_allocation_oracle,
     optimize_allocation,
+    verify_all_demands,
 )
+from corrcache.combinat import comb0
 from corrcache.model import exact_sizes_from_ratios
 
 
@@ -118,7 +122,9 @@ def test_oracle_rejects_bad_grid():
 @pytest.mark.parametrize(
     "config",
     [
-        # Collinear envelope: float noise orders segment 16->17 before 1->16.
+        # Level 20's points are collinear: the exact envelope is the one
+        # segment 0->20.  A hull of the float points kept noise vertices at
+        # 1, 16 and 17, and their slopes ordered 16->17 before 1->16.
         LibraryConfig(
             20, 20, 0.5998, exact_sizes_from_ratios(20, (0,) * 19 + (1,), 100_000)
         ),
@@ -132,3 +138,84 @@ def test_allocator_spends_budget_on_tied_envelope_slopes(config):
     cacc = optimize_allocation(config).rate
     cauc = cauc_rate(config, cauc_optimal_allocation(config))
     assert cacc <= cauc + 1e-9
+
+
+def test_exact_envelope_moves_the_optimizer_to_a_tight_allocation():
+    """(N, K) = (2, 3), sizes (9, 6), M = 1.  Level 1's float hull held a
+    noise vertex at t = 1 that steered the optimizer to shares
+    (0.611, 0.667), where the worst delivery is 5 bits under a formula of
+    6 - 2e-15.  On the exact envelope it picks (2/3, 1/2), and the worst
+    delivery equals the formula, 6 bits."""
+    config = LibraryConfig(2, 3, 1.0, (9, 6))
+    sol = optimize_allocation(config)
+    assert sol.alloc.fractions == pytest.approx((2 / 3, 0.5), abs=1e-12)
+    report = verify_all_demands(config, sol.alloc, seed=1)
+    assert report.ok, report.violations[:3]
+    assert report.max_rate * config.file_size == 6
+    assert report.formula_rate * config.file_size == pytest.approx(6, abs=1e-9)
+
+
+@st.composite
+def wide_config(draw):
+    """N, K <= 20, a few nonempty levels of any size, any capacity."""
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(1, 20))
+    sizes = [0] * n
+    for level in draw(st.sets(st.integers(1, n), min_size=1, max_size=4)):
+        sizes[level - 1] = draw(st.integers(1, 10**6))
+    return LibraryConfig(n, k, draw(st.floats(0.0, float(n))), tuple(sizes))
+
+
+def _one_sided_slopes(config, level, t):
+    """The envelope's rate drop per cached bit just left and just right of
+    share t (None past either end), read from build_level_curve."""
+    n, k = config.n_files, config.n_users
+    bits_per_share = comb0(n, level) * config.subfile_sizes[level - 1] / k
+    verts = build_level_curve(config, level).envelope
+    slopes = [
+        (t0, t1, (r0 - r1) / ((t1 - t0) * bits_per_share))
+        for (t0, r0), (t1, r1) in zip(verts, verts[1:])
+    ]
+    at_vertex = abs(t - round(t)) <= 1e-9 and round(t) in [v for v, _ in verts]
+    if at_vertex:
+        t = round(t)
+        left = [d for _, t1, d in slopes if t1 == t]
+        right = [d for t0, _, d in slopes if t0 == t]
+    else:
+        left = right = [d for t0, t1, d in slopes if t0 < t < t1]
+    return (left or [None])[0], (right or [None])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_config())
+def test_allocation_satisfies_the_kkt_certificate(config):
+    """The allocation problem is separable and convex over the per-level
+    envelopes with one linear budget, so the greedy result is optimal iff
+    there is one multiplier lambda with every level at t > 0 dropping the
+    rate by at least lambda per bit on its left, every level at t < K by at
+    most lambda on its right, and the budget spent whenever some right
+    slope is positive (Boyd and Vandenberghe, Convex Optimization, 5.5.3).
+    Slopes are floats of the envelope, so ties compare to 1e-9 relative;
+    the unspent budget may be the allocator's 1e-6 share nudge."""
+    sol = optimize_allocation(config)
+    assert sol.rate == cacc_rate(config, sol.alloc)
+    k = config.n_users
+    lefts, rights = [], []
+    for level in config.levels():
+        if not config.subfile_sizes[level - 1]:
+            continue
+        t = sol.alloc.fractions[level - 1] * k
+        curve = build_level_curve(config, level)
+        # a share never reads an integer point above the envelope (within
+        # 1e-9 of an integer, rate_at reads the point: allow that much share)
+        assert curve.rate_at(t) == pytest.approx(curve.envelope_value(t), abs=1e-6)
+        left, right = _one_sided_slopes(config, level, t)
+        if t > 1e-9:
+            lefts.append(left)
+        if t < k - 1e-9:
+            rights.append(right)
+    if lefts and rights:
+        assert max(rights) <= min(lefts) * (1 + 1e-9)
+    if any(d > 0 for d in rights):
+        budget = config.cache_capacity * config.file_size
+        assert sol.alloc.cached_bits(config) >= budget - 1e-6 * config.library_bits

@@ -101,7 +101,8 @@ def test_simulate_reports_a_decode_fault_and_exits_1(capsys, monkeypatch):
     assert rc == 1
     lines = out.splitlines()
     assert [line.partition("=")[0] for line in lines[1:]] == [
-        "demands", "total_bits", "rate", "step_counts", "per_level_bits", "decode",
+        "demands", "total_bits", "rate", "step_counts", "per_level_bits",
+        "cached_bits", "budget_bits", "decode",
     ]
     assert lines[-1] == "decode=FAILED"
     assert err.splitlines() == [
@@ -276,6 +277,18 @@ def test_verify_prints_formula_gap(capsys):
     )
     assert rc == 0
     assert "# max_rate=1.25 argmax=1-1-1-2 gap=0.25 violations=0" in out
+
+
+def test_simulate_and_verify_report_cached_and_budget_bits(capsys):
+    """Each cache holds 4 bits against a 2.4-bit budget: placement rounds a
+    small level up to its high share, and both commands print it."""
+    library = ("--n", "2", "--k", "2", "--m", "0.4", "--level-sizes", "4,2")
+    rc, out, _ = run_cli(capsys, "simulate", *library, "--demands", "1,2")
+    assert rc == 0
+    assert out.splitlines()[-3:] == ["cached_bits=4", "budget_bits=2.4", "decode=ok"]
+    rc, out, _ = run_cli(capsys, "verify", *library)
+    assert rc == 0
+    assert out.splitlines()[1].endswith(" violations=0 cached_bits=4 budget_bits=2.4")
 
 
 K9_SIMULATE = (

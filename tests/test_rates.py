@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -168,6 +169,16 @@ def test_coded_fractional_share_uses_envelope():
     assert cacc_level_rate(config, 2, 0.5) == pytest.approx(8.5 * f2_over_f)
     # integer shares evaluate the raw min, not the hull
     assert cacc_level_rate(config, 2, 1) == pytest.approx(8 * f2_over_f)
+
+
+def test_exact_hull_drops_float_noise_vertices():
+    """At (N, K, level) = (1, 3, 1) the points lie on one line; with F_1 =
+    100 the float point at t = 1 falls an ulp below it, and a hull of the
+    float points kept it as a vertex.  The exact hull is [0, 3]."""
+    config = LibraryConfig(1, 3, 0.5, (100,))
+    curve = build_level_curve(config, 1)
+    assert [t for t, _ in curve.envelope] == [0, 3]
+    assert [t for t, _ in lower_convex_hull(curve.points)] == [0, 1, 3]
 
 
 def test_level_curve_is_cached():
@@ -382,19 +393,39 @@ def reference_cauc_fractions(config):
     return tuple(fractions)
 
 
+def reference_alpha_terms(n, k, level, t):
+    """The integer terms over s of cacc_alpha's numerator at share t."""
+    w = min(n, k)
+    for s in range(max(level - k, 0), max(min(level - 1, n - k), 0) + 1):
+        cap = max(k - math.ceil(w / (level - s)) - 1, 0)
+        per_step = comb(k, t + 1) - comb(cap, t + 1)
+        yield comb(max(n - k, 0), s) * comb(w - 1, level - s - 1) * per_step
+
+
 def reference_alpha(config, level, t):
     """cacc_alpha's sum over s, accumulated in floating point."""
     n, k = config.n_files, config.n_users
     size = config.subfile_sizes[level - 1]
     if t == k or size == 0:
         return 0.0
-    w = min(n, k)
     total = 0.0
-    for s in range(max(level - k, 0), max(min(level - 1, n - k), 0) + 1):
-        cap = max(k - math.ceil(w / (level - s)) - 1, 0)
-        per_step = comb(k, t + 1) - comb(cap, t + 1)
-        total += comb(max(n - k, 0), s) * comb(w - 1, level - s - 1) * per_step
+    for term in reference_alpha_terms(n, k, level, t):
+        total += term
     return total * size / (config.file_size * comb(k, t))
+
+
+def reference_vertices(config, level):
+    """The level's exact envelope vertices: the lower hull of its points
+    divided by F_l / F, u_t = min(alpha numerator / C(K, t), needed (K - t) / K),
+    in Fractions."""
+    n, k = config.n_files, config.n_users
+    needed = comb(n, level) - comb(max(n - k, 0), level)
+    units = [
+        (t, min(Fraction(sum(reference_alpha_terms(n, k, level, t)), comb(k, t)),
+                Fraction(needed * (k - t), k)))
+        for t in range(k + 1)
+    ]
+    return [t for t, _ in lower_convex_hull(units)]
 
 
 def reference_points(config, level):
@@ -438,13 +469,16 @@ def _check_coded_curves_exact(config):
         want = reference_points(config, level)
         curve = build_level_curve(config, level)
         assert curve.points == want
-        assert curve.envelope == lower_convex_hull(want)
+        assert curve.envelope == tuple(want[t] for t in reference_vertices(config, level))
         for t, point in want:
             alpha = cacc_alpha(config, level, t)
             assert alpha == reference_alpha(config, level, t)
             assert cacc_level_rate(config, level, t) == point
             assert cacc_level_rate(config, level, t) == min(alpha, cacc_m(config, level, t))
             assert curve.points[t][1] == min(alpha, cacc_m(config, level, t))
+            if t < config.n_users:  # curve-free and curve envelopes agree
+                share = t + 0.37
+                assert cacc_level_rate(config, level, share) == curve.rate_at(share)
 
 
 @settings(max_examples=60, deadline=None)

@@ -151,8 +151,8 @@ def test_formula_gap_shows_a_loose_formula():
 
 
 def test_report_ok_tracks_violations():
-    good = GridReport("cacc", (), (), (), 0.0, 0.0, (), ())
-    bad = GridReport("cacc", (), (), (), 0.0, 0.0, (), ("boom",))
+    good = GridReport("cacc", (), (), (), 0.0, 0.0, (), (), 0)
+    bad = GridReport("cacc", (), (), (), 0.0, 0.0, (), ("boom",), 0)
     assert good.ok and not bad.ok
 
 
@@ -405,6 +405,39 @@ def test_extra_payload_above_the_placed_layers_is_reported(monkeypatch):
         "demand (1, 1): 6 bits > 4, the formula at the placed layers",
     )
     assert report.decode_ok == (False, True, True, True)
+
+
+def test_delivery_that_beats_the_converse_is_reported(monkeypatch):
+    """A `_send` that reports 0 bits for the same sections passes every
+    other check: each record still decodes, and 0 bits sit under the
+    formula.  The converse catches it: one cache holds 6 of the 12 bits
+    that file 1 or file 2 touch, and no delivery of 0 bits over 2 demand
+    rounds (user 1 asks for file 1, then file 2) makes up the rest."""
+    config = LibraryConfig(2, 2, 0.75, (4, 4))
+    alloc = CacheAllocation.from_replication((1, 1), 2)
+    send = DeliveryPlan._send
+
+    def send_reporting_no_bits(plan, demands):
+        sections, _, step_counts, per_level = send(plan, demands)
+        return sections, 0, step_counts, per_level
+
+    monkeypatch.setattr(DeliveryPlan, "_send", send_reporting_no_bits)
+    report = verify_all_demands(config, alloc, seed=3)
+    assert report.max_rate == 0 and report.cached_bits == 6
+    assert report.violations == (
+        "converse at p=1, b=2: 2 x 0 worst-case bits < 12 exposed - 1 x 6 cached bits",
+    )
+    assert all(report.decode_ok)
+
+
+def test_cached_bits_over_budget_still_meet_the_converse():
+    """(N, K) = (2, 2), sizes (4, 2), M = 0.4: each cache holds 4 bits
+    against a 2.4-bit budget.  The converse counts what the caches hold,
+    so the 4-bit worst delivery passes it."""
+    config = LibraryConfig(2, 2, 0.4, (4, 2))
+    report = verify_all_demands(config, optimize_allocation(config).alloc)
+    assert report.ok, report.violations[:3]
+    assert report.cached_bits == 4 > config.cache_capacity * config.file_size
 
 
 def test_worst_delivery_meets_the_placed_bound_exactly():
