@@ -37,10 +37,12 @@ for cauc); only the steps it sends are built.
 
 Delivery works per demand set and per demand vector.  The window, each
 sublayer's coded/remainder choice and every remainder section depend only
-on the set of demanded files, so a plan builds them once per set; a demand
-vector only gathers its coded step patterns (the column table read at its
-users' window positions) and reuses the set's remainder records as they
-are.
+on the set of demanded files, so a plan builds them once per set.  A set
+whose sublayers all go out as remainder steps has one finished result,
+sections, bit total and bits per level, that every vector of the set gets
+unchanged.  Otherwise a demand vector gathers its coded step patterns, the
+column table, indexed by file number, read at its demands, and reuses the
+set's remainder records as they are.
 
 One table per (K, t), `_step_table`, states a share-t step once: its
 C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
@@ -274,8 +276,10 @@ def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
     """Per-user OR-mask of the part segments a user caches (offset 0),
     indexed by user (entry 0 unused)."""
     seg = (1 << psize) - 1
+    labels = _step_table(n_users, t).labels
     return (0,) + tuple(
-        sum(seg << (i * psize) for i in held) for held in _step_table(n_users, t).held
+        concat_bits((seg if lab >> u & 1 else 0, psize) for lab in labels)
+        for u in range(n_users)
     )
 
 
@@ -349,9 +353,11 @@ class _StepTable(NamedTuple):
     lifts: tuple
 
 
-# Bounded: a pass over many configs at K = 8 would otherwise keep every
-# (K, t) table it met; a placement, delivery or decode uses at most K + 1.
-@lru_cache(maxsize=16)
+# Bounded: a pass over many configs would otherwise keep every (K, t) table
+# it met.  A placement, delivery or decode uses at most K + 1 tables, and
+# every table with K <= 8 (44 of them) fits, so calls that alternate K do
+# not evict each other's tables.
+@lru_cache(maxsize=64)
 def _step_table(n_users: int, t: int) -> _StepTable:
     """The one walk over a share-t step's part labels and members: who
     caches which part (placement), what each payload XORs (`_xor_step`),
@@ -464,14 +470,16 @@ class DeliveryPlan:
     choice of every sublayer and every remainder step depend only on the
     set of demanded files, not on who demands what, so `_choice` builds
     them once per set (kept in `_choices`, keyed by the frozenset of
-    demands), finished remainder sections included.  Per demand vector,
-    `_send` only gathers each coded sublayer's step patterns from the
-    column table at the users' window positions, looks their records up
-    (or builds them), and appends the set's cached remainder sections; it
-    returns the sections and bit totals without validating the demands or
-    building a `Transcript`.  `deliver` is `as_demands`, `_send` and the
-    wrap in a `Transcript`; the verifier calls `_send` on demand tuples
-    that are valid by construction.
+    demands), finished remainder sections included, and a set with no
+    coded sublayer gets its whole send result there, once.  Per demand
+    vector, `_send` returns that shared result, or gathers each coded
+    sublayer's step patterns from the column table at the demands, looks
+    their records up (or builds them), and appends the set's cached
+    remainder sections; it returns the sections and bit totals without
+    validating the demands or building a `Transcript`.  `deliver` is
+    `as_demands`, `_send` and the wrap in a `Transcript`, with its own copy
+    of the bits per level; the verifier calls `_send` on demand tuples that
+    are valid by construction.
     """
 
     def __init__(
@@ -543,19 +551,19 @@ class DeliveryPlan:
         k = self.config.n_users
         caches = [UserCache(user=u) for u in range(1, k + 1)]
         for _, items, layers in self._groups:
-            # (offset, per-user part masks) of each cached layer
-            held = [
-                (layer.offset, _part_templates(k, layer.t, layer.size // comb0(k, layer.t)))
-                for layer in layers
-                if layer.t
-            ]
+            # per user, its positions in each of the group's items: its parts
+            # of every cached layer, each at the layer's offset
+            masks = [0] * k
+            for layer in layers:
+                if layer.t:
+                    tpl = _part_templates(k, layer.t, layer.size // comb0(k, layer.t))
+                    for u in range(k):
+                        masks[u] |= tpl[u + 1] << layer.offset
+            held = [(cache, mask) for cache, mask in zip(caches, masks) if mask]
             for item in items:
                 content = self.store.item_bits(item)
-                for offset, tpl in held:
-                    for cache in caches:
-                        pm = tpl[cache.user] << offset
-                        if pm:
-                            cache.add(item, pm, content & pm)
+                for cache, mask in held:
+                    cache.add(item, mask, content)
         placed = self.cached_bits()
         for cache in caches:
             if cache.total_bits() != placed:
@@ -580,37 +588,48 @@ class DeliveryPlan:
         )
 
     def _column_table(self, window, level):
-        """Every coded step of one group over `window`, as the item of each
-        window position per column: the schedule columns of every fixed-part
-        pool for cacc, one column of the window's files for cicc, and None
-        for cauc, which has no coded steps."""
+        """Every coded step of one group over `window`, one column per step,
+        indexed by file number: entry f is the item file f's window position
+        recovers (0 at index 0 and at files outside the window), so a demand
+        vector's step patterns are the columns read at its demands.  The
+        columns are the schedule columns of every fixed-part pool for cacc,
+        one column of the window's files for cicc, and None for cauc, which
+        has no coded steps."""
         if self.scheme == "cauc":
             return None
         key = (window, level)
         table = self._columns.get(key)
         if table is None:
             if self.scheme == "cicc":
-                table = (tuple(1 << (f - 1) for f in window),)
+                columns = (tuple(1 << (f - 1) for f in window),)
             else:
-                table = tuple(
+                columns = (
                     col
                     for rbar in _pools(self.config, level, window)
                     for col in self._schedule(window, rbar, level).columns
                 )
-            self._columns[key] = table
+            table = []
+            for col in columns:
+                row = [0] * (self.config.n_files + 1)
+                for f, item in zip(window, col):
+                    row[f] = item
+                table.append(tuple(row))
+            table = self._columns[key] = tuple(table)
         return table
 
     def _choice(self, demands):
         """Everything of a delivery that depends only on the set of demanded
-        files, built once per set: the window's position map and, per group,
-        the level, its sublayers, the column table (None for cauc or a group
-        with nothing to deliver) and, per sublayer, either None, when the
-        column table's coded steps go out and are gathered per demand
-        vector, or the finished remainder section: its step records and
-        their bit total.
+        files, built once per set, as (groups, done).  Per group: the level,
+        its sublayers, the column table (None for cauc or a group with
+        nothing to deliver) and, per sublayer, either None, when the column
+        table's coded steps go out and are gathered per demand vector, or
+        the finished remainder section: its step records and their bit
+        total.  When no sublayer of the set goes coded, `done` is the set's
+        whole `_send` result, finished here once: the sections as a tuple,
+        the bit total, no step counts and the bits per level; else None.
 
-        A step whose column holds L distinct items at the demanded window
-        positions sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
+        A step whose column holds L distinct items at the demanded files
+        sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
         The coded steps go out when they total no more than the floor: one
         remainder step of C(K-1, t) payloads per demanded item (an item
         touching a demanded file, listed once per set), every demanded
@@ -620,9 +639,9 @@ class DeliveryPlan:
         C(K-N_e,t+1) <= N_e*C(K-1,t) for N_e distinct demanded files.
         """
         k = self.config.n_users
-        demand_mask = mask_of(demands)
+        files = set(demands)
+        demand_mask = mask_of(files)
         window = _window(self.config.n_files, k, demands)
-        positions = [i for i, f in enumerate(window) if demand_mask >> (f - 1) & 1]
         groups = []
         for level, items, sublayers in self._levels:
             table = self._column_table(window, level) if sublayers else None
@@ -630,7 +649,7 @@ class DeliveryPlan:
             remainder = [(item,) * k for item in items if item & demand_mask]
             if table is not None:
                 # number of coded steps per count of distinct step items
-                steps_with = Counter([len({col[i] for i in positions}) for col in table])
+                steps_with = Counter([len({col[f] for f in files}) for col in table])
             sent = []
             for layer, psize, steps in sublayers:
                 if table is not None and sum([
@@ -641,7 +660,11 @@ class DeliveryPlan:
                 records = tuple(self._records(level, layer, steps, remainder))
                 sent.append((records, psize * sum([len(r.payloads) for r in records])))
             groups.append((level, sublayers, table, tuple(sent)))
-        return {f: i for i, f in enumerate(window)}, tuple(groups)
+        groups = tuple(groups)
+        if any(None in sent for _, _, _, sent in groups):
+            return groups, None
+        sections, total, _, per_level = self._gather(groups, demands)
+        return groups, (tuple(sections), total, (), per_level)
 
     def _records(self, level, layer, steps, patterns) -> list:
         """One sublayer's step records for `patterns`, each built once per
@@ -661,16 +684,24 @@ class DeliveryPlan:
         """Deliver one demand tuple, already validated: the sections, their
         bit total, the coded steps' payload counts and the bits per level.
 
-        Per group and sublayer, the column table's coded steps, gathered at
-        the demanded window positions, or the demand set's finished
-        remainder section, as `_choice` picks by payload count.  Only the
-        steps sent are built, each once per plan."""
+        For a demand set whose sublayers all go out as remainder steps, this
+        is the set's one finished result (see `_choice`), returned unchanged
+        for every vector of the set: its sections are a tuple the plan keeps
+        and its per-level dict is shared, so callers copy before changing
+        it.  Otherwise `_gather` builds the vector's own result, sections as
+        a list."""
         key = frozenset(demands)
         per_set = self._choices.get(key)
         if per_set is None:
             per_set = self._choices[key] = self._choice(demands)
-        pos, groups = per_set
+        groups, done = per_set
+        return done if done is not None else self._gather(groups, demands)
 
+    def _gather(self, groups, demands):
+        """One vector's sections per group and sublayer: the column table's
+        coded steps read at the demands, or the set's finished remainder
+        section, as `_choice` picked by payload count.  Only the steps sent
+        are built, each once per plan."""
         sections = []
         step_counts = []
         per_level = {}
@@ -685,8 +716,7 @@ class DeliveryPlan:
                     level_bits += bits
                     continue
                 if patterns is None:
-                    gather = itemgetter(*map(pos.__getitem__, demands))
-                    patterns = list(map(gather, table))
+                    patterns = list(map(itemgetter(*demands), table))
                     if len(demands) == 1:  # itemgetter of one index returns a bare item
                         patterns = [(item,) for item in patterns]
                 records = self._records(level, layer, steps, patterns)
@@ -699,7 +729,8 @@ class DeliveryPlan:
         return sections, total, step_counts, per_level
 
     def deliver(self, demands) -> Transcript:
-        """Deliver one demand vector (see `_send`) as a `Transcript`."""
+        """Deliver one demand vector (see `_send`) as a `Transcript`, which
+        gets its own copy of the bits per level."""
         demands = as_demands(demands, self.config)
         sections, total_bits, step_counts, per_level = self._send(demands)
         return Transcript(
@@ -708,7 +739,7 @@ class DeliveryPlan:
             sections=tuple(sections),
             total_bits=total_bits,
             step_counts=tuple(step_counts),
-            per_level_bits=per_level,
+            per_level_bits=dict(per_level),
         )
 
 

@@ -134,13 +134,16 @@ class CacheAllocation:
     fractions: tuple[float, ...]
 
     def __post_init__(self):
-        fr = tuple(float(p) for p in self.fractions)
-        # written so that NaN fails too: clamping below would make it 0
-        if not all(-1e-12 <= p <= 1 + 1e-12 for p in fr):
-            raise ValueError(f"fractions must lie in [0, 1], got {fr}")
-        object.__setattr__(
-            self, "fractions", tuple(min(1.0, max(0.0, p)) for p in fr)
-        )
+        fr = tuple(map(float, self.fractions))
+        if fr:
+            lo, hi = min(fr), max(fr)
+            # NaN passes min and max unseen, but not the sum: clamping below
+            # would make it 0
+            if lo < -1e-12 or hi > 1 + 1e-12 or sum(fr) != sum(fr):
+                raise ValueError(f"fractions must lie in [0, 1], got {fr}")
+            if lo < 0.0 or hi > 1.0:
+                fr = tuple(min(1.0, max(0.0, p)) for p in fr)
+        object.__setattr__(self, "fractions", fr)
 
     @classmethod
     def from_replication(cls, counts, n_users: int) -> "CacheAllocation":

@@ -49,8 +49,12 @@ verdicts as two sets of record ids, passed and failed (the plan's step memo
 keeps records alive for the sweep).  A vector whose records have all
 passed is cleared by one set test; otherwise each new record is checked
 once, each failing record is reported once, and every demand vector whose
-sections hold a failing record is marked not ok.  Only the sampled vectors
-get a full `Transcript`, for the end-to-end decoder.
+sections hold a failing record is marked not ok.  A remainder-only demand
+set sends one shared result for all its vectors, so the sweep keeps one
+verdict per such set: its first vector checks the records as above, and
+every later one takes the verdict, ok or not, with no record-id scan.
+Only the sampled vectors get a full `Transcript`, for the end-to-end
+decoder.
 """
 
 from __future__ import annotations
@@ -396,6 +400,10 @@ def verify_all_demands(
     # step memo keeps every record alive for the whole sweep.
     passed: set = set()
     failed: set = set()
+    # Whether a remainder-only demand set's records all pass, by the id of
+    # its shared sections tuple.  The plan keeps that tuple alive for the
+    # sweep, so no vector's own sections list can share its id.
+    set_ok: dict = {}
     layer_parts: dict = {}
     lane_views: dict = {}
     worst_bits = 0
@@ -405,24 +413,28 @@ def verify_all_demands(
         rates.append(total_bits / file_size)
         if total_bits > worst_bits:
             worst_bits = total_bits
-        demand_ok = True
-        if not passed.issuperset(map(id, sections)):
-            for rec in sections:
-                key = id(rec)
-                if key in passed:
-                    continue
-                if key not in failed:
-                    errs = (
-                        []
-                        if _lanes_clear(rec, lane_views, caches, plan.store)
-                        else _check_step(rec, caches, plan.store, layer_parts)
-                    )
-                    if not errs:
-                        passed.add(key)
+        demand_ok = set_ok.get(id(sections))
+        if demand_ok is None:
+            demand_ok = True
+            if not passed.issuperset(map(id, sections)):
+                for rec in sections:
+                    key = id(rec)
+                    if key in passed:
                         continue
-                    violations.extend(errs)
-                    failed.add(key)
-                demand_ok = False
+                    if key not in failed:
+                        errs = (
+                            []
+                            if _lanes_clear(rec, lane_views, caches, plan.store)
+                            else _check_step(rec, caches, plan.store, layer_parts)
+                        )
+                        if not errs:
+                            passed.add(key)
+                            continue
+                        violations.extend(errs)
+                        failed.add(key)
+                    demand_ok = False
+            if type(sections) is tuple:  # a set's shared result (`DeliveryPlan._send`)
+                set_ok[id(sections)] = demand_ok
 
         if total_bits > limit:
             violations.append(

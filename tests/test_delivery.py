@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import single_level_config
+from conftest import random_config, single_level_config
 from test_transcripts import cases
 from corrcache import (
     CacheAllocation,
@@ -17,6 +17,7 @@ from corrcache import (
     cauc_rate,
     decode,
     deliver,
+    optimize_allocation,
     place,
 )
 from corrcache import delivery
@@ -159,6 +160,47 @@ def test_place_refuses_a_cache_holding_one_extra_part(monkeypatch):
     monkeypatch.setattr(delivery, "_part_templates", one_extra_part)
     with pytest.raises(RuntimeError, match="user 1 caches 8 bits, not the 4"):
         place(config, alloc, store)
+
+
+@pytest.mark.parametrize("scheme", ["cacc", "cauc", "cicc"])
+def test_place_matches_a_per_part_reference(scheme):
+    """On random multi-level libraries, each user holds exactly the parts
+    whose label contains it, per item and cached layer, with the store's
+    bits; and each user's part template is the sum of its part segments."""
+    rng = random.Random(23)
+    for _ in range(25):
+        config = random_config(rng, units_max=3, m=None if scheme != "cauc" else 5.0)
+        k = config.n_users
+        if scheme == "cacc":
+            alloc = optimize_allocation(config).alloc
+        elif scheme == "cauc":
+            alloc = CacheAllocation(tuple(
+                rng.choice((0.0, 0.5, 1.0) if size % 2 == 0 else (0.0, 1.0))
+                for size in config.subfile_sizes
+            ))
+        else:
+            alloc = None
+        plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=1), scheme=scheme)
+        caches = plan.place()
+        want = [{} for _ in range(k)]
+        for _, items, layers in plan._groups:
+            for layer in (layer for layer in layers if layer.t):
+                labels = part_labels(k, layer.t)
+                psize = layer.size // len(labels)
+                seg = (1 << psize) - 1
+                templates = _part_templates(k, layer.t, psize)
+                for u, held in enumerate(_step_table(k, layer.t).held, start=1):
+                    assert templates[u] == sum(seg << (i * psize) for i in held)
+                for i, label in enumerate(labels):
+                    part = seg << (layer.offset + i * psize)
+                    for u in members_of(label):
+                        for item in items:
+                            want[u - 1][item] = want[u - 1].get(item, 0) | part
+        for cache, masks in zip(caches, want):
+            assert cache.known_masks == masks, (config, scheme, cache.user)
+            assert cache.known_bits == {
+                item: plan.store.item_bits(item) & mask for item, mask in masks.items()
+            }
 
 
 def test_place_rejects_overcommitted_allocation():

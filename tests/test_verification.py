@@ -381,6 +381,40 @@ def test_fault_first_emitted_mid_sweep_flags_exactly_its_holders(monkeypatch):
     assert report.violations == tuple(f"{tag}: user {k} wrong bits" for k in (1, 2, 3))
 
 
+def test_remainder_only_sets_share_one_result_and_one_verdict(monkeypatch):
+    """cauc sends remainder steps only, so every demand set has one shared
+    result: vectors of one set get the very same sections, and `deliver`
+    gives each transcript its own per-level dict.  With only subfile {1}'s
+    records corrupted, the sweep reports that record once, and exactly the
+    vectors whose set sends {1}, those demanding file 1, are not ok, also
+    when a set's verdict is reused."""
+    config = LibraryConfig(3, 3, 3.0, (6, 6, 0))
+    alloc = CacheAllocation((0.5, 0.5, 0.0))
+    plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0), scheme="cauc")
+    first, second = plan.deliver((1, 2, 2)), plan.deliver((2, 1, 1))
+    assert first.step_counts == second.step_counts == ()
+    assert first.sections is second.sections
+    assert first.per_level_bits == second.per_level_bits
+    assert first.per_level_bits is not second.per_level_bits
+    assert all(
+        type(plan._send(d)[0]) is tuple
+        for d in itertools.product(range(1, 4), repeat=3)
+    )
+
+    def corrupt(rec):
+        if rec.step_items != (0b001,) * 3:
+            return rec.payloads
+        return {v: y ^ 1 for v, y in rec.payloads.items()}
+
+    _flip_payloads(monkeypatch, corrupt)
+    report = verify_all_demands(config, alloc, scheme="cauc", seed=0)
+    assert [ok for ok in report.decode_ok] == [1 not in d for d in report.demands]
+    assert sum(report.decode_ok) == 8
+    tag = "level 1 step ({1}, {1}, {1})"
+    steps = [v for v in report.violations if not v.startswith("demand")]
+    assert steps == [f"{tag}: user {k} wrong bits" for k in (1, 2, 3)]
+
+
 def test_extra_payload_above_the_placed_layers_is_reported(monkeypatch):
     """(N, K) = (2, 2), sizes (4, 2), M = 0.4: placement puts level 1 at
     share 1 for all its bits, so the worst delivery is 4 bits against a
