@@ -49,16 +49,18 @@ C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
 payload XORs, each the member's part labeled V minus the member; per
 user, the parts it caches and its decode program, which lists per part it
 lacks the payload V (the part's label plus the user) and the other
-members' terms to XOR in; and the lane layout of the verifier's lane
-pass, where each part sits among the packed payloads.  Placement's part
-templates, `_xor_step`, the decoder and the lane pass all read it;
-nothing else walks a step's labels and members.
+members' terms to XOR in.  Placement's part templates, `_xor_step`, the
+decoder and the verifier's lane pass all read it, the lane pass taking row
+V as lane V; nothing else walks a step's labels and members.
 
 Decoding is one part-indexed kernel (`_decode_parts`): it runs the user's
 program from the table, and raises on a payload wider than its part.
 `decode` calls it, and so does the verifier's reference step check; the
-verifier's fast path checks a record for all users at once with
-lane-packed big-int XORs (see verification.py), and the encoder stays on
+verifier's fast path checks a record for all users at once: every member
+of V decodes from the one equation payload V = XOR of the members' parts
+labeled V minus themselves, so with exact caches one check per lane V
+stands for all its members, and all lanes are checked together with
+lane-packed big-int XORs (see verification.py).  The encoder stays on
 the table's rows.  A payload whose user set has no
 leader is not sent: the step's equality pattern (its step items
 renumbered by first occurrence, stored on the record with the distinct
@@ -337,20 +339,15 @@ class _StepTable(NamedTuple):
     programs[u]: per part i user u + 1 lacks, in part order, (i, V, the
     other members' terms of V), V being the part's label plus the user.
 
-    lifts, the verifier's lane layout: lane l of a packed record holds the
-    payload of the l-th (t+1)-user set, the row order.  lifts[k][u], for
-    u != k: per part S that user k + 1 caches and user u + 1 is not in,
-    (part index of S, lane of S plus u + 1), the lane whose payload XORs
-    that part of user u + 1's step item.  lifts[k][k]: per part S that user
-    k + 1 lacks, (part index of S, lane of S plus k + 1), the lane it
-    decodes S in; those are the lanes of the sets holding user k + 1.
+    The verifier's lane pass reads the rows as its lane layout: lane l of a
+    packed record holds row l's payload, and member u's lift of an item
+    puts, at each lane l whose row has a term (u, j), the item's part j.
     """
 
     labels: tuple
     rows: tuple
     held: tuple
     programs: tuple
-    lifts: tuple
 
 
 # Bounded: a pass over many configs would otherwise keep every (K, t) table
@@ -361,8 +358,8 @@ class _StepTable(NamedTuple):
 def _step_table(n_users: int, t: int) -> _StepTable:
     """The one walk over a share-t step's part labels and members: who
     caches which part (placement), what each payload XORs (`_xor_step`),
-    what each user reads to rebuild its missing parts (`_decode_parts`) and
-    where the verifier's lane pass puts each part."""
+    what each user reads to rebuild its missing parts (`_decode_parts`) and,
+    row by row, the verifier's lanes."""
     labels = part_labels(n_users, t)
     lanes = part_labels(n_users, t + 1)
     index = {lab: i for i, lab in enumerate(labels)}
@@ -380,16 +377,7 @@ def _step_table(n_users: int, t: int) -> _StepTable:
         )
         for u in users
     )
-    lifts = tuple(
-        tuple(
-            tuple(
-                (index[v ^ 1 << u], l) for l, v in enumerate(lanes) if v >> k & 1 and v >> u & 1
-            )
-            for u in users
-        )
-        for k in users
-    )
-    return _StepTable(labels, rows, held, programs, lifts)
+    return _StepTable(labels, rows, held, programs)
 
 
 def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:

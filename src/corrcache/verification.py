@@ -22,16 +22,22 @@ simulate` runs too; it compares every decoded subfile with the store of
 the plan's library and assembles no file.
 
 The step check has two stages.  The lane pass (`_lanes_clear`) checks a
-record for all K users at once with a few big-int XORs: the payloads,
-none wider than the part size, sit side by side in one int, payload V in
-lane index(V) of the (t+1)-user sets, with the unsent lanes rebuilt from
-their families once per record.  User k's decoded lanes are the lanes
-holding k, XORed with one lifted view of its cache per other member u (its
-cached parts S of u's step item, k in S and u not, moved to lane S + u);
-they must equal the lifted truth of k's own item.  The lane layout per (K, t)
-is part of delivery's step table (`_StepTable.lifts`), and the lifted
-views are built once per sweep per (layer, item), from the store,
-for the users whose cache holds that item's parts exactly.  A record the
+record for all K users at once with one identity per lane.  The
+payloads, none wider than the part size, sit side by side in one int,
+payload V in lane index(V) of the (t+1)-user sets (the step table's row
+order), with the unsent lanes rebuilt from their families once per
+record.  A member k of V rebuilds its part labeled V minus k as payload V
+XOR its cached parts labeled V minus u of the other members u's items, so
+with every cache holding its parts exactly, k rebuilds the true part if
+and only if payload V is the XOR, over all of V's members u, of the true
+part of u's item labeled V minus u: the same condition for every member.
+Every lane holds a member, and each user decodes exactly the lanes
+holding it, so the per-user checks together are the one identity on
+every lane: XORing each member's lift of its step item (its true parts
+moved to the lanes holding it) into the packed payloads must leave 0.
+The lifts are built once per sweep per (layer, item), from the store and
+the step table's rows, and only for an item whose parts every cache
+holds exactly; otherwise the lane pass cannot tell.  A record the
 lane pass does not clear goes to `_check_step`, the reference: it runs
 delivery's decode kernel (`_decode_parts`) once per user, reading the
 caches without copying them, and words every violation.  Per sweep it
@@ -63,7 +69,7 @@ import operator
 from dataclasses import dataclass
 from itertools import product
 
-from .combinat import comb0, part_labels, step_payloads
+from .combinat import comb0, step_payloads
 from .delivery import (
     DeliveryPlan,
     LayerSpec,
@@ -224,33 +230,25 @@ def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
 # the lane pass: one record checked for all K users at once
 
 class _LaneViews(dict):
-    """One layer's lifted views for one sweep, built per item x when first
+    """One layer's lifted items for one sweep, built per item x when first
     asked for.
 
-    views[x][k] is None when user k + 1's cache does not hold its parts of x
+    views[x] is None when some user's cache does not hold its parts of x
     exactly (each fully cached and equal to the store's).  Otherwise
-    views[x][k][u] is, for u != k, the parts of x that user k + 1 reads for
-    user u + 1's payload terms and, for u == k, the true parts of x that
-    user k + 1 decodes, each moved to its lane (`_StepTable.lifts`).
-    lanes: the (t+1)-user sets in lane order.  masks[k] covers the lanes
-    user k + 1 decodes.
+    views[x][u] is member u + 1's lift of x: for every (t+1)-user set V
+    holding u + 1, the true part of x labeled V minus u + 1, at lane V.
+    Lane l is the step table's row l, and lift u collects the row terms of
+    member u.
     """
 
-    __slots__ = (
-        "lanes", "lifts", "offset", "psize", "nparts", "masks", "held", "caches", "store",
-    )
+    __slots__ = ("rows", "offset", "psize", "nparts", "held", "caches", "store")
 
     def __init__(self, layer: LayerSpec, psize: int, caches, store):
         super().__init__()
         k = len(caches)
-        self.lanes = part_labels(k, layer.t + 1)
-        self.lifts = _step_table(k, layer.t).lifts
+        self.rows = _step_table(k, layer.t).rows
         self.offset, self.psize = layer.offset, psize
         self.nparts = comb0(k, layer.t)
-        pmask = (1 << psize) - 1
-        self.masks = tuple(
-            sum(pmask << lane * psize for _, lane in lift[k]) for k, lift in enumerate(self.lifts)
-        )
         self.held = tuple(m << layer.offset for m in _part_templates(k, layer.t, psize)[1:])
         self.caches, self.store = caches, store
 
@@ -258,20 +256,20 @@ class _LaneViews(dict):
         off, psize = self.offset, self.psize
         pmask = (1 << psize) - 1
         bits = self.store.item_bits(x)
+        if any(
+            cache.known_masks.get(x, 0) & held != held
+            or (cache.known_bits.get(x, 0) ^ bits) & held
+            for cache, held in zip(self.caches, self.held)
+        ):
+            self[x] = None
+            return None
         parts = [(bits >> (off + j * psize)) & pmask for j in range(self.nparts)]
-        views = []
-        for cache, held, lifts in zip(self.caches, self.held, self.lifts):
-            if (
-                cache.known_masks.get(x, 0) & held != held
-                or (cache.known_bits.get(x, 0) ^ bits) & held
-            ):
-                views.append(None)
-                continue
-            views.append(tuple(
-                sum([parts[j] << lane * psize for j, lane in lift]) for lift in lifts
-            ))
-        self[x] = views = tuple(views)
-        return views
+        lifts = [0] * len(self.caches)
+        for lane, (_, terms) in enumerate(self.rows):
+            for u, j in terms:
+                lifts[u] |= parts[j] << lane * psize
+        self[x] = lifts = tuple(lifts)
+        return lifts
 
 
 def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
@@ -281,10 +279,11 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
 
     The record's payloads, none wider than the part size, are packed into
     one int, lane by lane, with every unsent lane rebuilt from its family.
-    User k's decoded lanes are the packed lanes holding it, XORed with the
-    lifted view of every other member's step item; they must equal the view
-    of its own item's true parts.  lane_views is the sweep's memo of
-    `_LaneViews`, per (layer, part size).
+    XORing in every member's lift of its step item must leave 0: each lane
+    V's payload is then the XOR over V's members u of the true part of u's
+    item labeled V minus u.  With every cache exact, that one identity is
+    each member's decode check at lane V, so it stands for all K users.
+    lane_views is the sweep's memo of `_LaneViews`, per (layer, part size).
     """
     psize = rec.part_size
     views = lane_views.get((rec.layer, psize))
@@ -295,7 +294,7 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
         return False
     packed = shift = 0
     try:
-        for v in views.lanes:
+        for v, _ in views.rows:
             if v & leaders:
                 y = payloads[v]
             else:
@@ -306,17 +305,12 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
             shift += psize
     except KeyError:
         return False
-    rows = [views[x] for x in rec.classes]
-    for k, mask in enumerate(views.masks):
-        acc = packed & mask
-        for u, c in enumerate(pattern):
-            view = rows[c][k]
-            if view is None:
-                return False
-            acc ^= view[u]
-        if acc:
-            return False
-    return True
+    lifted = [views[x] for x in rec.classes]
+    if None in lifted:
+        return False
+    for u, c in enumerate(pattern):
+        packed ^= lifted[c][u]
+    return not packed
 
 
 def _limit_bits(plan: DeliveryPlan) -> int:

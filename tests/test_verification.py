@@ -6,6 +6,7 @@ import time
 import pytest
 
 from conftest import single_level_config
+from test_delivery import _equality_patterns
 from corrcache import (
     CacheAllocation,
     ContentStore,
@@ -19,11 +20,11 @@ from corrcache import (
     worst_case_demand,
 )
 from corrcache import delivery
-from corrcache.combinat import divisibility_unit, part_labels
+from corrcache.combinat import comb0, divisibility_unit, part_labels
 from corrcache.delivery import (
-    UserCache, _family, _pattern, _step_table, cacc_layers, decode,
+    LayerSpec, UserCache, _family, _pattern, _step_table, _xor_step, cacc_layers, decode,
 )
-from corrcache.verification import _check_step, _lanes_clear, _limit_bits
+from corrcache.verification import _LaneViews, _check_step, _lanes_clear, _limit_bits
 
 
 def test_two_user_grid_clean():
@@ -517,38 +518,72 @@ def test_payload_wider_than_its_part_is_a_fault():
 # ---------------------------------------------------------------------------
 # the lane pass against the reference step check
 
-@pytest.mark.parametrize("k", range(1, 9))
-def test_lane_table_agrees_with_step_table(k):
-    """`_step_table(K, t)` lays a share-t step out in lanes by the labels
-    alone: lane l is the l-th (t+1)-user set, a lift puts a part labeled S
-    of member w's step item at the lane of S plus w, and user u's lifts
-    cover exactly the terms of its decode program, each once.  For each
-    user of a lane, the terms it lifts there plus the part it decodes there
-    are the table's row for that payload."""
+@pytest.mark.parametrize("k", range(1, 8))
+def test_lane_identity_matches_every_step(k):
+    """For every t < K and equality pattern of K step items, with random
+    part contents: the XOR of the members' lifts of their true step items
+    (`_LaneViews`) equals, lane by lane, `_xor_step`'s payload on each sent
+    lane and the XOR of the lane's family on each unsent lane, so the packed
+    record XOR the lifts is 0 exactly when every lane's payload is right.
+    Over K <= 7 that is 7,697 records."""
+    rng = random.Random(22 + k)
     for t in range(k):
-        table = _step_table(k, t)
-        labels, lanes = table.labels, part_labels(k, t + 1)
-        assert lanes == tuple(v for v, _ in table.rows)
-        for u, program in enumerate(table.programs):
-            users = [l for l, v in enumerate(lanes) if v >> u & 1]  # lanes u decodes
-            lane_terms = {l: [] for l in users}
-            assert [lanes[l] for l in users] == [v for _, v, _ in program]
-            assert table.lifts[u][u] == tuple(
-                (labels.index(lanes[l] ^ 1 << u), l) for l in users
-            )
-            lifted = []
-            for w, lift in enumerate(table.lifts[u]):
-                for j, l in lift:
-                    assert not labels[j] >> w & 1 and labels[j] | 1 << w == lanes[l]
-                    assert labels[j] >> u & 1 == (w != u)  # held, or decoded if w == u
-                    lane_terms[l].append((w, j))
-                    if w != u:
-                        lifted.append((w, j, lanes[l]))
-            terms = [(w, j, v) for _, v, row in program for w, j in row]
-            assert sorted(lifted) == sorted(terms)
-            assert {l: sorted(terms) for l, terms in lane_terms.items()} == {
-                l: sorted(table.rows[l][1]) for l in users
-            }
+        psize, offset = rng.randint(1, 5), rng.randint(0, 3)
+        layer = LayerSpec(t, offset, psize * comb0(k, t))
+        lanes = part_labels(k, t + 1)
+        store = _Store({x: rng.getrandbits(offset + layer.size) for x in range(1, k + 1)})
+        caches = [UserCache(u, dict.fromkeys(store, -1), dict(store)) for u in range(1, k + 1)]
+        views = _LaneViews(layer, psize, caches, store)
+        for pattern in _equality_patterns(k):
+            items = tuple(c + 1 for c in pattern)
+            rec = _xor_step(k, 1, layer, items, store.item_bits)
+            lifted = 0
+            for u, x in enumerate(items):
+                lifted ^= views[x][u]
+            for l, v in enumerate(lanes):
+                if v & rec.leader_mask:
+                    want = rec.payloads[v]
+                else:
+                    want = 0
+                    for w in _family(rec.pattern, v):
+                        want ^= rec.payloads[w]
+                assert lifted >> l * psize & (1 << psize) - 1 == want, (t, pattern, l)
+            assert not lifted >> len(lanes) * psize
+
+
+def test_lane_views_need_every_cache_exact():
+    """`_LaneViews` lifts an item only while every cache holds its parts of
+    it exactly: one user's dropped part or wrong bit of item x, in a layer
+    above offset 0, makes views[x] None and leaves the other items' lifts
+    as they were."""
+    config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
+    alloc = CacheAllocation.from_replication((0, 1.5, 0), 3)
+    store = ContentStore.generate(config, seed=4)
+    plan = DeliveryPlan(config, alloc, store)
+    caches = plan.place()
+    [(_, items, sublayers)] = plan._levels
+    layer, psize, _ = sublayers[-1]
+    assert layer.t == 2 and layer.offset > 0
+    clean = _LaneViews(layer, psize, caches, plan.store)
+    assert all(clean[x] is not None for x in items)
+    for k in range(3):
+        for j in _step_table(3, layer.t).held[k]:
+            pos = layer.offset + j * psize
+            part = ((1 << psize) - 1) << pos
+            for x in items:
+                for bad in (
+                    _with_cache(caches, k, x, mask_fault=part),
+                    _with_cache(caches, k, x, bit_fault=1 << pos + psize - 1),
+                ):
+                    views = _LaneViews(layer, psize, bad, plan.store)
+                    assert views[x] is None, (k, j, x)
+                    assert all(views[y] == clean[y] for y in items if y != x)
+
+
+class _Store(dict):
+    """A content store of plain items, for tests that need only item_bits."""
+
+    item_bits = dict.__getitem__
 
 
 def _fault_cases():
@@ -597,6 +632,14 @@ def _faults(rec, caches, rng):
         ("missing payload key", missing),
     ):
         yield kind, dataclasses.replace(rec, payloads=payloads), caches
+    pairs = [
+        (v, w) for v, w in itertools.combinations(sorted(rec.payloads), 2)
+        if rec.payloads[v] != rec.payloads[w]
+    ]
+    if pairs:
+        v, w = rng.choice(pairs)
+        swapped = {**rec.payloads, v: rec.payloads[w], w: rec.payloads[v]}
+        yield "swapped payloads", dataclasses.replace(rec, payloads=swapped), caches
     k = rng.randrange(len(caches))
     held = _step_table(len(caches), rec.layer.t).held[k]
     if not held:  # a share-0 layer: the user caches nothing of it
@@ -619,7 +662,7 @@ def test_lane_pass_never_clears_a_failing_record():
     rng = random.Random(18)
     flagged = dict.fromkeys(
         ["flipped payload bit", "oversized payload", "missing payload key",
-         "dropped cached part", "wrong cached bit, own item",
+         "swapped payloads", "dropped cached part", "wrong cached bit, own item",
          "wrong cached bit, other item"], 0,
     )
     offsets = set()
@@ -650,6 +693,7 @@ def test_lane_pass_never_clears_a_failing_record():
                     else:
                         assert kind not in (
                             "flipped payload bit", "oversized payload", "missing payload key",
+                            "swapped payloads",
                         )
     assert all(flagged.values()), flagged
     assert offsets == {("cacc", False), ("cicc", False)} | {
