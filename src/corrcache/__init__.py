@@ -1,7 +1,7 @@
 """Caching and coded delivery for file libraries with shared subfiles.
 
 Files are unions of subfiles indexed by the set of files containing them;
-caches exploit that sharing.  The package provides closed-form rate curves
+caches exploit that sharing.  The package provides closed-form rates
 for three schemes (uncoded, shared-subfile coded, correlation-ignorant
 coded) plus a cut-set converse, a capacity allocator, deterministic
 assignment schedules for the coded steps, a bit-exact delivery simulator
@@ -31,8 +31,6 @@ from .model import (
     ratios_to_sizes,
 )
 from .rates import (
-    LevelRateCurve,
-    build_level_curve,
     cacc_alpha,
     cacc_level_rate,
     cacc_m,
@@ -41,7 +39,6 @@ from .rates import (
     cauc_rate,
     cicc_rate,
     cutset_bound,
-    lower_convex_hull,
 )
 from .scheduling import (
     AssignmentSchedule,
@@ -64,10 +61,8 @@ __all__ = [
     "DeliveryPlan",
     "ExperimentSpec",
     "GridReport",
-    "LevelRateCurve",
     "LibraryConfig",
     "Transcript",
-    "build_level_curve",
     "cacc_alpha",
     "cacc_level_rate",
     "cacc_m",
@@ -82,7 +77,6 @@ __all__ = [
     "exhaustive_allocation_oracle",
     "generate_schedule",
     "load_schedule",
-    "lower_convex_hull",
     "optimize_allocation",
     "place",
     "ratios_to_sizes",

@@ -40,7 +40,7 @@ def optimize_allocation(config: LibraryConfig) -> AllocationSolution:
     steepest rate decrease per bit first (ties: lower level, then lower
     t0); the final partial segment may stop at a fractional share.  A stop
     that would land exactly on an integer share interior to a hull segment
-    is nudged down, because the rate curve reads its integer point there
+    is nudged down, because cacc_rate reads the raw integer point there
     (no memory sharing), which can sit above the envelope.  The rate is
     cacc_rate's at the returned shares.
     """

@@ -108,7 +108,7 @@ from .model import (
     check_allocation,
     file_layout,
 )
-from .rates import _slope_table, cicc_curve, reads_point
+from .rates import _cicc_share, _slope_table, reads_point
 from .scheduling import generate_schedule, load_schedule
 
 __all__ = [
@@ -141,8 +141,8 @@ class LayerSpec:
 def _split_layers(total_size: int, t_exact: float, vertices, n_users: int):
     """Sublayers realizing share t_exact over an item of total_size bits.
 
-    A share at which the rate curve reads its raw integer point keeps the
-    item whole.  Fractional shares split it between the two envelope
+    A share at which the scheme's rate reads its raw integer point keeps
+    the item whole.  Fractional shares split it between the two envelope
     vertices (integer shares, ascending) bracketing t_exact; the low-share
     slice is rounded down to the divisibility unit.  That keeps the
     delivered bits at or below the envelope value, but a cache may then
@@ -210,9 +210,7 @@ def _groups(
     n, k = config.n_files, config.n_users
     if scheme == "cicc":
         f = int(config.file_size)
-        t_exact = k * min(config.cache_capacity, n) / n
-        vertices = [t for t, _ in cicc_curve(config).envelope]
-        layers = _split_layers(f, t_exact, vertices, k)
+        layers = _split_layers(f, _cicc_share(config), _slope_table(n, k).cicc, k)
         groups = [(0, part_labels(n, 1), layers)]
         files = {1 << (i - 1): store.file_bits(i) for i in range(1, n + 1)}
         config = LibraryConfig(n, k, config.cache_capacity, (f,) + (0,) * (n - 1))

@@ -23,12 +23,11 @@ a capacity sweep computes every capacity-independent quantity once:
   takes the hull in integers.  A segment's rate drop per cached bit is
   K (u_t0 - u_t1) / (F C(N, l) (t1 - t0)): F_l cancels, so the table also
   sorts every level's segments steepest first, by integer keys over one
-  common denominator, ties to the lower level, then the lower t0;
-* a level curve (its K+1 float points and their values at the table's
-  vertices) depends on the config only through (N, K, level, F_l, F), and
-  is memoized on that key; configs that differ only in capacity share one
-  curve object.  The coded rate itself builds no curve: it reads at most
-  the two points that bracket its share (`_level_rate`);
+  common denominator, ties to the lower level, then the lower t0.  The
+  table holds one more row, cicc's: its point at share t is
+  step_payloads(K, t, min(N, K)) / C(K, t), integer once scaled by
+  lcm C(K, t), so cicc's envelope is exact too.  Both schemes read a rate
+  from at most the two points that bracket the share (`_envelope_rate`);
 * the cut-set bound's exposed-bit count uses Vandermonde's identity,
   sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
   = sum_j F_j (binom(N, j) - binom(N-e, j)),
@@ -44,7 +43,6 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .combinat import comb0, divisibility_unit, step_payloads
@@ -54,47 +52,24 @@ _INT_TOL = 1e-9
 
 
 def reads_point(t: float) -> bool:
-    """Whether share t is an integer up to float noise, so that a rate curve
-    reads its raw integer point there rather than its envelope."""
+    """Whether share t is an integer up to float noise, so that a scheme's
+    rate reads its raw integer point there rather than its envelope."""
     return abs(t - round(t)) <= _INT_TOL
 
 
-def _interpolate(t: float, t0, r0: float, t1, r1: float) -> float:
-    """The envelope's value at t between its vertices (t0, r0) and (t1, r1)."""
-    return r0 + (t - t0) / (t1 - t0) * (r1 - r0)
+def _envelope_rate(vertices, point, t: float) -> float:
+    """A scheme's rate at share t: its raw point(t) at an integer share,
+    else the envelope between the two vertices (integer shares, ascending)
+    that bracket t, which memory sharing between those shares achieves."""
+    if reads_point(t):
+        return point(int(round(t)))
+    i = bisect.bisect(vertices, t)
+    t0, t1 = vertices[i - 1], vertices[i]
+    r0 = point(t0)
+    return r0 + (t - t0) / (t1 - t0) * (point(t1) - r0)
 
 
-@dataclass(frozen=True)
-class LevelRateCurve:
-    """Per-level coded rate against the integer caching share t in [0, K].
-
-    points are the K+1 raw integer evaluations; envelope is the lower convex
-    hull of those points (vertices, t ascending), realizable at fractional t
-    by splitting the level's bits between the two bracketing vertices.
-    """
-
-    points: tuple[tuple[int, float], ...]
-    envelope: tuple[tuple[int, float], ...]
-
-    def envelope_value(self, t: float) -> float:
-        verts = self.envelope
-        if t < verts[0][0] - _INT_TOL or t > verts[-1][0] + _INT_TOL:
-            raise ValueError(f"t={t} outside [{verts[0][0]}, {verts[-1][0]}]")
-        t = min(max(t, verts[0][0]), verts[-1][0])
-        for (t0, r0), (t1, r1) in zip(verts, verts[1:]):
-            if t <= t1 + _INT_TOL:
-                return _interpolate(t, t0, r0, t1, r1)
-        return verts[-1][1]
-
-    def rate_at(self, t: float) -> float:
-        """Integer t reads the raw point; fractional t reads the envelope,
-        which memory sharing between its two bracketing vertices achieves."""
-        if reads_point(t):
-            return self.points[int(round(t))][1]
-        return self.envelope_value(t)
-
-
-def lower_convex_hull(points) -> tuple[tuple, ...]:
+def _lower_convex_hull(points) -> tuple[tuple, ...]:
     """Lower convex hull of (x, y) points with strictly increasing x.
 
     Monotone-chain construction; collinear middle points are dropped so ties
@@ -197,7 +172,7 @@ def _m(n_files: int, n_users: int, level: int, size, file_size, t) -> float:
 
 
 def _point(n_files: int, n_users: int, level: int, size, file_size, t: int) -> float:
-    """The level curve's raw point at integer share t: min(alpha, m)."""
+    """Level l's coded rate at integer share t: min(alpha, m)."""
     terms = (n_files, n_users, level, size, file_size)
     return min(_alpha(*terms, t), _m(*terms, t))
 
@@ -207,12 +182,13 @@ class _SlopeTable(NamedTuple):
 
     vertices: tuple[tuple[int, ...], ...]  # per level 1..N, t ascending
     segments: tuple[tuple[int, int, int], ...]  # (level, t0, t1), steepest first
+    cicc: tuple[int, ...]  # cicc's envelope vertices, t ascending
 
 
 @functools.lru_cache(maxsize=64)
 def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
-    """Every level's envelope vertices and every envelope segment in the
-    allocator's order, in integers only.
+    """Every level's envelope vertices, every envelope segment in the
+    allocator's order and cicc's envelope vertices, in integers only.
 
     Level l's point at share t is (F_l / F) u_t, with u_t the lesser of
     alpha's numerator over C(K, t) and needed (K - t) / K.  Scaled by
@@ -223,7 +199,8 @@ def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
     segments sort by (U_t0 - U_t1) / (C(N, l) (t1 - t0)), compared as
     integers over the lcm of those denominators.  Steepest first; ties go to
     the lower level, then the lower t0.  Segments that drop nothing are
-    left out.
+    left out.  cicc's point at t, step_payloads(K, t, min(N, K)) / C(K, t),
+    scales by D to an integer the same way.
     """
     n, k = n_files, n_users
     scale = divisibility_unit(k)
@@ -235,7 +212,7 @@ def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
             min(num * (scale // comb0(k, t)), remainder * (k - t))
             for t, num in enumerate(_alpha_numerators(n, k, level))
         ]
-        hull = lower_convex_hull(enumerate(units))
+        hull = _lower_convex_hull(enumerate(units))
         vertices.append(tuple(t for t, _ in hull))
         width = comb0(n, level)
         segments.extend(
@@ -245,20 +222,13 @@ def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
         )
     common = math.lcm(*(den for _, den, *_ in segments))
     segments.sort(key=lambda s: (-s[0] * (common // s[1]), s[2], s[3]))
-    return _SlopeTable(tuple(vertices), tuple(s[2:] for s in segments))
-
-
-def _level_rate(n_files: int, n_users: int, level: int, size, file_size, t: float) -> float:
-    """The level curve's rate_at(t) without building the curve: the raw
-    point at an integer share, else the envelope between the two table
-    vertices that bracket t, from those two points only."""
-    terms = (n_files, n_users, level, size, file_size)
-    if reads_point(t):
-        return _point(*terms, int(round(t)))
-    verts = _slope_table(n_files, n_users).vertices[level - 1]
-    i = bisect.bisect(verts, t)
-    t0, t1 = verts[i - 1], verts[i]
-    return _interpolate(t, t0, _point(*terms, t0), t1, _point(*terms, t1))
+    w = min(n, k)
+    cicc = _lower_convex_hull(
+        (t, step_payloads(k, t, w) * (scale // comb0(k, t))) for t in range(k + 1)
+    )
+    return _SlopeTable(
+        tuple(vertices), tuple(s[2:] for s in segments), tuple(t for t, _ in cicc)
+    )
 
 
 def _level_terms(config: LibraryConfig, level: int) -> tuple:
@@ -278,7 +248,7 @@ def cacc_alpha(config: LibraryConfig, level: int, t: int) -> float:
     The numerator over s (see _alpha_numerators) depends only on
     (N, K, level, t); it is scaled by F_l / (F binom(K, t)).  This is the
     paper's alpha, and it stays public so that tests can pin it to the
-    paper's values; the level curve reads the same _alpha.
+    paper's values; cacc_level_rate reads the same _alpha.
     """
     _check_level_t(config, level, t)
     return _alpha(*_level_terms(config, level), t)
@@ -288,7 +258,7 @@ def cacc_m(config: LibraryConfig, level: int, t: int) -> float:
     """Per-level rate of shipping uncached remainders of needed subfiles.
 
     This is the paper's m, and it stays public so that tests can pin it to
-    the paper's values; the level curve reads the same _m.
+    the paper's values; cacc_level_rate reads the same _m.
     """
     _check_level_t(config, level, t)
     return _m(*_level_terms(config, level), t)
@@ -300,27 +270,13 @@ def _check_level_t(config: LibraryConfig, level: int, t) -> None:
         raise ValueError(f"share t={t} outside [0, {config.n_users}]")
 
 
-def build_level_curve(config: LibraryConfig, level: int) -> LevelRateCurve:
-    """Raw integer points min(alpha, m) and the envelope at the slope
-    table's exact vertices, shared by every config with the same
-    (N, K, level, F_l, F)."""
-    config.level_size(level)  # range check
-    return _level_curve(*_level_terms(config, level))
-
-
-@functools.lru_cache(maxsize=256)
-def _level_curve(n_files: int, n_users: int, level: int, size, file_size) -> LevelRateCurve:
-    terms = (n_files, n_users, level, size, file_size)
-    pts = tuple((t, _point(*terms, t)) for t in range(n_users + 1))
-    verts = _slope_table(n_files, n_users).vertices[level - 1]
-    return LevelRateCurve(points=pts, envelope=tuple(pts[t] for t in verts))
-
-
 def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
-    """Coded per-level rate at share t: the level curve's raw point
-    min(alpha, m) at integer t, its lower convex hull at fractional t."""
+    """Coded per-level rate at share t: the raw point min(alpha, m) at
+    integer t, the lower convex hull of those points at fractional t."""
     _check_level_t(config, level, t)
-    return _level_rate(*_level_terms(config, level), t)
+    vertices = _slope_table(config.n_files, config.n_users).vertices[level - 1]
+    point = functools.partial(_point, *_level_terms(config, level))
+    return _envelope_rate(vertices, point, t)
 
 
 def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
@@ -334,32 +290,27 @@ def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
     return total
 
 
-def cicc_curve(config: LibraryConfig) -> LevelRateCurve:
-    """Integer rate points for opaque-file coded delivery, with their hull."""
-    return _cicc_curve(config.n_files, config.n_users)
-
-
-@functools.lru_cache(maxsize=256)
-def _cicc_curve(n: int, k: int) -> LevelRateCurve:
-    pts = []
-    for ti in range(k + 1):
-        if ti == k:
-            pts.append((ti, 0.0))
-            continue
-        val = step_payloads(k, ti, min(n, k)) / comb0(k, ti)
-        pts.append((ti, val))
-    return LevelRateCurve(points=tuple(pts), envelope=lower_convex_hull(pts))
+def _cicc_share(config: LibraryConfig) -> float:
+    """cicc's caching share of every file, t = K min(M, N) / N."""
+    n = config.n_files
+    return config.n_users * min(config.cache_capacity, n) / n
 
 
 def cicc_rate(config: LibraryConfig) -> float:
     """Coded delivery rate when correlation is ignored (files are opaque).
 
-    Classic shared-cache tradeoff over N independent files of size F with
-    t = K * M / N at the config's capacity M; fractional t interpolates the
-    convex hull of the integer points.
+    Classic shared-cache tradeoff over N independent files of size F at
+    share t = K * M / N (`_cicc_share`): the raw point
+    step_payloads(K, t, min(N, K)) / C(K, t) at integer t, the slope
+    table's exact envelope of those points at fractional t.
     """
     n, k = config.n_files, config.n_users
-    return cicc_curve(config).rate_at(k * min(config.cache_capacity, n) / n)
+    w = min(n, k)
+    return _envelope_rate(
+        _slope_table(n, k).cicc,
+        lambda t: step_payloads(k, t, w) / comb0(k, t),
+        _cicc_share(config),
+    )
 
 
 @functools.lru_cache(maxsize=256)

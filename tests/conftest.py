@@ -6,8 +6,29 @@ import random
 
 from hypothesis import strategies as st
 
-from corrcache import LibraryConfig
+from corrcache import LibraryConfig, cacc_level_rate
 from corrcache.combinat import divisibility_unit
+from corrcache.rates import _slope_table
+
+
+def interpolate(points, vertices, t):
+    """The envelope through `vertices` at share t, over points[t] = (t, rate):
+    a vertex reads its point, any other share the rate module's float
+    interpolation between the two vertices that bracket it."""
+    if t in vertices:
+        return points[round(t)][1]
+    t0 = max(v for v in vertices if v < t)
+    t1 = min(v for v in vertices if v > t)
+    r0, r1 = points[t0][1], points[t1][1]
+    return r0 + (t - t0) / (t1 - t0) * (r1 - r0)
+
+
+def envelope_at(config, level, t):
+    """Level `level`'s coded envelope at share t: the slope table's vertices,
+    valued by cacc_level_rate at integer shares."""
+    points = [(u, cacc_level_rate(config, level, u)) for u in range(config.n_users + 1)]
+    verts = _slope_table(config.n_files, config.n_users).vertices[level - 1]
+    return interpolate(points, verts, t)
 
 
 def single_level_config(n, k, level, units=1, capacity=None):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_config, single_level_config
+from conftest import envelope_at, random_config, single_level_config
 from corrcache import (
     CacheAllocation,
     LibraryConfig,
-    build_level_curve,
+    cacc_level_rate,
     cacc_rate,
     cauc_optimal_allocation,
     cauc_rate,
@@ -18,6 +18,7 @@ from corrcache import (
 )
 from corrcache.combinat import comb0
 from corrcache.model import exact_sizes_from_ratios
+from corrcache.rates import _slope_table
 
 
 def test_zero_budget_allocates_nothing():
@@ -43,8 +44,7 @@ def test_single_level_budget_at_vertex():
     config = LibraryConfig(5, 5, cap, config.subfile_sizes)
     sol = optimize_allocation(config)
     assert sol.alloc.fractions[1] * 5 == pytest.approx(2.0)
-    curve = build_level_curve(config, 2)
-    assert sol.rate == pytest.approx(curve.envelope_value(2.0))
+    assert sol.rate == pytest.approx(envelope_at(config, 2, 2))
 
 
 def test_stop_inside_segment_avoids_integer_share():
@@ -57,8 +57,8 @@ def test_stop_inside_segment_avoids_integer_share():
     sol = optimize_allocation(config)
     t = sol.alloc.fractions[1] * 5
     assert t != 1.0 and abs(t - 1.0) < 1e-4
-    curve = build_level_curve(config, 2)
-    assert sol.rate <= curve.envelope_value(1.0) + 1e-4 * f2 / config.file_size
+    # t = 1 is not a vertex of (5, 5, level 2): interpolate between 0 and 2
+    assert sol.rate <= envelope_at(config, 2, 1) + 1e-4 * f2 / config.file_size
     # the raw integer point would have been strictly worse
     assert sol.rate < cacc_rate(config, CacheAllocation.from_replication((0, 1, 0, 0, 0), 5))
     assert sol.alloc.satisfies_capacity(config)
@@ -168,10 +168,14 @@ def wide_config(draw):
 
 def _one_sided_slopes(config, level, t):
     """The envelope's rate drop per cached bit just left and just right of
-    share t (None past either end), read from build_level_curve."""
+    share t (None past either end): vertices from the slope table, valued
+    by cacc_level_rate there."""
     n, k = config.n_files, config.n_users
     bits_per_share = comb0(n, level) * config.subfile_sizes[level - 1] / k
-    verts = build_level_curve(config, level).envelope
+    verts = [
+        (v, cacc_level_rate(config, level, v))
+        for v in _slope_table(n, k).vertices[level - 1]
+    ]
     slopes = [
         (t0, t1, (r0 - r1) / ((t1 - t0) * bits_per_share))
         for (t0, r0), (t1, r1) in zip(verts, verts[1:])
@@ -205,10 +209,12 @@ def test_allocation_satisfies_the_kkt_certificate(config):
         if not config.subfile_sizes[level - 1]:
             continue
         t = sol.alloc.fractions[level - 1] * k
-        curve = build_level_curve(config, level)
         # a share never reads an integer point above the envelope (within
-        # 1e-9 of an integer, rate_at reads the point: allow that much share)
-        assert curve.rate_at(t) == pytest.approx(curve.envelope_value(t), abs=1e-6)
+        # 1e-9 of an integer, cacc_level_rate reads the point: allow that
+        # much share)
+        assert cacc_level_rate(config, level, t) == pytest.approx(
+            envelope_at(config, level, t), abs=1e-6
+        )
         left, right = _one_sided_slopes(config, level, t)
         if t > 1e-9:
             lefts.append(left)

@@ -537,7 +537,8 @@ REMOVED_API = (
     "UncodedRecord", "SubfileId", "DemandVector", "step_demands", "pool_subfiles",
     "compare_schemes", "RatePoint", "window_for", "remainder_delivery",
     "cauc_place", "cicc_place", "cicc_deliver", "schedule_to_text", "rounding_loss_bits",
-    "SweepResult", "run_sweep",
+    "SweepResult", "run_sweep", "LevelRateCurve", "build_level_curve", "cicc_curve",
+    "lower_convex_hull",
 )
 
 

@@ -11,7 +11,7 @@ from corrcache import (
     ContentStore,
     DeliveryPlan,
     LibraryConfig,
-    build_level_curve,
+    cacc_level_rate,
     cacc_rate,
     cauc_deliver,
     cauc_rate,
@@ -496,7 +496,7 @@ def test_fractional_share_delivery_hits_envelope_exactly():
     alloc = CacheAllocation((0.25, 0.0))
     caches = place(config, alloc, store)
     transcript = deliver(config, alloc, (1, 2), store)
-    env = build_level_curve(config, 1).envelope_value(0.5)
+    env = cacc_level_rate(config, 1, 0.5)
     assert transcript.total_bits == round(env * config.file_size)
     budget = config.cache_capacity * config.file_size
     assert all(c.total_bits() <= budget for c in caches)

@@ -64,7 +64,7 @@ def test_figure_csvs_do_not_depend_on_memo_state(tmp_path):
     memos = [
         value for value in vars(rates).values() if callable(getattr(value, "cache_clear", None))
     ]
-    assert {rates._level_curve, rates._cut_totals} <= set(memos)
+    assert {rates._slope_table, rates._cut_totals} <= set(memos)
     for memo in memos:
         memo.cache_clear()
     _write_figures(cold)

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import config_strategy, random_config, single_level_config
+from conftest import (
+    config_strategy,
+    envelope_at,
+    interpolate,
+    random_config,
+    single_level_config,
+)
 from corrcache import (
     CacheAllocation,
     LibraryConfig,
-    build_level_curve,
     cacc_alpha,
     cacc_level_rate,
     cacc_m,
@@ -20,10 +25,11 @@ from corrcache import (
     cauc_rate,
     cicc_rate,
     cutset_bound,
-    lower_convex_hull,
     optimize_allocation,
 )
+from corrcache import rates
 from corrcache.cli import main
+from corrcache.rates import _lower_convex_hull, _slope_table
 from corrcache.model import exact_sizes_from_ratios
 
 import random
@@ -34,12 +40,12 @@ import random
 
 def test_hull_drops_points_above_segments():
     pts = [(0, 10), (1, 8), (2, 4), (3, 2), (4, 0.8), (5, 0)]
-    hull = lower_convex_hull(pts)
+    hull = _lower_convex_hull(pts)
     assert hull == ((0.0, 10.0), (2.0, 4.0), (3.0, 2.0), (4.0, 0.8), (5.0, 0.0))
 
 
 def test_hull_drops_collinear_middle_points():
-    assert lower_convex_hull([(0, 4), (1, 2), (2, 0)]) == ((0.0, 4.0), (2.0, 0.0))
+    assert _lower_convex_hull([(0, 4), (1, 2), (2, 0)]) == ((0.0, 4.0), (2.0, 0.0))
 
 
 @given(
@@ -49,7 +55,7 @@ def test_hull_drops_collinear_middle_points():
 )
 def test_hull_lies_at_or_below_points(ys):
     pts = list(enumerate(ys))
-    hull = lower_convex_hull(pts)
+    hull = _lower_convex_hull(pts)
     xs = [x for x, _ in hull]
     assert xs == sorted(xs)
     assert hull[0] == (0.0, float(ys[0]))
@@ -163,9 +169,8 @@ def test_coded_fractional_share_uses_envelope():
     config = five_user_level2()
     f2_over_f = config.level_size(2) / config.file_size
     # hull vertices: (0,10),(2,4),(3,2),(4,0.8),(5,0); t=1 raw point 8 sits above
-    curve = build_level_curve(config, 2)
-    assert [t for t, _ in curve.envelope] == [0, 2, 3, 4, 5]
-    assert curve.envelope_value(1.0) == pytest.approx(7 * f2_over_f)
+    assert _slope_table(5, 5).vertices[1] == (0, 2, 3, 4, 5)
+    assert envelope_at(config, 2, 1.0) == pytest.approx(7 * f2_over_f)
     assert cacc_level_rate(config, 2, 0.5) == pytest.approx(8.5 * f2_over_f)
     # integer shares evaluate the raw min, not the hull
     assert cacc_level_rate(config, 2, 1) == pytest.approx(8 * f2_over_f)
@@ -176,20 +181,30 @@ def test_exact_hull_drops_float_noise_vertices():
     100 the float point at t = 1 falls an ulp below it, and a hull of the
     float points kept it as a vertex.  The exact hull is [0, 3]."""
     config = LibraryConfig(1, 3, 0.5, (100,))
-    curve = build_level_curve(config, 1)
-    assert [t for t, _ in curve.envelope] == [0, 3]
-    assert [t for t, _ in lower_convex_hull(curve.points)] == [0, 1, 3]
+    assert _slope_table(1, 3).vertices[0] == (0, 3)
+    points = [(t, cacc_level_rate(config, 1, t)) for t in range(4)]
+    assert [t for t, _ in _lower_convex_hull(points)] == [0, 1, 3]
 
 
-def test_level_curve_is_cached():
-    """A curve depends on the config only through (N, K, level, F_l, F), so
-    configs that differ only in capacity read the same curve object."""
+def test_slope_table_is_shared_across_capacities_and_sizes():
+    """The table depends on the config only through (N, K), so configs that
+    differ only in capacity or level sizes read one table entry, through
+    cacc's rate, cicc's rate and the allocator alike."""
     config = replace(five_user_level2(), cache_capacity=0.5)
-    other = replace(config, cache_capacity=2.0)
-    assert other != config
-    for level in config.levels():
-        assert build_level_curve(config, level) is build_level_curve(config, level)
-        assert build_level_curve(other, level) is build_level_curve(config, level)
+    configs = [
+        config,
+        replace(config, cache_capacity=2.0),
+        replace(config, subfile_sizes=(3, 0, 7, 0, 11)),
+    ]
+    rates._slope_table.cache_clear()
+    for c in configs:
+        for level in c.levels():
+            cacc_level_rate(c, level, 1.5)
+        cicc_rate(c)
+        optimize_allocation(c)
+    info = rates._slope_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits > 0
 
 
 @settings(max_examples=60)
@@ -210,11 +225,14 @@ def test_coded_envelope_below_raw(config):
     for level in config.levels():
         if config.subfile_sizes[level - 1] == 0:
             continue
-        curve = build_level_curve(config, level)
-        for t, raw in curve.points:
-            assert curve.envelope_value(t) <= raw + 1e-9
+        for t in range(config.n_users + 1):
+            raw = cacc_level_rate(config, level, t)
+            assert envelope_at(config, level, t) <= raw + 1e-9
         # envelope is convex: interior vertices lie below adjacent chords
-        verts = curve.envelope
+        verts = [
+            (t, cacc_level_rate(config, level, t))
+            for t in _slope_table(config.n_files, config.n_users).vertices[level - 1]
+        ]
         for (x0, y0), (x1, y1), (x2, y2) in zip(verts, verts[1:], verts[2:]):
             chord = y0 + (y2 - y0) * (x1 - x0) / (x2 - x0)
             assert y1 <= chord + 1e-9
@@ -258,6 +276,46 @@ def test_cicc_rate_independent_of_sharing_structure():
     a = LibraryConfig(3, 3, 1.0, (6, 0, 0))
     b = LibraryConfig(3, 3, 1.0, (0, 0, 6))
     assert cicc_rate(a) == pytest.approx(cicc_rate(b))
+
+
+def cicc_reference_points(n, k):
+    """cicc's exact points (t, Fraction): the (t+1)-user sets touching the
+    first min(N, K) users, over C(K, t)."""
+    w = min(n, k)
+    return [
+        (t, Fraction(comb(k, t + 1) - comb(k - w, t + 1), comb(k, t)))
+        for t in range(k + 1)
+    ]
+
+
+def test_cicc_envelope_is_the_exact_hull():
+    """For every (N, K) <= 20 the table's cicc row is the lower hull of the
+    exact points; at N = 1 the points are collinear, so it is (0, K)."""
+    for n in range(1, 21):
+        for k in range(1, 21):
+            hull = _lower_convex_hull(cicc_reference_points(n, k))
+            assert _slope_table(n, k).cicc == tuple(t for t, _ in hull), (n, k)
+    assert _slope_table(1, 10).cicc == (0, 10)
+    assert _slope_table(1, 20).cicc == (0, 20)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
+def test_cicc_rate_reads_exact_points_and_envelope(n):
+    """cicc_rate is the exact point at an integer share and the float
+    interpolation between the exact hull vertices at a fractional one."""
+    for k in range(1, 21):
+        exact = cicc_reference_points(n, k)
+        points = [(t, float(r)) for t, r in exact]
+        verts = [t for t, _ in _lower_convex_hull(exact)]
+        config = LibraryConfig(n, k, 0.0, (2520,) + (0,) * (n - 1))
+        for t in range(k + 1):
+            at_t = replace(config, cache_capacity=n * t / k)
+            assert cicc_rate(at_t) == float(exact[t][1]), (n, k, t)
+            if t < k:
+                m = n * (t + 0.37) / k
+                share = k * m / n
+                want = interpolate(points, verts, share)
+                assert cicc_rate(replace(config, cache_capacity=m)) == want, (n, k, t)
 
 
 def test_cutset_no_cache_requires_whole_library():
@@ -425,7 +483,7 @@ def reference_vertices(config, level):
                 Fraction(needed * (k - t), k)))
         for t in range(k + 1)
     ]
-    return [t for t, _ in lower_convex_hull(units)]
+    return [t for t, _ in _lower_convex_hull(units)]
 
 
 def reference_points(config, level):
@@ -465,20 +523,19 @@ def _capacities(config):
 
 
 def _check_coded_curves_exact(config):
+    table = _slope_table(config.n_files, config.n_users)
     for level in config.levels():
         want = reference_points(config, level)
-        curve = build_level_curve(config, level)
-        assert curve.points == want
-        assert curve.envelope == tuple(want[t] for t in reference_vertices(config, level))
+        verts = table.vertices[level - 1]
+        assert list(verts) == reference_vertices(config, level)
         for t, point in want:
             alpha = cacc_alpha(config, level, t)
             assert alpha == reference_alpha(config, level, t)
             assert cacc_level_rate(config, level, t) == point
             assert cacc_level_rate(config, level, t) == min(alpha, cacc_m(config, level, t))
-            assert curve.points[t][1] == min(alpha, cacc_m(config, level, t))
-            if t < config.n_users:  # curve-free and curve envelopes agree
+            if t < config.n_users:  # fractional shares read the exact envelope
                 share = t + 0.37
-                assert cacc_level_rate(config, level, share) == curve.rate_at(share)
+                assert cacc_level_rate(config, level, share) == interpolate(want, verts, share)
 
 
 @settings(max_examples=60, deadline=None)

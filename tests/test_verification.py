@@ -14,6 +14,7 @@ from corrcache import (
     GridReport,
     LibraryConfig,
     cauc_rate,
+    cicc_rate,
     deliver,
     optimize_allocation,
     verify_all_demands,
@@ -71,6 +72,19 @@ def test_opaque_grid_clean():
     report = verify_all_demands(config, None, scheme="cicc", seed=5)
     assert report.ok
     assert report.scheme == "cicc"
+
+
+@pytest.mark.parametrize("m", [0.05, 0.35, 0.65, 0.95])
+@pytest.mark.parametrize("k", [7, 10])
+def test_opaque_grid_on_collinear_points(k, m):
+    """At N = 1 cicc's points are collinear, so its exact envelope is the
+    single segment (0, K) and every fractional share splits each file
+    between t = 0 and t = K; every demand still decodes within the
+    formula."""
+    config = LibraryConfig(1, k, m, (2 * divisibility_unit(k),))
+    report = verify_all_demands(config, None, scheme="cicc", seed=0)
+    assert report.ok, report.violations[:3]
+    assert report.max_rate <= cicc_rate(config)
 
 
 def _sections(config, scheme, alloc=None):
