@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from .allocation import optimize_allocation
@@ -116,15 +115,19 @@ def _sizes_from_args(args, exact=False) -> tuple:
 def _config_and_alloc(args) -> tuple[LibraryConfig, CacheAllocation]:
     """Resolve the library plus a cache allocation from the flag set.
 
-    Priority: explicit --t shares; else --m optimized (for --scheme cauc the
-    uncoded optimum, each level's prefix rounded down to whole bits so the
-    budget still holds); else t_l = 1 on every nonempty level (the smallest
-    nontrivial coded placement).  When --m is absent the capacity is set to
-    exactly fit the chosen allocation.
+    Priority: explicit --t shares, each in [0, K]; else --m optimized (for
+    --scheme cauc the uncoded optimum); else t_l = 1 on every nonempty level
+    (the smallest nontrivial coded placement).  When --m is absent the
+    capacity is set to exactly fit the chosen allocation.  The shares stay
+    nominal here: the delivery plan realizes them in whole bits, rounding
+    each cached slice down (cauc: its prefix), and refuses a placement over
+    the budget.
     """
     sizes = _sizes_from_args(args)
     if args.t is not None:
         counts = _pad(_floats(args.t), args.n, "--t")
+        if not all(0 <= c <= args.k for c in counts):  # NaN fails too
+            raise ValueError(f"--t shares must lie in [0, {args.k}], got {args.t}")
         alloc = CacheAllocation.from_replication(counts, args.k)
     elif args.m is None:
         counts = tuple(1 if s > 0 else 0 for s in sizes)
@@ -139,18 +142,10 @@ def _config_and_alloc(args) -> tuple[LibraryConfig, CacheAllocation]:
         m = alloc.cached_bits(probe) / probe.file_size
     config = LibraryConfig(args.n, args.k, m, sizes)
     if alloc is None and args.scheme == "cauc":
-        alloc = _whole_bit_prefixes(config, cauc_optimal_allocation(config))
+        alloc = cauc_optimal_allocation(config)
     elif alloc is None:
         alloc = optimize_allocation(config).alloc
     return config, alloc
-
-
-def _whole_bit_prefixes(config: LibraryConfig, alloc: CacheAllocation) -> CacheAllocation:
-    """Round every level's cached prefix down to a whole number of bits."""
-    return CacheAllocation(tuple(
-        math.floor(p * size + 1e-6) / size if size else p
-        for p, size in zip(alloc.fractions, config.subfile_sizes)
-    ))
 
 
 def _emit(text: str, out_path) -> None:

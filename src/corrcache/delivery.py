@@ -10,22 +10,26 @@ One engine serves all three schemes.  A scheme is described once, as
 placement groups (level, items, layers):
 
 * cacc (shared-subfile coded) splits every level-l subfile at the level's
-  share (`cacc_layers`);
-* cauc (uncoded) caches a share-K prefix layer of every subfile and leaves
-  the rest at share 0;
+  share, between its envelope vertices (`cacc_layers`);
+* cauc (uncoded) splits every subfile between shares K and 0: a share-K
+  prefix layer and the rest at share 0;
 * cicc (correlation-ignorant coded) runs on the library seen as N
   unrelated files, a library whose only subfiles are the level-1 ones,
   subfile {i} holding file i; it splits them, as one group of level 0, at
   the share K*M/N of the classic envelope.
 
-A `DeliveryPlan` owns the library the scheme works on and its groups.
-`plan.place()` spreads every group's layers over the caches and checks, in
-whole bits, that each cache holds exactly what the layers place: per item
-and share-t layer, C(K-1, t-1) of its C(K, t) parts (`place` is a one-line
-wrapper).  The plan delivers every group's layers the same way; the scheme
-only picks the column table of coded steps for each (window, group): the
-schedule columns for cacc, one column of the window's files for cicc, and
-none for cauc.
+All three go through `_split_layers`, the one place where a share becomes
+whole bits: the cached, higher-share slice comes first and is rounded
+down to whole parts, so no cache holds more than the nominal share.
+A `DeliveryPlan` owns the library the scheme works on and its groups, and
+refuses a placement whose cached bits exceed the budget, capacity x file
+size.  `plan.place()` spreads every group's layers over the caches and
+checks, in whole bits, that each cache holds exactly what the layers
+place: per item and share-t layer, C(K-1, t-1) of its C(K, t) parts
+(`place` is a one-line wrapper).  The plan delivers every group's layers
+the same way; the scheme only picks the column table of coded steps for
+each (window, group): the schedule columns for cacc, one column of the
+window's files for cicc, and none for cauc.
 Every section is one leader-based XOR step, and a share-t step whose users
 want L distinct items sends C(K, t+1) - C(K-L, t+1) payloads.  A constant
 step pattern, one item for every user, is a remainder step: it sends
@@ -82,6 +86,7 @@ by the canonical part labels, part i occupying item positions
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -92,7 +97,6 @@ from typing import NamedTuple
 from .combinat import (
     comb0,
     concat_bits,
-    divisibility_unit,
     mask_of,
     members_of,
     mix_seed,
@@ -105,8 +109,8 @@ from .model import (
     ContentStore,
     LibraryConfig,
     as_demands,
-    check_allocation,
     file_layout,
+    within_capacity,
 )
 from .rates import _cicc_share, _slope_table, reads_point
 from .scheduling import generate_schedule, load_schedule
@@ -138,19 +142,24 @@ class LayerSpec:
     size: int
 
 
-def _split_layers(total_size: int, t_exact: float, vertices, n_users: int):
-    """Sublayers realizing share t_exact over an item of total_size bits.
+def _split_layers(
+    total_size: int, t_exact: float, vertices, n_users: int, at_points: bool = True
+):
+    """Sublayers realizing share t_exact over an item of total_size bits: the
+    one place where a share becomes whole bits, for every scheme.
 
-    A share at which the scheme's rate reads its raw integer point keeps
-    the item whole.  Fractional shares split it between the two envelope
-    vertices (integer shares, ascending) bracketing t_exact; the low-share
-    slice is rounded down to the divisibility unit.  That keeps the
-    delivered bits at or below the envelope value, but a cache may then
-    hold more than the nominal share: the placed layers fix what each cache
-    holds and what the verifier allows, and its converse check and the
-    CLI's cached_bits report show the overage against the budget.
+    With `at_points`, a share at which the scheme's rate reads its raw
+    integer point (cacc and cicc) keeps the item whole.  Any other share
+    splits the item between the two vertices ta < tb (integer shares,
+    ascending) bracketing t_exact, by memory sharing.  The cached,
+    higher-share slice comes first, at offset 0, rounded down to a multiple
+    of lcm(C(K, ta), C(K, tb)); the rest goes at share ta.  Rounding down
+    keeps every cache within the share's nominal bits, so a prefix (cauc,
+    vertices (0, K)) stays a prefix of at most the nominal size.  Rounding
+    loss may lift the worst delivery above the nominal formula; the placed
+    layers fix what each cache holds and what the verifier allows.
     """
-    if reads_point(t_exact):
+    if at_points and reads_point(t_exact):
         return (LayerSpec(int(round(t_exact)), 0, total_size),)
     ta = tb = None
     for a, b in zip(vertices, vertices[1:]):
@@ -159,15 +168,11 @@ def _split_layers(total_size: int, t_exact: float, vertices, n_users: int):
             break
     if tb is None or not ta <= t_exact <= tb:
         raise ValueError(f"share {t_exact} outside envelope range")
-    lam = (tb - t_exact) / (tb - ta)
-    unit = divisibility_unit(n_users)
-    size_a = int(lam * total_size / unit + 1e-9) * unit  # absorb float noise
-    layers = []
-    if size_a:
-        layers.append(LayerSpec(ta, 0, size_a))
-    if total_size - size_a:
-        layers.append(LayerSpec(tb, size_a, total_size - size_a))
-    return tuple(layers)
+    unit = math.lcm(comb0(n_users, ta), comb0(n_users, tb))
+    lam = (t_exact - ta) / (tb - ta)
+    size_b = int(lam * total_size / unit + 1e-9) * unit  # absorb float noise
+    layers = (LayerSpec(tb, 0, size_b), LayerSpec(ta, size_b, total_size - size_b))
+    return tuple(layer for layer in layers if layer.size)
 
 
 def cacc_layers(config: LibraryConfig, level: int, t_exact: float):
@@ -184,21 +189,13 @@ def cacc_layers(config: LibraryConfig, level: int, t_exact: float):
 SCHEMES = ("cacc", "cauc", "cicc")
 
 
-def _prefix_bits(alloc: CacheAllocation, level: int, size: int) -> int:
-    """Bits of every level subfile each user caches under prefix caching."""
-    cached = alloc.fractions[level - 1] * size
-    c = int(round(cached))
-    if abs(cached - c) > 1e-6:
-        raise ValueError(f"level {level} prefix {cached} is not a whole number of bits")
-    return c
-
-
 def _groups(
     config: LibraryConfig, alloc: CacheAllocation, store: ContentStore, scheme: str
 ):
     """Check the inputs and return the library the scheme works on, as
     (config, store, placement groups), each group being (level, items,
-    layers): one per nonempty level, or for
+    layers): one per nonempty level, split by `_split_layers` at the
+    level's share (cauc: a share-K prefix over a share-0 rest), or for
     cicc, which ignores the allocation, the library seen as N unrelated
     files, (F, 0, ..., 0) with subfile {i} holding file i, and one level-0
     group of its N subfiles.  Every share-t layer must split into C(K, t)
@@ -216,24 +213,20 @@ def _groups(
         config = LibraryConfig(n, k, config.cache_capacity, (f,) + (0,) * (n - 1))
         store = ContentStore(config=config, seed=store.seed, _contents=files)
     else:
-        check_allocation(config, alloc)
+        if len(alloc.fractions) != n:
+            raise ValueError("allocation needs one fraction per level")
         groups = []
         for level in config.levels():
             size = int(config.subfile_sizes[level - 1])
             if size == 0:
                 continue
             masks = part_labels(n, level)
+            t_exact = alloc.fractions[level - 1] * k
             if scheme == "cacc":
-                t_exact = alloc.fractions[level - 1] * k
                 layers = cacc_layers(config, level, t_exact)
                 masks = sorted(masks)  # remainder steps go out in mask order
             else:
-                c = _prefix_bits(alloc, level, size)
-                layers = tuple(
-                    layer
-                    for layer in (LayerSpec(k, 0, c), LayerSpec(0, c, size - c))
-                    if layer.size
-                )
+                layers = _split_layers(size, t_exact, (0, k), k, at_points=False)
             groups.append((level, tuple(masks), layers))
     for _, _, layers in groups:
         for layer in layers:
@@ -478,6 +471,12 @@ class DeliveryPlan:
         scheme: str = "cacc",
     ):
         self.config, self.store, self._groups = _groups(config, alloc, store, scheme)
+        placed = self.cached_bits()
+        if not within_capacity(config, placed):
+            raise ValueError(
+                f"caches would hold {placed} bits, over the budget of "
+                f"{config.cache_capacity * config.file_size:.10g}"
+            )
         self.seed = seed
         self.scheme = scheme
         k = config.n_users

@@ -159,15 +159,14 @@ class CacheAllocation:
         )
 
     def satisfies_capacity(self, config: LibraryConfig) -> bool:
-        budget = config.cache_capacity * config.file_size
-        return self.cached_bits(config) <= budget + CAPACITY_TOLERANCE * config.file_size
+        return within_capacity(config, self.cached_bits(config))
 
 
-def check_allocation(config: LibraryConfig, alloc: CacheAllocation) -> None:
-    if len(alloc.fractions) != config.n_files:
-        raise ValueError("allocation needs one fraction per level")
-    if not alloc.satisfies_capacity(config):
-        raise ValueError("allocation exceeds cache capacity")
+def within_capacity(config: LibraryConfig, bits) -> bool:
+    """Whether a cache of `bits` bits fits the budget cache_capacity * F,
+    up to CAPACITY_TOLERANCE of a file for float noise in the budget."""
+    budget = config.cache_capacity * config.file_size
+    return bits <= budget + CAPACITY_TOLERANCE * config.file_size
 
 
 @dataclass

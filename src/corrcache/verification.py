@@ -11,7 +11,8 @@ actually hold (`_converse_misses`): a delivery that beats it reads
 something it should not.  All three schemes run through the
 same `DeliveryPlan` with a `scheme` argument, which places the caches too
 (`plan.place()`); the scheme only picks the worst-case counts.  The
-report's `formula_rate` stays the nominal formula.
+report's `formula_rate` stays the nominal formula, which the worst
+delivery may exceed by the bits that rounding kept out of the caches.
 Every transmitted section is one leader-based XOR step whose payloads
 depend on demands only through its step-item pattern, so one plan plus
 per-record decode checks keep the full N^K sweep fast without weakening
@@ -130,7 +131,8 @@ class GridReport:
     @property
     def formula_gap(self) -> float:
         """How far the formula lies above the worst measured rate: the slack
-        a wasteful delivery could hide in and still pass."""
+        a wasteful delivery could hide in and still pass.  Negative by the
+        rounding loss when placement rounded cached slices down."""
         return self.formula_rate - self.max_rate
 
     def to_csv(self) -> str:
@@ -342,8 +344,9 @@ def _converse_misses(config: LibraryConfig, worst_bits: int, cached_bits: int) -
     the p caches and b deliveries, each at most the worst measured one,
     must carry every bit of every subfile touching an exposed file, so
     b * worst_bits >= exposed_bits(p) - p * cached_bits.  cached_bits is
-    what placement put in one cache, so a cache over its budget counts
-    with what it holds.  The library is the caller's, with its shared
+    what placement put in one cache, which the plan keeps within the
+    budget, so this is at least as strict as the bound at the budget.  The
+    library is the caller's, with its shared
     subfiles, for every scheme.
     """
     n = config.n_files

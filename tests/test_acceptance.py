@@ -34,7 +34,7 @@ from corrcache import (
     verify_all_demands,
     worst_case_demand,
 )
-from corrcache.cli import rate_row
+from corrcache.cli import _config_and_alloc, rate_row
 from corrcache.combinat import comb0, divisibility_unit
 from corrcache.model import exact_sizes_from_ratios
 
@@ -426,5 +426,63 @@ def test_criterion_7_schedule_validity(capsys):
     _report(
         capsys, 7, not failures,
         f"{built} generated schedules all valid with tight widths ({elapsed:.1f}s)",
+    )
+    assert not failures, failures[:5]
+
+
+def _criterion_8_libraries(scale):
+    """One seeded multi-level library per (N, K) <= 5: at least two
+    nonempty levels where N allows, each 1-3 divisibility units times
+    `scale` bits."""
+    rng = random.Random(4)
+    for n in range(1, 6):
+        for k in range(1, 6):
+            sizes = [0] * n
+            for level in rng.sample(range(n), rng.randint(min(2, n), n)):
+                sizes[level] = rng.randint(1, 3) * scale * divisibility_unit(k)
+            yield n, k, tuple(sizes)
+
+
+def test_criterion_8_exhaustive_gate_at_cli_allocations(capsys):
+    """Every demand vector at the allocations `simulate` and `verify` run:
+    the optimizer's shares for cacc, the uncoded optimum for cauc and
+    K*M/N for cicc, at M = N*j/10, j = 1..9, on one seeded library per
+    (N, K) <= 5 at two scales (1-3 and 100-300 divisibility units per
+    level) and three content seeds.  Every sweep passes the verifier, and
+    no cache holds more than floor(M*F) bits."""
+    start = time.perf_counter()
+    failures = []
+    sweeps = vectors = 0
+    worst_loss = 0.0
+    over = 0
+    for scale in (1, 100):
+        for n, k, sizes in _criterion_8_libraries(scale):
+            for j in range(1, 10):
+                for scheme in ("cacc", "cauc", "cicc"):
+                    args = SimpleNamespace(
+                        n=n, k=k, m=n * j / 10, level_sizes=",".join(map(str, sizes)),
+                        ratios=None, file_bits=None, t=None, scheme=scheme,
+                    )
+                    config, alloc = _config_and_alloc(args)
+                    budget = math.floor(config.cache_capacity * config.file_size)
+                    for seed in (0, 1, 2):
+                        report = verify_all_demands(config, alloc, scheme=scheme, seed=seed)
+                        sweeps += 1
+                        vectors += len(report.demands)
+                        worst_loss = max(worst_loss, -report.formula_gap)
+                        tag = f"{scheme} n={n} k={k} sizes={sizes} j={j} seed={seed}"
+                        if not report.ok:
+                            failures.append(f"{tag}: {report.violations[:2]}")
+                        if report.cached_bits > budget:
+                            over += 1
+                            failures.append(f"{tag}: {report.cached_bits} bits > {budget}")
+    elapsed = time.perf_counter() - start
+    if elapsed >= 120:
+        failures.append(f"{elapsed:.0f}s >= 2 min")
+    _report(
+        capsys, 8, not failures,
+        f"{sweeps} sweeps, {vectors} demand vectors at the CLI's allocations, "
+        f"{over} sweeps over floor(M*F) bits, worst rounding loss "
+        f"{worst_loss:.4g} of a file ({elapsed:.1f}s)",
     )
     assert not failures, failures[:5]

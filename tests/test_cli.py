@@ -280,15 +280,31 @@ def test_verify_prints_formula_gap(capsys):
 
 
 def test_simulate_and_verify_report_cached_and_budget_bits(capsys):
-    """Each cache holds 4 bits against a 2.4-bit budget: placement rounds a
-    small level up to its high share, and both commands print it."""
+    """Each cache holds 2 bits of its 2.4-bit budget: placement rounds level
+    1's cached slice down to whole parts, and both commands print it.  The
+    rounding loss lifts the worst delivery 0.1 of a file above the nominal
+    formula, so verify prints a negative gap."""
     library = ("--n", "2", "--k", "2", "--m", "0.4", "--level-sizes", "4,2")
     rc, out, _ = run_cli(capsys, "simulate", *library, "--demands", "1,2")
     assert rc == 0
-    assert out.splitlines()[-3:] == ["cached_bits=4", "budget_bits=2.4", "decode=ok"]
+    assert out.splitlines()[-3:] == ["cached_bits=2", "budget_bits=2.4", "decode=ok"]
     rc, out, _ = run_cli(capsys, "verify", *library)
     assert rc == 0
-    assert out.splitlines()[1].endswith(" violations=0 cached_bits=4 budget_bits=2.4")
+    assert out.splitlines()[1].endswith(
+        " gap=-0.1 violations=0 cached_bits=2 budget_bits=2.4"
+    )
+
+
+def test_collinear_cicc_caches_its_budget(capsys):
+    """cicc at N = 1 splits the file between t = 0 and t = K; the cached
+    share-K slice is rounded down, so each cache holds exactly its 252-bit
+    budget, not the 2,520-bit divisibility unit."""
+    rc, out, _ = run_cli(
+        capsys, "simulate", "--n", "1", "--k", "10", "--m", "0.05",
+        "--level-sizes", "5040", "--scheme", "cicc", "--demands", ",".join("1" * 10),
+    )
+    assert rc == 0
+    assert out.splitlines()[-3:] == ["cached_bits=252", "budget_bits=252", "decode=ok"]
 
 
 K9_SIMULATE = (
@@ -355,6 +371,17 @@ def test_non_finite_share_exits_2(capsys):
     )
     assert rc == 2 and out == ""
     assert "error:" in err and "nan" in err
+
+
+def test_share_above_k_names_t(capsys):
+    """A share above K is named as a --t share in [0, K], not as a
+    fraction outside [0, 1]."""
+    rc, out, err = run_cli(
+        capsys, "simulate", "--n", "2", "--k", "2", "--level-sizes", "4,2",
+        "--t", "3", "--demands", "1,2",
+    )
+    assert rc == 2 and out == ""
+    assert err == "error: --t shares must lie in [0, 2], got 3\n"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

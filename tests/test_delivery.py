@@ -483,11 +483,31 @@ def test_uncached_level_prefers_plain_subfiles_over_steps(monkeypatch):
 
 
 def test_fractional_share_splits_into_two_sublayers():
+    """The cached, higher-share slice comes first, at offset 0, rounded
+    down to whole parts: share 0.6 of a 4-bit subfile caches a 2-bit
+    share-1 slice, not 2.4 bits."""
     config = LibraryConfig(2, 2, 0.5, (12, 0))
     layers = cacc_layers(config, 1, 0.5)
-    assert [l.t for l in layers] == [0, 1]
+    assert [l.t for l in layers] == [1, 0]
     assert [l.size for l in layers] == [6, 6]
-    assert layers[1].offset == 6
+    assert [l.offset for l in layers] == [0, 6]
+    assert cacc_layers(LibraryConfig(2, 2, 0.4, (4, 2)), 1, 0.6) == (
+        LayerSpec(1, 0, 2), LayerSpec(0, 2, 2),
+    )
+
+
+def test_plan_refuses_placed_bits_over_budget(monkeypatch):
+    """The budget gate reads the placed layers, not the nominal shares:
+    layers that cache level 1 whole at share 1, 4 bits per cache against a
+    2.4-bit budget, are refused although the shares fit."""
+    config = LibraryConfig(2, 2, 0.4, (4, 2))
+    alloc = optimize_allocation(config).alloc
+    assert alloc.satisfies_capacity(config)
+    whole = {1: (LayerSpec(1, 0, 4),), 2: (LayerSpec(0, 0, 2),)}
+    monkeypatch.setattr(delivery, "cacc_layers", lambda config, level, t: whole[level])
+    store = ContentStore.generate(config, seed=0)
+    with pytest.raises(ValueError, match="hold 4 bits, over the budget of 2.4"):
+        DeliveryPlan(config, alloc, store)
 
 
 def test_fractional_share_delivery_hits_envelope_exactly():
@@ -738,8 +758,15 @@ def test_plan_rejects_layer_not_divisible_into_parts():
         DeliveryPlan(config, alloc, store)
 
 
-def test_uncoded_delivery_rejects_fractional_prefix():
+def test_uncoded_prefix_rounds_down_to_whole_bits():
+    """A prefix of 0.3 of a 4-bit subfile is 1.2 bits: like every other
+    split, its cached share-K slice rounds down, to a 1-bit prefix above
+    which the share-0 rest starts."""
     config = LibraryConfig(2, 2, 1.0, (4, 4))
     store = ContentStore.generate(config, seed=0)
-    with pytest.raises(ValueError, match="whole number of bits"):
-        DeliveryPlan(config, CacheAllocation((0.3, 0.0)), store, scheme="cauc")
+    plan = DeliveryPlan(config, CacheAllocation((0.3, 0.0)), store, scheme="cauc")
+    assert [layers for _, _, layers in plan._groups] == [
+        (LayerSpec(2, 0, 1), LayerSpec(0, 1, 3)),
+        (LayerSpec(0, 0, 4),),
+    ]
+    assert plan.cached_bits() == 2

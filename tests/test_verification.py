@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import time
 
@@ -14,7 +15,6 @@ from corrcache import (
     GridReport,
     LibraryConfig,
     cauc_rate,
-    cicc_rate,
     deliver,
     optimize_allocation,
     verify_all_demands,
@@ -79,12 +79,16 @@ def test_opaque_grid_clean():
 def test_opaque_grid_on_collinear_points(k, m):
     """At N = 1 cicc's points are collinear, so its exact envelope is the
     single segment (0, K) and every fractional share splits each file
-    between t = 0 and t = K; every demand still decodes within the
-    formula."""
+    between t = 0 and t = K.  The cached share-K slice rounds down, so no
+    cache exceeds its budget, and since the envelope is a line the worst
+    delivery is exactly the bits a cache lacks (at K = 7, m = 0.35:
+    73 cached and 137 delivered of 210)."""
     config = LibraryConfig(1, k, m, (2 * divisibility_unit(k),))
+    f = config.file_size
     report = verify_all_demands(config, None, scheme="cicc", seed=0)
     assert report.ok, report.violations[:3]
-    assert report.max_rate <= cicc_rate(config)
+    assert report.cached_bits <= math.floor(config.cache_capacity * f)
+    assert report.max_rate * f == f - report.cached_bits
 
 
 def _sections(config, scheme, alloc=None):
@@ -98,7 +102,7 @@ def _sections(config, scheme, alloc=None):
     [
         LibraryConfig(3, 3, 1.5, (6, 6, 6)),
         LibraryConfig(4, 3, 2.2, (6, 0, 6, 6)),
-        LibraryConfig(2, 4, 0.7, (12, 12)),
+        LibraryConfig(2, 4, 0.7, (120, 120)),
     ],
 )
 def test_opaque_grid_at_fractional_share(config):
@@ -431,29 +435,32 @@ def test_remainder_only_sets_share_one_result_and_one_verdict(monkeypatch):
 
 
 def test_extra_payload_above_the_placed_layers_is_reported(monkeypatch):
-    """(N, K) = (2, 2), sizes (4, 2), M = 0.4: placement puts level 1 at
-    share 1 for all its bits, so the worst delivery is 4 bits against a
-    nominal formula of 6.4.  The gate is the formula at the placed layers,
-    4 bits: one extra 2-bit payload on demand (1, 1)'s level-1 step lifts
-    that vector to 6 bits, under the nominal formula, and it is reported."""
+    """(N, K) = (2, 2), sizes (4, 2), M = 0.4: placement rounds level 1's
+    cached share-1 slice down to 2 of its 4 bits, so the worst delivery is
+    7 bits against a nominal formula of 6.4, a rounding loss.  The gate is
+    the formula at the placed layers, 7 bits: the honest deliveries pass
+    it, and one extra 1-bit payload on demand (1, 2)'s share-1 step lifts
+    that vector to 8 bits, and it is reported."""
     config = LibraryConfig(2, 2, 0.4, (4, 2))
     alloc = optimize_allocation(config).alloc
     plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0))
-    assert _limit_bits(plan) == 4
-    assert verify_all_demands(config, alloc).max_rate * config.file_size == 4
+    assert _limit_bits(plan) == 7
+    report = verify_all_demands(config, alloc)
+    assert report.ok, report.violations[:3]
+    assert report.max_rate * config.file_size == 7 > report.formula_rate * config.file_size
 
     def extra_payload(rec):
-        if rec.level == 1 and rec.step_items == (0b01, 0b01):
+        if rec.layer.t == 1 and rec.step_items == (0b01, 0b10):
             return {**rec.payloads, 0b01: 0}
         return rec.payloads
 
     _flip_payloads(monkeypatch, extra_payload)
     report = verify_all_demands(config, alloc)
-    assert report.max_rate * config.file_size == 6 < report.formula_rate * config.file_size
+    assert report.max_rate * config.file_size == 8
     assert report.violations == (
-        "demand (1, 1): 6 bits > 4, the formula at the placed layers",
+        "demand (1, 2): 8 bits > 7, the formula at the placed layers",
     )
-    assert report.decode_ok == (False, True, True, True)
+    assert report.decode_ok == (True, False, True, True)
 
 
 def test_delivery_that_beats_the_converse_is_reported(monkeypatch):
@@ -479,14 +486,16 @@ def test_delivery_that_beats_the_converse_is_reported(monkeypatch):
     assert all(report.decode_ok)
 
 
-def test_cached_bits_over_budget_still_meet_the_converse():
-    """(N, K) = (2, 2), sizes (4, 2), M = 0.4: each cache holds 4 bits
-    against a 2.4-bit budget.  The converse counts what the caches hold,
-    so the 4-bit worst delivery passes it."""
+def test_caches_rounded_under_budget_meet_the_converse():
+    """(N, K) = (2, 2), sizes (4, 2), M = 0.4: each cache holds 2 bits of
+    its 2.4-bit budget.  The converse counts what the caches hold, so the
+    7-bit worst delivery passes it, and the rounding loss shows as a
+    negative gap of 0.1 of a file."""
     config = LibraryConfig(2, 2, 0.4, (4, 2))
     report = verify_all_demands(config, optimize_allocation(config).alloc)
     assert report.ok, report.violations[:3]
-    assert report.cached_bits == 4 > config.cache_capacity * config.file_size
+    assert report.cached_bits == 2 <= config.cache_capacity * config.file_size
+    assert report.formula_gap == pytest.approx(-0.1)
 
 
 def test_worst_delivery_meets_the_placed_bound_exactly():
@@ -571,12 +580,12 @@ def test_lane_views_need_every_cache_exact():
     above offset 0, makes views[x] None and leaves the other items' lifts
     as they were."""
     config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
-    alloc = CacheAllocation.from_replication((0, 1.5, 0), 3)
+    alloc = CacheAllocation.from_replication((0, 2.5, 0), 3)
     store = ContentStore.generate(config, seed=4)
     plan = DeliveryPlan(config, alloc, store)
     caches = plan.place()
     [(_, items, sublayers)] = plan._levels
-    layer, psize, _ = sublayers[-1]
+    [(layer, psize, _)] = sublayers  # the share-3 slice below it is not delivered
     assert layer.t == 2 and layer.offset > 0
     clean = _LaneViews(layer, psize, caches, plan.store)
     assert all(clean[x] is not None for x in items)
@@ -602,8 +611,8 @@ class _Store(dict):
 
 def _fault_cases():
     """Every shape at N, K <= 4: each level at each integer share t < K,
-    and at share t + 1/2, which splits the level into a share-t layer and a
-    layer above it at offset > 0; cicc at a fractional share K*M/N; and
+    and at share t + 1/2, which splits the level into a share-(t + 1)
+    layer and a share-t layer above it at offset > 0; cicc at a fractional share K*M/N; and
     cauc, whose share-0 rest lies above its prefix."""
     for n in range(1, 5):
         for k in range(1, 5):
