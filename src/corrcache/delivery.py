@@ -40,22 +40,33 @@ they cost no more than that floor, the remainder steps otherwise (always
 for cauc); only the steps it sends are built.
 
 Delivery works per demand set and per demand vector.  The window, each
-sublayer's coded/remainder choice and every remainder section depend only
-on the set of demanded files, so a plan builds them once per set.  A set
-whose sublayers all go out as remainder steps has one finished result,
-sections, bit total and bits per level, that every vector of the set gets
-unchanged.  Otherwise a demand vector gathers its coded step patterns, the
-column table, indexed by file number, read at its demands, and reuses the
-set's remainder records as they are.
+sublayer's coded/remainder choice and every remainder record depend only
+on the set of demanded files, so a plan builds them once per set, with
+their bit total.  Per demand vector, the plan adds only the coded records:
+each coded sublayer's column table, indexed by file number, is read at the
+demands with one `itemgetter`, and the step patterns are looked up in the
+sublayer's step memo.  A vector's bits are measured from its own records,
+never taken from another vector of its set.
 
 One table per (K, t), `_step_table`, states a share-t step once: its
 C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
 payload XORs, each the member's part labeled V minus the member; per
+term position, a getter that reads that term of every row at once; per
 user, the parts it caches and its decode program, which lists per part it
 lacks the payload V (the part's label plus the user) and the other
 members' terms to XOR in.  Placement's part templates, `_xor_step`, the
 decoder and the verifier's lane pass all read it, the lane pass taking row
 V as lane V; nothing else walks a step's labels and members.
+
+The encoder builds a record from per-item part lists, split from the
+store once per (sublayer, item) and kept by the plan next to the
+sublayer's step memo: it lays the members' part lists end to end, reads
+each term position of every row with one getter call, XORs the t + 1
+results term by term and keeps the rows whose user set holds a leader.
+A payload whose user set has no leader is not sent: the step's equality
+pattern (its step items renumbered by first occurrence, stored on the
+record with the distinct items by `_xor_step`) fixes the family of sent
+payloads that XOR to it.
 
 Decoding is one part-indexed kernel (`_decode_parts`): it runs the user's
 program from the table, and raises on a payload wider than its part.
@@ -64,17 +75,13 @@ verifier's fast path checks a record for all users at once: every member
 of V decodes from the one equation payload V = XOR of the members' parts
 labeled V minus themselves, so with exact caches one check per lane V
 stands for all its members, and all lanes are checked together with
-lane-packed big-int XORs (see verification.py).  The encoder stays on
-the table's rows.  A payload whose user set has no
-leader is not sent: the step's equality pattern (its step items
-renumbered by first occurrence, stored on the record with the distinct
-items by `_xor_step`) fixes the family of sent payloads that XOR to it.
-The table and family memos are both bounded.  The kernel reads cached
-parts through a per-item part table: `decode` fills it lazily from the
-cache, in place; the reference check splits each item once per sweep.
-`decode` returns the joined file; `_decoded_items`, which it wraps, gives
-the per-subfile result that the verifier's end-to-end check compares with
-the store.
+lane-packed big-int XORs (see verification.py).  Neither reads the
+encoder's getters or part lists.  The table and family memos are both
+bounded.  The kernel reads cached parts through a per-item part table:
+`decode` fills it lazily from the cache, in place; the reference check
+splits each item once per sweep.  `decode` returns the joined file;
+`_decoded_items`, which it wraps, gives the per-subfile result that the
+verifier's end-to-end check compares with the store.
 
 Content layout conventions (shared by placement, delivery, and decode):
 an item is a nonempty subfile of the library the scheme works on, named by
@@ -90,8 +97,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from operator import itemgetter
+from itertools import chain, combinations, compress, islice
+from operator import attrgetter, itemgetter, xor
 from typing import NamedTuple
 
 from .combinat import (
@@ -133,8 +140,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # layers: integer-share sublayers realizing a fractional caching share
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(NamedTuple):
     """One integer-share sublayer of an item: bits [offset, offset+size)."""
 
     t: int
@@ -279,12 +285,14 @@ def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # transcript records
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
     """One leader-based XOR step: every payload sent for one step-item pattern.
 
     At share t = 0 with every user's step item the same item, user 1 is the
     only leader and the step is one plain payload of the whole layer.
+    Not frozen, so building one is a plain slot store per field; nothing
+    assigns to a record's fields once it is built.
     """
 
     level: int
@@ -324,19 +332,27 @@ class Transcript:
 class _StepTable(NamedTuple):
     """The structure of every share-t step among K users (`_step_table`).
 
-    rows: per (t+1)-user set V, in part_labels order, the payload's terms
-    (member index u, part index j): the part of user u + 1's step item
-    labeled V minus u + 1.  held[u]: the part indices user u + 1 caches.
-    programs[u]: per part i user u + 1 lacks, in part order, (i, V, the
-    other members' terms of V), V being the part's label plus the user.
+    lanes: the (t+1)-user sets V, as masks in part_labels order.  rows: per
+    V, in that order, (V, the payload's terms), each term (member index u,
+    part index j) standing for the part of user u + 1's step item labeled
+    V minus u + 1.  getters[p], for p = 0..t: one `itemgetter` that reads,
+    in row order, every row's p-th term from a flat member x part list,
+    term (u, j) at index u*C(K, t) + j; it always returns a sequence, and
+    there are none at t = K, where no row exists.  held[u]: the part
+    indices user u + 1 caches.  programs[u]: per part i user u + 1 lacks,
+    in part order, (i, V, the other members' terms of V), V being the
+    part's label plus the user.
 
-    The verifier's lane pass reads the rows as its lane layout: lane l of a
+    The encoder reads the getters, the decoder the programs.  The
+    verifier's lane pass reads the rows as its lane layout: lane l of a
     packed record holds row l's payload, and member u's lift of an item
     puts, at each lane l whose row has a term (u, j), the item's part j.
     """
 
     labels: tuple
+    lanes: tuple
     rows: tuple
+    getters: tuple
     held: tuple
     programs: tuple
 
@@ -358,6 +374,14 @@ def _step_table(n_users: int, t: int) -> _StepTable:
         (v, tuple((u - 1, index[v ^ 1 << (u - 1)]) for u in members_of(v)))
         for v in lanes
     )
+    getters = ()
+    if rows:
+        flat = [[u * len(labels) + j for u, j in terms] for _, terms in rows]
+        # an itemgetter of one index returns a bare item, a slice a list
+        getters = tuple(
+            itemgetter(*col) if len(col) > 1 else itemgetter(slice(col[0], col[0] + 1))
+            for col in zip(*flat)
+        )
     users = range(n_users)
     held = tuple(tuple(i for i, lab in enumerate(labels) if lab >> u & 1) for u in users)
     programs = tuple(
@@ -368,39 +392,54 @@ def _step_table(n_users: int, t: int) -> _StepTable:
         )
         for u in users
     )
-    return _StepTable(labels, rows, held, programs)
+    return _StepTable(labels, lanes, rows, getters, held, programs)
 
 
-def _xor_step(n_users, level, layer, step_items, content_of) -> StepRecord:
-    """Emit every XOR payload for one step.
+class _LayerParts(dict):
+    """One sublayer's parts of every item, each item read from the store
+    when first asked for: parts[item] lists its C(K, t) parts of the layer
+    in part order (`_xor_step`'s input)."""
+
+    __slots__ = ("item_bits", "offset", "psize", "nparts")
+
+    def __init__(self, item_bits, layer: LayerSpec, nparts: int):
+        super().__init__()
+        self.item_bits = item_bits
+        self.offset, self.psize, self.nparts = layer.offset, layer.size // nparts, nparts
+
+    def __missing__(self, item):
+        bits, offset, psize = self.item_bits(item), self.offset, self.psize
+        pmask = (1 << psize) - 1
+        parts = self[item] = [(bits >> offset + j * psize) & pmask for j in range(self.nparts)]
+        return parts
+
+
+def _xor_step(n_users, level, layer, step_items, parts) -> StepRecord:
+    """Emit every XOR payload for one step; parts[item] lists the item's
+    parts of the layer (a `_LayerParts`).
 
     For each user set V of size t+1 touching a leader, the payload XORs,
     over k in V, the part of user k's step-item labeled V minus k; each user
     in V misses exactly its own term and holds the rest in cache.  With L
     distinct step items (L leaders), C(K-L, t+1) of the C(K, t+1) user sets
     avoid every leader, so the step sends C(K, t+1) - C(K-L, t+1) payloads.
+    All C(K, t+1) payloads come from the table's t + 1 getters, read from
+    the members' parts laid end to end and XORed together term by term.
     """
     table = _step_table(n_users, layer.t)
-    offset, psize = layer.offset, layer.size // len(table.labels)
-    pmask = (1 << psize) - 1
     pattern, classes, leader_mask = _pattern(step_items)
-    contents = [content_of(item) for item in classes]
-    member_bits = [contents[c] for c in pattern]
-    payloads = {}
-    for v, terms in table.rows:
-        if not v & leader_mask:
-            continue
-        y = 0
-        for u, j in terms:
-            y ^= (member_bits[u] >> (offset + j * psize)) & pmask
-        payloads[v] = y
+    flat = list(chain.from_iterable(map(parts.__getitem__, step_items)))
+    getters, lanes = table.getters, table.lanes
+    ys = getters[0](flat) if getters else ()
+    for get in getters[1:]:
+        ys = map(xor, ys, get(flat))
     return StepRecord(
         level=level,
         layer=layer,
         step_items=step_items,
         leader_mask=leader_mask,
-        part_size=psize,
-        payloads=payloads,
+        part_size=layer.size // len(table.labels),
+        payloads=dict(compress(zip(lanes, ys), map(leader_mask.__and__, lanes))),
         pattern=pattern,
         classes=classes,
     )
@@ -430,6 +469,36 @@ def _pools(config: LibraryConfig, level: int, window):
         yield from subset_masks(outside, s)
 
 
+_PAYLOADS = attrgetter("payloads")
+
+
+class _Sublayer(NamedTuple):
+    """One delivered sublayer of a placement group: its layer, part size,
+    step memo (step items -> `StepRecord`) and part lists (`_LayerParts`)."""
+
+    layer: LayerSpec
+    psize: int
+    steps: dict
+    parts: _LayerParts
+
+
+class _SetSend(NamedTuple):
+    """What a plan sends for one set of demanded files (`_choice`).
+
+    remainder: every remainder record of the set, in transcript order, and
+    remainder_bits their bit total.  coded: per group with coded
+    sublayers, (level, column table, those sublayers), which `_send` reads
+    at each vector's demands.  groups: per group, (level, column count, per
+    sublayer its remainder records, or None when coded), the layout
+    `deliver` lays a vector's sections out by.
+    """
+
+    remainder: tuple
+    remainder_bits: int
+    coded: tuple
+    groups: tuple
+
+
 class DeliveryPlan:
     """The demand-independent work of delivery, done once.
 
@@ -437,28 +506,24 @@ class DeliveryPlan:
     scheme).  It runs the input checks and loads the fixture once; holds the
     library the scheme works on (`config`, `store`: for cicc, the library
     seen as N unrelated files) and, per placement group, the group's items
-    and its delivered sublayers (t < K, size > 0) with their part sizes and
-    step memos; and builds, per (window, group), the scheme's column table.
-    `place()` builds the users' caches from the same library and groups.
-    Step payloads depend on the demand vector only through the per-step
-    item pattern, so deliveries of many demand vectors through one plan
-    (``plan.deliver(demands)``) share almost all bit-level work.  cicc
-    ignores `alloc` (it may be None).
+    and its delivered sublayers (t < K, size > 0, `_Sublayer`), each with
+    its part size, step memo and part lists; and builds, per (window,
+    group), the scheme's column table.  `place()` builds the users' caches
+    from the same library and groups.  Step payloads depend on the demand
+    vector only through the per-step item pattern, so deliveries of many
+    demand vectors through one plan (``plan.deliver(demands)``) share
+    almost all bit-level work.  cicc ignores `alloc` (it may be None).
 
-    Per demand set, per demand vector: the window, the coded/remainder
-    choice of every sublayer and every remainder step depend only on the
-    set of demanded files, not on who demands what, so `_choice` builds
-    them once per set (kept in `_choices`, keyed by the frozenset of
-    demands), finished remainder sections included, and a set with no
-    coded sublayer gets its whole send result there, once.  Per demand
-    vector, `_send` returns that shared result, or gathers each coded
-    sublayer's step patterns from the column table at the demands, looks
-    their records up (or builds them), and appends the set's cached
-    remainder sections; it returns the sections and bit totals without
-    validating the demands or building a `Transcript`.  `deliver` is
-    `as_demands`, `_send` and the wrap in a `Transcript`, with its own copy
-    of the bits per level; the verifier calls `_send` on demand tuples that
-    are valid by construction.
+    Per demand set, per demand vector: `_choice` builds, once per set of
+    demanded files (kept in `_choices`, keyed by the frozenset), the set's
+    `_SetSend`: its remainder records and their bits, and the coded
+    sublayers with their column tables.  `_send`, the one per-vector
+    delivery step, returns that entry, the vector's coded records and its
+    measured bit total, with no per-vector sections list, step counts or
+    bits per level; the verifier calls it on demand tuples that are valid
+    by construction.  `deliver` is `as_demands`, `_send` and the layout of
+    the vector's sections, step counts and bits per level in a
+    `Transcript`.
     """
 
     def __init__(
@@ -482,12 +547,13 @@ class DeliveryPlan:
         k = config.n_users
         levels = []
         for level, items, layers in self._groups:
-            sublayers = tuple(
-                (layer, layer.size // comb0(k, layer.t), {})
-                for layer in layers
-                if layer.t < k and layer.size > 0
-            )
-            levels.append((level, items, sublayers))
+            sublayers = []
+            for layer in layers:
+                if layer.t < k and layer.size > 0:
+                    nparts = comb0(k, layer.t)
+                    parts = _LayerParts(self.store.item_bits, layer, nparts)
+                    sublayers.append(_Sublayer(layer, layer.size // nparts, {}, parts))
+            levels.append((level, items, tuple(sublayers)))
         self._levels = tuple(levels)
         self._fixture = (
             self._load_fixture(schedule_source) if schedule_source is not None else None
@@ -602,16 +668,11 @@ class DeliveryPlan:
             table = self._columns[key] = tuple(table)
         return table
 
-    def _choice(self, demands):
+    def _choice(self, demands) -> _SetSend:
         """Everything of a delivery that depends only on the set of demanded
-        files, built once per set, as (groups, done).  Per group: the level,
-        its sublayers, the column table (None for cauc or a group with
-        nothing to deliver) and, per sublayer, either None, when the column
-        table's coded steps go out and are gathered per demand vector, or
-        the finished remainder section: its step records and their bit
-        total.  When no sublayer of the set goes coded, `done` is the set's
-        whole `_send` result, finished here once: the sections as a tuple,
-        the bit total, no step counts and the bits per level; else None.
+        files, built once per set (see `_SetSend`): per sublayer, the
+        choice between the column table's coded steps, gathered per demand
+        vector, and the remainder steps, built here as finished records.
 
         A step whose column holds L distinct items at the demanded files
         sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
@@ -627,104 +688,105 @@ class DeliveryPlan:
         files = set(demands)
         demand_mask = mask_of(files)
         window = _window(self.config.n_files, k, demands)
-        groups = []
+        remainder, remainder_bits, coded, groups = [], 0, [], []
         for level, items, sublayers in self._levels:
             table = self._column_table(window, level) if sublayers else None
             # one remainder step per demanded item, should the coded steps cost more
-            remainder = [(item,) * k for item in items if item & demand_mask]
+            patterns = [(item,) * k for item in items if item & demand_mask]
             if table is not None:
                 # number of coded steps per count of distinct step items
                 steps_with = Counter([len({col[f] for f in files}) for col in table])
-            sent = []
-            for layer, psize, steps in sublayers:
+            sent, coded_subs = [], []
+            for sub in sublayers:
                 if table is not None and sum([
-                    c * step_payloads(k, layer.t, n) for n, c in steps_with.items()
-                ]) <= len(remainder) * comb0(k - 1, layer.t):
+                    c * step_payloads(k, sub.layer.t, n) for n, c in steps_with.items()
+                ]) <= len(patterns) * comb0(k - 1, sub.layer.t):
                     sent.append(None)  # coded: gathered per demand vector
+                    coded_subs.append(sub)
                     continue
-                records = tuple(self._records(level, layer, steps, remainder))
-                sent.append((records, psize * sum([len(r.payloads) for r in records])))
-            groups.append((level, sublayers, table, tuple(sent)))
-        groups = tuple(groups)
-        if any(None in sent for _, _, _, sent in groups):
-            return groups, None
-        sections, total, _, per_level = self._gather(groups, demands)
-        return groups, (tuple(sections), total, (), per_level)
+                records = self._records(level, sub, patterns)
+                remainder += records
+                remainder_bits += sum(rec.bits for rec in records)
+                sent.append(records)
+            if coded_subs:
+                coded.append((level, table, tuple(coded_subs)))
+            groups.append((level, len(table or ()), tuple(sent)))
+        return _SetSend(tuple(remainder), remainder_bits, tuple(coded), tuple(groups))
 
-    def _records(self, level, layer, steps, patterns) -> list:
+    def _records(self, level, sub, patterns) -> list:
         """One sublayer's step records for `patterns`, each built once per
         plan: a pattern missing from the sublayer's memo is built by
-        `_xor_step`, looked up as a module global so tests can patch it."""
+        `_xor_step`, looked up as a module global so tests can patch it,
+        from the sublayer's part lists."""
+        steps = sub.steps
         records = list(map(steps.get, patterns))
         if not all(records):
-            k, content_of = self.config.n_users, self.store.item_bits
+            k = self.config.n_users
             for i, items in enumerate(patterns):
                 if records[i] is None:
-                    records[i] = steps[items] = _xor_step(
-                        k, level, layer, items, content_of
-                    )
+                    records[i] = steps[items] = _xor_step(k, level, sub.layer, items, sub.parts)
         return records
 
     def _send(self, demands):
-        """Deliver one demand tuple, already validated: the sections, their
-        bit total, the coded steps' payload counts and the bits per level.
+        """Deliver one demand tuple, already validated, as (the set's
+        `_SetSend`, the vector's coded records, the bit total).
 
-        For a demand set whose sublayers all go out as remainder steps, this
-        is the set's one finished result (see `_choice`), returned unchanged
-        for every vector of the set: its sections are a tuple the plan keeps
-        and its per-level dict is shared, so callers copy before changing
-        it.  Otherwise `_gather` builds the vector's own result, sections as
-        a list."""
+        The coded records are every coded sublayer's steps, the column table
+        read at the demands, in table order, each looked up in (or added to)
+        the sublayer's step memo; a remainder-only set sends none.  The bit
+        total is measured for this vector: the set's remainder bits plus,
+        per coded sublayer, the part size times its records' payload
+        count."""
         key = frozenset(demands)
-        per_set = self._choices.get(key)
-        if per_set is None:
-            per_set = self._choices[key] = self._choice(demands)
-        groups, done = per_set
-        return done if done is not None else self._gather(groups, demands)
-
-    def _gather(self, groups, demands):
-        """One vector's sections per group and sublayer: the column table's
-        coded steps read at the demands, or the set's finished remainder
-        section, as `_choice` picked by payload count.  Only the steps sent
-        are built, each once per plan."""
-        sections = []
-        step_counts = []
-        per_level = {}
-        total = 0
-        for level, sublayers, table, sent in groups:
-            level_bits = 0
-            patterns = None
-            for (layer, psize, steps), section in zip(sublayers, sent):
-                if section is not None:
-                    records, bits = section
-                    sections.extend(records)
-                    level_bits += bits
-                    continue
-                if patterns is None:
-                    patterns = list(map(itemgetter(*demands), table))
-                    if len(demands) == 1:  # itemgetter of one index returns a bare item
-                        patterns = [(item,) for item in patterns]
-                records = self._records(level, layer, steps, patterns)
-                sections.extend(records)
-                counts = [len(rec.payloads) for rec in records]
-                step_counts.extend(counts)
-                level_bits += psize * sum(counts)
-            per_level[level] = level_bits
-            total += level_bits
-        return sections, total, step_counts, per_level
+        base = self._choices.get(key)  # (the set's entry, no coded records, its bits)
+        if base is None:
+            per_set = self._choice(demands)
+            base = self._choices[key] = (per_set, (), per_set.remainder_bits)
+        per_set = base[0]
+        if not per_set.coded:
+            return base
+        read = (
+            itemgetter(*demands) if len(demands) > 1
+            # an itemgetter of one index returns a bare item, a slice a tuple
+            else itemgetter(slice(demands[0], demands[0] + 1))
+        )
+        coded = []
+        bits = per_set.remainder_bits
+        for level, table, sublayers in per_set.coded:
+            patterns = list(map(read, table))
+            for sub in sublayers:
+                records = list(map(sub.steps.get, patterns))
+                if not all(records):
+                    records = self._records(level, sub, patterns)
+                coded += records
+                bits += sub.psize * sum(map(len, map(_PAYLOADS, records)))
+        return per_set, coded, bits
 
     def deliver(self, demands) -> Transcript:
-        """Deliver one demand vector (see `_send`) as a `Transcript`, which
-        gets its own copy of the bits per level."""
+        """Deliver one demand vector (see `_send`) as a `Transcript`: the
+        sections per group and sublayer, the coded steps' payload counts
+        and the bits per level.  A remainder-only set's transcripts share
+        the set's tuple of records."""
         demands = as_demands(demands, self.config)
-        sections, total_bits, step_counts, per_level = self._send(demands)
+        per_set, coded, total_bits = self._send(demands)
+        sections, step_counts, per_level = [], [], {}
+        coded = iter(coded)
+        for level, n_columns, sent in per_set.groups:
+            level_bits = 0
+            for records in sent:
+                if records is None:
+                    records = list(islice(coded, n_columns))
+                    step_counts += [len(rec.payloads) for rec in records]
+                sections += records
+                level_bits += sum(rec.bits for rec in records)
+            per_level[level] = level_bits
         return Transcript(
             scheme=self.scheme,
             config=self.config,
-            sections=tuple(sections),
+            sections=tuple(sections) if per_set.coded else per_set.remainder,
             total_bits=total_bits,
             step_counts=tuple(step_counts),
-            per_level_bits=dict(per_level),
+            per_level_bits=per_level,
         )
 
 

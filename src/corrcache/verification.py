@@ -50,18 +50,18 @@ record only if `_check_step` passes it, so the verdicts are the
 reference's.
 
 The sweep is lean per demand vector.  It delivers every vector through
-the plan's `_send`, which returns the sections and bit total without a
-`Transcript` (the `product` tuples need no validation), and keeps the
-verdicts as two sets of record ids, passed and failed (the plan's step memo
-keeps records alive for the sweep).  A vector whose records have all
-passed is cleared by one set test; otherwise each new record is checked
-once, each failing record is reported once, and every demand vector whose
-sections hold a failing record is marked not ok.  A remainder-only demand
-set sends one shared result for all its vectors, so the sweep keeps one
-verdict per such set: its first vector checks the records as above, and
-every later one takes the verdict, ok or not, with no record-id scan.
-Only the sampled vectors get a full `Transcript`, for the end-to-end
-decoder.
+the plan's `_send`, the one per-vector delivery step, which returns the
+demand set's shared entry (its remainder records), the vector's coded
+records and the vector's measured bit total, without a `Transcript` (the
+`product` tuples need no validation).  It keeps the verdicts as two sets
+of record ids, passed and failed (the plan's step memo keeps records
+alive for the sweep).  A set's remainder records are checked once, when
+its first vector comes, and every vector of the set takes that verdict.
+A vector whose coded records have all passed is cleared by one set test;
+otherwise each new record is checked once, each failing record is
+reported once, and every demand vector that sends a failing record is
+marked not ok.  Only the sampled vectors get a full `Transcript`, for
+the end-to-end decoder.
 """
 
 from __future__ import annotations
@@ -100,7 +100,9 @@ __all__ = [
 ]
 
 _GRID_GUARD = 10**6
-# Demand vectors per sweep that also run the complete user decoder.
+# The sweep also runs the complete user decoder on every (N^K // 3)-th demand
+# vector (at least every one): all of a grid of fewer than 6 vectors, else 3
+# or 4 of them.
 _FULL_DECODE_SAMPLES = 3
 # Each scheme's worst-case rate formula, as a function of (config, alloc).
 _FORMULAS = {
@@ -326,14 +328,15 @@ def _limit_bits(plan: DeliveryPlan) -> int:
     n, k = plan.config.n_files, plan.config.n_users
     bits = 0
     for level, _, sublayers in plan._levels:
-        for layer, psize, _ in sublayers:
+        for sub in sublayers:
+            t = sub.layer.t
             if plan.scheme == "cicc":
-                count = step_payloads(k, layer.t, min(n, k))
+                count = step_payloads(k, t, min(n, k))
             else:
-                count = _needed_subfile_count(n, k, level) * comb0(k - 1, layer.t)
+                count = _needed_subfile_count(n, k, level) * comb0(k - 1, t)
                 if plan.scheme == "cacc":
-                    count = min(_alpha_numerators(n, k, level)[layer.t], count)
-            bits += psize * count
+                    count = min(_alpha_numerators(n, k, level)[t], count)
+            bits += sub.psize * count
     return bits
 
 
@@ -397,41 +400,46 @@ def verify_all_demands(
     # step memo keeps every record alive for the whole sweep.
     passed: set = set()
     failed: set = set()
-    # Whether a remainder-only demand set's records all pass, by the id of
-    # its shared sections tuple.  The plan keeps that tuple alive for the
-    # sweep, so no vector's own sections list can share its id.
+    # Whether a demand set's remainder records all pass, by the id of the
+    # set's `_SetSend`, which the plan keeps alive for the sweep.
     set_ok: dict = {}
     layer_parts: dict = {}
     lane_views: dict = {}
+
+    def records_ok(records) -> bool:
+        """Check each record not checked yet, report each failing one
+        once, and tell whether all of them pass."""
+        ok = True
+        for rec in records:
+            key = id(rec)
+            if key in passed:
+                continue
+            if key not in failed:
+                errs = (
+                    []
+                    if _lanes_clear(rec, lane_views, caches, plan.store)
+                    else _check_step(rec, caches, plan.store, layer_parts)
+                )
+                if not errs:
+                    passed.add(key)
+                    continue
+                violations.extend(errs)
+                failed.add(key)
+            ok = False
+        return ok
+
     worst_bits = 0
     file_size = config.file_size
     for idx, d in enumerate(all_demands):  # product tuples are valid demands
-        sections, total_bits, _, _ = plan._send(d)
+        per_set, coded, total_bits = plan._send(d)
         rates.append(total_bits / file_size)
         if total_bits > worst_bits:
             worst_bits = total_bits
-        demand_ok = set_ok.get(id(sections))
+        demand_ok = set_ok.get(id(per_set))
         if demand_ok is None:
-            demand_ok = True
-            if not passed.issuperset(map(id, sections)):
-                for rec in sections:
-                    key = id(rec)
-                    if key in passed:
-                        continue
-                    if key not in failed:
-                        errs = (
-                            []
-                            if _lanes_clear(rec, lane_views, caches, plan.store)
-                            else _check_step(rec, caches, plan.store, layer_parts)
-                        )
-                        if not errs:
-                            passed.add(key)
-                            continue
-                        violations.extend(errs)
-                        failed.add(key)
-                    demand_ok = False
-            if type(sections) is tuple:  # a set's shared result (`DeliveryPlan._send`)
-                set_ok[id(sections)] = demand_ok
+            demand_ok = set_ok[id(per_set)] = records_ok(per_set.remainder)
+        if coded and not passed.issuperset(map(id, coded)):
+            demand_ok = records_ok(coded) and demand_ok
 
         if total_bits > limit:
             violations.append(

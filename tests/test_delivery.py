@@ -26,6 +26,7 @@ from corrcache.delivery import (
     LayerSpec,
     StepRecord,
     _CachedParts,
+    _LayerParts,
     _decode_parts,
     _part_templates,
     _step_table,
@@ -349,7 +350,8 @@ def test_step_kernel_decodes_every_content(k):
                 sum(1 << (c * nparts + j) << (j * psize) for j in range(nparts))
                 for c in range(max(pattern) + 1)
             ]
-            rec = _xor_step(k, 1, LayerSpec(t, 0, nparts * psize), pattern, content.__getitem__)
+            layer = LayerSpec(t, 0, nparts * psize)
+            rec = _xor_step(k, 1, layer, pattern, _LayerParts(content.__getitem__, layer, nparts))
             assert (rec.pattern, rec.classes) == (pattern, tuple(range(len(content))))
             templates = _part_templates(k, t, psize)
             for user in range(1, k + 1):
@@ -365,6 +367,37 @@ def test_step_kernel_decodes_every_content(k):
                 assert got == want, (t, pattern, user)
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_xor_step_matches_a_plain_row_loop(k):
+    """`_xor_step` reads its payloads through the step table's getters.  A
+    plain loop over the table's rows, kept here, must give the same
+    payloads, in row order, on exactly the rows that touch a leader: every
+    share t <= K (no rows at t = K, one at t = K - 1), every equality
+    pattern, random contents and a layer above offset 0."""
+    rng = random.Random(25 + k)
+    for t in range(k + 1):
+        nparts = comb0(k, t)
+        psize, offset = rng.randint(1, 6), rng.randint(1, 9)
+        layer = LayerSpec(t, offset, psize * nparts)
+        pmask = (1 << psize) - 1
+        for pattern in _equality_patterns(k):
+            classes = [rng.getrandbits(16) * 8 + c for c in range(max(pattern) + 1)]
+            items = tuple(classes[c] for c in pattern)
+            contents = {x: rng.getrandbits(offset + layer.size + 3) for x in set(items)}
+            leaders = sum(1 << u for u, c in enumerate(pattern) if c not in pattern[:u])
+            want = {}
+            for v, terms in _step_table(k, t).rows:
+                if v & leaders:
+                    y = 0
+                    for u, j in terms:
+                        y ^= contents[items[u]] >> (offset + j * psize) & pmask
+                    want[v] = y
+            parts = _LayerParts(contents.__getitem__, layer, nparts)
+            rec = _xor_step(k, 1, layer, items, parts)
+            assert list(rec.payloads.items()) == list(want.items()), (t, pattern)
+            assert (rec.leader_mask, rec.part_size) == (leaders, psize)
+
+
 # ---------------------------------------------------------------------------
 # exact remainder delivery
 
@@ -376,7 +409,7 @@ def test_random_delivery_payload_near_unknown_count():
     caches = place(config, t_alloc((0, 0, 0, 0, 1), 5), store)
     layer = LayerSpec(t=1, offset=0, size=1000)
     item = 0b11111
-    rec = _xor_step(5, 5, layer, (item,) * 5, store.item_bits)
+    rec = _xor_step(5, 5, layer, (item,) * 5, _LayerParts(store.item_bits, layer, 5))
     assert isinstance(rec, StepRecord)
     assert rec.step_items == (0b11111,) * 5
     assert rec.leader_mask == 0b00001
@@ -408,10 +441,8 @@ def test_random_delivery_uncached_layer_ships_plain():
     store = ContentStore.generate(config, seed=4)
     size = config.level_size(2)
     layer = LayerSpec(t=0, offset=0, size=size)
-    records = [
-        _xor_step(3, 2, layer, (m,) * 3, store.item_bits)
-        for m in (0b011, 0b110)
-    ]
+    parts = _LayerParts(store.item_bits, layer, 1)
+    records = [_xor_step(3, 2, layer, (m,) * 3, parts) for m in (0b011, 0b110)]
     assert_plain_sends(records, [0b011, 0b110], store, size)
     assert sum(r.bits for r in records) == 2 * size
 

@@ -23,7 +23,8 @@ from corrcache import (
 from corrcache import delivery
 from corrcache.combinat import comb0, divisibility_unit, part_labels
 from corrcache.delivery import (
-    LayerSpec, UserCache, _family, _pattern, _step_table, _xor_step, cacc_layers, decode,
+    LayerSpec, UserCache, _family, _LayerParts, _pattern, _step_table, _xor_step, cacc_layers,
+    decode,
 )
 from corrcache.verification import _LaneViews, _check_step, _lanes_clear, _limit_bits
 
@@ -415,10 +416,10 @@ def test_remainder_only_sets_share_one_result_and_one_verdict(monkeypatch):
     assert first.sections is second.sections
     assert first.per_level_bits == second.per_level_bits
     assert first.per_level_bits is not second.per_level_bits
-    assert all(
-        type(plan._send(d)[0]) is tuple
-        for d in itertools.product(range(1, 4), repeat=3)
-    )
+    for d in itertools.product(range(1, 4), repeat=3):
+        per_set, coded, bits = plan._send(d)
+        assert coded == () and per_set.remainder is plan.deliver(d).sections
+        assert bits == sum(r.bits for r in per_set.remainder)
 
     def corrupt(rec):
         if rec.step_items != (0b001,) * 3:
@@ -463,6 +464,35 @@ def test_extra_payload_above_the_placed_layers_is_reported(monkeypatch):
     assert report.decode_ok == (True, False, True, True)
 
 
+def test_extra_payload_on_a_later_vector_of_a_set_is_reported(monkeypatch):
+    """Bits are measured per demand vector, not per demand set.  On the
+    library of the test above, limit 7 bits, the demand set {1, 2} is
+    first sent as (1, 2), whose share-1 step has step items ({1}, {2}).
+    An extra payload only on the step ({2}, {1}), which (2, 1) alone
+    sends, lifts (2, 1) to 8 bits, and only (2, 1) is reported."""
+    config = LibraryConfig(2, 2, 0.4, (4, 2))
+    alloc = optimize_allocation(config).alloc
+    plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0))
+    late = (0b10, 0b01)
+    sends = {
+        d: any(r.layer.t == 1 and r.step_items == late for r in plan.deliver(d).sections)
+        for d in itertools.product((1, 2), repeat=2)
+    }
+    assert sends == {(1, 1): False, (1, 2): False, (2, 1): True, (2, 2): False}
+
+    def extra_payload(rec):
+        if rec.layer.t == 1 and rec.step_items == late:
+            return {**rec.payloads, 0b01: 0}
+        return rec.payloads
+
+    _flip_payloads(monkeypatch, extra_payload)
+    report = verify_all_demands(config, alloc)
+    assert report.violations == (
+        "demand (2, 1): 8 bits > 7, the formula at the placed layers",
+    )
+    assert report.decode_ok == tuple(not sends[d] for d in report.demands)
+
+
 def test_delivery_that_beats_the_converse_is_reported(monkeypatch):
     """A `_send` that reports 0 bits for the same sections passes every
     other check: each record still decodes, and 0 bits sit under the
@@ -474,8 +504,8 @@ def test_delivery_that_beats_the_converse_is_reported(monkeypatch):
     send = DeliveryPlan._send
 
     def send_reporting_no_bits(plan, demands):
-        sections, _, step_counts, per_level = send(plan, demands)
-        return sections, 0, step_counts, per_level
+        per_set, coded, _ = send(plan, demands)
+        return per_set, coded, 0
 
     monkeypatch.setattr(DeliveryPlan, "_send", send_reporting_no_bits)
     report = verify_all_demands(config, alloc, seed=3)
@@ -557,9 +587,10 @@ def test_lane_identity_matches_every_step(k):
         store = _Store({x: rng.getrandbits(offset + layer.size) for x in range(1, k + 1)})
         caches = [UserCache(u, dict.fromkeys(store, -1), dict(store)) for u in range(1, k + 1)]
         views = _LaneViews(layer, psize, caches, store)
+        parts = _LayerParts(store.item_bits, layer, comb0(k, t))
         for pattern in _equality_patterns(k):
             items = tuple(c + 1 for c in pattern)
-            rec = _xor_step(k, 1, layer, items, store.item_bits)
+            rec = _xor_step(k, 1, layer, items, parts)
             lifted = 0
             for u, x in enumerate(items):
                 lifted ^= views[x][u]
@@ -585,7 +616,7 @@ def test_lane_views_need_every_cache_exact():
     plan = DeliveryPlan(config, alloc, store)
     caches = plan.place()
     [(_, items, sublayers)] = plan._levels
-    [(layer, psize, _)] = sublayers  # the share-3 slice below it is not delivered
+    [(layer, psize, _, _)] = sublayers  # the share-3 slice below it is not delivered
     assert layer.t == 2 and layer.offset > 0
     clean = _LaneViews(layer, psize, caches, plan.store)
     assert all(clean[x] is not None for x in items)
@@ -697,7 +728,7 @@ def test_lane_pass_never_clears_a_failing_record():
         records = {
             id(rec): rec
             for d in itertools.product(range(1, n + 1), repeat=k)
-            for rec in plan._send(d)[0]
+            for rec in plan.deliver(d).sections
         }
         lane_views = {}
         by_layer = {}
