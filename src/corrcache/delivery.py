@@ -43,10 +43,11 @@ Delivery works per demand set and per demand vector.  The window, each
 sublayer's coded/remainder choice and every remainder record depend only
 on the set of demanded files, so a plan builds them once per set, with
 their bit total.  Per demand vector, the plan adds only the coded records:
-each coded sublayer's column table, indexed by file number, is read at the
-demands with one `itemgetter`, and the step patterns are looked up in the
-sublayer's step memo.  A vector's bits are measured from its own records,
-never taken from another vector of its set.
+each coded group's column table, indexed by file number, is read at the
+demands with one `itemgetter` per vector, for one vector (`deliver`) or
+for all vectors of a set at once (the verifier), and the step patterns
+are looked up in the sublayer's step memo.  A vector's bits are measured
+from its own records, never taken from another vector of its set.
 
 One table per (K, t), `_step_table`, states a share-t step once: its
 C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
@@ -97,7 +98,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, compress, islice, repeat
 from operator import attrgetter, itemgetter, xor
 from typing import NamedTuple
 
@@ -470,6 +471,7 @@ def _pools(config: LibraryConfig, level: int, window):
 
 
 _PAYLOADS = attrgetter("payloads")
+_READ = itemgetter.__call__
 
 
 class _Sublayer(NamedTuple):
@@ -487,8 +489,8 @@ class _SetSend(NamedTuple):
 
     remainder: every remainder record of the set, in transcript order, and
     remainder_bits their bit total.  coded: per group with coded
-    sublayers, (level, column table, those sublayers), which `_send` reads
-    at each vector's demands.  groups: per group, (level, column count, per
+    sublayers, (level, column table, those sublayers), which `_step_items`
+    reads at each vector's demands.  groups: per group, (level, column count, per
     sublayer its remainder records, or None when coded), the layout
     `deliver` lays a vector's sections out by.
     """
@@ -514,16 +516,18 @@ class DeliveryPlan:
     demand vectors through one plan (``plan.deliver(demands)``) share
     almost all bit-level work.  cicc ignores `alloc` (it may be None).
 
-    Per demand set, per demand vector: `_choice` builds, once per set of
-    demanded files (kept in `_choices`, keyed by the frozenset), the set's
-    `_SetSend`: its remainder records and their bits, and the coded
-    sublayers with their column tables.  `_send`, the one per-vector
-    delivery step, returns that entry, the vector's coded records and its
-    measured bit total, with no per-vector sections list, step counts or
-    bits per level; the verifier calls it on demand tuples that are valid
-    by construction.  `deliver` is `as_demands`, `_send` and the layout of
-    the vector's sections, step counts and bits per level in a
-    `Transcript`.
+    Per demand set, per demand vector: `_set_send` returns, built by
+    `_choice` once per set of demanded files (kept in `_choices`, keyed by
+    the frozenset), the set's `_SetSend`: its remainder records and their
+    bits, and the coded sublayers with their column tables.
+    `_step_items` reads the coded column tables at the demands of any
+    vectors of one set, and `_records` finds or builds a sublayer's
+    records for step items.  The verifier drives these three over each
+    demand set's vectors, which are valid by construction.  `_send`
+    delivers one vector with them, as the set's entry, the vector's coded
+    records and its measured bit total, and `deliver` is `as_demands`,
+    `_send` and the layout of the vector's sections, step counts and bits
+    per level in a `Transcript`.
     """
 
     def __init__(
@@ -690,7 +694,10 @@ class DeliveryPlan:
         window = _window(self.config.n_files, k, demands)
         remainder, remainder_bits, coded, groups = [], 0, [], []
         for level, items, sublayers in self._levels:
-            table = self._column_table(window, level) if sublayers else None
+            if not sublayers:
+                groups.append((level, 0, ()))
+                continue
+            table = self._column_table(window, level)
             # one remainder step per demanded item, should the coded steps cost more
             patterns = [(item,) * k for item in items if item & demand_mask]
             if table is not None:
@@ -727,6 +734,30 @@ class DeliveryPlan:
                     records[i] = steps[items] = _xor_step(k, level, sub.layer, items, sub.parts)
         return records
 
+    def _set_send(self, demands) -> _SetSend:
+        """The `_SetSend` of the set of files `demands` asks for, built by
+        `_choice` once per set and kept in `_choices`."""
+        key = frozenset(demands)
+        per_set = self._choices.get(key)
+        if per_set is None:
+            per_set = self._choices[key] = self._choice(demands)
+        return per_set
+
+    def _step_items(self, per_set: _SetSend, vectors):
+        """Per coded group of a demand set, (level, its coded sublayers, per
+        column of its table the step items of every vector), for `vectors`,
+        demand tuples of that one set: each column is read at each vector's
+        demands by one `itemgetter` per vector, built once per call."""
+        if not per_set.coded:
+            return
+        if self.config.n_users > 1:
+            readers = list(map(itemgetter, *zip(*vectors)))
+        else:
+            # an itemgetter of one index returns a bare item, a slice a tuple
+            readers = [itemgetter(slice(d, d + 1)) for (d,) in vectors]
+        for level, table, sublayers in per_set.coded:
+            yield level, sublayers, [list(map(_READ, readers, repeat(row))) for row in table]
+
     def _send(self, demands):
         """Deliver one demand tuple, already validated, as (the set's
         `_SetSend`, the vector's coded records, the bit total).
@@ -737,23 +768,13 @@ class DeliveryPlan:
         total is measured for this vector: the set's remainder bits plus,
         per coded sublayer, the part size times its records' payload
         count."""
-        key = frozenset(demands)
-        base = self._choices.get(key)  # (the set's entry, no coded records, its bits)
-        if base is None:
-            per_set = self._choice(demands)
-            base = self._choices[key] = (per_set, (), per_set.remainder_bits)
-        per_set = base[0]
+        per_set = self._set_send(demands)
         if not per_set.coded:
-            return base
-        read = (
-            itemgetter(*demands) if len(demands) > 1
-            # an itemgetter of one index returns a bare item, a slice a tuple
-            else itemgetter(slice(demands[0], demands[0] + 1))
-        )
+            return per_set, (), per_set.remainder_bits
         coded = []
         bits = per_set.remainder_bits
-        for level, table, sublayers in per_set.coded:
-            patterns = list(map(read, table))
+        for level, sublayers, columns in self._step_items(per_set, (demands,)):
+            patterns = [col[0] for col in columns]
             for sub in sublayers:
                 records = list(map(sub.steps.get, patterns))
                 if not all(records):

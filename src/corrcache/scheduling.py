@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .combinat import comb0, mask_of, members_of, mix_seed, subset_masks
@@ -84,14 +85,29 @@ def generate_schedule(
     The same (window, fixed_part, level, seed) always gives the same
     schedule, and every returned schedule passes validate_schedule.  Raises
     RuntimeError naming the shape when `_ATTEMPTS` attempts all run out of
-    budget.
+    budget.  Schedules are kept process-wide (`_built_schedule`), so a
+    shape met again, by another plan or another sweep, is not searched
+    again.
     """
-    window, fixed_part, block = _check_shape(window, fixed_part, level)
+    window, fixed_part, _ = _check_shape(window, fixed_part, level)
+    return _built_schedule(window, fixed_part, level, seed, _ATTEMPTS)
+
+
+# Bounded: a window-10 schedule takes up to about 56 kB, and a process that
+# runs many plans (a CLI simulate per seed, a test over many shapes) would
+# otherwise keep every schedule it met.  Criterion 3's coded shapes meet 405
+# distinct schedules in 1,272 calls; 256 entries search 433 of them.  The
+# attempt budget is part of the key, so a smaller budget searches again.
+@lru_cache(maxsize=256)
+def _built_schedule(window, fixed_part, level, seed, attempts) -> AssignmentSchedule:
+    """`generate_schedule` on a checked, sorted shape, with `attempts`
+    budgeted attempts."""
+    block = level - len(fixed_part)
     pool = subset_masks(window, block)
     n_columns = comb0(len(window) - 1, block - 1)
     window_mask = mask_of(window)
 
-    for attempt in range(_ATTEMPTS):
+    for attempt in range(attempts):
         rng = random.Random(mix_seed(seed, attempt))
         columns = _search(pool, window_mask, block, n_columns, rng, 2 * len(pool))
         if columns is not None:

@@ -49,24 +49,29 @@ when its decoded part list equals the true one.  The lane pass clears a
 record only if `_check_step` passes it, so the verdicts are the
 reference's.
 
-The sweep is lean per demand vector.  It delivers every vector through
-the plan's `_send`, the one per-vector delivery step, which returns the
-demand set's shared entry (its remainder records), the vector's coded
-records and the vector's measured bit total, without a `Transcript` (the
-`product` tuples need no validation).  It keeps the verdicts as two sets
-of record ids, passed and failed (the plan's step memo keeps records
-alive for the sweep).  A set's remainder records are checked once, when
-its first vector comes, and every vector of the set takes that verdict.
-A vector whose coded records have all passed is cleared by one set test;
-otherwise each new record is checked once, each failing record is
-reported once, and every demand vector that sends a failing record is
-marked not ok.  Only the sampled vectors get a full `Transcript`, for
-the end-to-end decoder.
+The sweep works per demand set.  A vector's sections depend on it only
+through its set of demanded files and, per coded step, its step items, so
+the sweep groups the N^K vectors by demand set, each set's vectors in
+product order.  Per set it takes the plan's shared entry once
+(`_set_send`), checks the set's remainder records once and takes their
+bits once.  A set with no coded sublayer, which is every set of a plan
+that delivers nothing, gives all its vectors those bits and that verdict
+in bulk.  In a coded set, the plan reads every column at every vector's
+demands (`_step_items`), and one lookup per vector and step, in the
+sublayer's verdict table keyed by step items, gives the bits and the
+verdict of that very record: a vector's bits are summed over its own
+steps, never taken from another vector.  A table entry is filled when its
+record is first met: built once (the plan's step memo) and checked once
+per sweep.  A failing record is reported once, where a per-vector loop
+would first meet it, and every vector that sends it is marked not ok.
+Only the sampled vectors get a full `Transcript`, for the end-to-end
+decoder.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -104,6 +109,7 @@ _GRID_GUARD = 10**6
 # vector (at least every one): all of a grid of fewer than 6 vectors, else 3
 # or 4 of them.
 _FULL_DECODE_SAMPLES = 3
+_KEY = operator.itemgetter(0)
 # Each scheme's worst-case rate formula, as a function of (config, alloc).
 _FORMULAS = {
     "cacc": cacc_rate,
@@ -390,74 +396,119 @@ def verify_all_demands(
     limit = _limit_bits(plan)
 
     all_demands = list(product(range(1, n + 1), repeat=k))
-    step = max(1, len(all_demands) // _FULL_DECODE_SAMPLES)
-    sample_idx = set(range(0, len(all_demands), step))
+    # per vector, in product order, the mask of its demand set (file f at bit f - 1)
+    masks = [0]
+    file_bits = [1 << f for f in range(n)]
+    for _ in range(k):
+        masks = [m | b for m in masks for b in file_bits]
+    # the vectors of each demand set, in product order, the sets in the order
+    # their first vectors come
+    by_set = {m: [] for m in dict.fromkeys(masks)}
+    deque(map(list.append, map(by_set.__getitem__, masks), all_demands), maxlen=0)
 
-    rates = []
-    ok_flags = []
-    violations = []
-    # The ids of the step records checked so far, by verdict: the plan's
-    # step memo keeps every record alive for the whole sweep.
-    passed: set = set()
-    failed: set = set()
-    # Whether a demand set's remainder records all pass, by the id of the
-    # set's `_SetSend`, which the plan keeps alive for the sweep.
-    set_ok: dict = {}
+    def index(d) -> int:
+        """A demand vector's position in product order."""
+        i = 0
+        for f in d:
+            i = i * n + f - 1
+        return i
+
+    # Per delivered sublayer, (level, layer): step items -> the verdict on
+    # the sublayer's record for them, its bits if it passes, ~bits if not.
+    verdicts = {(level, sub.layer): {} for level, _, subs in plan._levels for sub in subs}
+    failed: dict = {}  # (level, layer, step items) -> a failing record's lines
+    # Per failing record, the first vector and position that send it.  Every
+    # report is sorted by (vector index, stage, position): stage 0 is a
+    # failing record at its position among the vector's remainder and then
+    # coded records, 1 the limit and 2 the sampled decode, the order in
+    # which a per-vector loop would meet them.
+    first_sent: dict = {}
     layer_parts: dict = {}
     lane_views: dict = {}
 
-    def records_ok(records) -> bool:
-        """Check each record not checked yet, report each failing one
-        once, and tell whether all of them pass."""
-        ok = True
-        for rec in records:
-            key = id(rec)
-            if key in passed:
-                continue
-            if key not in failed:
-                errs = (
-                    []
-                    if _lanes_clear(rec, lane_views, caches, plan.store)
-                    else _check_step(rec, caches, plan.store, layer_parts)
-                )
-                if not errs:
-                    passed.add(key)
-                    continue
-                violations.extend(errs)
-                failed.add(key)
-            ok = False
-        return ok
+    def check(level, layer, items, rec) -> int:
+        """Check one record, the first time its step items come, and file its
+        verdict."""
+        errs = (
+            []
+            if _lanes_clear(rec, lane_views, caches, plan.store)
+            else _check_step(rec, caches, plan.store, layer_parts)
+        )
+        bits = rec.bits
+        if errs:
+            failed[level, layer, items] = errs
+            bits = ~bits
+        verdicts[level, layer][items] = bits
+        return bits
 
-    worst_bits = 0
-    file_size = config.file_size
-    for idx, d in enumerate(all_demands):  # product tuples are valid demands
-        per_set, coded, total_bits = plan._send(d)
-        rates.append(total_bits / file_size)
-        if total_bits > worst_bits:
-            worst_bits = total_bits
-        demand_ok = set_ok.get(id(per_set))
-        if demand_ok is None:
-            demand_ok = set_ok[id(per_set)] = records_ok(per_set.remainder)
-        if coded and not passed.issuperset(map(id, coded)):
-            demand_ok = records_ok(coded) and demand_ok
+    def blame(level, layer, items, key) -> None:
+        rec_key = (level, layer, items)
+        first_sent[rec_key] = min(first_sent.get(rec_key, key), key)
 
-        if total_bits > limit:
-            violations.append(
-                f"demand {d}: {total_bits} bits > {limit}, the formula at the "
-                "placed layers"
-            )
-            demand_ok = False
+    entries = []  # (sort key, line)
+    totals_of, flags_of = {}, {}  # per set, its vectors' bits and ok flags
+    for mask, vectors in by_set.items():
+        per_set = plan._set_send(vectors[0])
+        set_ok = True
+        for pos, rec in enumerate(per_set.remainder):
+            level, layer, items = rec.level, rec.layer, rec.step_items
+            bits = verdicts[level, layer].get(items)
+            if bits is None:
+                bits = check(level, layer, items, rec)
+            if bits < 0:
+                set_ok = False
+                blame(level, layer, items, (index(vectors[0]), 0, pos))
+        totals = [per_set.remainder_bits] * len(vectors)
+        flags = [set_ok] * len(vectors)
+        pos = len(per_set.remainder)
+        for level, sublayers, columns in plan._step_items(per_set, vectors):
+            for sub in sublayers:
+                table = verdicts[level, sub.layer]
+                for items in columns:
+                    try:
+                        bits = list(map(table.__getitem__, items))
+                    except KeyError:
+                        new = [x for x in dict.fromkeys(items) if x not in table]
+                        for x, rec in zip(new, plan._records(level, sub, new)):
+                            check(level, sub.layer, x, rec)
+                        bits = list(map(table.__getitem__, items))
+                    if failed and min(bits) < 0:
+                        for j, b in enumerate(bits):
+                            if b < 0:
+                                bits[j] = ~b
+                                flags[j] = False
+                                blame(level, sub.layer, items[j], (index(vectors[j]), 0, pos))
+                    totals = list(map(operator.add, totals, bits))
+                    pos += 1
+        if max(totals) > limit:
+            for j, (d, bits) in enumerate(zip(vectors, totals)):
+                if bits > limit:
+                    flags[j] = False
+                    entries.append((
+                        (index(d), 1, 0),
+                        f"demand {d}: {bits} bits > {limit}, the formula at the "
+                        "placed layers",
+                    ))
+        totals_of[mask], flags_of[mask] = iter(totals), iter(flags)
 
-        if idx in sample_idx:
-            failures = decode_failures(caches, plan.deliver(d), d, plan.store)
-            violations.extend(f"demand {d}: {line}" for line in failures)
-            demand_ok = demand_ok and not failures
-        ok_flags.append(demand_ok)
+    # back to product order: each set's results are in its vectors' order
+    all_bits = list(map(next, map(totals_of.__getitem__, masks)))
+    ok_flags = list(map(next, map(flags_of.__getitem__, masks)))
+    for idx in range(0, len(all_demands), max(1, len(all_demands) // _FULL_DECODE_SAMPLES)):
+        d = all_demands[idx]
+        failures = decode_failures(caches, plan.deliver(d), d, plan.store)
+        entries += [((idx, 2, 0), f"demand {d}: {line}") for line in failures]
+        ok_flags[idx] = ok_flags[idx] and not failures
+    for rec_key, errs in failed.items():
+        entries += [(first_sent[rec_key], line) for line in errs]
+    entries.sort(key=_KEY)
+    violations = [line for _, line in entries]
 
     cached_bits = plan.cached_bits()
-    violations.extend(_converse_misses(config, worst_bits, cached_bits))
-    max_rate = max(rates) if rates else 0.0
-    argmax = all_demands[rates.index(max_rate)] if rates else ()
+    violations.extend(_converse_misses(config, max(all_bits), cached_bits))
+    file_size = config.file_size
+    rates = [bits / file_size for bits in all_bits]
+    max_rate = max(rates)
     return GridReport(
         scheme=scheme,
         demands=tuple(all_demands),
@@ -465,7 +516,7 @@ def verify_all_demands(
         decode_ok=tuple(ok_flags),
         formula_rate=formula,
         max_rate=max_rate,
-        argmax_demand=tuple(argmax),
+        argmax_demand=all_demands[rates.index(max_rate)],
         violations=tuple(violations),
         cached_bits=cached_bits,
     )

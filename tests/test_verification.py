@@ -20,13 +20,15 @@ from corrcache import (
     verify_all_demands,
     worst_case_demand,
 )
-from corrcache import delivery
+from corrcache import delivery, verification
 from corrcache.combinat import comb0, divisibility_unit, part_labels
 from corrcache.delivery import (
-    LayerSpec, UserCache, _family, _LayerParts, _pattern, _step_table, _xor_step, cacc_layers,
-    decode,
+    LayerSpec, StepRecord, UserCache, _family, _LayerParts, _pattern, _step_table, _xor_step,
+    cacc_layers, decode,
 )
-from corrcache.verification import _LaneViews, _check_step, _lanes_clear, _limit_bits
+from corrcache.verification import (
+    _LaneViews, _check_step, _converse_misses, _lanes_clear, _limit_bits, decode_failures,
+)
 
 
 def test_two_user_grid_clean():
@@ -494,20 +496,15 @@ def test_extra_payload_on_a_later_vector_of_a_set_is_reported(monkeypatch):
 
 
 def test_delivery_that_beats_the_converse_is_reported(monkeypatch):
-    """A `_send` that reports 0 bits for the same sections passes every
-    other check: each record still decodes, and 0 bits sit under the
-    formula.  The converse catches it: one cache holds 6 of the 12 bits
-    that file 1 or file 2 touch, and no delivery of 0 bits over 2 demand
-    rounds (user 1 asks for file 1, then file 2) makes up the rest."""
+    """Records that report 0 bits for the same payloads pass every other
+    check: each record still decodes, and 0 bits sit under the formula.
+    The sweep reads every vector's bits from its records' `bits`.  The
+    converse catches it: one cache holds 6 of the 12 bits that file 1 or
+    file 2 touch, and no delivery of 0 bits over 2 demand rounds (user 1
+    asks for file 1, then file 2) makes up the rest."""
     config = LibraryConfig(2, 2, 0.75, (4, 4))
     alloc = CacheAllocation.from_replication((1, 1), 2)
-    send = DeliveryPlan._send
-
-    def send_reporting_no_bits(plan, demands):
-        per_set, coded, _ = send(plan, demands)
-        return per_set, coded, 0
-
-    monkeypatch.setattr(DeliveryPlan, "_send", send_reporting_no_bits)
+    monkeypatch.setattr(StepRecord, "bits", property(lambda rec: 0))
     report = verify_all_demands(config, alloc, seed=3)
     assert report.max_rate == 0 and report.cached_bits == 6
     assert report.violations == (
@@ -566,6 +563,144 @@ def test_payload_wider_than_its_part_is_a_fault():
     assert not _lanes_clear(wide, {}, caches, plan.store)
     errs = _check_step(wide, caches, plan.store, {})
     assert errs and all("wider than its 4-bit part" in e for e in errs), errs
+
+
+# ---------------------------------------------------------------------------
+# the sweep by demand set against a plain per-vector sweep
+
+def _reference_sweep(config, alloc, scheme, seed=0):
+    """`verify_all_demands` as a plain loop over the demand vectors in
+    product order: each vector's sections from the plan's per-vector
+    delivery step (the set's remainder records, then its coded records),
+    each one checked by `_check_step` and each failing record reported once,
+    at the first vector that sends it; the vector's bits from
+    `plan.deliver`; the limit; the sampled end-to-end decodes; the
+    converse.  Returns (measured rates, decode flags, violations)."""
+    plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed), scheme=scheme)
+    caches = plan.place()
+    limit = _limit_bits(plan)
+    n, k = config.n_files, config.n_users
+    demands = list(itertools.product(range(1, n + 1), repeat=k))
+    step = max(1, len(demands) // 3)
+    rates, flags, violations, reported, worst, layer_parts = [], [], [], set(), 0, {}
+    for idx, d in enumerate(demands):
+        transcript = plan.deliver(d)
+        per_set, coded, _ = plan._send(d)
+        sections = list(per_set.remainder) + list(coded)
+        assert sorted(map(id, sections)) == sorted(map(id, transcript.sections))
+        ok = True
+        for rec in sections:
+            errs = _check_step(rec, caches, plan.store, layer_parts)
+            if errs:
+                ok = False
+                key = (rec.level, rec.layer, rec.step_items)
+                if key not in reported:
+                    reported.add(key)
+                    violations += errs
+        bits = transcript.total_bits
+        if bits > limit:
+            violations.append(
+                f"demand {d}: {bits} bits > {limit}, the formula at the placed layers"
+            )
+            ok = False
+        if idx % step == 0:
+            failures = decode_failures(caches, transcript, d, plan.store)
+            violations += [f"demand {d}: {line}" for line in failures]
+            ok = ok and not failures
+        rates.append(bits / config.file_size)
+        flags.append(ok)
+        worst = max(worst, bits)
+    violations += _converse_misses(config, worst, plan.cached_bits())
+    return tuple(rates), tuple(flags), tuple(violations)
+
+
+def _assert_sweep_matches_reference(config, alloc, scheme):
+    report = verify_all_demands(config, alloc, scheme=scheme, seed=0)
+    rates, flags, violations = _reference_sweep(config, alloc, scheme)
+    assert report.measured_rates == rates
+    assert report.decode_ok == flags
+    assert report.violations == violations
+    return report
+
+
+_SWEEP_CASES = {
+    # K = 1: every demand set holds one vector
+    "k1": (LibraryConfig(3, 1, 1.0, (2, 2, 2)), CacheAllocation((0.0, 1.0, 0.0))),
+    # N > K: the window depends on the demand set
+    "windows": (
+        LibraryConfig(4, 2, 1.5, (2, 2, 2, 0)),
+        CacheAllocation.from_replication((1, 1, 1, 0), 2),
+    ),
+    # t = K (cicc: M = N): no sublayer is delivered
+    "t_is_k": (
+        LibraryConfig(3, 2, 3.0, (2, 0, 0)),
+        CacheAllocation.from_replication((2, 2, 2), 2),
+    ),
+    # fractional shares: level 2 splits into share-4 and share-5 sublayers
+    "fractional": (LibraryConfig(3, 5, 1.5, (20, 20, 0)), None),
+}
+
+
+@pytest.mark.parametrize("scheme", ["cacc", "cauc", "cicc"])
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_sweep_matches_a_per_vector_reference(case, scheme):
+    """The sweep by demand set gives the plain per-vector sweep's rates,
+    flags and violations, on every scheme: at K = 1, with several windows,
+    with no delivered sublayer and with fractional shares."""
+    config, alloc = _SWEEP_CASES[case]
+    if alloc is None:
+        alloc = optimize_allocation(config).alloc
+    report = _assert_sweep_matches_reference(config, alloc, scheme)
+    assert report.ok, report.violations[:3]
+
+
+@pytest.mark.parametrize("scheme", ["cacc", "cauc"])
+def test_faulty_sweep_matches_a_per_vector_reference(monkeypatch, scheme):
+    """With faults, too, the sweep reports what the per-vector sweep
+    reports, in the same order: every record that sends subfile {1, 2}
+    carries a flipped bit, and every step whose first user recovers
+    subfile {1} one extra payload, so records fail, vectors exceed the
+    limit and sampled decodes fail, on coded and remainder records alike."""
+    config = LibraryConfig(3, 3, 1.5, (6, 6, 0))
+    alloc = CacheAllocation.from_replication((1, 1, 0), 3)
+
+    def corrupt(rec):
+        payloads = rec.payloads
+        if 0b011 in rec.step_items:
+            payloads = {v: y ^ 1 for v, y in payloads.items()}
+        if rec.step_items[0] == 0b001:
+            payloads = {**payloads, 0: 0}
+        return payloads
+
+    _flip_payloads(monkeypatch, corrupt)
+    report = _assert_sweep_matches_reference(config, alloc, scheme)
+    for kind in ("wrong bits", "decode mismatch", "the formula at the placed layers"):
+        assert any(v.endswith(kind) for v in report.violations), kind
+    assert not all(report.decode_ok) and any(report.decode_ok)
+
+
+def test_sweep_of_a_plan_that_delivers_nothing_builds_no_step(monkeypatch):
+    """At t = K every cache holds the whole library: the sweep builds no
+    step record, yet still runs its sampled end-to-end decodes."""
+    config = LibraryConfig(3, 2, 3.0, (2, 2, 2))
+    alloc = CacheAllocation.from_replication((2, 2, 2), 2)
+    built, decoded = [], []
+
+    def counting_xor_step(*args):
+        built.append(args)
+        return real_xor_step(*args)
+
+    def counting_decode_failures(*args):
+        decoded.append(args[2])
+        return real_decode_failures(*args)
+
+    real_xor_step, real_decode_failures = delivery._xor_step, verification.decode_failures
+    monkeypatch.setattr(delivery, "_xor_step", counting_xor_step)
+    monkeypatch.setattr(verification, "decode_failures", counting_decode_failures)
+    report = verify_all_demands(config, alloc)
+    assert report.ok and report.max_rate == 0
+    assert built == []
+    assert decoded == [(1, 1), (2, 1), (3, 1)]
 
 
 # ---------------------------------------------------------------------------
