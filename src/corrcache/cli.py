@@ -385,6 +385,13 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # the rates are floats, and a step count grows like C(K, K/2)
+        print(
+            f"error: --k {args.k} or a size is too large for the float rates: {exc}",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -40,14 +40,15 @@ they cost no more than that floor, the remainder steps otherwise (always
 for cauc); only the steps it sends are built.
 
 Delivery works per demand set and per demand vector.  The window, each
-sublayer's coded/remainder choice and every remainder record depend only
-on the set of demanded files, so a plan builds them once per set, with
-their bit total.  Per demand vector, the plan adds only the coded records:
-each coded group's column table, indexed by file number, is read at the
-demands with one `itemgetter` per vector, for one vector (`deliver`) or
-for all vectors of a set at once (the verifier), and the step patterns
-are looked up in the sublayer's step memo.  A vector's bits are measured
-from its own records, never taken from another vector of its set.
+sublayer's coded/remainder choice and the remainder step patterns depend
+only on the set of demanded files, so a plan chooses them once per set.
+Per demand vector, each coded group's column table, indexed by file
+number, is read at the demands with one `itemgetter` per vector, for one
+vector (`deliver`) or for all vectors of a set at once (the verifier).
+A record is built from its step items when asked for and kept by no one
+but the caller: `deliver` builds a vector's records and sums its bits from
+them; the verifier builds a record the first time its step items come,
+checks it, files its verdict and bits, and drops it.
 
 One table per (K, t), `_step_table`, states a share-t step once: its
 C(K, t) part labels; per (t+1)-user set V, the (member, part) terms its
@@ -60,8 +61,8 @@ decoder and the verifier's lane pass all read it, the lane pass taking row
 V as lane V; nothing else walks a step's labels and members.
 
 The encoder builds a record from per-item part lists, split from the
-store once per (sublayer, item) and kept by the plan next to the
-sublayer's step memo: it lays the members' part lists end to end, reads
+store once per (sublayer, item) and kept by the plan with the sublayer:
+it lays the members' part lists end to end, reads
 each term position of every row with one getter call, XORs the t + 1
 results term by term and keeps the rows whose user set holds a leader.
 A payload whose user set has no leader is not sent: the step's equality
@@ -98,8 +99,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice, repeat
-from operator import attrgetter, itemgetter, xor
+from itertools import chain, combinations, compress, repeat
+from operator import itemgetter, xor
 from typing import NamedTuple
 
 from .combinat import (
@@ -470,33 +471,28 @@ def _pools(config: LibraryConfig, level: int, window):
         yield from subset_masks(outside, s)
 
 
-_PAYLOADS = attrgetter("payloads")
 _READ = itemgetter.__call__
 
 
 class _Sublayer(NamedTuple):
-    """One delivered sublayer of a placement group: its layer, part size,
-    step memo (step items -> `StepRecord`) and part lists (`_LayerParts`)."""
+    """One delivered sublayer of a placement group: its layer, part size
+    and part lists (`_LayerParts`)."""
 
     layer: LayerSpec
     psize: int
-    steps: dict
     parts: _LayerParts
 
 
 class _SetSend(NamedTuple):
     """What a plan sends for one set of demanded files (`_choice`).
 
-    remainder: every remainder record of the set, in transcript order, and
-    remainder_bits their bit total.  coded: per group with coded
-    sublayers, (level, column table, those sublayers), which `_step_items`
-    reads at each vector's demands.  groups: per group, (level, column count, per
-    sublayer its remainder records, or None when coded), the layout
-    `deliver` lays a vector's sections out by.
+    coded: per group with coded sublayers, (level, column table, those
+    sublayers), which `_step_items` reads at each vector's demands.
+    groups: per group, (level, per delivered sublayer (the `_Sublayer`,
+    its remainder step patterns, or None when coded)), the layout of a
+    vector's sections in transcript order.
     """
 
-    remainder: tuple
-    remainder_bits: int
     coded: tuple
     groups: tuple
 
@@ -509,8 +505,8 @@ class DeliveryPlan:
     library the scheme works on (`config`, `store`: for cicc, the library
     seen as N unrelated files) and, per placement group, the group's items
     and its delivered sublayers (t < K, size > 0, `_Sublayer`), each with
-    its part size, step memo and part lists; and builds, per (window,
-    group), the scheme's column table.  `place()` builds the users' caches
+    its part size and part lists; and builds, per (window, group), the
+    scheme's column table.  `place()` builds the users' caches
     from the same library and groups.  Step payloads depend on the demand
     vector only through the per-step item pattern, so deliveries of many
     demand vectors through one plan (``plan.deliver(demands)``) share
@@ -518,16 +514,12 @@ class DeliveryPlan:
 
     Per demand set, per demand vector: `_set_send` returns, built by
     `_choice` once per set of demanded files (kept in `_choices`, keyed by
-    the frozenset), the set's `_SetSend`: its remainder records and their
-    bits, and the coded sublayers with their column tables.
-    `_step_items` reads the coded column tables at the demands of any
-    vectors of one set, and `_records` finds or builds a sublayer's
-    records for step items.  The verifier drives these three over each
-    demand set's vectors, which are valid by construction.  `_send`
-    delivers one vector with them, as the set's entry, the vector's coded
-    records and its measured bit total, and `deliver` is `as_demands`,
-    `_send` and the layout of the vector's sections, step counts and bits
-    per level in a `Transcript`.
+    the frozenset), the set's `_SetSend`: its remainder step patterns and
+    its coded sublayers with their column tables.  `_step_items` reads the
+    coded column tables at the demands of any vectors of one set, and
+    `_records` builds a sublayer's records for step items.  The verifier
+    drives these three over each demand set's vectors, which are valid by
+    construction; `deliver` drives them for one vector.
     """
 
     def __init__(
@@ -556,7 +548,7 @@ class DeliveryPlan:
                 if layer.t < k and layer.size > 0:
                     nparts = comb0(k, layer.t)
                     parts = _LayerParts(self.store.item_bits, layer, nparts)
-                    sublayers.append(_Sublayer(layer, layer.size // nparts, {}, parts))
+                    sublayers.append(_Sublayer(layer, layer.size // nparts, parts))
             levels.append((level, items, tuple(sublayers)))
         self._levels = tuple(levels)
         self._fixture = (
@@ -675,8 +667,8 @@ class DeliveryPlan:
     def _choice(self, demands) -> _SetSend:
         """Everything of a delivery that depends only on the set of demanded
         files, built once per set (see `_SetSend`): per sublayer, the
-        choice between the column table's coded steps, gathered per demand
-        vector, and the remainder steps, built here as finished records.
+        choice between the column table's coded steps, read per demand
+        vector, and the remainder steps, whose patterns are kept here.
 
         A step whose column holds L distinct items at the demanded files
         sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
@@ -692,14 +684,14 @@ class DeliveryPlan:
         files = set(demands)
         demand_mask = mask_of(files)
         window = _window(self.config.n_files, k, demands)
-        remainder, remainder_bits, coded, groups = [], 0, [], []
+        coded, groups = [], []
         for level, items, sublayers in self._levels:
             if not sublayers:
-                groups.append((level, 0, ()))
+                groups.append((level, ()))
                 continue
             table = self._column_table(window, level)
             # one remainder step per demanded item, should the coded steps cost more
-            patterns = [(item,) * k for item in items if item & demand_mask]
+            patterns = tuple((item,) * k for item in items if item & demand_mask)
             if table is not None:
                 # number of coded steps per count of distinct step items
                 steps_with = Counter([len({col[f] for f in files}) for col in table])
@@ -708,31 +700,22 @@ class DeliveryPlan:
                 if table is not None and sum([
                     c * step_payloads(k, sub.layer.t, n) for n, c in steps_with.items()
                 ]) <= len(patterns) * comb0(k - 1, sub.layer.t):
-                    sent.append(None)  # coded: gathered per demand vector
+                    sent.append((sub, None))  # coded: read per demand vector
                     coded_subs.append(sub)
-                    continue
-                records = self._records(level, sub, patterns)
-                remainder += records
-                remainder_bits += sum(rec.bits for rec in records)
-                sent.append(records)
+                else:
+                    sent.append((sub, patterns))
             if coded_subs:
                 coded.append((level, table, tuple(coded_subs)))
-            groups.append((level, len(table or ()), tuple(sent)))
-        return _SetSend(tuple(remainder), remainder_bits, tuple(coded), tuple(groups))
+            groups.append((level, tuple(sent)))
+        return _SetSend(tuple(coded), tuple(groups))
 
-    def _records(self, level, sub, patterns) -> list:
-        """One sublayer's step records for `patterns`, each built once per
-        plan: a pattern missing from the sublayer's memo is built by
-        `_xor_step`, looked up as a module global so tests can patch it,
-        from the sublayer's part lists."""
-        steps = sub.steps
-        records = list(map(steps.get, patterns))
-        if not all(records):
-            k = self.config.n_users
-            for i, items in enumerate(patterns):
-                if records[i] is None:
-                    records[i] = steps[items] = _xor_step(k, level, sub.layer, items, sub.parts)
-        return records
+    def _records(self, level, sub, patterns):
+        """One sublayer's step records for `patterns`, in order, each built
+        only when the iterator reaches it, by `_xor_step` (looked up as a
+        module global so tests can patch it) from the sublayer's part
+        lists.  The plan keeps none of them."""
+        k = self.config.n_users
+        return (_xor_step(k, level, sub.layer, items, sub.parts) for items in patterns)
 
     def _set_send(self, demands) -> _SetSend:
         """The `_SetSend` of the set of files `demands` asks for, built by
@@ -758,45 +741,25 @@ class DeliveryPlan:
         for level, table, sublayers in per_set.coded:
             yield level, sublayers, [list(map(_READ, readers, repeat(row))) for row in table]
 
-    def _send(self, demands):
-        """Deliver one demand tuple, already validated, as (the set's
-        `_SetSend`, the vector's coded records, the bit total).
-
-        The coded records are every coded sublayer's steps, the column table
-        read at the demands, in table order, each looked up in (or added to)
-        the sublayer's step memo; a remainder-only set sends none.  The bit
-        total is measured for this vector: the set's remainder bits plus,
-        per coded sublayer, the part size times its records' payload
-        count."""
-        per_set = self._set_send(demands)
-        if not per_set.coded:
-            return per_set, (), per_set.remainder_bits
-        coded = []
-        bits = per_set.remainder_bits
-        for level, sublayers, columns in self._step_items(per_set, (demands,)):
-            patterns = [col[0] for col in columns]
-            for sub in sublayers:
-                records = list(map(sub.steps.get, patterns))
-                if not all(records):
-                    records = self._records(level, sub, patterns)
-                coded += records
-                bits += sub.psize * sum(map(len, map(_PAYLOADS, records)))
-        return per_set, coded, bits
-
     def deliver(self, demands) -> Transcript:
-        """Deliver one demand vector (see `_send`) as a `Transcript`: the
-        sections per group and sublayer, the coded steps' payload counts
-        and the bits per level.  A remainder-only set's transcripts share
-        the set's tuple of records."""
+        """Deliver one demand vector as a `Transcript`: per group and
+        delivered sublayer, its records (`_records`) for the set's remainder
+        patterns or, when coded, for the group's columns read at the demands
+        (`_step_items`), in that layout; the coded steps' payload counts;
+        and the bits per level and in total, summed from the records."""
         demands = as_demands(demands, self.config)
-        per_set, coded, total_bits = self._send(demands)
+        per_set = self._set_send(demands)
+        coded = {
+            level: [col[0] for col in columns]
+            for level, _, columns in self._step_items(per_set, (demands,))
+        }
         sections, step_counts, per_level = [], [], {}
-        coded = iter(coded)
-        for level, n_columns, sent in per_set.groups:
+        for level, sent in per_set.groups:
             level_bits = 0
-            for records in sent:
-                if records is None:
-                    records = list(islice(coded, n_columns))
+            for sub, patterns in sent:
+                steps = coded[level] if patterns is None else patterns
+                records = list(self._records(level, sub, steps))
+                if patterns is None:
                     step_counts += [len(rec.payloads) for rec in records]
                 sections += records
                 level_bits += sum(rec.bits for rec in records)
@@ -804,8 +767,8 @@ class DeliveryPlan:
         return Transcript(
             scheme=self.scheme,
             config=self.config,
-            sections=tuple(sections) if per_set.coded else per_set.remainder,
-            total_bits=total_bits,
+            sections=tuple(sections),
+            total_bits=sum(per_level.values()),
             step_counts=tuple(step_counts),
             per_level_bits=per_level,
         )

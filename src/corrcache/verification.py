@@ -53,19 +53,21 @@ The sweep works per demand set.  A vector's sections depend on it only
 through its set of demanded files and, per coded step, its step items, so
 the sweep groups the N^K vectors by demand set, each set's vectors in
 product order.  Per set it takes the plan's shared entry once
-(`_set_send`), checks the set's remainder records once and takes their
-bits once.  A set with no coded sublayer, which is every set of a plan
-that delivers nothing, gives all its vectors those bits and that verdict
-in bulk.  In a coded set, the plan reads every column at every vector's
-demands (`_step_items`), and one lookup per vector and step, in the
-sublayer's verdict table keyed by step items, gives the bits and the
-verdict of that very record: a vector's bits are summed over its own
-steps, never taken from another vector.  A table entry is filled when its
-record is first met: built once (the plan's step memo) and checked once
-per sweep.  A failing record is reported once, where a per-vector loop
-would first meet it, and every vector that sends it is marked not ok.
-Only the sampled vectors get a full `Transcript`, for the end-to-end
-decoder.
+(`_set_send`) and looks the set's remainder steps up once, summing their
+bits.  A set with no coded sublayer, which is every set of a plan that
+delivers nothing, gives all its vectors those bits and that verdict in
+bulk.  In a coded set, the plan reads every column at every vector's
+demands (`_step_items`).  Every step, remainder or coded, is one lookup
+in its sublayer's verdict table keyed by step items, which gives the bits
+and the verdict of that very record: a vector's bits are summed over its
+own steps, never taken from another vector.  The tables are the sweep's
+only index of steps.  On a miss the record is built (`_records`),
+checked, filed and dropped, so no record outlives its check.  A failing
+record is reported once, where a per-vector loop would first meet it, and
+every vector that sends it is marked not ok.  Only the sampled vectors
+get a full `Transcript`, for the end-to-end decoder.  They go first: they
+are delivered, their records are checked and filed, so the sweep builds
+none of them again, and each is decoded; then their transcripts go.
 """
 
 from __future__ import annotations
@@ -426,7 +428,7 @@ def verify_all_demands(
     layer_parts: dict = {}
     lane_views: dict = {}
 
-    def check(level, layer, items, rec) -> int:
+    def check(level, layer, items, rec) -> None:
         """Check one record, the first time its step items come, and file its
         verdict."""
         errs = (
@@ -439,39 +441,61 @@ def verify_all_demands(
             failed[level, layer, items] = errs
             bits = ~bits
         verdicts[level, layer][items] = bits
-        return bits
+
+    def lookup(level, sub, patterns) -> list:
+        """The verdicts on one sublayer's records for `patterns`, in order.
+        A record not met before is built, checked, filed and dropped."""
+        table = verdicts[level, sub.layer]
+        try:
+            return list(map(table.__getitem__, patterns))
+        except KeyError:
+            new = [x for x in dict.fromkeys(patterns) if x not in table]
+            for x, rec in zip(new, plan._records(level, sub, new)):
+                check(level, sub.layer, x, rec)
+            return list(map(table.__getitem__, patterns))
 
     def blame(level, layer, items, key) -> None:
         rec_key = (level, layer, items)
         first_sent[rec_key] = min(first_sent.get(rec_key, key), key)
 
+    def decode_samples() -> dict:
+        """Deliver the sampled vectors, check and file their records, then
+        decode each end to end: per sampled vector's index, its decode
+        failures.  The sweep then finds those records filed."""
+        step = max(1, len(all_demands) // _FULL_DECODE_SAMPLES)
+        sampled = {idx: plan.deliver(all_demands[idx]) for idx in range(0, len(all_demands), step)}
+        for transcript in sampled.values():
+            for rec in transcript.sections:
+                if rec.step_items not in verdicts[rec.level, rec.layer]:
+                    check(rec.level, rec.layer, rec.step_items, rec)
+        return {
+            idx: decode_failures(caches, transcript, all_demands[idx], plan.store)
+            for idx, transcript in sampled.items()
+        }
+
+    decoded = decode_samples()
+
     entries = []  # (sort key, line)
     totals_of, flags_of = {}, {}  # per set, its vectors' bits and ok flags
     for mask, vectors in by_set.items():
         per_set = plan._set_send(vectors[0])
-        set_ok = True
-        for pos, rec in enumerate(per_set.remainder):
-            level, layer, items = rec.level, rec.layer, rec.step_items
-            bits = verdicts[level, layer].get(items)
-            if bits is None:
-                bits = check(level, layer, items, rec)
-            if bits < 0:
-                set_ok = False
-                blame(level, layer, items, (index(vectors[0]), 0, pos))
-        totals = [per_set.remainder_bits] * len(vectors)
+        set_bits, set_ok, pos = 0, True, 0
+        for level, sent in per_set.groups:
+            for sub, patterns in sent:
+                if patterns is None:
+                    continue  # coded: read per vector below
+                for items, bits in zip(patterns, lookup(level, sub, patterns)):
+                    if bits < 0:
+                        bits, set_ok = ~bits, False
+                        blame(level, sub.layer, items, (index(vectors[0]), 0, pos))
+                    set_bits += bits
+                    pos += 1
+        totals = [set_bits] * len(vectors)
         flags = [set_ok] * len(vectors)
-        pos = len(per_set.remainder)
         for level, sublayers, columns in plan._step_items(per_set, vectors):
             for sub in sublayers:
-                table = verdicts[level, sub.layer]
                 for items in columns:
-                    try:
-                        bits = list(map(table.__getitem__, items))
-                    except KeyError:
-                        new = [x for x in dict.fromkeys(items) if x not in table]
-                        for x, rec in zip(new, plan._records(level, sub, new)):
-                            check(level, sub.layer, x, rec)
-                        bits = list(map(table.__getitem__, items))
+                    bits = lookup(level, sub, items)
                     if failed and min(bits) < 0:
                         for j, b in enumerate(bits):
                             if b < 0:
@@ -494,9 +518,8 @@ def verify_all_demands(
     # back to product order: each set's results are in its vectors' order
     all_bits = list(map(next, map(totals_of.__getitem__, masks)))
     ok_flags = list(map(next, map(flags_of.__getitem__, masks)))
-    for idx in range(0, len(all_demands), max(1, len(all_demands) // _FULL_DECODE_SAMPLES)):
+    for idx, failures in decoded.items():
         d = all_demands[idx]
-        failures = decode_failures(caches, plan.deliver(d), d, plan.store)
         entries += [((idx, 2, 0), f"demand {d}: {line}") for line in failures]
         ok_flags[idx] = ok_flags[idx] and not failures
     for rec_key, errs in failed.items():

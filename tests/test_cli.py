@@ -513,6 +513,23 @@ def test_no_files_or_no_users_exit_2(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rates", "--n", "2", "--k", "1200", "--m", "1", "--level-sizes", "4,2"),
+        ("optimize", "--n", "2", "--k", "1200", "--m", "1", "--level-sizes", "4,2"),
+        ("sweep", "--n", "2", "--k", "1200", "--level-sizes", "4,2"),
+    ],
+    ids=["rates", "optimize", "sweep"],
+)
+def test_users_past_the_float_range_exit_2_naming_k(capsys, argv):
+    """At K = 1200 cacc's step counts, about C(K, K/2), no longer fit in a
+    float: the formula commands exit 2 with one line naming --k."""
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --k 1200 ") and err.count("\n") == 1, err
+
+
 def test_missing_subcommand_is_parser_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -474,7 +474,7 @@ def test_uncached_level_prefers_plain_subfiles_over_steps(monkeypatch):
     carried-over subfiles (4 subfile-lengths for a 3-subfile pool), so the
     plain path wins and ships each demanded subfile once.  Delivery picks
     the path by payload count, so it builds only the steps it sends."""
-    built = []  # every record the plan's step memo receives
+    built = []  # every record `_xor_step` builds
 
     def recording_xor_step(*args):
         rec = real_xor_step(*args)
@@ -649,15 +649,15 @@ def test_plan_reproduces_fresh_transcripts_for_every_scheme(scheme, library):
 
 def test_plan_builds_each_demand_set_once():
     """Demand vectors with the same set of demanded files share that set's
-    finished remainder section: (1, 2, 2) and (2, 1, 1) get the very same
-    record objects.  The plan keeps one entry per distinct demand set."""
+    remainder section: (1, 2, 2) and (2, 1, 1) get equal records.  The plan
+    keeps one entry per distinct demand set."""
     config = single_level_config(3, 3, 2, units=2, capacity=1.0)
     store = ContentStore.generate(config, seed=6)
     plan = DeliveryPlan(config, CacheAllocation((0.0, 0.0, 0.0)), store)
     first, second = plan.deliver((1, 2, 2)), plan.deliver((2, 1, 1))
     assert first.step_counts == second.step_counts == ()  # remainder steps only
     assert len(first.sections) == 3
-    assert all(a is b for a, b in zip(first.sections, second.sections))
+    assert first.sections == second.sections
     assert len(plan._choices) == 1
     seen = {frozenset((1, 2))}
     for d in itertools.product(range(1, 4), repeat=3):

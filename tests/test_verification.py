@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -179,8 +180,8 @@ def test_report_ok_tracks_violations():
 
 
 def test_sweep_rates_match_fresh_deliveries():
-    """The sweep memoizes sections across demand vectors; spot-check that the
-    memoized rates equal independent single-shot runs."""
+    """The sweep takes each record's bits once for every demand vector that
+    sends it; spot-check that its rates equal independent single-shot runs."""
     config = single_level_config(3, 3, 2, units=2)
     alloc = CacheAllocation.from_replication((0, 1, 0), 3)
     store = ContentStore.generate(config, seed=7)
@@ -405,8 +406,8 @@ def test_fault_first_emitted_mid_sweep_flags_exactly_its_holders(monkeypatch):
 
 def test_remainder_only_sets_share_one_result_and_one_verdict(monkeypatch):
     """cauc sends remainder steps only, so every demand set has one shared
-    result: vectors of one set get the very same sections, and `deliver`
-    gives each transcript its own per-level dict.  With only subfile {1}'s
+    result: vectors of one set get equal sections, and `deliver` gives each
+    transcript its own per-level dict.  With only subfile {1}'s
     records corrupted, the sweep reports that record once, and exactly the
     vectors whose set sends {1}, those demanding file 1, are not ok, also
     when a set's verdict is reused."""
@@ -415,13 +416,15 @@ def test_remainder_only_sets_share_one_result_and_one_verdict(monkeypatch):
     plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=0), scheme="cauc")
     first, second = plan.deliver((1, 2, 2)), plan.deliver((2, 1, 1))
     assert first.step_counts == second.step_counts == ()
-    assert first.sections is second.sections
+    assert first.sections == second.sections
     assert first.per_level_bits == second.per_level_bits
     assert first.per_level_bits is not second.per_level_bits
+    by_set = {}
     for d in itertools.product(range(1, 4), repeat=3):
-        per_set, coded, bits = plan._send(d)
-        assert coded == () and per_set.remainder is plan.deliver(d).sections
-        assert bits == sum(r.bits for r in per_set.remainder)
+        transcript = plan.deliver(d)
+        assert plan._set_send(d).coded == ()
+        assert transcript.sections == by_set.setdefault(frozenset(d), transcript.sections)
+        assert transcript.total_bits == sum(r.bits for r in transcript.sections)
 
     def corrupt(rec):
         if rec.step_items != (0b001,) * 3:
@@ -570,12 +573,12 @@ def test_payload_wider_than_its_part_is_a_fault():
 
 def _reference_sweep(config, alloc, scheme, seed=0):
     """`verify_all_demands` as a plain loop over the demand vectors in
-    product order: each vector's sections from the plan's per-vector
-    delivery step (the set's remainder records, then its coded records),
-    each one checked by `_check_step` and each failing record reported once,
-    at the first vector that sends it; the vector's bits from
-    `plan.deliver`; the limit; the sampled end-to-end decodes; the
-    converse.  Returns (measured rates, decode flags, violations)."""
+    product order: each vector's sections from `plan.deliver`, the set's
+    remainder records first and then its coded records, each one checked
+    by `_check_step` and each failing record reported once, at the first
+    vector that sends it; the vector's bits from `plan.deliver`; the limit;
+    the sampled end-to-end decodes; the converse.  Returns (measured rates,
+    decode flags, violations)."""
     plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed), scheme=scheme)
     caches = plan.place()
     limit = _limit_bits(plan)
@@ -585,9 +588,14 @@ def _reference_sweep(config, alloc, scheme, seed=0):
     rates, flags, violations, reported, worst, layer_parts = [], [], [], set(), 0, {}
     for idx, d in enumerate(demands):
         transcript = plan.deliver(d)
-        per_set, coded, _ = plan._send(d)
-        sections = list(per_set.remainder) + list(coded)
-        assert sorted(map(id, sections)) == sorted(map(id, transcript.sections))
+        remainder = {
+            (level, sub.layer)
+            for level, sent in plan._set_send(d).groups
+            for sub, patterns in sent
+            if patterns is not None
+        }
+        # stable: remainder records, then coded, each in transcript order
+        sections = sorted(transcript.sections, key=lambda r: (r.level, r.layer) not in remainder)
         ok = True
         for rec in sections:
             errs = _check_step(rec, caches, plan.store, layer_parts)
@@ -703,6 +711,22 @@ def test_sweep_of_a_plan_that_delivers_nothing_builds_no_step(monkeypatch):
     assert decoded == [(1, 1), (2, 1), (3, 1)]
 
 
+def test_sweep_keeps_no_record_past_its_check():
+    """The sweep drops each record once it is checked.  cicc at N = K = 5,
+    m = 2 over 50,400-bit files sends one coded step per vector and never
+    the same one twice: 3,125 records whose payloads alone take 21.6 MiB.
+    The sweep's traced peak stays under 8 MiB."""
+    config = LibraryConfig(5, 5, 2.0, (50400, 0, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        report = verify_all_demands(config, None, scheme="cicc", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # the lane pass against the reference step check
 
@@ -751,7 +775,7 @@ def test_lane_views_need_every_cache_exact():
     plan = DeliveryPlan(config, alloc, store)
     caches = plan.place()
     [(_, items, sublayers)] = plan._levels
-    [(layer, psize, _, _)] = sublayers  # the share-3 slice below it is not delivered
+    [(layer, psize, _)] = sublayers  # the share-3 slice below it is not delivered
     assert layer.t == 2 and layer.offset > 0
     clean = _LaneViews(layer, psize, caches, plan.store)
     assert all(clean[x] is not None for x in items)
