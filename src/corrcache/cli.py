@@ -121,8 +121,11 @@ def _config_and_alloc(args) -> tuple[LibraryConfig, CacheAllocation]:
     capacity is set to exactly fit the chosen allocation.  The shares stay
     nominal here: the delivery plan realizes them in whole bits, rounding
     each cached slice down (cauc: its prefix), and refuses a placement over
-    the budget.
+    the budget.  cicc places every file at K*M/N, so with --m its --t
+    would change nothing and is refused.
     """
+    if args.scheme == "cicc" and args.m is not None:
+        _refuse(args, ("--t",), "not used by --scheme cicc with --m")
     sizes = _sizes_from_args(args)
     if args.t is not None:
         counts = _pad(_floats(args.t), args.n, "--t")
@@ -260,7 +263,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """The flags pick the axis.  --m fixes the capacity and sweeps the ratio
-    of --sweep-level (level 1 takes the complement) over --grid in [0, 1];
+    of --sweep-level, in [2, N] (level 1 takes the complement), over --grid
+    in [0, 1];
     --ratios or --level-sizes fix the library and sweep the capacity over
     --grid in files, by default N*i/10 for i = 0..10.  Either way the rates
     are formulas on exact sizes, with no divisibility rounding."""
@@ -275,8 +279,8 @@ def _cmd_sweep(args) -> int:
         file_bits = _or(args.file_bits, _FILE_BITS)
         if file_bits <= 0:
             raise ValueError("file_bits must be positive")
-        if not 1 <= level <= n:
-            raise ValueError("sweep_level out of range")
+        if not 2 <= level <= n:
+            raise ValueError(f"--sweep-level must lie in [2, {n}], got {level}")
 
         def config_at(x):
             if not 0 <= x <= 1:
@@ -366,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.add_argument("--sweep-level", type=int, default=None,
-                   help="ratio sweep: level whose ratio runs the grid, complement "
-                        "on level 1 (default 2)")
+                   help="ratio sweep: level in [2, N] whose ratio runs the grid, "
+                        "complement on level 1 (default 2)")
     p.add_argument("--grid", default=None,
                    help="comma list of grid points: ratios (default 0,0.1,...,1) "
                         "with --m, else capacities in files (default N*i/10)")

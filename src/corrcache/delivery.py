@@ -72,16 +72,17 @@ payloads that XOR to it.
 
 Decoding is one part-indexed kernel (`_decode_parts`): it runs the user's
 program from the table, and raises on a payload wider than its part.
-`decode` calls it, and so does the verifier's reference step check; the
-verifier's fast path checks a record for all users at once: every member
-of V decodes from the one equation payload V = XOR of the members' parts
-labeled V minus themselves, so with exact caches one check per lane V
-stands for all its members, and all lanes are checked together with
-lane-packed big-int XORs (see verification.py).  Neither reads the
-encoder's getters or part lists.  The table and family memos are both
-bounded.  The kernel reads cached parts through a per-item part table:
-`decode` fills it lazily from the cache, in place; the reference check
-splits each item once per sweep.  `decode` returns the joined file;
+`_decoded_slice` runs it on one record for one user, as `decode` and the
+verifier's reference step check both do; the verifier's fast path checks
+a record for all users at once: every member of V decodes from the one
+equation payload V = XOR of the members' parts labeled V minus
+themselves, so with exact caches one check per lane V stands for all its
+members, and all lanes are checked together with lane-packed big-int
+XORs (see verification.py).  Neither reads the encoder's getters or part
+lists.  The table and family memos are both bounded.  The kernel reads
+cached parts through a per-item part table, filled lazily from the
+cache, in place: one per decode, one per user and record in the
+reference check.  `decode` returns the joined file;
 `_decoded_items`, which it wraps, gives the per-subfile result that the
 verifier's end-to-end check compares with the store.
 
@@ -913,14 +914,36 @@ class _CachedParts(dict):
         return part
 
 
+def _decoded_slice(user: int, rec: StepRecord, cache: UserCache, read: dict):
+    """The parts of its step item that `user` decodes from `rec` alone, at
+    their item positions, as (mask, bits): one decode-kernel run, reading
+    the cache through `read`, the caller's `_CachedParts` per (item, layer
+    offset), filled in place."""
+    off, psize = rec.layer.offset, rec.part_size
+    class_parts = []
+    for x in rec.classes:
+        parts = read.get((x, off))
+        if parts is None:
+            parts = read[x, off] = _CachedParts(
+                cache.known_masks.get(x, 0), cache.known_bits.get(x, 0), off, psize
+            )
+        class_parts.append(parts)
+    pmask = (1 << psize) - 1
+    mask = bits = 0
+    for i, y in _decode_parts(user, rec, [class_parts[c] for c in rec.pattern]):
+        mask |= pmask << (i * psize)
+        bits |= y << (i * psize)
+    return mask << off, bits << off
+
+
 def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands):
     """user's demanded file as decoded from its cache and the transcript, one
     (item, size, bits) per subfile in file layout order (`decode` joins
     them; the verifier compares each with the store).
 
-    Runs the decode kernel on every section whose step item for this user
-    is a subfile of its file in the transcript's library, reading the cache
-    in place.
+    ORs in the decoded slice of every section whose step item for this
+    user is a subfile of its file in the transcript's library, reading the
+    cache in place.
     """
     config = transcript.config
     demands = as_demands(demands, config)
@@ -929,30 +952,12 @@ def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands)
     got_masks = {item: masks.get(item, 0) for item, _ in layout}
     got_bits = {item: bits.get(item, 0) for item, _ in layout}
     read = {}  # (item, layer offset) -> that item's parts read so far
-    spans = {}  # (share, part size) -> the parts this user decodes, as a mask
     for rec in transcript.sections:
         item = rec.step_items[user - 1]
-        if item not in got_masks:
-            continue
-        off, psize = rec.layer.offset, rec.part_size
-        class_parts = []
-        for x in rec.classes:
-            parts = read.get((x, off))
-            if parts is None:
-                parts = read[x, off] = _CachedParts(
-                    masks.get(x, 0), bits.get(x, 0), off, psize
-                )
-            class_parts.append(parts)
-        decoded = _decode_parts(user, rec, [class_parts[c] for c in rec.pattern])
-        got = 0
-        for i, y in decoded:
-            got |= y << (i * psize)
-        span = spans.get((rec.layer.t, psize))
-        if span is None:
-            pmask = (1 << psize) - 1
-            span = spans[rec.layer.t, psize] = sum(pmask << (i * psize) for i, _ in decoded)
-        got_masks[item] |= span << off
-        got_bits[item] |= got << off
+        if item in got_masks:
+            mask, got = _decoded_slice(user, rec, cache, read)
+            got_masks[item] |= mask
+            got_bits[item] |= got
 
     for item, size in layout:
         seg = (1 << size) - 1

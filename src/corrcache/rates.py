@@ -32,8 +32,8 @@ a capacity sweep computes every capacity-independent quantity once:
   sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
   = sum_j F_j (binom(N, j) - binom(N-e, j)),
   so it costs O(N) per cut size instead of a double sum; the per-cut-size
-  table (p, b, total / F) is memoized on (N, K, sizes, F), and each call
-  only maximizes over p at its capacity;
+  table (p, b, exposed bits) is memoized on (N, K, sizes), and each call
+  only divides by F and maximizes over p at its capacity;
 * the uncoded allocation takes every level's tail from one suffix pass.
 """
 
@@ -171,6 +171,25 @@ def _m(n_files: int, n_users: int, level: int, size, file_size, t) -> float:
     return needed * (size - t * size / n_users) / file_size
 
 
+@functools.lru_cache(maxsize=1024)
+def _worst_payloads(scheme: str, n_files: int, n_users: int, level: int) -> tuple[int, ...]:
+    """Per share t in [0, K], the most payloads per part that one share-t
+    sublayer of a level-l subfile group sends, under the step-cost rule
+    (Yu, Maddah-Ali and Avestimehr, arXiv:1609.07817, Thm. 1): for cacc the
+    lesser of alpha's numerator and the floor, one remainder step of
+    C(K-1, t) payloads per needed subfile; for cauc the floor; for cicc,
+    whose group is level 0, the one coded step over min(N, K) distinct
+    files.  The cacc count times F_l / (F C(K, t)) is the level's point
+    min(alpha, m), as C(K-1, t) / C(K, t) = (K - t) / K."""
+    n, k = n_files, n_users
+    if scheme == "cicc":
+        return tuple(step_payloads(k, t, min(n, k)) for t in range(k + 1))
+    counts = [_needed_subfile_count(n, k, level) * comb0(k - 1, t) for t in range(k + 1)]
+    if scheme == "cacc":
+        counts = map(min, _alpha_numerators(n, k, level), counts)
+    return tuple(counts)
+
+
 def _point(n_files: int, n_users: int, level: int, size, file_size, t: int) -> float:
     """Level l's coded rate at integer share t: min(alpha, m)."""
     terms = (n_files, n_users, level, size, file_size)
@@ -190,16 +209,17 @@ def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
     """Every level's envelope vertices, every envelope segment in the
     allocator's order and cicc's envelope vertices, in integers only.
 
-    Level l's point at share t is (F_l / F) u_t, with u_t the lesser of
-    alpha's numerator over C(K, t) and needed (K - t) / K.  Scaled by
-    D = lcm C(K, t), which K divides, U_t = D u_t is an integer, and the
-    hull of the points (t, U_t) is exact.  Raising level l's share along a
-    segment (t0, t1) drops the rate by K (U_t0 - U_t1) / (D F C(N, l)
-    (t1 - t0)) per cached bit; K, D and F are common to every level, so the
-    segments sort by (U_t0 - U_t1) / (C(N, l) (t1 - t0)), compared as
-    integers over the lcm of those denominators.  Steepest first; ties go to
-    the lower level, then the lower t0.  Segments that drop nothing are
-    left out.  cicc's point at t, step_payloads(K, t, min(N, K)) / C(K, t),
+    Level l's point at share t is (F_l / F) u_t, with u_t cacc's worst-case
+    payload count (`_worst_payloads`) over C(K, t): the lesser of alpha's
+    numerator over C(K, t) and needed (K - t) / K.  Scaled by D = lcm
+    C(K, t), U_t = D u_t is an integer, and the hull of the points (t, U_t)
+    is exact.  Raising level l's share along a segment (t0, t1) drops the
+    rate by K (U_t0 - U_t1) / (D F C(N, l) (t1 - t0)) per cached bit; K, D
+    and F are common to every level, so the segments sort by
+    (U_t0 - U_t1) / (C(N, l) (t1 - t0)), compared as integers over the lcm
+    of those denominators.  Steepest first; ties go to the lower level,
+    then the lower t0.  Segments that drop nothing are left out.  cicc's
+    point at t, its count step_payloads(K, t, min(N, K)) over C(K, t),
     scales by D to an integer the same way.
     """
     n, k = n_files, n_users
@@ -207,10 +227,9 @@ def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
     vertices = []
     segments = []  # (drop, denominator, level, t0, t1)
     for level in range(1, n + 1):
-        remainder = _needed_subfile_count(n, k, level) * (scale // k)
         units = [
-            min(num * (scale // comb0(k, t)), remainder * (k - t))
-            for t, num in enumerate(_alpha_numerators(n, k, level))
+            count * (scale // comb0(k, t))
+            for t, count in enumerate(_worst_payloads("cacc", n, k, level))
         ]
         hull = _lower_convex_hull(enumerate(units))
         vertices.append(tuple(t for t, _ in hull))
@@ -222,9 +241,9 @@ def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
         )
     common = math.lcm(*(den for _, den, *_ in segments))
     segments.sort(key=lambda s: (-s[0] * (common // s[1]), s[2], s[3]))
-    w = min(n, k)
     cicc = _lower_convex_hull(
-        (t, step_payloads(k, t, w) * (scale // comb0(k, t))) for t in range(k + 1)
+        (t, count * (scale // comb0(k, t)))
+        for t, count in enumerate(_worst_payloads("cicc", n, k, 0))
     )
     return _SlopeTable(
         tuple(vertices), tuple(s[2:] for s in segments), tuple(t for t, _ in cicc)
@@ -301,15 +320,14 @@ def cicc_rate(config: LibraryConfig) -> float:
 
     Classic shared-cache tradeoff over N independent files of size F at
     share t = K * M / N (`_cicc_share`): the raw point
-    step_payloads(K, t, min(N, K)) / C(K, t) at integer t, the slope
-    table's exact envelope of those points at fractional t.
+    step_payloads(K, t, min(N, K)) / C(K, t) (`_worst_payloads`) at
+    integer t, the slope table's exact envelope of those points at
+    fractional t.
     """
     n, k = config.n_files, config.n_users
-    w = min(n, k)
+    counts = _worst_payloads("cicc", n, k, 0)
     return _envelope_rate(
-        _slope_table(n, k).cicc,
-        lambda t: step_payloads(k, t, w) / comb0(k, t),
-        _cicc_share(config),
+        _slope_table(n, k).cicc, lambda t: counts[t] / comb0(k, t), _cicc_share(config)
     )
 
 
@@ -323,14 +341,16 @@ def _exposed_counts(n_files: int, hidden: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _cut_totals(n_files: int, n_users: int, sizes: tuple, file_size) -> tuple:
-    """(p, b, exposed bits / F) per cut size p = 1..min(N, K), with
-    b = floor(N/p): everything of the cut-set bound but the capacity."""
+def _cut_totals(n_files: int, n_users: int, sizes: tuple) -> tuple:
+    """(p, b, exposed bits) per cut size p = 1..min(N, K), with
+    b = floor(N/p): everything of the cut-set bound but the file size and
+    the capacity.  The exposed bits are the subfile sizes' own type; the
+    verifier's converse reads them at int sizes."""
     rows = []
     for p in range(1, min(n_files, n_users) + 1):
         b = n_files // p
-        total = sum(map(operator.mul, sizes, _exposed_counts(n_files, n_files - p * b)))
-        rows.append((p, b, total / file_size))
+        exposed = sum(map(operator.mul, sizes, _exposed_counts(n_files, n_files - p * b)))
+        rows.append((p, b, exposed))
     return tuple(rows)
 
 
@@ -347,10 +367,8 @@ def cutset_bound(config: LibraryConfig) -> float:
     (see _cut_totals).  Clamped at 0.  Evaluated at the config's capacity,
     which LibraryConfig keeps within [0, N].
     """
-    m_files = config.cache_capacity
+    m_files, file_size = config.cache_capacity, config.file_size
     best = 0.0
-    for p, b, exposed in _cut_totals(
-        config.n_files, config.n_users, config.subfile_sizes, config.file_size
-    ):
-        best = max(best, (exposed - p * m_files) / b)
+    for p, b, exposed in _cut_totals(config.n_files, config.n_users, config.subfile_sizes):
+        best = max(best, (exposed / file_size - p * m_files) / b)
     return best

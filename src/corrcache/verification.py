@@ -5,10 +5,11 @@ config and checks two things everywhere: decodability (every user can
 rebuild its file from cache + transcript) and rate soundness (measured bits
 never exceed the scheme's formula at the placed layers, an int with no
 slack: per delivered sublayer, its part size times the worst-case payload
-count at its share, `_limit_bits`).  After the sweep, the worst measured
-bits must also respect the cut-set converse at the bits the caches
-actually hold (`_converse_misses`): a delivery that beats it reads
-something it should not.  All three schemes run through the
+count at its share, `_limit_bits`, read from `rates._worst_payloads`).
+After the sweep, the worst measured bits must also respect the cut-set
+converse at the bits the caches actually hold (`_converse_misses`, over
+the cut-set bound's own rows, `rates._cut_totals`): a delivery that beats
+it reads something it should not.  All three schemes run through the
 same `DeliveryPlan` with a `scheme` argument, which places the caches too
 (`plan.place()`); the scheme only picks the worst-case counts.  The
 report's `formula_rate` stays the nominal formula, which the worst
@@ -39,14 +40,13 @@ moved to the lanes holding it) into the packed payloads must leave 0.
 The lifts are built once per sweep per (layer, item), from the store and
 the step table's rows, and only for an item whose parts every cache
 holds exactly; otherwise the lane pass cannot tell.  A record the
-lane pass does not clear goes to `_check_step`, the reference: it runs
-delivery's decode kernel (`_decode_parts`) once per user, reading the
-caches without copying them, and words every violation.  Per sweep it
-memoizes, per (user, layer), the user's cached parts of each item and,
-per (item, layer), the true parts, both listed from delivery's part table
-(`_CachedParts`, None where a part is not fully cached); a user passes
-when its decoded part list equals the true one.  The lane pass clears a
-record only if `_check_step` passes it, so the verdicts are the
+lane pass does not clear goes to `_check_step`, the reference: per user,
+it decodes the record through delivery's own per-record decode
+(`_decoded_slice`, which `decode` runs too), reading the cache without
+copying it, and words every violation; it keeps no memo.  A user passes
+when its cached bits of its step item, with the decoded parts in place,
+cover the layer's bit range and equal the store's there.  The lane pass
+clears a record only if `_check_step` passes it, so the verdicts are the
 reference's.
 
 The sweep works per demand set.  A vector's sections depend on it only
@@ -77,28 +77,20 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .combinat import comb0, step_payloads
+from .combinat import comb0
 from .delivery import (
     DeliveryPlan,
     LayerSpec,
     StepRecord,
-    _CachedParts,
-    _decode_parts,
     _decoded_items,
+    _decoded_slice,
     _family,
     _item_name,
     _part_templates,
     _step_table,
 )
 from .model import ContentStore, LibraryConfig
-from .rates import (
-    _alpha_numerators,
-    _exposed_counts,
-    _needed_subfile_count,
-    cacc_rate,
-    cauc_rate,
-    cicc_rate,
-)
+from .rates import _cut_totals, _worst_payloads, cacc_rate, cauc_rate, cicc_rate
 
 __all__ = [
     "GridReport",
@@ -182,55 +174,32 @@ def decode_failures(caches, transcript, demands, store) -> list[str]:
     return failures
 
 
-def _check_step(rec: StepRecord, caches, store, layer_parts: dict) -> list[str]:
+def _check_step(rec: StepRecord, caches, store) -> list[str]:
     """Every user must rebuild its step item's layer slice exactly, from the
     transcript record and its own cache alone: the reference check, one
-    decode-kernel run per user, which words every violation.
+    `_decoded_slice` per user, which words every violation.
 
-    store holds the truth of the items the records name: the plan's store,
-    the library the scheme works on (for cicc, the N unrelated files).
-    layer_parts is the sweep's memo, per layer: the true parts of each item
-    and, per user, the cached parts of each item, each listed once per
-    sweep from delivery's part table (a part is None when the mask does not
-    cover it).
+    A user's slice is its cached bits of its step item with the decoded
+    parts in their place, over the layer's C(K, t) parts: "missing bits"
+    when it does not cover them, "wrong bits" when it differs there from
+    store, the library the scheme works on (the plan's store; for cicc,
+    the N unrelated files).  Nothing is memoized.
     """
     out = []
-    layer, psize = rec.layer, rec.part_size
-    nparts = len(_step_table(len(caches), layer.t).labels)
-    memo = layer_parts.get(layer)
-    if memo is None:
-        memo = layer_parts[layer] = ({}, [{} for _ in caches])
-    truth, cached = memo
-    pattern, classes = rec.pattern, rec.classes
+    layer = rec.layer
+    span = ((1 << comb0(len(caches), layer.t) * rec.part_size) - 1) << layer.offset
     for k, cache in enumerate(caches, start=1):
-        held = cached[k - 1]
-        parts = []
-        for item in classes:
-            p = held.get(item)
-            if p is None:
-                table = _CachedParts(
-                    cache.known_masks.get(item, 0), cache.known_bits.get(item, 0),
-                    layer.offset, psize,
-                )
-                p = held[item] = [table[j] for j in range(nparts)]
-            parts.append(p)
         try:
-            decoded = _decode_parts(k, rec, [parts[c] for c in pattern])
+            mask, bits = _decoded_slice(k, rec, cache, {})
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
             out.append(f"user {k} raised {exc!r}")
             continue
-        own = list(parts[pattern[k - 1]])
-        for i, y in decoded:
-            own[i] = y
-        if None in own:
+        item = rec.step_items[k - 1]
+        held = cache.known_masks.get(item, 0) & ~mask
+        got = (cache.known_bits.get(item, 0) & held) | bits
+        if (held | mask) & span != span:
             out.append(f"user {k} missing bits")
-            continue
-        item = classes[pattern[k - 1]]
-        want = truth.get(item)
-        if want is None:
-            table = _CachedParts(-1, store.item_bits(item), layer.offset, psize)
-            want = truth[item] = [table[j] for j in range(nparts)]
-        if own != want:
+        elif (got ^ store.item_bits(item)) & span:
             out.append(f"user {k} wrong bits")
     if not out:
         return out
@@ -327,25 +296,15 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
 
 def _limit_bits(plan: DeliveryPlan) -> int:
     """The scheme's formula at the placed layers, in whole bits: per
-    delivered sublayer, its part size times the worst-case payload count at
-    its share t under the step-cost rule (Yu, Maddah-Ali and Avestimehr,
-    arXiv:1609.07817, Thm. 1).  For cacc that count is the lesser of
-    alpha's numerator and the floor, one remainder step of C(K-1, t)
-    payloads per needed subfile; for cauc it is the floor; for cicc, the
-    one coded step over min(N, K) distinct files."""
-    n, k = plan.config.n_files, plan.config.n_users
-    bits = 0
-    for level, _, sublayers in plan._levels:
-        for sub in sublayers:
-            t = sub.layer.t
-            if plan.scheme == "cicc":
-                count = step_payloads(k, t, min(n, k))
-            else:
-                count = _needed_subfile_count(n, k, level) * comb0(k - 1, t)
-                if plan.scheme == "cacc":
-                    count = min(_alpha_numerators(n, k, level)[t], count)
-            bits += sub.psize * count
-    return bits
+    delivered sublayer, its part size times the scheme's worst-case payload
+    count at its share t, `rates._worst_payloads`, the table the scheme's
+    rate envelope is built from."""
+    n, k, scheme = plan.config.n_files, plan.config.n_users, plan.scheme
+    return sum(
+        sub.psize * _worst_payloads(scheme, n, k, level)[sub.layer.t]
+        for level, _, sublayers in plan._levels
+        for sub in sublayers
+    )
 
 
 def _converse_misses(config: LibraryConfig, worst_bits: int, cached_bits: int) -> list[str]:
@@ -354,18 +313,18 @@ def _converse_misses(config: LibraryConfig, worst_bits: int, cached_bits: int) -
     A cut of p caches over b = floor(N/p) demand rounds exposes p*b files:
     the p caches and b deliveries, each at most the worst measured one,
     must carry every bit of every subfile touching an exposed file, so
-    b * worst_bits >= exposed_bits(p) - p * cached_bits.  cached_bits is
-    what placement put in one cache, which the plan keeps within the
-    budget, so this is at least as strict as the bound at the budget.  The
-    library is the caller's, with its shared
+    b * worst_bits >= exposed_bits(p) - p * cached_bits, over the rows
+    (p, b, exposed bits) that `cutset_bound` reads (`rates._cut_totals`),
+    at int sizes.  cached_bits is what placement put in one cache, which
+    the plan keeps within the budget, so this is at least as strict as the
+    bound at the budget.  The library is the caller's, with its shared
     subfiles, for every scheme.
     """
-    n = config.n_files
-    sizes = [int(s) for s in config.subfile_sizes]
+    sizes = tuple(map(int, config.subfile_sizes))
     out = []
-    for p in range(1, min(n, config.n_users) + 1):
-        b = n // p
-        exposed = sum(map(operator.mul, sizes, _exposed_counts(n, n - p * b)))
+    for p, b, exposed in _cut_totals(config.n_files, config.n_users, sizes):
+        # the row memo does not tell 2 from 2.0 in a key: keep the count an int
+        exposed = int(exposed)
         if b * worst_bits < exposed - p * cached_bits:
             out.append(
                 f"converse at p={p}, b={b}: {b} x {worst_bits} worst-case bits < "
@@ -425,7 +384,6 @@ def verify_all_demands(
     # coded records, 1 the limit and 2 the sampled decode, the order in
     # which a per-vector loop would meet them.
     first_sent: dict = {}
-    layer_parts: dict = {}
     lane_views: dict = {}
 
     def check(level, layer, items, rec) -> None:
@@ -434,7 +392,7 @@ def verify_all_demands(
         errs = (
             []
             if _lanes_clear(rec, lane_views, caches, plan.store)
-            else _check_step(rec, caches, plan.store, layer_parts)
+            else _check_step(rec, caches, plan.store)
         )
         bits = rec.bits
         if errs:

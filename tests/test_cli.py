@@ -236,6 +236,10 @@ def test_sweep_capacity_axis(capsys):
         ("optimize", "--m", "1", "--level-sizes", "6,6", "--file-bits", "5"),
         ("verify", "--level-sizes", "6,6", "--ratios", "0.5,0.5", "--t", "1,1"),
         ("sweep", "--level-sizes", "6,6", "--file-bits", "5"),
+        ("simulate", "--m", "1", "--level-sizes", "6,6", "--t", "1,1", "--scheme", "cicc",
+         "--demands", "1,2"),
+        ("verify", "--m", "1", "--level-sizes", "6,6", "--t", "1,1", "--scheme", "cicc"),
+        ("sweep", "--m", "1", "--sweep-level", "1"),
     ],
 )
 def test_flags_that_would_be_ignored_exit_2(capsys, argv):

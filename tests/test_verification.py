@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from conftest import single_level_config
+from test_acceptance import _grid_configs, _level_alloc
 from test_delivery import _equality_patterns
 from corrcache import (
     CacheAllocation,
@@ -16,6 +17,7 @@ from corrcache import (
     GridReport,
     LibraryConfig,
     cauc_rate,
+    cutset_bound,
     deliver,
     optimize_allocation,
     verify_all_demands,
@@ -23,6 +25,7 @@ from corrcache import (
 )
 from corrcache import delivery, verification
 from corrcache.combinat import comb0, divisibility_unit, part_labels
+from corrcache.rates import _cut_totals, reads_point
 from corrcache.delivery import (
     LayerSpec, StepRecord, UserCache, _family, _LayerParts, _pattern, _step_table, _xor_step,
     cacc_layers, decode,
@@ -504,9 +507,13 @@ def test_delivery_that_beats_the_converse_is_reported(monkeypatch):
     The sweep reads every vector's bits from its records' `bits`.  The
     converse catches it: one cache holds 6 of the 12 bits that file 1 or
     file 2 touch, and no delivery of 0 bits over 2 demand rounds (user 1
-    asks for file 1, then file 2) makes up the rest."""
+    asks for file 1, then file 2) makes up the rest.  The converse reads
+    the cut-set bound's rows, whose memo holds the rows of the same sizes
+    as floats first, since its key does not tell 4 from 4.0."""
     config = LibraryConfig(2, 2, 0.75, (4, 4))
     alloc = CacheAllocation.from_replication((1, 1), 2)
+    _cut_totals.cache_clear()
+    cutset_bound(LibraryConfig(2, 2, 0.75, (4.0, 4.0)))
     monkeypatch.setattr(StepRecord, "bits", property(lambda rec: 0))
     report = verify_all_demands(config, alloc, seed=3)
     assert report.max_rate == 0 and report.cached_bits == 6
@@ -542,6 +549,31 @@ def test_worst_delivery_meets_the_placed_bound_exactly():
     assert report.max_rate * config.file_size == 14
 
 
+def test_limit_is_the_formula_on_whole_parts():
+    """`_limit_bits` counts payloads in integers, the rate formulas in
+    floats: on criterion 3's single-level shapes at 6,000-bit files, where
+    every part is whole, the limit is the formula times F to 1e-6, for cacc
+    at every integer share, cauc at shares 0 and K, and cicc at every
+    M = t N / K whose share K M / N is an integer once M is clamped to the
+    library: 666 cases."""
+    cases = 0
+    for n, k, level, config in _grid_configs():
+        for t in range(k + 1):
+            alloc = _level_alloc(n, k, level, t)
+            runs = [("cacc", config)] + [("cauc", config)] * (t in (0, k))
+            opaque = LibraryConfig(n, k, t * n / k, config.subfile_sizes)
+            if reads_point(k * opaque.cache_capacity / n):
+                runs.append(("cicc", opaque))
+            for scheme, c in runs:
+                plan = DeliveryPlan(c, alloc, ContentStore.generate(c, 0), scheme=scheme)
+                want = verification._FORMULAS[scheme](c, alloc) * c.file_size
+                assert _limit_bits(plan) == pytest.approx(want, rel=1e-6, abs=0), (
+                    scheme, n, k, level, t,
+                )
+                cases += 1
+    assert cases == 666
+
+
 def test_payload_wider_than_its_part_is_a_fault():
     """One payload with a bit above its part size: `decode` raises for a
     member of its user set, the lane pass does not clear the record and the
@@ -564,8 +596,55 @@ def test_payload_wider_than_its_part_is_a_fault():
         decode(user, caches[user - 1], bad, demands)
     assert _lanes_clear(rec, {}, caches, plan.store)
     assert not _lanes_clear(wide, {}, caches, plan.store)
-    errs = _check_step(wide, caches, plan.store, {})
+    errs = _check_step(wide, caches, plan.store)
     assert errs and all("wider than its 4-bit part" in e for e in errs), errs
+
+
+def test_reference_check_words_each_violation(monkeypatch):
+    """`_check_step`'s exact lines on one record: demand (1, 2)'s coded
+    step at (N, K) = (2, 2), level 1 at share 1, two 2-bit parts per item,
+    user 1 holding part 0 of each.  User 1 losing a bit of its own item's
+    part leaves it missing bits; losing one of item {2}'s part, which its
+    decode reads, makes the decode raise.  A flipped payload bit gives both
+    users wrong bits, and a payload wider than its part makes both decodes
+    raise.  The sweep hands every record the lane pass does not clear to
+    `_check_step`; the test logs its lines per record."""
+    config = LibraryConfig(2, 2, 1.0, (4, 0))
+    alloc = CacheAllocation.from_replication((1, 0), 2)
+    real_check, real_place = verification._check_step, DeliveryPlan.place
+
+    def lines(dropped_item=None, corrupt=None):
+        log = {}
+
+        def logged_check(rec, *args):
+            errs = log[rec.step_items] = real_check(rec, *args)
+            return errs
+
+        with monkeypatch.context() as m:
+            m.setattr(verification, "_check_step", logged_check)
+            if dropped_item:
+                m.setattr(
+                    DeliveryPlan, "place",
+                    lambda plan: _with_cache(real_place(plan), 0, dropped_item, 1),
+                )
+            if corrupt:
+                _flip_payloads(m, corrupt)
+            verify_all_demands(config, alloc)
+        return log.get((0b01, 0b10))
+
+    tag = "level 1 step ({1}, {2}): "
+    assert lines() is None  # the lane pass clears every clean record
+    assert lines(dropped_item=0b01) == [tag + "user 1 missing bits"]
+    assert lines(dropped_item=0b10) == [
+        tag + "user 1 raised RuntimeError('decoder missing bits of subfile {2} at 0')"
+    ]
+    assert lines(corrupt=lambda rec: {v: y ^ 1 for v, y in rec.payloads.items()}) == [
+        tag + "user 1 wrong bits", tag + "user 2 wrong bits"
+    ]
+    wide = "RuntimeError('payload of users {1,2} is wider than its 2-bit part')"
+    assert lines(corrupt=lambda rec: {v: y | 4 for v, y in rec.payloads.items()}) == [
+        tag + f"user 1 raised {wide}", tag + f"user 2 raised {wide}"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +664,7 @@ def _reference_sweep(config, alloc, scheme, seed=0):
     n, k = config.n_files, config.n_users
     demands = list(itertools.product(range(1, n + 1), repeat=k))
     step = max(1, len(demands) // 3)
-    rates, flags, violations, reported, worst, layer_parts = [], [], [], set(), 0, {}
+    rates, flags, violations, reported, worst = [], [], [], set(), 0
     for idx, d in enumerate(demands):
         transcript = plan.deliver(d)
         remainder = {
@@ -598,7 +677,7 @@ def _reference_sweep(config, alloc, scheme, seed=0):
         sections = sorted(transcript.sections, key=lambda r: (r.level, r.layer) not in remainder)
         ok = True
         for rec in sections:
-            errs = _check_step(rec, caches, plan.store, layer_parts)
+            errs = _check_step(rec, caches, plan.store)
             if errs:
                 ok = False
                 key = (rec.level, rec.layer, rec.step_items)
@@ -861,10 +940,12 @@ def _faults(rec, caches, rng):
     part, bit = ((1 << psize) - 1) << pos, 1 << pos + rng.randrange(psize)
     own = rec.step_items[k]
     yield "dropped cached part", rec, _with_cache(caches, k, rng.choice(rec.classes), part)
+    yield "dropped cached bit, own item", rec, _with_cache(caches, k, own, bit)
     yield "wrong cached bit, own item", rec, _with_cache(caches, k, own, bit_fault=bit)
     others = [x for x in rec.classes if x != own]
     if others:
         item = rng.choice(others)
+        yield "dropped cached bit, other item", rec, _with_cache(caches, k, item, bit)
         yield "wrong cached bit, other item", rec, _with_cache(caches, k, item, bit_fault=bit)
 
 
@@ -875,7 +956,8 @@ def test_lane_pass_never_clears_a_failing_record():
     rng = random.Random(18)
     flagged = dict.fromkeys(
         ["flipped payload bit", "oversized payload", "missing payload key",
-         "swapped payloads", "dropped cached part", "wrong cached bit, own item",
+         "swapped payloads", "dropped cached part", "dropped cached bit, own item",
+         "wrong cached bit, own item", "dropped cached bit, other item",
          "wrong cached bit, other item"], 0,
     )
     offsets = set()
@@ -897,9 +979,9 @@ def test_lane_pass_never_clears_a_failing_record():
         for layer, recs in by_layer.items():
             offsets.add((scheme, layer.offset > 0))
             for rec in rng.sample(recs, min(len(recs), 4)):
-                assert _check_step(rec, caches, plan.store, {}) == []
+                assert _check_step(rec, caches, plan.store) == []
                 for kind, bad, bad_caches in _faults(rec, caches, rng):
-                    errs = _check_step(bad, bad_caches, plan.store, {})
+                    errs = _check_step(bad, bad_caches, plan.store)
                     if errs:
                         assert not _lanes_clear(bad, {}, bad_caches, plan.store), (kind, errs)
                         flagged[kind] += 1
