@@ -219,8 +219,12 @@ def _cmd_simulate(args) -> int:
     )
     caches = plan.place()
     transcript = plan.deliver(demands)
+    cached_bits, store = plan.cached_bits(), plan.store
+    # the encoder's part lists go with the plan, before the decode check
+    # splits its own parts from the store
+    del plan
 
-    failures = decode_failures(caches, transcript, demands, plan.store)
+    failures = decode_failures(caches, transcript, demands, store)
     per_level = ";".join(
         f"{l}:{b}" for l, b in sorted(transcript.per_level_bits.items())
     )
@@ -231,7 +235,7 @@ def _cmd_simulate(args) -> int:
         f"rate={transcript.rate:.10g}",
         f"step_counts={','.join(map(str, transcript.step_counts))}",
         f"per_level_bits={per_level}",
-        f"cached_bits={plan.cached_bits()}",
+        f"cached_bits={cached_bits}",
         f"budget_bits={config.cache_capacity * config.file_size:.10g}",
         f"decode={'FAILED' if failures else 'ok'}",
     ]

@@ -80,9 +80,16 @@ themselves, so with exact caches one check per lane V stands for all its
 members, and all lanes are checked together with lane-packed big-int
 XORs (see verification.py).  Neither reads the encoder's getters or part
 lists.  The table and family memos are both bounded.  The kernel reads
-cached parts through a per-item part table, filled lazily from the
-cache, in place: one per decode, one per user and record in the
-reference check.  `decode` returns the joined file;
+parts through the caller's part reader, one `_LayerReader` per layer,
+which gives an item's parts of that layer when first asked for.  A plain
+reader, {}, reads the user's cache alone, each part cut out of it when
+first read (`_CachedParts`): `decode` takes one per call, the reference
+check one per user and record.  The verifier's end-to-end check hands
+each user readers over its tables of the store's parts, for the items
+whose parts every cache holds exactly, and over the cache elsewhere (see
+verification.py).  A reader also holds the mask of the parts its user
+lacks in the layer, the mask of every slice the user decodes there, so a
+slice ORs in its decoded bits only.  `decode` returns the joined file;
 `_decoded_items`, which it wraps, gives the per-subfile result that the
 verifier's end-to-end check compares with the store.
 
@@ -274,15 +281,18 @@ class UserCache:
         return sum(m.bit_count() for m in self.known_masks.values())
 
 
+def _part_mask(n_users: int, t: int, psize: int, user: int) -> int:
+    """OR-mask, at offset 0, of the part segments of a share-t layer that
+    `user` caches: those whose label holds it."""
+    seg = (1 << psize) - 1
+    bit = 1 << (user - 1)
+    return concat_bits((seg if lab & bit else 0, psize) for lab in _step_table(n_users, t).labels)
+
+
 def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
     """Per-user OR-mask of the part segments a user caches (offset 0),
     indexed by user (entry 0 unused)."""
-    seg = (1 << psize) - 1
-    labels = _step_table(n_users, t).labels
-    return (0,) + tuple(
-        concat_bits((seg if lab >> u & 1 else 0, psize) for lab in labels)
-        for u in range(n_users)
-    )
+    return (0,) + tuple(_part_mask(n_users, t, psize, u) for u in range(1, n_users + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -914,36 +924,62 @@ class _CachedParts(dict):
         return part
 
 
+class _LayerReader(dict):
+    """One user's parts of every item in one layer, as the decode kernel
+    reads them, each item's made when first asked for: reader[x] is the
+    part list `exact[x]` where the caller's table `exact` has one (not
+    None), and otherwise x's `_CachedParts` from the user's cache.
+    `mask` covers, at their item positions, the parts the user's program
+    rebuilds, those whose label lacks the user: the mask of every slice
+    the user decodes in this layer."""
+
+    __slots__ = ("masks", "bits", "offset", "psize", "mask", "exact")
+
+    def __init__(self, cache: UserCache, layer: LayerSpec, psize: int, mask: int, exact=None):
+        super().__init__()
+        self.masks, self.bits = cache.known_masks, cache.known_bits
+        self.offset, self.psize, self.mask, self.exact = layer.offset, psize, mask, exact
+
+    def __missing__(self, x):
+        parts = None if self.exact is None else self.exact[x]
+        if parts is None:
+            parts = _CachedParts(
+                self.masks.get(x, 0), self.bits.get(x, 0), self.offset, self.psize
+            )
+        self[x] = parts
+        return parts
+
+
 def _decoded_slice(user: int, rec: StepRecord, cache: UserCache, read: dict):
     """The parts of its step item that `user` decodes from `rec` alone, at
     their item positions, as (mask, bits): one decode-kernel run, reading
-    the cache through `read`, the caller's `_CachedParts` per (item, layer
-    offset), filled in place."""
-    off, psize = rec.layer.offset, rec.part_size
-    class_parts = []
-    for x in rec.classes:
-        parts = read.get((x, off))
-        if parts is None:
-            parts = read[x, off] = _CachedParts(
-                cache.known_masks.get(x, 0), cache.known_bits.get(x, 0), off, psize
-            )
-        class_parts.append(parts)
-    pmask = (1 << psize) - 1
-    mask = bits = 0
+    parts through `read`, the caller's part reader.  read[layer] is the
+    user's `_LayerReader` of the record's layer; one missing there is made
+    from the cache alone and filled in, so a plain {} reads only the cache."""
+    layer = rec.layer
+    try:
+        reader = read[layer]
+    except KeyError:
+        k, psize = len(rec.pattern), rec.part_size
+        span = (1 << comb0(k, layer.t) * psize) - 1
+        lacked = span ^ _part_mask(k, layer.t, psize, user)
+        reader = read[layer] = _LayerReader(cache, layer, psize, lacked << layer.offset)
+    class_parts = list(map(reader.__getitem__, rec.classes))
+    psize = rec.part_size
+    bits = 0
     for i, y in _decode_parts(user, rec, [class_parts[c] for c in rec.pattern]):
-        mask |= pmask << (i * psize)
         bits |= y << (i * psize)
-    return mask << off, bits << off
+    return reader.mask, bits << layer.offset
 
 
-def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands):
+def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands, read: dict):
     """user's demanded file as decoded from its cache and the transcript, one
     (item, size, bits) per subfile in file layout order (`decode` joins
     them; the verifier compares each with the store).
 
     ORs in the decoded slice of every section whose step item for this
-    user is a subfile of its file in the transcript's library, reading the
-    cache in place.
+    user is a subfile of its file in the transcript's library, reading
+    parts through `read`, the caller's part reader (see `_decoded_slice`).
     """
     config = transcript.config
     demands = as_demands(demands, config)
@@ -951,7 +987,6 @@ def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands)
     masks, bits = cache.known_masks, cache.known_bits
     got_masks = {item: masks.get(item, 0) for item, _ in layout}
     got_bits = {item: bits.get(item, 0) for item, _ in layout}
-    read = {}  # (item, layer offset) -> that item's parts read so far
     for rec in transcript.sections:
         item = rec.step_items[user - 1]
         if item in got_masks:
@@ -972,5 +1007,5 @@ def decode(user: int, cache: UserCache, transcript: Transcript, demands) -> int:
     """Reconstruct user's demanded file from its cache and the transcript:
     its subfiles as `_decoded_items` rebuilds them, joined in file order."""
     return concat_bits(
-        (bits, size) for _, size, bits in _decoded_items(user, cache, transcript, demands)
+        (bits, size) for _, size, bits in _decoded_items(user, cache, transcript, demands, {})
     )

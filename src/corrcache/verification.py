@@ -23,6 +23,17 @@ sampled demands additionally run the end-to-end decoder through
 simulate` runs too; it compares every decoded subfile with the store of
 the plan's library and assembles no file.
 
+One table per (layer, part size), `_ExactParts`, owns the predicate
+"every cache holds its parts of item x in this layer exactly as the
+store does": its entry for x is None where some cache differs, and
+otherwise the store's parts of x, split once.  Where the entry is not
+None, the cache parts a decode reads are those very ints, since a user's
+decode reads only parts it holds; so `decode_failures` reads a class
+item's parts from the table there, once for all users, and from the
+user's cache, which words every fault, elsewhere.  A table lives for one
+`decode_failures` call in `simulate` and for one sweep here, where the
+lane pass and the sampled decodes share it; nothing is kept across calls.
+
 The step check has two stages.  The lane pass (`_lanes_clear`) checks a
 record for all K users at once with one identity per lane.  The
 payloads, none wider than the part size, sit side by side in one int,
@@ -37,17 +48,17 @@ Every lane holds a member, and each user decodes exactly the lanes
 holding it, so the per-user checks together are the one identity on
 every lane: XORing each member's lift of its step item (its true parts
 moved to the lanes holding it) into the packed payloads must leave 0.
-The lifts are built once per sweep per (layer, item), from the store and
-the step table's rows, and only for an item whose parts every cache
-holds exactly; otherwise the lane pass cannot tell.  A record the
-lane pass does not clear goes to `_check_step`, the reference: per user,
-it decodes the record through delivery's own per-record decode
-(`_decoded_slice`, which `decode` runs too), reading the cache without
-copying it, and words every violation; it keeps no memo.  A user passes
-when its cached bits of its step item, with the decoded parts in place,
-cover the layer's bit range and equal the store's there.  The lane pass
-clears a record only if `_check_step` passes it, so the verdicts are the
-reference's.
+The lifts are built once per sweep per (layer, item), from the table's
+store parts and the step table's rows, and only for an item whose parts
+every cache holds exactly; otherwise the lane pass cannot tell.  A
+record the lane pass does not clear goes to `_check_step`, the
+reference: per user, it decodes the record through delivery's own
+per-record decode (`_decoded_slice`, which `decode` runs too), reading
+the cache without copying it, and words every violation; it keeps no
+memo.  A user passes when its cached bits of its step item, with the
+decoded parts in place, cover the layer's bit range and equal the
+store's there.  The lane pass clears a record only if `_check_step`
+passes it, so the verdicts are the reference's.
 
 The sweep works per demand set.  A vector's sections depend on it only
 through its set of demanded files and, per coded step, its step items, so
@@ -86,6 +97,7 @@ from .delivery import (
     _decoded_slice,
     _family,
     _item_name,
+    _LayerReader,
     _part_templates,
     _step_table,
 )
@@ -153,19 +165,39 @@ def worst_case_demand(config: LibraryConfig) -> tuple[int, ...]:
     return tuple(i % n + 1 for i in range(k))
 
 
-def decode_failures(caches, transcript, demands, store) -> list[str]:
+def decode_failures(caches, transcript, demands, store, tables=None) -> list[str]:
     """Decode every user's file from its cache and the transcript and check
     it against `store`, the store of the transcript's library (a plan's
     `store`; for cicc, the N-file view): one line per failing user, in user
     order, for a decode that raises or one that returns wrong bits.
 
     Each decoded subfile is compared with the store's item, so neither the
-    decoded nor the true file is ever assembled.
+    decoded nor the true file is ever assembled.  A user reads a class
+    item's parts in a layer from `tables`, the caller's `_ExactParts` per
+    (layer, part size), where that table's entry is not None: the store's
+    parts, split once for all users.  Otherwise it reads them from its own
+    cache (`_CachedParts`), the reference reading, which words every fault.
+    The two give the same ints wherever the table has an entry, since the
+    kernel reads only parts the decoding user holds.  With tables None the
+    call makes its own; the sweep passes the tables its lane pass reads.
     """
+    if tables is None:
+        tables = {}
+    layers = {}  # (layer, part size) -> its exact table, in transcript order
+    for key in dict.fromkeys((rec.layer, rec.part_size) for rec in transcript.sections):
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _ExactParts(*key, caches, store)
+        layers[key] = table
     failures = []
     for user in range(1, len(demands) + 1):
+        cache = caches[user - 1]
+        read = {
+            layer: _LayerReader(cache, layer, psize, table.lacked(user), table)
+            for (layer, psize), table in layers.items()
+        }
         try:
-            got = _decoded_items(user, caches[user - 1], transcript, demands)
+            got = _decoded_items(user, cache, transcript, demands, read)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the caller
             failures.append(f"user {user} decode raised {exc!r}")
             continue
@@ -210,19 +242,27 @@ def _check_step(rec: StepRecord, caches, store) -> list[str]:
 # ---------------------------------------------------------------------------
 # the lane pass: one record checked for all K users at once
 
-class _LaneViews(dict):
-    """One layer's lifted items for one sweep, built per item x when first
-    asked for.
+class _ExactParts(dict):
+    """One layer's store parts of every item that every cache holds exactly,
+    for one sweep or one `decode_failures` call: the one owner of the
+    predicate "every cache holds its parts of x in this layer exactly as
+    the store does", decided per item x when first asked for.
 
-    views[x] is None when some user's cache does not hold its parts of x
-    exactly (each fully cached and equal to the store's).  Otherwise
-    views[x][u] is member u + 1's lift of x: for every (t+1)-user set V
-    holding u + 1, the true part of x labeled V minus u + 1, at lane V.
-    Lane l is the step table's row l, and lift u collects the row terms of
-    member u.
+    parts[x] is None when some user's cache does not hold its parts of x
+    exactly (each fully cached and equal to the store's).  Otherwise it
+    lists the store's C(K, t) parts of x in part order, split once from
+    `store.item_bits`.  held[u] covers the parts user u + 1 caches, at
+    offset 0 of the layer; `lacked(user)` the parts it lacks, at their
+    item positions, the mask of every slice it decodes here.
+
+    The lane pass reads lifts, built from these parts (`lift`): lift(x)[u]
+    is member u + 1's lift of x, for every (t+1)-user set V holding u + 1
+    the part of x labeled V minus u + 1, at lane V.  Lane l is the step
+    table's row l, and lift u collects the row terms of member u.
     """
 
-    __slots__ = ("rows", "offset", "psize", "nparts", "held", "caches", "store")
+    __slots__ = ("rows", "offset", "psize", "nparts", "span", "held", "caches", "store",
+                 "lifts")
 
     def __init__(self, layer: LayerSpec, psize: int, caches, store):
         super().__init__()
@@ -230,30 +270,48 @@ class _LaneViews(dict):
         self.rows = _step_table(k, layer.t).rows
         self.offset, self.psize = layer.offset, psize
         self.nparts = comb0(k, layer.t)
-        self.held = tuple(m << layer.offset for m in _part_templates(k, layer.t, psize)[1:])
+        self.span = (1 << self.nparts * psize) - 1
+        self.held = _part_templates(k, layer.t, psize)[1:]
         self.caches, self.store = caches, store
+        self.lifts = {}
 
     def __missing__(self, x):
-        off, psize = self.offset, self.psize
-        pmask = (1 << psize) - 1
+        off = self.offset
         bits = self.store.item_bits(x)
-        if any(
-            cache.known_masks.get(x, 0) & held != held
-            or (cache.known_bits.get(x, 0) ^ bits) & held
+        parts = None
+        if all(
+            (cache.known_masks.get(x, 0) >> off) & held == held
+            and not ((cache.known_bits.get(x, 0) ^ bits) >> off) & held
             for cache, held in zip(self.caches, self.held)
         ):
-            self[x] = None
-            return None
-        parts = [(bits >> (off + j * psize)) & pmask for j in range(self.nparts)]
-        lifts = [0] * len(self.caches)
-        for lane, (_, terms) in enumerate(self.rows):
-            for u, j in terms:
-                lifts[u] |= parts[j] << lane * psize
-        self[x] = lifts = tuple(lifts)
-        return lifts
+            psize = self.psize
+            pmask = (1 << psize) - 1
+            parts = [(bits >> (off + j * psize)) & pmask for j in range(self.nparts)]
+        self[x] = parts
+        return parts
+
+    def lacked(self, user: int) -> int:
+        """The parts `user` lacks, at their item positions."""
+        return (self.span ^ self.held[user - 1]) << self.offset
+
+    def lift(self, x):
+        """Every member's lift of x, or None where parts[x] is None; built
+        once and kept in `lifts`."""
+        lifts = self.lifts
+        if x not in lifts:
+            parts = self[x]
+            if parts is not None:
+                psize = self.psize
+                out = [0] * len(self.caches)
+                for lane, (_, terms) in enumerate(self.rows):
+                    for u, j in terms:
+                        out[u] |= parts[j] << lane * psize
+                parts = tuple(out)
+            lifts[x] = parts
+        return lifts[x]
 
 
-def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
+def _lanes_clear(rec: StepRecord, tables: dict, caches, store) -> bool:
     """The lane pass: True when every user rebuilds its step item's layer
     slice exactly, False when the pass cannot tell, and `_check_step`
     decides.
@@ -264,18 +322,19 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
     V's payload is then the XOR over V's members u of the true part of u's
     item labeled V minus u.  With every cache exact, that one identity is
     each member's decode check at lane V, so it stands for all K users.
-    lane_views is the sweep's memo of `_LaneViews`, per (layer, part size).
+    tables is the sweep's `_ExactParts` per (layer, part size), which its
+    sampled decodes share.
     """
     psize = rec.part_size
-    views = lane_views.get((rec.layer, psize))
-    if views is None:
-        views = lane_views[rec.layer, psize] = _LaneViews(rec.layer, psize, caches, store)
+    exact = tables.get((rec.layer, psize))
+    if exact is None:
+        exact = tables[rec.layer, psize] = _ExactParts(rec.layer, psize, caches, store)
     payloads, leaders, pattern = rec.payloads, rec.leader_mask, rec.pattern
     if max(payloads.values(), default=0) >> psize:
         return False
     packed = shift = 0
     try:
-        for v, _ in views.rows:
+        for v, _ in exact.rows:
             if v & leaders:
                 y = payloads[v]
             else:
@@ -286,7 +345,11 @@ def _lanes_clear(rec: StepRecord, lane_views: dict, caches, store) -> bool:
             shift += psize
     except KeyError:
         return False
-    lifted = [views[x] for x in rec.classes]
+    lifts = exact.lifts
+    try:
+        lifted = [lifts[x] for x in rec.classes]
+    except KeyError:
+        lifted = list(map(exact.lift, rec.classes))
     if None in lifted:
         return False
     for u, c in enumerate(pattern):
@@ -384,14 +447,16 @@ def verify_all_demands(
     # coded records, 1 the limit and 2 the sampled decode, the order in
     # which a per-vector loop would meet them.
     first_sent: dict = {}
-    lane_views: dict = {}
+    # per (layer, part size), its `_ExactParts`: the lane pass and the
+    # sampled decodes read the same table
+    exact: dict = {}
 
     def check(level, layer, items, rec) -> None:
         """Check one record, the first time its step items come, and file its
         verdict."""
         errs = (
             []
-            if _lanes_clear(rec, lane_views, caches, plan.store)
+            if _lanes_clear(rec, exact, caches, plan.store)
             else _check_step(rec, caches, plan.store)
         )
         bits = rec.bits
@@ -427,7 +492,7 @@ def verify_all_demands(
                 if rec.step_items not in verdicts[rec.level, rec.layer]:
                     check(rec.level, rec.layer, rec.step_items, rec)
         return {
-            idx: decode_failures(caches, transcript, all_demands[idx], plan.store)
+            idx: decode_failures(caches, transcript, all_demands[idx], plan.store, exact)
             for idx, transcript in sampled.items()
         }
 

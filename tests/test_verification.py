@@ -27,11 +27,11 @@ from corrcache import delivery, verification
 from corrcache.combinat import comb0, divisibility_unit, part_labels
 from corrcache.rates import _cut_totals, reads_point
 from corrcache.delivery import (
-    LayerSpec, StepRecord, UserCache, _family, _LayerParts, _pattern, _step_table, _xor_step,
-    cacc_layers, decode,
+    LayerSpec, StepRecord, UserCache, _decoded_items, _family, _LayerParts, _pattern,
+    _step_table, _xor_step, cacc_layers, decode,
 )
 from corrcache.verification import (
-    _LaneViews, _check_step, _converse_misses, _lanes_clear, _limit_bits, decode_failures,
+    _check_step, _converse_misses, _ExactParts, _lanes_clear, _limit_bits, decode_failures,
 )
 
 
@@ -766,6 +766,37 @@ def test_faulty_sweep_matches_a_per_vector_reference(monkeypatch, scheme):
     assert not all(report.decode_ok) and any(report.decode_ok)
 
 
+@pytest.mark.parametrize("scheme", ["cacc", "cauc"])
+@pytest.mark.parametrize("fault", ["dropped bit", "wrong bit"])
+def test_sweep_with_a_cache_fault_matches_a_per_vector_reference(monkeypatch, scheme, fault):
+    """A cache fault meets the sweep's records and its first sampled decode,
+    of demand (1, 1, 1): user 1's copy of subfile {1} loses or flips its
+    lowest cached bit.  The lane pass and the sampled decodes share one
+    table of the parts every cache holds exactly, and the fault must hide
+    from neither: the sweep reports what the per-vector sweep reports, which
+    checks every record and decodes every sampled vector from the caches.
+    cacc's faulty bit lies in a delivered share-1 layer, so records fail
+    too; cauc's lies in its share-K prefix, which no step sends, so only
+    the decode sees it."""
+    config = LibraryConfig(3, 3, 1.5, (6, 6, 0))
+    alloc = CacheAllocation.from_replication((1, 1, 0), 3)
+    real_place = DeliveryPlan.place
+
+    def faulty_place(plan):
+        caches = real_place(plan)
+        mask = caches[0].known_masks[0b001]
+        bit = mask & -mask
+        if fault == "dropped bit":
+            return _with_cache(caches, 0, 0b001, mask_fault=bit)
+        return _with_cache(caches, 0, 0b001, bit_fault=bit)
+
+    monkeypatch.setattr(DeliveryPlan, "place", faulty_place)
+    report = _assert_sweep_matches_reference(config, alloc, scheme)
+    assert any(v.startswith("demand (1, 1, 1): user 1 decode") for v in report.violations)
+    assert any(v.startswith("level ") for v in report.violations) == (scheme == "cacc")
+    assert not report.decode_ok[0]
+
+
 def test_sweep_of_a_plan_that_delivers_nothing_builds_no_step(monkeypatch):
     """At t = K every cache holds the whole library: the sweep builds no
     step record, yet still runs its sampled end-to-end decodes."""
@@ -813,9 +844,10 @@ def test_sweep_keeps_no_record_past_its_check():
 def test_lane_identity_matches_every_step(k):
     """For every t < K and equality pattern of K step items, with random
     part contents: the XOR of the members' lifts of their true step items
-    (`_LaneViews`) equals, lane by lane, `_xor_step`'s payload on each sent
-    lane and the XOR of the lane's family on each unsent lane, so the packed
-    record XOR the lifts is 0 exactly when every lane's payload is right.
+    (`_ExactParts.lift`) equals, lane by lane, `_xor_step`'s payload on each
+    sent lane and the XOR of the lane's family on each unsent lane, so the
+    packed record XOR the lifts is 0 exactly when every lane's payload is
+    right.
     Over K <= 7 that is 7,697 records."""
     rng = random.Random(22 + k)
     for t in range(k):
@@ -824,14 +856,14 @@ def test_lane_identity_matches_every_step(k):
         lanes = part_labels(k, t + 1)
         store = _Store({x: rng.getrandbits(offset + layer.size) for x in range(1, k + 1)})
         caches = [UserCache(u, dict.fromkeys(store, -1), dict(store)) for u in range(1, k + 1)]
-        views = _LaneViews(layer, psize, caches, store)
+        views = _ExactParts(layer, psize, caches, store)
         parts = _LayerParts(store.item_bits, layer, comb0(k, t))
         for pattern in _equality_patterns(k):
             items = tuple(c + 1 for c in pattern)
             rec = _xor_step(k, 1, layer, items, parts)
             lifted = 0
             for u, x in enumerate(items):
-                lifted ^= views[x][u]
+                lifted ^= views.lift(x)[u]
             for l, v in enumerate(lanes):
                 if v & rec.leader_mask:
                     want = rec.payloads[v]
@@ -844,10 +876,11 @@ def test_lane_identity_matches_every_step(k):
 
 
 def test_lane_views_need_every_cache_exact():
-    """`_LaneViews` lifts an item only while every cache holds its parts of
-    it exactly: one user's dropped part or wrong bit of item x, in a layer
-    above offset 0, makes views[x] None and leaves the other items' lifts
-    as they were."""
+    """`_ExactParts` gives an item's store parts, and the lane pass its
+    lifts, only while every cache holds its parts of it exactly: one user's
+    dropped part or wrong bit of item x, in a layer above offset 0, makes
+    views[x] and its lift None and leaves the other items' parts as they
+    were, which are the store's."""
     config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
     alloc = CacheAllocation.from_replication((0, 2.5, 0), 3)
     store = ContentStore.generate(config, seed=4)
@@ -856,8 +889,11 @@ def test_lane_views_need_every_cache_exact():
     [(_, items, sublayers)] = plan._levels
     [(layer, psize, _)] = sublayers  # the share-3 slice below it is not delivered
     assert layer.t == 2 and layer.offset > 0
-    clean = _LaneViews(layer, psize, caches, plan.store)
+    clean = _ExactParts(layer, psize, caches, plan.store)
     assert all(clean[x] is not None for x in items)
+    assert all(
+        clean[x] == _LayerParts(plan.store.item_bits, layer, len(clean[x]))[x] for x in items
+    )
     for k in range(3):
         for j in _step_table(3, layer.t).held[k]:
             pos = layer.offset + j * psize
@@ -867,8 +903,8 @@ def test_lane_views_need_every_cache_exact():
                     _with_cache(caches, k, x, mask_fault=part),
                     _with_cache(caches, k, x, bit_fault=1 << pos + psize - 1),
                 ):
-                    views = _LaneViews(layer, psize, bad, plan.store)
-                    assert views[x] is None, (k, j, x)
+                    views = _ExactParts(layer, psize, bad, plan.store)
+                    assert views.lift(x) is None and views[x] is None, (k, j, x)
                     assert all(views[y] == clean[y] for y in items if y != x)
 
 
@@ -994,3 +1030,76 @@ def test_lane_pass_never_clears_a_failing_record():
     assert offsets == {("cacc", False), ("cicc", False)} | {
         (s, True) for s in ("cacc", "cauc", "cicc")
     }
+
+
+# ---------------------------------------------------------------------------
+# the end-to-end decode check against a decode that reads only the caches
+
+def _cache_only_failures(caches, transcript, demands, store):
+    """`decode_failures`' lines from decodes that read only the caches: each
+    user through `_decoded_items` with a plain {} part reader."""
+    out = []
+    for user in range(1, len(demands) + 1):
+        try:
+            got = _decoded_items(user, caches[user - 1], transcript, demands, {})
+        except Exception as exc:  # noqa: BLE001 - worded like decode_failures
+            out.append(f"user {user} decode raised {exc!r}")
+            continue
+        if any(bits != store.item_bits(item) for item, _, bits in got):
+            out.append(f"user {user} decode mismatch")
+    return out
+
+
+def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatch):
+    """On every fault shape, `decode_failures` returns exactly the lines of
+    decodes that read only the caches, with clean caches and with each
+    cache fault of `_faults` (a dropped part, a dropped or wrong bit, of
+    the user's own item or another) in a record of the transcript.  With
+    clean caches every part comes from the shared table, each (item, layer)
+    split from the store once per call, and no cached part is read."""
+    splits, cached_reads = [], []
+    real_missing, real_cached = _ExactParts.__missing__, delivery._CachedParts
+
+    def counting_missing(table, x):
+        splits.append((table.offset, table.psize, x))
+        return real_missing(table, x)
+
+    class CountingCachedParts(real_cached):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            cached_reads.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(_ExactParts, "__missing__", counting_missing)
+    monkeypatch.setattr(delivery, "_CachedParts", CountingCachedParts)
+    rng = random.Random(29)
+    kinds = {}
+    for config, alloc, scheme in _fault_cases():
+        plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=rng.randrange(99)),
+                            scheme=scheme)
+        caches, store = plan.place(), plan.store
+        n, k = config.n_files, config.n_users
+        vectors = {worst_case_demand(config)} | {
+            tuple(rng.randint(1, n) for _ in range(k)) for _ in range(2)
+        }
+        for d in sorted(vectors):
+            transcript = plan.deliver(d)
+            del splits[:], cached_reads[:]
+            assert decode_failures(caches, transcript, d, store) == []
+            assert splits and len(set(splits)) == len(splits), splits
+            assert cached_reads == []
+            assert _cache_only_failures(caches, transcript, d, store) == []
+            for rec in transcript.sections:
+                for kind, _, bad in _faults(rec, caches, rng):
+                    if bad is caches:
+                        continue  # a payload fault: this test faults caches only
+                    want = _cache_only_failures(bad, transcript, d, store)
+                    assert decode_failures(bad, transcript, d, store) == want, (kind, d)
+                    seen, failing = kinds.get(kind, (0, 0))
+                    kinds[kind] = (seen + 1, failing + bool(want))
+    assert sorted(kinds) == [
+        "dropped cached bit, other item", "dropped cached bit, own item",
+        "dropped cached part", "wrong cached bit, other item", "wrong cached bit, own item",
+    ]
+    assert all(failing for _, failing in kinds.values()), kinds
