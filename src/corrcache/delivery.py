@@ -23,25 +23,30 @@ whole bits: the cached, higher-share slice comes first and is rounded
 down to whole parts, so no cache holds more than the nominal share.
 A `DeliveryPlan` owns the library the scheme works on and its groups, and
 refuses a placement whose cached bits exceed the budget, capacity x file
-size.  `plan.place()` spreads every group's layers over the caches and
-checks, in whole bits, that each cache holds exactly what the layers
-place: per item and share-t layer, C(K-1, t-1) of its C(K, t) parts
-(`place` is a one-line wrapper).  The plan delivers every group's layers
-the same way; the scheme only picks the column table of coded steps for
-each (window, group): the schedule columns for cacc, one column of the
-window's files for cicc, and none for cauc.
+size.  Each layer of a group is one `_LayerParts`, the one owner of the
+layer's facts: its `LayerSpec`, offset, part size and part count, its
+step table and each user's part template (`held`, at offset 0, built on
+first read); placement, `cached_bits()`, the encoder and the verifier
+read them there.  `plan.place()` spreads every group's layers over the
+caches and checks, in whole bits, that each cache holds exactly what the
+layers place: per item and share-t layer, C(K-1, t-1) of its C(K, t)
+parts (`place` is a one-line wrapper).  The plan delivers every group's
+layers the same way; the scheme only picks the column table of coded
+steps for each (window, group): the schedule columns for cacc, one column
+of the window's files for cicc, and none for cauc.
 Every section is one leader-based XOR step, and a share-t step whose users
 want L distinct items sends C(K, t+1) - C(K-L, t+1) payloads.  A constant
 step pattern, one item for every user, is a remainder step: it sends
 C(K-1, t) payloads, exactly the size*(K-t)/K bits a requester of the item
-does not cache, so one per demanded item meets the floor.  Per sublayer,
+does not cache, so one per demanded item meets the floor.  Per layer,
 delivery counts the column table's payloads first and sends its steps when
 they cost no more than that floor, the remainder steps otherwise (always
 for cauc); only the steps it sends are built.
 
 Delivery works per demand set and per demand vector.  The window, each
-sublayer's coded/remainder choice and the remainder step patterns depend
-only on the set of demanded files, so a plan chooses them once per set.
+layer's coded/remainder choice and the remainder step patterns depend
+only on the set of demanded files, so a plan chooses them once per set,
+as one tuple of groups (`_choice`).
 Per demand vector, each coded group's column table, indexed by file
 number, is read at the demands with one `itemgetter` per vector, for one
 vector (`deliver`) or for all vectors of a set at once (the verifier).
@@ -56,13 +61,13 @@ payload XORs, each the member's part labeled V minus the member; per
 term position, a getter that reads that term of every row at once; per
 user, the parts it caches and its decode program, which lists per part it
 lacks the payload V (the part's label plus the user) and the other
-members' terms to XOR in.  Placement's part templates, `_xor_step`, the
+members' terms to XOR in.  A layer's part templates, `_xor_step`, the
 decoder and the verifier's lane pass all read it, the lane pass taking row
 V as lane V; nothing else walks a step's labels and members.
 
 The encoder builds a record from per-item part lists, split from the
-store once per (sublayer, item) and kept by the plan with the sublayer:
-it lays the members' part lists end to end, reads
+store once per (layer, item) and kept in the plan's `_LayerParts`: it
+lays the members' part lists end to end, reads
 each term position of every row with one getter call, XORs the t + 1
 results term by term and keeps the rows whose user set holds a leader.
 A payload whose user set has no leader is not sent: the step's equality
@@ -214,8 +219,9 @@ def _groups(
     level's share (cauc: a share-K prefix over a share-0 rest), or for
     cicc, which ignores the allocation, the library seen as N unrelated
     files, (F, 0, ..., 0) with subfile {i} holding file i, and one level-0
-    group of its N subfiles.  Every share-t layer must split into C(K, t)
-    equal parts."""
+    group of its N subfiles.  Each layer is a `_LayerParts` over the
+    returned store, which refuses a share-t layer that does not split into
+    C(K, t) equal parts."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not config.is_integral():
@@ -244,13 +250,10 @@ def _groups(
             else:
                 layers = _split_layers(size, t_exact, (0, k), k, at_points=False)
             groups.append((level, tuple(masks), layers))
-    for _, _, layers in groups:
-        for layer in layers:
-            nparts = comb0(k, layer.t)
-            if layer.size % nparts:
-                raise ValueError(
-                    f"layer size {layer.size} not divisible into {nparts} parts"
-                )
+    groups = [
+        (level, items, tuple(_LayerParts(store.item_bits, layer, k) for layer in layers))
+        for level, items, layers in groups
+    ]
     return config, store, groups
 
 
@@ -287,12 +290,6 @@ def _part_mask(n_users: int, t: int, psize: int, user: int) -> int:
     seg = (1 << psize) - 1
     bit = 1 << (user - 1)
     return concat_bits((seg if lab & bit else 0, psize) for lab in _step_table(n_users, t).labels)
-
-
-def _part_templates(n_users: int, t: int, psize: int) -> tuple[int, ...]:
-    """Per-user OR-mask of the part segments a user caches (offset 0),
-    indexed by user (entry 0 unused)."""
-    return (0,) + tuple(_part_mask(n_users, t, psize, u) for u in range(1, n_users + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +406,45 @@ def _step_table(n_users: int, t: int) -> _StepTable:
 
 
 class _LayerParts(dict):
-    """One sublayer's parts of every item, each item read from the store
-    when first asked for: parts[item] lists its C(K, t) parts of the layer
-    in part order (`_xor_step`'s input)."""
+    """One placed layer of a group's items, the one owner of its facts:
+    the `LayerSpec`, its offset, part size and part count, its step table
+    and `held`, each user's part template.  Placement, `cached_bits()`,
+    the encoder and the verifier all read them here.
 
-    __slots__ = ("item_bits", "offset", "psize", "nparts")
+    As a dict it holds the layer's parts of every item, each item split
+    from `item_bits` when first asked for: parts[item] lists its C(K, t)
+    parts of the layer in part order (`_xor_step`'s input).  A layer that
+    does not split into C(K, t) equal parts is refused.
+    """
 
-    def __init__(self, item_bits, layer: LayerSpec, nparts: int):
+    __slots__ = ("item_bits", "layer", "offset", "psize", "nparts", "table", "_held")
+
+    def __init__(self, item_bits, layer: LayerSpec, n_users: int):
         super().__init__()
-        self.item_bits = item_bits
+        self.table = _step_table(n_users, layer.t)
+        nparts = len(self.table.labels)
+        if layer.size % nparts:
+            raise ValueError(f"layer size {layer.size} not divisible into {nparts} parts")
+        self.item_bits, self.layer = item_bits, layer
         self.offset, self.psize, self.nparts = layer.offset, layer.size // nparts, nparts
+        self._held = None
+
+    @property
+    def held(self) -> tuple:
+        """Per user, entry u for user u + 1, the OR-mask at offset 0 of the
+        parts it caches, built on first read: placement and the verifier
+        read it, delivery never does."""
+        if self._held is None:
+            n_users, t = len(self.table.held), self.layer.t
+            self._held = tuple(
+                _part_mask(n_users, t, self.psize, u) for u in range(1, n_users + 1)
+            )
+        return self._held
+
+    def lacked(self, user: int) -> int:
+        """The parts `user` lacks, at their item positions: the mask of
+        every slice it decodes in this layer."""
+        return (((1 << self.layer.size) - 1) ^ self.held[user - 1]) << self.offset
 
     def __missing__(self, item):
         bits, offset, psize = self.item_bits(item), self.offset, self.psize
@@ -427,9 +453,9 @@ class _LayerParts(dict):
         return parts
 
 
-def _xor_step(n_users, level, layer, step_items, parts) -> StepRecord:
-    """Emit every XOR payload for one step; parts[item] lists the item's
-    parts of the layer (a `_LayerParts`).
+def _xor_step(level, step_items, parts) -> StepRecord:
+    """Emit every XOR payload for one step of the layer `parts`, a
+    `_LayerParts`: parts[item] lists the item's parts of the layer.
 
     For each user set V of size t+1 touching a leader, the payload XORs,
     over k in V, the part of user k's step-item labeled V minus k; each user
@@ -439,19 +465,18 @@ def _xor_step(n_users, level, layer, step_items, parts) -> StepRecord:
     All C(K, t+1) payloads come from the table's t + 1 getters, read from
     the members' parts laid end to end and XORed together term by term.
     """
-    table = _step_table(n_users, layer.t)
     pattern, classes, leader_mask = _pattern(step_items)
     flat = list(chain.from_iterable(map(parts.__getitem__, step_items)))
-    getters, lanes = table.getters, table.lanes
+    getters, lanes = parts.table.getters, parts.table.lanes
     ys = getters[0](flat) if getters else ()
     for get in getters[1:]:
         ys = map(xor, ys, get(flat))
     return StepRecord(
         level=level,
-        layer=layer,
+        layer=parts.layer,
         step_items=step_items,
         leader_mask=leader_mask,
-        part_size=layer.size // len(table.labels),
+        part_size=parts.psize,
         payloads=dict(compress(zip(lanes, ys), map(leader_mask.__and__, lanes))),
         pattern=pattern,
         classes=classes,
@@ -485,52 +510,31 @@ def _pools(config: LibraryConfig, level: int, window):
 _READ = itemgetter.__call__
 
 
-class _Sublayer(NamedTuple):
-    """One delivered sublayer of a placement group: its layer, part size
-    and part lists (`_LayerParts`)."""
-
-    layer: LayerSpec
-    psize: int
-    parts: _LayerParts
-
-
-class _SetSend(NamedTuple):
-    """What a plan sends for one set of demanded files (`_choice`).
-
-    coded: per group with coded sublayers, (level, column table, those
-    sublayers), which `_step_items` reads at each vector's demands.
-    groups: per group, (level, per delivered sublayer (the `_Sublayer`,
-    its remainder step patterns, or None when coded)), the layout of a
-    vector's sections in transcript order.
-    """
-
-    coded: tuple
-    groups: tuple
-
-
 class DeliveryPlan:
     """The demand-independent work of delivery, done once.
 
     A plan is built from (config, alloc, store, schedule source, seed,
     scheme).  It runs the input checks and loads the fixture once; holds the
     library the scheme works on (`config`, `store`: for cicc, the library
-    seen as N unrelated files) and, per placement group, the group's items
-    and its delivered sublayers (t < K, size > 0, `_Sublayer`), each with
-    its part size and part lists; and builds, per (window, group), the
-    scheme's column table.  `place()` builds the users' caches
-    from the same library and groups.  Step payloads depend on the demand
-    vector only through the per-step item pattern, so deliveries of many
-    demand vectors through one plan (``plan.deliver(demands)``) share
-    almost all bit-level work.  cicc ignores `alloc` (it may be None).
+    seen as N unrelated files) and its placement groups (`_groups`: level,
+    items, one `_LayerParts` per layer); `_levels` holds, per group, the
+    same objects for its delivered layers, those at t < K.  It builds, per
+    (window, group), the scheme's column table.  `place()` builds the
+    users' caches from the same library and groups.  Step payloads depend
+    on the demand vector only through the per-step item pattern, so
+    deliveries of many demand vectors through one plan
+    (``plan.deliver(demands)``) share almost all bit-level work.  cicc
+    ignores `alloc` (it may be None).
 
     Per demand set, per demand vector: `_set_send` returns, built by
     `_choice` once per set of demanded files (kept in `_choices`, keyed by
-    the frozenset), the set's `_SetSend`: its remainder step patterns and
-    its coded sublayers with their column tables.  `_step_items` reads the
-    coded column tables at the demands of any vectors of one set, and
-    `_records` builds a sublayer's records for step items.  The verifier
-    drives these three over each demand set's vectors, which are valid by
-    construction; `deliver` drives them for one vector.
+    the frozenset), the set's groups, each with its column table and, per
+    delivered layer, its remainder step patterns or None when coded.
+    `_step_items` reads the coded column tables at the demands of any
+    vectors of one set, and `_records` builds a layer's records for step
+    items.  The verifier drives these three over each demand set's
+    vectors, which are valid by construction; `deliver` drives them for
+    one vector.
     """
 
     def __init__(
@@ -551,17 +555,10 @@ class DeliveryPlan:
             )
         self.seed = seed
         self.scheme = scheme
-        k = config.n_users
-        levels = []
-        for level, items, layers in self._groups:
-            sublayers = []
-            for layer in layers:
-                if layer.t < k and layer.size > 0:
-                    nparts = comb0(k, layer.t)
-                    parts = _LayerParts(self.store.item_bits, layer, nparts)
-                    sublayers.append(_Sublayer(layer, layer.size // nparts, parts))
-            levels.append((level, items, tuple(sublayers)))
-        self._levels = tuple(levels)
+        self._levels = tuple(
+            (level, items, tuple(parts for parts in layers if parts.layer.t < config.n_users))
+            for level, items, layers in self._groups
+        )
         self._fixture = (
             self._load_fixture(schedule_source) if schedule_source is not None else None
         )
@@ -584,7 +581,7 @@ class DeliveryPlan:
             raise ValueError(
                 f"fixture fixed part {fixture.fixed_part} lies outside 1..{n}"
             )
-        if fixture.level not in [level for level, _, subs in self._levels if subs]:
+        if fixture.level not in [level for level, _, layers in self._levels if layers]:
             raise ValueError(f"fixture level {fixture.level} has no delivered sublayer")
         return fixture
 
@@ -593,10 +590,9 @@ class DeliveryPlan:
         layer, C(K-1, t-1) of its C(K, t) parts."""
         k = self.config.n_users
         return sum(
-            len(items) * (layer.size // comb0(k, layer.t)) * comb0(k - 1, layer.t - 1)
+            len(items) * parts.psize * comb0(k - 1, parts.layer.t - 1)
             for _, items, layers in self._groups
-            for layer in layers
-            if layer.t
+            for parts in layers
         )
 
     def place(self) -> list:
@@ -612,11 +608,10 @@ class DeliveryPlan:
             # per user, its positions in each of the group's items: its parts
             # of every cached layer, each at the layer's offset
             masks = [0] * k
-            for layer in layers:
-                if layer.t:
-                    tpl = _part_templates(k, layer.t, layer.size // comb0(k, layer.t))
-                    for u in range(k):
-                        masks[u] |= tpl[u + 1] << layer.offset
+            for parts in layers:
+                if parts.layer.t:
+                    for u, tpl in enumerate(parts.held):
+                        masks[u] |= tpl << parts.offset
             held = [(cache, mask) for cache, mask in zip(caches, masks) if mask]
             for item in items:
                 content = self.store.item_bits(item)
@@ -675,11 +670,13 @@ class DeliveryPlan:
             table = self._columns[key] = tuple(table)
         return table
 
-    def _choice(self, demands) -> _SetSend:
+    def _choice(self, demands) -> tuple:
         """Everything of a delivery that depends only on the set of demanded
-        files, built once per set (see `_SetSend`): per sublayer, the
-        choice between the column table's coded steps, read per demand
-        vector, and the remainder steps, whose patterns are kept here.
+        files, built once per set: per group, (level, its column table or
+        None, per delivered layer (its `_LayerParts`, its remainder step
+        patterns, or None when coded)), in transcript order.  A coded
+        layer's steps are the column table read per demand vector
+        (`_step_items`); a remainder layer's patterns are kept here.
 
         A step whose column holds L distinct items at the demanded files
         sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
@@ -695,10 +692,10 @@ class DeliveryPlan:
         files = set(demands)
         demand_mask = mask_of(files)
         window = _window(self.config.n_files, k, demands)
-        coded, groups = [], []
-        for level, items, sublayers in self._levels:
-            if not sublayers:
-                groups.append((level, ()))
+        groups = []
+        for level, items, layers in self._levels:
+            if not layers:
+                groups.append((level, None, ()))
                 continue
             table = self._column_table(window, level)
             # one remainder step per demanded item, should the coded steps cost more
@@ -706,55 +703,56 @@ class DeliveryPlan:
             if table is not None:
                 # number of coded steps per count of distinct step items
                 steps_with = Counter([len({col[f] for f in files}) for col in table])
-            sent, coded_subs = [], []
-            for sub in sublayers:
-                if table is not None and sum([
-                    c * step_payloads(k, sub.layer.t, n) for n, c in steps_with.items()
-                ]) <= len(patterns) * comb0(k - 1, sub.layer.t):
-                    sent.append((sub, None))  # coded: read per demand vector
-                    coded_subs.append(sub)
-                else:
-                    sent.append((sub, patterns))
-            if coded_subs:
-                coded.append((level, table, tuple(coded_subs)))
-            groups.append((level, tuple(sent)))
-        return _SetSend(tuple(coded), tuple(groups))
+            sent = []
+            for parts in layers:
+                t = parts.layer.t
+                coded = table is not None and sum([
+                    c * step_payloads(k, t, n) for n, c in steps_with.items()
+                ]) <= len(patterns) * comb0(k - 1, t)
+                sent.append((parts, None if coded else patterns))
+            groups.append((level, table, tuple(sent)))
+        return tuple(groups)
 
-    def _records(self, level, sub, patterns):
-        """One sublayer's step records for `patterns`, in order, each built
+    def _records(self, level, parts, patterns):
+        """One layer's step records for `patterns`, in order, each built
         only when the iterator reaches it, by `_xor_step` (looked up as a
-        module global so tests can patch it) from the sublayer's part
-        lists.  The plan keeps none of them."""
-        k = self.config.n_users
-        return (_xor_step(k, level, sub.layer, items, sub.parts) for items in patterns)
+        module global so tests can patch it) from the layer's part lists.
+        The plan keeps none of them."""
+        return (_xor_step(level, items, parts) for items in patterns)
 
-    def _set_send(self, demands) -> _SetSend:
-        """The `_SetSend` of the set of files `demands` asks for, built by
-        `_choice` once per set and kept in `_choices`."""
+    def _set_send(self, demands) -> tuple:
+        """The `_choice` of the set of files `demands` asks for, built once
+        per set and kept in `_choices`."""
         key = frozenset(demands)
         per_set = self._choices.get(key)
         if per_set is None:
             per_set = self._choices[key] = self._choice(demands)
         return per_set
 
-    def _step_items(self, per_set: _SetSend, vectors):
-        """Per coded group of a demand set, (level, its coded sublayers, per
-        column of its table the step items of every vector), for `vectors`,
-        demand tuples of that one set: each column is read at each vector's
-        demands by one `itemgetter` per vector, built once per call."""
-        if not per_set.coded:
+    def _step_items(self, per_set, vectors):
+        """Per group of a demand set's `_choice` with coded layers, (level,
+        those layers, per column of its table the step items of every
+        vector), for `vectors`, demand tuples of that one set: each column
+        is read at each vector's demands by one `itemgetter` per vector,
+        built once per call."""
+        coded = [
+            (level, table, layers)
+            for level, table, sent in per_set
+            if (layers := [parts for parts, patterns in sent if patterns is None])
+        ]
+        if not coded:
             return
         if self.config.n_users > 1:
             readers = list(map(itemgetter, *zip(*vectors)))
         else:
             # an itemgetter of one index returns a bare item, a slice a tuple
             readers = [itemgetter(slice(d, d + 1)) for (d,) in vectors]
-        for level, table, sublayers in per_set.coded:
-            yield level, sublayers, [list(map(_READ, readers, repeat(row))) for row in table]
+        for level, table, layers in coded:
+            yield level, layers, [list(map(_READ, readers, repeat(row))) for row in table]
 
     def deliver(self, demands) -> Transcript:
         """Deliver one demand vector as a `Transcript`: per group and
-        delivered sublayer, its records (`_records`) for the set's remainder
+        delivered layer, its records (`_records`) for the set's remainder
         patterns or, when coded, for the group's columns read at the demands
         (`_step_items`), in that layout; the coded steps' payload counts;
         and the bits per level and in total, summed from the records."""
@@ -765,11 +763,11 @@ class DeliveryPlan:
             for level, _, columns in self._step_items(per_set, (demands,))
         }
         sections, step_counts, per_level = [], [], {}
-        for level, sent in per_set.groups:
+        for level, _, sent in per_set:
             level_bits = 0
-            for sub, patterns in sent:
+            for parts, patterns in sent:
                 steps = coded[level] if patterns is None else patterns
-                records = list(self._records(level, sub, steps))
+                records = list(self._records(level, parts, steps))
                 if patterns is None:
                     step_counts += [len(rec.payloads) for rec in records]
                 sections += records
@@ -961,8 +959,7 @@ def _decoded_slice(user: int, rec: StepRecord, cache: UserCache, read: dict):
         reader = read[layer]
     except KeyError:
         k, psize = len(rec.pattern), rec.part_size
-        span = (1 << comb0(k, layer.t) * psize) - 1
-        lacked = span ^ _part_mask(k, layer.t, psize, user)
+        lacked = ((1 << layer.size) - 1) ^ _part_mask(k, layer.t, psize, user)
         reader = read[layer] = _LayerReader(cache, layer, psize, lacked << layer.offset)
     class_parts = list(map(reader.__getitem__, rec.classes))
     psize = rec.part_size

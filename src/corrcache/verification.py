@@ -4,7 +4,7 @@ verify_all_demands drives the bit-level engine over every demand vector of a
 config and checks two things everywhere: decodability (every user can
 rebuild its file from cache + transcript) and rate soundness (measured bits
 never exceed the scheme's formula at the placed layers, an int with no
-slack: per delivered sublayer, its part size times the worst-case payload
+slack: per delivered layer, its part size times the worst-case payload
 count at its share, `_limit_bits`, read from `rates._worst_payloads`).
 After the sweep, the worst measured bits must also respect the cut-set
 converse at the bits the caches actually hold (`_converse_misses`, over
@@ -23,16 +23,26 @@ sampled demands additionally run the end-to-end decoder through
 simulate` runs too; it compares every decoded subfile with the store of
 the plan's library and assembles no file.
 
-One table per (layer, part size), `_ExactParts`, owns the predicate
-"every cache holds its parts of item x in this layer exactly as the
-store does": its entry for x is None where some cache differs, and
-otherwise the store's parts of x, split once.  Where the entry is not
+One table per layer, `_ExactParts`, owns the predicate "every cache
+holds its parts of item x in this layer exactly as the store does": its
+entry for x is None where some cache differs, and otherwise the store's
+parts of x, split once.  It is a `_LayerParts` of its own, so it reads
+the layer's geometry and part templates where placement and the encoder
+do, but splits from `store.item_bits` and never shares the plan's part
+lists: the check stays independent of the encoder's split.  Where the entry is not
 None, the cache parts a decode reads are those very ints, since a user's
 decode reads only parts it holds; so `decode_failures` reads a class
 item's parts from the table there, once for all users, and from the
 user's cache, which words every fault, elsewhere.  A table lives for one
 `decode_failures` call in `simulate` and for one sweep here, where the
 lane pass and the sampled decodes share it; nothing is kept across calls.
+
+No step sends a share-K layer, so no record check reads one.  The sweep
+checks each cache against every share-K layer once, through the same
+predicate (`_ExactParts.misses`): one line per (user, subfile) that the
+user does not hold exactly, after the per-vector lines and before the
+converse, and every vector in which that user asks for a file holding
+that subfile is not ok.
 
 The step check has two stages.  The lane pass (`_lanes_clear`) checks a
 record for all K users at once with one identity per lane.  The
@@ -65,11 +75,11 @@ through its set of demanded files and, per coded step, its step items, so
 the sweep groups the N^K vectors by demand set, each set's vectors in
 product order.  Per set it takes the plan's shared entry once
 (`_set_send`) and looks the set's remainder steps up once, summing their
-bits.  A set with no coded sublayer, which is every set of a plan that
+bits.  A set with no coded layer, which is every set of a plan that
 delivers nothing, gives all its vectors those bits and that verdict in
 bulk.  In a coded set, the plan reads every column at every vector's
 demands (`_step_items`).  Every step, remainder or coded, is one lookup
-in its sublayer's verdict table keyed by step items, which gives the bits
+in its layer's verdict table keyed by step items, which gives the bits
 and the verdict of that very record: a vector's bits are summed over its
 own steps, never taken from another vector.  The tables are the sweep's
 only index of steps.  On a miss the record is built (`_records`),
@@ -88,7 +98,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .combinat import comb0
 from .delivery import (
     DeliveryPlan,
     LayerSpec,
@@ -97,9 +106,8 @@ from .delivery import (
     _decoded_slice,
     _family,
     _item_name,
+    _LayerParts,
     _LayerReader,
-    _part_templates,
-    _step_table,
 )
 from .model import ContentStore, LibraryConfig
 from .rates import _cut_totals, _worst_payloads, cacc_rate, cauc_rate, cicc_rate
@@ -174,8 +182,8 @@ def decode_failures(caches, transcript, demands, store, tables=None) -> list[str
     Each decoded subfile is compared with the store's item, so neither the
     decoded nor the true file is ever assembled.  A user reads a class
     item's parts in a layer from `tables`, the caller's `_ExactParts` per
-    (layer, part size), where that table's entry is not None: the store's
-    parts, split once for all users.  Otherwise it reads them from its own
+    layer, where that table's entry is not None: the store's parts, split
+    once for all users.  Otherwise it reads them from its own
     cache (`_CachedParts`), the reference reading, which words every fault.
     The two give the same ints wherever the table has an entry, since the
     kernel reads only parts the decoding user holds.  With tables None the
@@ -183,18 +191,16 @@ def decode_failures(caches, transcript, demands, store, tables=None) -> list[str
     """
     if tables is None:
         tables = {}
-    layers = {}  # (layer, part size) -> its exact table, in transcript order
-    for key in dict.fromkeys((rec.layer, rec.part_size) for rec in transcript.sections):
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _ExactParts(*key, caches, store)
-        layers[key] = table
+    layers = {  # in transcript order
+        layer: _exact(tables, layer, caches, store)
+        for layer in dict.fromkeys(rec.layer for rec in transcript.sections)
+    }
     failures = []
     for user in range(1, len(demands) + 1):
         cache = caches[user - 1]
         read = {
-            layer: _LayerReader(cache, layer, psize, table.lacked(user), table)
-            for (layer, psize), table in layers.items()
+            layer: _LayerReader(cache, layer, table.psize, table.lacked(user), table)
+            for layer, table in layers.items()
         }
         try:
             got = _decoded_items(user, cache, transcript, demands, read)
@@ -219,7 +225,7 @@ def _check_step(rec: StepRecord, caches, store) -> list[str]:
     """
     out = []
     layer = rec.layer
-    span = ((1 << comb0(len(caches), layer.t) * rec.part_size) - 1) << layer.offset
+    span = ((1 << layer.size) - 1) << layer.offset
     for k, cache in enumerate(caches, start=1):
         try:
             mask, bits = _decoded_slice(k, rec, cache, {})
@@ -242,18 +248,17 @@ def _check_step(rec: StepRecord, caches, store) -> list[str]:
 # ---------------------------------------------------------------------------
 # the lane pass: one record checked for all K users at once
 
-class _ExactParts(dict):
+class _ExactParts(_LayerParts):
     """One layer's store parts of every item that every cache holds exactly,
     for one sweep or one `decode_failures` call: the one owner of the
     predicate "every cache holds its parts of x in this layer exactly as
-    the store does", decided per item x when first asked for.
+    the store does", decided per item x when first asked for.  It is a
+    `_LayerParts` of its own over `store.item_bits`, never the plan's, so
+    the check stays independent of the encoder's part lists.
 
     parts[x] is None when some user's cache does not hold its parts of x
-    exactly (each fully cached and equal to the store's).  Otherwise it
-    lists the store's C(K, t) parts of x in part order, split once from
-    `store.item_bits`.  held[u] covers the parts user u + 1 caches, at
-    offset 0 of the layer; `lacked(user)` the parts it lacks, at their
-    item positions, the mask of every slice it decodes here.
+    exactly (`misses`).  Otherwise it lists the store's C(K, t) parts of x
+    in part order, split as the layer splits any item.
 
     The lane pass reads lifts, built from these parts (`lift`): lift(x)[u]
     is member u + 1's lift of x, for every (t+1)-user set V holding u + 1
@@ -261,38 +266,29 @@ class _ExactParts(dict):
     table's row l, and lift u collects the row terms of member u.
     """
 
-    __slots__ = ("rows", "offset", "psize", "nparts", "span", "held", "caches", "store",
-                 "lifts")
+    __slots__ = ("caches", "lifts")
 
-    def __init__(self, layer: LayerSpec, psize: int, caches, store):
-        super().__init__()
-        k = len(caches)
-        self.rows = _step_table(k, layer.t).rows
-        self.offset, self.psize = layer.offset, psize
-        self.nparts = comb0(k, layer.t)
-        self.span = (1 << self.nparts * psize) - 1
-        self.held = _part_templates(k, layer.t, psize)[1:]
-        self.caches, self.store = caches, store
-        self.lifts = {}
+    def __init__(self, layer: LayerSpec, caches, store):
+        super().__init__(store.item_bits, layer, len(caches))
+        self.caches, self.lifts = caches, {}
+
+    def misses(self, x) -> list:
+        """The users, entry u for user u + 1, whose cache does not hold its
+        parts of x in this layer exactly as the store does: some part not
+        fully cached, or not equal to the store's."""
+        bits, off = self.item_bits(x), self.offset
+        return [
+            u
+            for u, (cache, held) in enumerate(zip(self.caches, self.held))
+            if (cache.known_masks.get(x, 0) >> off) & held != held
+            or ((cache.known_bits.get(x, 0) ^ bits) >> off) & held
+        ]
 
     def __missing__(self, x):
-        off = self.offset
-        bits = self.store.item_bits(x)
-        parts = None
-        if all(
-            (cache.known_masks.get(x, 0) >> off) & held == held
-            and not ((cache.known_bits.get(x, 0) ^ bits) >> off) & held
-            for cache, held in zip(self.caches, self.held)
-        ):
-            psize = self.psize
-            pmask = (1 << psize) - 1
-            parts = [(bits >> (off + j * psize)) & pmask for j in range(self.nparts)]
-        self[x] = parts
-        return parts
-
-    def lacked(self, user: int) -> int:
-        """The parts `user` lacks, at their item positions."""
-        return (self.span ^ self.held[user - 1]) << self.offset
+        if self.misses(x):
+            self[x] = None
+            return None
+        return super().__missing__(x)
 
     def lift(self, x):
         """Every member's lift of x, or None where parts[x] is None; built
@@ -303,12 +299,21 @@ class _ExactParts(dict):
             if parts is not None:
                 psize = self.psize
                 out = [0] * len(self.caches)
-                for lane, (_, terms) in enumerate(self.rows):
+                for lane, (_, terms) in enumerate(self.table.rows):
                     for u, j in terms:
                         out[u] |= parts[j] << lane * psize
                 parts = tuple(out)
             lifts[x] = parts
         return lifts[x]
+
+
+def _exact(tables: dict, layer: LayerSpec, caches, store) -> _ExactParts:
+    """The `_ExactParts` of `layer` in `tables`, made there on first use:
+    the sweep's or one `decode_failures` call's tables, keyed by layer."""
+    table = tables.get(layer)
+    if table is None:
+        table = tables[layer] = _ExactParts(layer, caches, store)
+    return table
 
 
 def _lanes_clear(rec: StepRecord, tables: dict, caches, store) -> bool:
@@ -322,19 +327,19 @@ def _lanes_clear(rec: StepRecord, tables: dict, caches, store) -> bool:
     V's payload is then the XOR over V's members u of the true part of u's
     item labeled V minus u.  With every cache exact, that one identity is
     each member's decode check at lane V, so it stands for all K users.
-    tables is the sweep's `_ExactParts` per (layer, part size), which its
-    sampled decodes share.
+    tables is the sweep's `_ExactParts` per layer, which its sampled
+    decodes share.
     """
     psize = rec.part_size
-    exact = tables.get((rec.layer, psize))
+    exact = tables.get(rec.layer)  # looked up inline: this runs once per record
     if exact is None:
-        exact = tables[rec.layer, psize] = _ExactParts(rec.layer, psize, caches, store)
+        exact = _exact(tables, rec.layer, caches, store)
     payloads, leaders, pattern = rec.payloads, rec.leader_mask, rec.pattern
     if max(payloads.values(), default=0) >> psize:
         return False
     packed = shift = 0
     try:
-        for v, _ in exact.rows:
+        for v in exact.table.lanes:
             if v & leaders:
                 y = payloads[v]
             else:
@@ -359,14 +364,14 @@ def _lanes_clear(rec: StepRecord, tables: dict, caches, store) -> bool:
 
 def _limit_bits(plan: DeliveryPlan) -> int:
     """The scheme's formula at the placed layers, in whole bits: per
-    delivered sublayer, its part size times the scheme's worst-case payload
+    delivered layer, its part size times the scheme's worst-case payload
     count at its share t, `rates._worst_payloads`, the table the scheme's
     rate envelope is built from."""
     n, k, scheme = plan.config.n_files, plan.config.n_users, plan.scheme
     return sum(
-        sub.psize * _worst_payloads(scheme, n, k, level)[sub.layer.t]
-        for level, _, sublayers in plan._levels
-        for sub in sublayers
+        parts.psize * _worst_payloads(scheme, n, k, level)[parts.layer.t]
+        for level, _, layers in plan._levels
+        for parts in layers
     )
 
 
@@ -437,9 +442,9 @@ def verify_all_demands(
             i = i * n + f - 1
         return i
 
-    # Per delivered sublayer, (level, layer): step items -> the verdict on
-    # the sublayer's record for them, its bits if it passes, ~bits if not.
-    verdicts = {(level, sub.layer): {} for level, _, subs in plan._levels for sub in subs}
+    # Per delivered layer, (level, layer): step items -> the verdict on the
+    # layer's record for them, its bits if it passes, ~bits if not.
+    verdicts = {(level, p.layer): {} for level, _, layers in plan._levels for p in layers}
     failed: dict = {}  # (level, layer, step items) -> a failing record's lines
     # Per failing record, the first vector and position that send it.  Every
     # report is sorted by (vector index, stage, position): stage 0 is a
@@ -447,8 +452,8 @@ def verify_all_demands(
     # coded records, 1 the limit and 2 the sampled decode, the order in
     # which a per-vector loop would meet them.
     first_sent: dict = {}
-    # per (layer, part size), its `_ExactParts`: the lane pass and the
-    # sampled decodes read the same table
+    # per layer, its `_ExactParts`: the lane pass, the sampled decodes and
+    # the share-K check read the same table
     exact: dict = {}
 
     def check(level, layer, items, rec) -> None:
@@ -465,16 +470,16 @@ def verify_all_demands(
             bits = ~bits
         verdicts[level, layer][items] = bits
 
-    def lookup(level, sub, patterns) -> list:
-        """The verdicts on one sublayer's records for `patterns`, in order.
+    def lookup(level, parts, patterns) -> list:
+        """The verdicts on one layer's records for `patterns`, in order.
         A record not met before is built, checked, filed and dropped."""
-        table = verdicts[level, sub.layer]
+        table = verdicts[level, parts.layer]
         try:
             return list(map(table.__getitem__, patterns))
         except KeyError:
             new = [x for x in dict.fromkeys(patterns) if x not in table]
-            for x, rec in zip(new, plan._records(level, sub, new)):
-                check(level, sub.layer, x, rec)
+            for x, rec in zip(new, plan._records(level, parts, new)):
+                check(level, parts.layer, x, rec)
             return list(map(table.__getitem__, patterns))
 
     def blame(level, layer, items, key) -> None:
@@ -503,28 +508,28 @@ def verify_all_demands(
     for mask, vectors in by_set.items():
         per_set = plan._set_send(vectors[0])
         set_bits, set_ok, pos = 0, True, 0
-        for level, sent in per_set.groups:
-            for sub, patterns in sent:
+        for level, _, sent in per_set:
+            for parts, patterns in sent:
                 if patterns is None:
                     continue  # coded: read per vector below
-                for items, bits in zip(patterns, lookup(level, sub, patterns)):
+                for items, bits in zip(patterns, lookup(level, parts, patterns)):
                     if bits < 0:
                         bits, set_ok = ~bits, False
-                        blame(level, sub.layer, items, (index(vectors[0]), 0, pos))
+                        blame(level, parts.layer, items, (index(vectors[0]), 0, pos))
                     set_bits += bits
                     pos += 1
         totals = [set_bits] * len(vectors)
         flags = [set_ok] * len(vectors)
-        for level, sublayers, columns in plan._step_items(per_set, vectors):
-            for sub in sublayers:
+        for level, layers, columns in plan._step_items(per_set, vectors):
+            for parts in layers:
                 for items in columns:
-                    bits = lookup(level, sub, items)
+                    bits = lookup(level, parts, items)
                     if failed and min(bits) < 0:
                         for j, b in enumerate(bits):
                             if b < 0:
                                 bits[j] = ~b
                                 flags[j] = False
-                                blame(level, sub.layer, items[j], (index(vectors[j]), 0, pos))
+                                blame(level, parts.layer, items[j], (index(vectors[j]), 0, pos))
                     totals = list(map(operator.add, totals, bits))
                     pos += 1
         if max(totals) > limit:
@@ -549,6 +554,20 @@ def verify_all_demands(
         entries += [(first_sent[rec_key], line) for line in errs]
     entries.sort(key=_KEY)
     violations = [line for _, line in entries]
+    # No step sends a share-K layer, so each cache is checked against those
+    # layers here, once; a vector whose user asks for a file holding a
+    # subfile that user does not hold exactly is not ok.
+    for level, items, layers in plan._groups:
+        for table in [_exact(exact, p.layer, caches, plan.store) for p in layers if p.layer.t == k]:
+            for x in items:
+                for u in table.misses(x):
+                    violations.append(
+                        f"level {level} share-{k} layer: user {u + 1} does not hold "
+                        f"subfile {_item_name(x)} as placed"
+                    )
+                    for idx, d in enumerate(all_demands):
+                        if (x >> (d[u] - 1)) & 1:
+                            ok_flags[idx] = False
 
     cached_bits = plan.cached_bits()
     violations.extend(_converse_misses(config, max(all_bits), cached_bits))

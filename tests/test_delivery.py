@@ -28,7 +28,6 @@ from corrcache.delivery import (
     _CachedParts,
     _LayerParts,
     _decode_parts,
-    _part_templates,
     _step_table,
     _window,
     _xor_step,
@@ -151,14 +150,14 @@ def test_place_refuses_a_cache_holding_one_extra_part(monkeypatch):
     store = ContentStore.generate(config, seed=0)
     alloc = t_alloc((0, 0, 1), 3)
     assert [c.total_bits() for c in place(config, alloc, store)] == [4, 4, 4]
-    real = delivery._part_templates
+    real = _LayerParts.held
 
-    def one_extra_part(k, t, psize):
-        tpl = list(real(k, t, psize))
-        tpl[1] |= ((1 << psize) - 1) << psize  # part 1, labeled {2}
+    def one_extra_part(parts):
+        tpl = list(real.fget(parts))
+        tpl[0] |= ((1 << parts.psize) - 1) << parts.psize  # part 1, labeled {2}
         return tuple(tpl)
 
-    monkeypatch.setattr(delivery, "_part_templates", one_extra_part)
+    monkeypatch.setattr(_LayerParts, "held", property(one_extra_part))
     with pytest.raises(RuntimeError, match="user 1 caches 8 bits, not the 4"):
         place(config, alloc, store)
 
@@ -185,13 +184,14 @@ def test_place_matches_a_per_part_reference(scheme):
         caches = plan.place()
         want = [{} for _ in range(k)]
         for _, items, layers in plan._groups:
-            for layer in (layer for layer in layers if layer.t):
+            for parts in (parts for parts in layers if parts.layer.t):
+                layer = parts.layer
                 labels = part_labels(k, layer.t)
                 psize = layer.size // len(labels)
                 seg = (1 << psize) - 1
-                templates = _part_templates(k, layer.t, psize)
+                templates = parts.held
                 for u, held in enumerate(_step_table(k, layer.t).held, start=1):
-                    assert templates[u] == sum(seg << (i * psize) for i in held)
+                    assert templates[u - 1] == sum(seg << (i * psize) for i in held)
                 for i, label in enumerate(labels):
                     part = seg << (layer.offset + i * psize)
                     for u in members_of(label):
@@ -350,12 +350,11 @@ def test_step_kernel_decodes_every_content(k):
                 sum(1 << (c * nparts + j) << (j * psize) for j in range(nparts))
                 for c in range(max(pattern) + 1)
             ]
-            layer = LayerSpec(t, 0, nparts * psize)
-            rec = _xor_step(k, 1, layer, pattern, _LayerParts(content.__getitem__, layer, nparts))
+            parts = _LayerParts(content.__getitem__, LayerSpec(t, 0, nparts * psize), k)
+            rec = _xor_step(1, pattern, parts)
             assert (rec.pattern, rec.classes) == (pattern, tuple(range(len(content))))
-            templates = _part_templates(k, t, psize)
             for user in range(1, k + 1):
-                mask = templates[user]
+                mask = parts.held[user - 1]
                 cached = [_CachedParts(mask, bits & mask, 0, psize) for bits in content]
                 got = _decode_parts(user, rec, [cached[c] for c in pattern])
                 c = pattern[user - 1]
@@ -392,8 +391,8 @@ def test_xor_step_matches_a_plain_row_loop(k):
                     for u, j in terms:
                         y ^= contents[items[u]] >> (offset + j * psize) & pmask
                     want[v] = y
-            parts = _LayerParts(contents.__getitem__, layer, nparts)
-            rec = _xor_step(k, 1, layer, items, parts)
+            parts = _LayerParts(contents.__getitem__, layer, k)
+            rec = _xor_step(1, items, parts)
             assert list(rec.payloads.items()) == list(want.items()), (t, pattern)
             assert (rec.leader_mask, rec.part_size) == (leaders, psize)
 
@@ -409,7 +408,7 @@ def test_random_delivery_payload_near_unknown_count():
     caches = place(config, t_alloc((0, 0, 0, 0, 1), 5), store)
     layer = LayerSpec(t=1, offset=0, size=1000)
     item = 0b11111
-    rec = _xor_step(5, 5, layer, (item,) * 5, _LayerParts(store.item_bits, layer, 5))
+    rec = _xor_step(5, (item,) * 5, _LayerParts(store.item_bits, layer, 5))
     assert isinstance(rec, StepRecord)
     assert rec.step_items == (0b11111,) * 5
     assert rec.leader_mask == 0b00001
@@ -441,8 +440,8 @@ def test_random_delivery_uncached_layer_ships_plain():
     store = ContentStore.generate(config, seed=4)
     size = config.level_size(2)
     layer = LayerSpec(t=0, offset=0, size=size)
-    parts = _LayerParts(store.item_bits, layer, 1)
-    records = [_xor_step(3, 2, layer, (m,) * 3, parts) for m in (0b011, 0b110)]
+    parts = _LayerParts(store.item_bits, layer, 3)
+    records = [_xor_step(2, (m,) * 3, parts) for m in (0b011, 0b110)]
     assert_plain_sends(records, [0b011, 0b110], store, size)
     assert sum(r.bits for r in records) == 2 * size
 
@@ -740,13 +739,14 @@ def test_decode_needs_matching_cache():
 
 def test_delivery_runs_without_placement(monkeypatch):
     """All three schemes deliver their pinned totals with placement disabled
-    (`place` and the part templates only placement reads): delivery needs
-    the store, never the caches."""
+    (`place`, and `_part_mask`, which builds the part templates that only
+    placement and the decoder read): delivery needs the store, never the
+    caches, and builds no template."""
 
     def no_placement(*args, **kwargs):
         raise AssertionError("delivery must not run a placement")
 
-    for name in ("place", "_part_templates"):
+    for name in ("place", "_part_mask"):
         monkeypatch.setattr(delivery, name, no_placement)
 
     config = fixture_config()
@@ -796,7 +796,7 @@ def test_uncoded_prefix_rounds_down_to_whole_bits():
     config = LibraryConfig(2, 2, 1.0, (4, 4))
     store = ContentStore.generate(config, seed=0)
     plan = DeliveryPlan(config, CacheAllocation((0.3, 0.0)), store, scheme="cauc")
-    assert [layers for _, _, layers in plan._groups] == [
+    assert [tuple(p.layer for p in layers) for _, _, layers in plan._groups] == [
         (LayerSpec(2, 0, 1), LayerSpec(0, 1, 3)),
         (LayerSpec(0, 0, 4),),
     ]

@@ -27,8 +27,8 @@ from corrcache import delivery, verification
 from corrcache.combinat import comb0, divisibility_unit, part_labels
 from corrcache.rates import _cut_totals, reads_point
 from corrcache.delivery import (
-    LayerSpec, StepRecord, UserCache, _decoded_items, _family, _LayerParts, _pattern,
-    _step_table, _xor_step, cacc_layers, decode,
+    LayerSpec, StepRecord, UserCache, _decoded_items, _family, _item_name, _LayerParts,
+    _pattern, _step_table, _xor_step, cacc_layers, decode,
 )
 from corrcache.verification import (
     _check_step, _converse_misses, _ExactParts, _lanes_clear, _limit_bits, decode_failures,
@@ -425,7 +425,7 @@ def test_remainder_only_sets_share_one_result_and_one_verdict(monkeypatch):
     by_set = {}
     for d in itertools.product(range(1, 4), repeat=3):
         transcript = plan.deliver(d)
-        assert plan._set_send(d).coded == ()
+        assert all(p is not None for _, _, sent in plan._set_send(d) for _, p in sent)
         assert transcript.sections == by_set.setdefault(frozenset(d), transcript.sections)
         assert transcript.total_bits == sum(r.bits for r in transcript.sections)
 
@@ -656,21 +656,37 @@ def _reference_sweep(config, alloc, scheme, seed=0):
     remainder records first and then its coded records, each one checked
     by `_check_step` and each failing record reported once, at the first
     vector that sends it; the vector's bits from `plan.deliver`; the limit;
-    the sampled end-to-end decodes; the converse.  Returns (measured rates,
-    decode flags, violations)."""
+    the sampled end-to-end decodes; each cache against every share-K
+    layer, which no step sends, one line per (user, subfile) it does not
+    hold whole and equal to the store, every vector whose user asks for a
+    file holding that subfile not ok; the converse.  Returns (measured
+    rates, decode flags, violations)."""
     plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed), scheme=scheme)
     caches = plan.place()
     limit = _limit_bits(plan)
     n, k = config.n_files, config.n_users
+    share_k, faults = [], []
+    for level, items, layers in plan._groups:
+        for layer in (p.layer for p in layers if p.layer.t == k):
+            span = ((1 << layer.size) - 1) << layer.offset
+            for x in items:
+                for u, cache in enumerate(caches):
+                    got = cache.known_bits.get(x, 0) ^ plan.store.item_bits(x)
+                    if cache.known_masks.get(x, 0) & span != span or got & span:
+                        faults.append((u, x))
+                        share_k.append(
+                            f"level {level} share-{k} layer: user {u + 1} does not hold "
+                            f"subfile {_item_name(x)} as placed"
+                        )
     demands = list(itertools.product(range(1, n + 1), repeat=k))
     step = max(1, len(demands) // 3)
     rates, flags, violations, reported, worst = [], [], [], set(), 0
     for idx, d in enumerate(demands):
         transcript = plan.deliver(d)
         remainder = {
-            (level, sub.layer)
-            for level, sent in plan._set_send(d).groups
-            for sub, patterns in sent
+            (level, parts.layer)
+            for level, _, sent in plan._set_send(d)
+            for parts, patterns in sent
             if patterns is not None
         }
         # stable: remainder records, then coded, each in transcript order
@@ -694,9 +710,12 @@ def _reference_sweep(config, alloc, scheme, seed=0):
             failures = decode_failures(caches, transcript, d, plan.store)
             violations += [f"demand {d}: {line}" for line in failures]
             ok = ok and not failures
+        if any(x >> (d[u] - 1) & 1 for u, x in faults):
+            ok = False
         rates.append(bits / config.file_size)
         flags.append(ok)
         worst = max(worst, bits)
+    violations += share_k
     violations += _converse_misses(config, worst, plan.cached_bits())
     return tuple(rates), tuple(flags), tuple(violations)
 
@@ -776,8 +795,9 @@ def test_sweep_with_a_cache_fault_matches_a_per_vector_reference(monkeypatch, sc
     from neither: the sweep reports what the per-vector sweep reports, which
     checks every record and decodes every sampled vector from the caches.
     cacc's faulty bit lies in a delivered share-1 layer, so records fail
-    too; cauc's lies in its share-K prefix, which no step sends, so only
-    the decode sees it."""
+    too; cauc's lies in its share-K prefix, which no step sends, so the
+    decode and the sweep's check of each cache against its share-K layers
+    see it."""
     config = LibraryConfig(3, 3, 1.5, (6, 6, 0))
     alloc = CacheAllocation.from_replication((1, 1, 0), 3)
     real_place = DeliveryPlan.place
@@ -793,8 +813,35 @@ def test_sweep_with_a_cache_fault_matches_a_per_vector_reference(monkeypatch, sc
     monkeypatch.setattr(DeliveryPlan, "place", faulty_place)
     report = _assert_sweep_matches_reference(config, alloc, scheme)
     assert any(v.startswith("demand (1, 1, 1): user 1 decode") for v in report.violations)
-    assert any(v.startswith("level ") for v in report.violations) == (scheme == "cacc")
+    assert any(" step (" in v for v in report.violations) == (scheme == "cacc")
+    assert any(" share-3 layer: " in v for v in report.violations) == (scheme == "cauc")
     assert not report.decode_ok[0]
+
+
+@pytest.mark.parametrize("scheme, alloc", [
+    ("cauc", CacheAllocation((1 / 3, 1 / 3, 0.0))),  # a 2-bit share-K prefix
+    ("cacc", CacheAllocation.from_replication((3, 0, 0), 3)),  # level 1 whole at t = K
+])
+def test_cache_fault_in_a_share_k_layer_is_reported(monkeypatch, scheme, alloc):
+    """No step sends a share-K layer, and no sampled decode of this grid
+    has user 3 ask for file 2: with user 3's lowest cached bit of subfile
+    {2} dropped, the sweep's check of each cache against its share-K
+    layers reports that (user, subfile) once, and exactly the vectors in
+    which user 3 asks for file 2 are not ok."""
+    config = LibraryConfig(3, 3, 2.0, (6, 6, 0))
+    real_place = DeliveryPlan.place
+
+    def faulty_place(plan):
+        caches = real_place(plan)
+        mask = caches[2].known_masks[0b010]
+        return _with_cache(caches, 2, 0b010, mask_fault=mask & -mask)
+
+    monkeypatch.setattr(DeliveryPlan, "place", faulty_place)
+    report = _assert_sweep_matches_reference(config, alloc, scheme)
+    assert report.violations == (
+        "level 1 share-3 layer: user 3 does not hold subfile {2} as placed",
+    )
+    assert report.decode_ok == tuple(d[2] != 2 for d in report.demands)
 
 
 def test_sweep_of_a_plan_that_delivers_nothing_builds_no_step(monkeypatch):
@@ -856,11 +903,11 @@ def test_lane_identity_matches_every_step(k):
         lanes = part_labels(k, t + 1)
         store = _Store({x: rng.getrandbits(offset + layer.size) for x in range(1, k + 1)})
         caches = [UserCache(u, dict.fromkeys(store, -1), dict(store)) for u in range(1, k + 1)]
-        views = _ExactParts(layer, psize, caches, store)
-        parts = _LayerParts(store.item_bits, layer, comb0(k, t))
+        views = _ExactParts(layer, caches, store)
+        parts = _LayerParts(store.item_bits, layer, k)
         for pattern in _equality_patterns(k):
             items = tuple(c + 1 for c in pattern)
-            rec = _xor_step(k, 1, layer, items, parts)
+            rec = _xor_step(1, items, parts)
             lifted = 0
             for u, x in enumerate(items):
                 lifted ^= views.lift(x)[u]
@@ -880,20 +927,22 @@ def test_lane_views_need_every_cache_exact():
     lifts, only while every cache holds its parts of it exactly: one user's
     dropped part or wrong bit of item x, in a layer above offset 0, makes
     views[x] and its lift None and leaves the other items' parts as they
-    were, which are the store's."""
+    were, which are the store's.  A clean entry is its own split, equal to
+    the plan's encoder part list of the item but never that list."""
     config = LibraryConfig(3, 3, 3.0, (0, 12, 0))
     alloc = CacheAllocation.from_replication((0, 2.5, 0), 3)
     store = ContentStore.generate(config, seed=4)
     plan = DeliveryPlan(config, alloc, store)
     caches = plan.place()
-    [(_, items, sublayers)] = plan._levels
-    [(layer, psize, _)] = sublayers  # the share-3 slice below it is not delivered
+    [(_, items, [parts])] = plan._levels  # the share-3 slice below it is not delivered
+    layer, psize = parts.layer, parts.psize
     assert layer.t == 2 and layer.offset > 0
-    clean = _ExactParts(layer, psize, caches, plan.store)
+    clean = _ExactParts(layer, caches, plan.store)
     assert all(clean[x] is not None for x in items)
     assert all(
-        clean[x] == _LayerParts(plan.store.item_bits, layer, len(clean[x]))[x] for x in items
+        clean[x] == _LayerParts(plan.store.item_bits, layer, 3)[x] for x in items
     )
+    assert all(clean[x] == parts[x] and clean[x] is not parts[x] for x in items)
     for k in range(3):
         for j in _step_table(3, layer.t).held[k]:
             pos = layer.offset + j * psize
@@ -903,7 +952,7 @@ def test_lane_views_need_every_cache_exact():
                     _with_cache(caches, k, x, mask_fault=part),
                     _with_cache(caches, k, x, bit_fault=1 << pos + psize - 1),
                 ):
-                    views = _ExactParts(layer, psize, bad, plan.store)
+                    views = _ExactParts(layer, bad, plan.store)
                     assert views.lift(x) is None and views[x] is None, (k, j, x)
                     assert all(views[y] == clean[y] for y in items if y != x)
 
