@@ -26,7 +26,6 @@ from .delivery import (
 from .model import (
     CacheAllocation,
     ContentStore,
-    ExperimentSpec,
     LibraryConfig,
     ratios_to_sizes,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "CacheAllocation",
     "ContentStore",
     "DeliveryPlan",
-    "ExperimentSpec",
     "GridReport",
     "LibraryConfig",
     "Transcript",

@@ -20,7 +20,6 @@ from .delivery import SCHEMES, DeliveryPlan
 from .model import (
     CacheAllocation,
     ContentStore,
-    ExperimentSpec,
     LibraryConfig,
     exact_sizes_from_ratios,
     ratios_to_sizes,
@@ -99,16 +98,10 @@ def _sizes_from_args(args, exact=False) -> tuple:
         return _pad(_ints(args.level_sizes), args.n, "--level-sizes")
     if args.ratios is not None:
         ratios = _pad(_floats(args.ratios), args.n, "--ratios")
-        spec = ExperimentSpec(
-            n_files=args.n,
-            n_users=args.k,
-            cache_capacity=args.m if args.m is not None else 0.0,
-            ratios=ratios,
-            file_bits=_or(args.file_bits, _FILE_BITS),
-        )
+        file_bits = _or(args.file_bits, _FILE_BITS)
         if exact:
-            return exact_sizes_from_ratios(args.n, spec.ratios, spec.file_bits)
-        return ratios_to_sizes(spec).subfile_sizes
+            return exact_sizes_from_ratios(args.n, ratios, file_bits)
+        return ratios_to_sizes(args.n, args.k, ratios, file_bits)
     raise ValueError("need --level-sizes or --ratios")
 
 
@@ -281,8 +274,6 @@ def _cmd_sweep(args) -> int:
     if args.m is not None:
         n, level = args.n, _or(args.sweep_level, 2)
         file_bits = _or(args.file_bits, _FILE_BITS)
-        if file_bits <= 0:
-            raise ValueError("file_bits must be positive")
         if not 2 <= level <= n:
             raise ValueError(f"--sweep-level must lie in [2, {n}], got {level}")
 

@@ -209,50 +209,27 @@ class ContentStore:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Declarative description of a sweep/simulation experiment.
-
-    ratios are commonness ratios r_l (fraction of one file made of level-l
-    subfiles, summing to 1); file_bits is the target file size F before
-    divisibility rounding.
-    """
-
-    n_files: int
-    n_users: int
-    cache_capacity: float
-    ratios: tuple[float, ...]
-    file_bits: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        if len(self.ratios) != self.n_files:
-            raise ValueError("need one ratio per level")
-        # written so that NaN fails too, and inf with it
-        if not all(0 <= r < math.inf for r in self.ratios):
-            raise ValueError(f"ratios must be finite and nonnegative, got {self.ratios}")
-        if not abs(sum(self.ratios) - 1.0) <= 1e-9:
-            raise ValueError("ratios must sum to 1")
-        if self.file_bits <= 0:
-            raise ValueError("file_bits must be positive")
-
-
 def exact_sizes_from_ratios(n_files: int, ratios, file_bits) -> tuple[float, ...]:
-    """Unrounded per-level sizes F_l = r_l * F / binom(N-1, l-1).
+    """Unrounded per-level sizes F_l = r_l * F / binom(N-1, l-1) for the
+    commonness ratios r_l (the share of one file held in level-l subfiles,
+    one per level, summing to 1) and the target file size F."""
+    ratios = tuple(map(float, ratios))
+    if len(ratios) != n_files:
+        raise ValueError("need one ratio per level")
+    # written so that NaN fails too, and inf with it
+    if not all(0 <= r < math.inf for r in ratios):
+        raise ValueError(f"ratios must be finite and nonnegative, got {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError("ratios must sum to 1")
+    if file_bits <= 0:
+        raise ValueError("file_bits must be positive")
+    return tuple(
+        r * file_bits / comb0(n_files - 1, l - 1) for l, r in enumerate(ratios, start=1)
+    )
 
-    Levels whose ratio is 0 get size 0; a positive ratio on a level with no
-    subfiles through one file (impossible for l <= N) cannot occur.
-    """
-    sizes = []
-    for l in range(1, n_files + 1):
-        share = comb0(n_files - 1, l - 1)
-        r = ratios[l - 1]
-        sizes.append(r * file_bits / share if share else 0.0)
-    return tuple(sizes)
 
-
-def ratios_to_sizes(spec: ExperimentSpec) -> LibraryConfig:
-    """Integer config realizing the requested ratios as closely as divisibility allows.
+def ratios_to_sizes(n_files: int, n_users: int, ratios, file_bits) -> tuple[int, ...]:
+    """Integer per-level sizes realizing the ratios as closely as divisibility allows.
 
     Each level size is rounded down to a multiple of the divisibility unit
     lcm{binom(K, t)} so bit-level placement splits evenly for every integer
@@ -260,20 +237,13 @@ def ratios_to_sizes(spec: ExperimentSpec) -> LibraryConfig:
     ratio that would round to 0 bits raises ValueError instead of silently
     leaving that part of the library out.
     """
-    unit = divisibility_unit(spec.n_users)
-    sizes = []
-    exact_sizes = exact_sizes_from_ratios(spec.n_files, spec.ratios, spec.file_bits)
-    for level, (r, exact) in enumerate(zip(spec.ratios, exact_sizes), start=1):
-        size = int(exact // unit) * unit
+    exact_sizes = exact_sizes_from_ratios(n_files, ratios, file_bits)
+    unit = divisibility_unit(n_users)
+    sizes = tuple(int(exact // unit) * unit for exact in exact_sizes)
+    for level, (r, size) in enumerate(zip(ratios, sizes), start=1):
         if r > 0 and size == 0:
             raise ValueError(
                 f"level {level} ratio {r:g} rounds to 0 bits (divisibility unit "
                 f"{unit}); increase file_bits"
             )
-        sizes.append(size)
-    return LibraryConfig(
-        n_files=spec.n_files,
-        n_users=spec.n_users,
-        cache_capacity=spec.cache_capacity,
-        subfile_sizes=tuple(sizes),
-    )
+    return sizes

@@ -16,12 +16,15 @@ report's `formula_rate` stays the nominal formula, which the worst
 delivery may exceed by the bits that rounding kept out of the caches.
 Every transmitted section is one leader-based XOR step whose payloads
 depend on demands only through its step-item pattern, so one plan plus
-per-record decode checks keep the full N^K sweep fast without weakening
-the quantifier: every emitted section is verified for every user, and
-sampled demands additionally run the end-to-end decoder through
-`decode_failures`, the one end-to-end decode check, which `corrcache
-simulate` runs too; it compares every decoded subfile with the store of
-the plan's library and assembles no file.
+per-record decode checks keep the full N^K sweep fast: every sent record
+is checked for every user.  That does not show that a vector's records
+together carry every part its users lack.  A step that the plan omits or
+misroutes fails no record check, and only the 3-4 sampled demands, which
+also run the end-to-end decoder, can see it; a per-set completeness
+check (ROADMAP item 13) would close that gap.  The sampled decodes go
+through `decode_failures`, the one end-to-end decode check, which
+`corrcache simulate` runs too; it compares every decoded subfile with the
+store of the plan's library and assembles no file.
 
 One table per layer, `_ExactParts`, owns the predicate "every cache
 holds its parts of item x in this layer exactly as the store does": its

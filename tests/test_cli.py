@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib
 import io
 import os
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import corrcache
 from corrcache import (
-    ContentStore, DeliveryPlan, ExperimentSpec, LibraryConfig, __version__, scheduling,
+    ContentStore, DeliveryPlan, LibraryConfig, __version__, scheduling,
 )
 from corrcache.cli import main, rate_row
 from corrcache.model import exact_sizes_from_ratios
@@ -586,8 +585,23 @@ REMOVED_API = (
     "compare_schemes", "RatePoint", "window_for", "remainder_delivery",
     "cauc_place", "cicc_place", "cicc_deliver", "schedule_to_text", "rounding_loss_bits",
     "SweepResult", "run_sweep", "LevelRateCurve", "build_level_curve", "cicc_curve",
-    "lower_convex_hull",
+    "lower_convex_hull", "ExperimentSpec",
 )
+
+
+def test_readme_quick_start_runs():
+    """The README's one Python block runs as printed, and prints what its
+    comments state: `72000 1.8` first and `True` last."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(blocks[0].split("```")[0], {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "72000 1.8"
+    assert lines[-1] == "True"
 
 
 def test_public_api_resolves_and_removed_names_are_gone():
@@ -605,8 +619,6 @@ def test_public_api_resolves_and_removed_names_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(corrcache.CacheAllocation, "replication")
     assert not hasattr(corrcache.ContentStore, "subfile_bits")
-    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    assert not fields & {"seed", "sweep_level", "grid"}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from corrcache import (
     CacheAllocation,
     ContentStore,
-    ExperimentSpec,
     LibraryConfig,
     ratios_to_sizes,
 )
@@ -202,22 +201,22 @@ def test_content_store_rejects_fractional_sizes():
 
 
 # ---------------------------------------------------------------------------
-# experiment specs
+# commonness ratios to sizes: the checks the removed ExperimentSpec made
 
 def test_experiment_spec_validates_ratios():
-    ExperimentSpec(2, 2, 1.0, (0.5, 0.5), 1000)
+    exact_sizes_from_ratios(2, (0.5, 0.5), 1000)
     with pytest.raises(ValueError):
-        ExperimentSpec(2, 2, 1.0, (0.6, 0.6), 1000)
+        exact_sizes_from_ratios(2, (0.6, 0.6), 1000)
     with pytest.raises(ValueError):
-        ExperimentSpec(2, 2, 1.0, (1.0,), 1000)
+        exact_sizes_from_ratios(2, (1.0,), 1000)
     with pytest.raises(ValueError):
-        ExperimentSpec(2, 2, 1.0, (1.0, 0.0), 0)
+        exact_sizes_from_ratios(2, (1.0, 0.0), 0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_experiment_spec_rejects_non_finite_ratios(bad):
     with pytest.raises(ValueError, match="ratios"):
-        ExperimentSpec(3, 3, 1.0, (bad, 0.5, 0.5), 1000)
+        exact_sizes_from_ratios(3, (bad, 0.5, 0.5), 1000)
 
 
 def test_exact_sizes_from_ratios():
@@ -229,15 +228,14 @@ def test_exact_sizes_from_ratios():
 
 @given(st.integers(1, 6), st.integers(1, 5))
 def test_ratios_to_sizes_rounds_down_to_unit(n, k):
-    spec = ExperimentSpec(n, k, 0.0, tuple([1.0] + [0.0] * (n - 1)), 50_000)
-    config = ratios_to_sizes(spec)
+    sizes = ratios_to_sizes(n, k, tuple([1.0] + [0.0] * (n - 1)), 50_000)
     unit = divisibility_unit(k)
-    assert all(s % unit == 0 for s in config.subfile_sizes)
-    loss = spec.file_bits - config.file_size
+    assert all(s % unit == 0 for s in sizes)
+    loss = 50_000 - LibraryConfig(n, k, 0.0, sizes).file_size
     assert 0 <= loss < unit * n
 
 
 def test_ratios_to_sizes_rejects_too_small():
-    spec = ExperimentSpec(10, 10, 1.0, (0.0,) * 9 + (1.0,), 100)
     with pytest.raises(ValueError):
-        ratios_to_sizes(spec)  # one level-10 subfile needs >= 2520 bits
+        # one level-10 subfile needs >= 2520 bits
+        ratios_to_sizes(10, 10, (0.0,) * 9 + (1.0,), 100)

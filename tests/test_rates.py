@@ -385,6 +385,27 @@ def test_rates_agree_on_seeded_random_configs():
             assert coded <= cicc_rate(config) + 1e-9
 
 
+def test_coded_rate_above_cicc_only_on_unrelated_files_with_n_below_k():
+    """The paper's headline claim at the formulas, over 2,000 seeded configs
+    (N, K <= 8): the optimizer's cacc rate never exceeds cauc's optimum, and
+    it exceeds cicc's rate only on libraries of level-1 subfiles alone with
+    N < K, on 33 configs by up to 10.7%.  The files are unrelated there, so
+    both schemes face the same library, but at level 1 alpha counts N + 1
+    distinct items per step where cicc counts the N a step can hold."""
+    rng = random.Random(0)
+    above = []
+    for _ in range(2000):
+        config = random_config(rng, n_max=8, k_max=8)
+        coded = optimize_allocation(config).rate
+        assert coded <= cauc_rate(config, cauc_optimal_allocation(config)) + 1e-9
+        if coded > cicc_rate(config) + 1e-9:
+            above.append(config)
+    assert len(above) == 33
+    for config in above:
+        assert config.n_files < config.n_users
+        assert not any(config.subfile_sizes[1:]), config
+
+
 # ---------------------------------------------------------------------------
 # closed forms against the direct loops they replace
 
