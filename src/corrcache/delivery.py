@@ -45,8 +45,9 @@ for cauc); only the steps it sends are built.
 
 Delivery works per demand set and per demand vector.  The window, each
 layer's coded/remainder choice and the remainder step patterns depend
-only on the set of demanded files, so a plan chooses them once per set,
-as one tuple of groups (`_choice`).
+only on the set of demanded files, so a plan chooses them per set, as one
+tuple of groups (`_choice`); it keeps no choice, and the verifier asks
+once per set.
 Per demand vector, each coded group's column table, indexed by file
 number, is read at the demands with one `itemgetter` per vector, for one
 vector (`deliver`) or for all vectors of a set at once (the verifier).
@@ -526,15 +527,16 @@ class DeliveryPlan:
     (``plan.deliver(demands)``) share almost all bit-level work.  cicc
     ignores `alloc` (it may be None).
 
-    Per demand set, per demand vector: `_set_send` returns, built by
-    `_choice` once per set of demanded files (kept in `_choices`, keyed by
-    the frozenset), the set's groups, each with its column table and, per
-    delivered layer, its remainder step patterns or None when coded.
-    `_step_items` reads the coded column tables at the demands of any
-    vectors of one set, and `_records` builds a layer's records for step
-    items.  The verifier drives these three over each demand set's
-    vectors, which are valid by construction; `deliver` drives them for
-    one vector.
+    Per demand set, per demand vector: `_choice` returns the set of
+    demanded files' groups, each with its column table and, per delivered
+    layer, its remainder step patterns or None when coded; the plan keeps
+    no choice and makes it afresh on every call.  `_step_items` reads the
+    coded column tables at the demands of any vectors of one set,
+    `_records` builds a layer's records for step items, and `_transcript`
+    builds one vector's transcript from its set's choice.  The verifier
+    asks for each demand set's choice once and drives the other three over
+    the set's vectors, which are valid by construction; `deliver` drives
+    them for one vector.
     """
 
     def __init__(
@@ -563,7 +565,6 @@ class DeliveryPlan:
             self._load_fixture(schedule_source) if schedule_source is not None else None
         )
         self._columns = {}
-        self._choices = {}
 
     def _load_fixture(self, source):
         """Load a schedule fixture, refusing one that no coded step can use."""
@@ -672,11 +673,11 @@ class DeliveryPlan:
 
     def _choice(self, demands) -> tuple:
         """Everything of a delivery that depends only on the set of demanded
-        files, built once per set: per group, (level, its column table or
-        None, per delivered layer (its `_LayerParts`, its remainder step
-        patterns, or None when coded)), in transcript order.  A coded
+        files, built afresh on every call: per group, (level, its column
+        table or None, per delivered layer (its `_LayerParts`, its remainder
+        step patterns, or None when coded)), in transcript order.  A coded
         layer's steps are the column table read per demand vector
-        (`_step_items`); a remainder layer's patterns are kept here.
+        (`_step_items`); a remainder layer's patterns are listed here.
 
         A step whose column holds L distinct items at the demanded files
         sends C(K, t+1) - C(K-L, t+1) payloads (`step_payloads`).
@@ -720,15 +721,6 @@ class DeliveryPlan:
         The plan keeps none of them."""
         return (_xor_step(level, items, parts) for items in patterns)
 
-    def _set_send(self, demands) -> tuple:
-        """The `_choice` of the set of files `demands` asks for, built once
-        per set and kept in `_choices`."""
-        key = frozenset(demands)
-        per_set = self._choices.get(key)
-        if per_set is None:
-            per_set = self._choices[key] = self._choice(demands)
-        return per_set
-
     def _step_items(self, per_set, vectors):
         """Per group of a demand set's `_choice` with coded layers, (level,
         those layers, per column of its table the step items of every
@@ -751,13 +743,18 @@ class DeliveryPlan:
             yield level, layers, [list(map(_READ, readers, repeat(row))) for row in table]
 
     def deliver(self, demands) -> Transcript:
-        """Deliver one demand vector as a `Transcript`: per group and
-        delivered layer, its records (`_records`) for the set's remainder
-        patterns or, when coded, for the group's columns read at the demands
-        (`_step_items`), in that layout; the coded steps' payload counts;
-        and the bits per level and in total, summed from the records."""
+        """Deliver one demand vector as a `Transcript`, from its set's
+        `_choice`, made afresh for this call (see `_transcript`)."""
         demands = as_demands(demands, self.config)
-        per_set = self._set_send(demands)
+        return self._transcript(demands, self._choice(demands))
+
+    def _transcript(self, demands, per_set) -> Transcript:
+        """One valid demand vector's `Transcript` from `per_set`, the
+        `_choice` of its demand set: per group and delivered layer, its
+        records (`_records`) for the set's remainder patterns or, when
+        coded, for the group's columns read at the demands (`_step_items`),
+        in that layout; the coded steps' payload counts; and the bits per
+        level and in total, summed from the records."""
         coded = {
             level: [col[0] for col in columns]
             for level, _, columns in self._step_items(per_set, (demands,))

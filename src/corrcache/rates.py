@@ -161,14 +161,15 @@ def _alpha_numerators(n_files: int, n_users: int, level: int) -> tuple[int, ...]
     )
 
 
-def _alpha(n_files: int, n_users: int, level: int, size, file_size, t: int) -> float:
-    numerator = _alpha_numerators(n_files, n_users, level)[t]
-    return float(numerator) * size / (file_size * comb0(n_users, t))
+def _alpha(config: LibraryConfig, level: int, t: int) -> float:
+    n, k = config.n_files, config.n_users
+    numerator = _alpha_numerators(n, k, level)[t]
+    return float(numerator) * config.subfile_sizes[level - 1] / (config.file_size * comb0(k, t))
 
 
-def _m(n_files: int, n_users: int, level: int, size, file_size, t) -> float:
-    needed = _needed_subfile_count(n_files, n_users, level)
-    return needed * (size - t * size / n_users) / file_size
+def _m(config: LibraryConfig, level: int, t) -> float:
+    n, k, size = config.n_files, config.n_users, config.subfile_sizes[level - 1]
+    return _needed_subfile_count(n, k, level) * (size - t * size / k) / config.file_size
 
 
 @functools.lru_cache(maxsize=1024)
@@ -188,12 +189,6 @@ def _worst_payloads(scheme: str, n_files: int, n_users: int, level: int) -> tupl
     if scheme == "cacc":
         counts = map(min, _alpha_numerators(n, k, level), counts)
     return tuple(counts)
-
-
-def _point(n_files: int, n_users: int, level: int, size, file_size, t: int) -> float:
-    """Level l's coded rate at integer share t: min(alpha, m)."""
-    terms = (n_files, n_users, level, size, file_size)
-    return min(_alpha(*terms, t), _m(*terms, t))
 
 
 class _SlopeTable(NamedTuple):
@@ -250,17 +245,6 @@ def _slope_table(n_files: int, n_users: int) -> _SlopeTable:
     )
 
 
-def _level_terms(config: LibraryConfig, level: int) -> tuple:
-    """The leading arguments of _alpha and _m: (N, K, level, F_l, F)."""
-    return (
-        config.n_files,
-        config.n_users,
-        level,
-        config.subfile_sizes[level - 1],
-        config.file_size,
-    )
-
-
 def cacc_alpha(config: LibraryConfig, level: int, t: int) -> float:
     """Per-level rate of the multicast XOR delivery procedure at integer share t.
 
@@ -270,7 +254,7 @@ def cacc_alpha(config: LibraryConfig, level: int, t: int) -> float:
     paper's values; cacc_level_rate reads the same _alpha.
     """
     _check_level_t(config, level, t)
-    return _alpha(*_level_terms(config, level), t)
+    return _alpha(config, level, t)
 
 
 def cacc_m(config: LibraryConfig, level: int, t: int) -> float:
@@ -280,7 +264,7 @@ def cacc_m(config: LibraryConfig, level: int, t: int) -> float:
     the paper's values; cacc_level_rate reads the same _m.
     """
     _check_level_t(config, level, t)
-    return _m(*_level_terms(config, level), t)
+    return _m(config, level, t)
 
 
 def _check_level_t(config: LibraryConfig, level: int, t) -> None:
@@ -294,8 +278,9 @@ def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
     integer t, the lower convex hull of those points at fractional t."""
     _check_level_t(config, level, t)
     vertices = _slope_table(config.n_files, config.n_users).vertices[level - 1]
-    point = functools.partial(_point, *_level_terms(config, level))
-    return _envelope_rate(vertices, point, t)
+    return _envelope_rate(
+        vertices, lambda share: min(_alpha(config, level, share), _m(config, level, share)), t
+    )
 
 
 def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:

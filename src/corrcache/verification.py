@@ -17,14 +17,22 @@ delivery may exceed by the bits that rounding kept out of the caches.
 Every transmitted section is one leader-based XOR step whose payloads
 depend on demands only through its step-item pattern, so one plan plus
 per-record decode checks keep the full N^K sweep fast: every sent record
-is checked for every user.  That does not show that a vector's records
-together carry every part its users lack.  A step that the plan omits or
-misroutes fails no record check, and only the 3-4 sampled demands, which
-also run the end-to-end decoder, can see it; a per-set completeness
-check (ROADMAP item 13) would close that gap.  The sampled decodes go
-through `decode_failures`, the one end-to-end decode check, which
-`corrcache simulate` runs too; it compares every decoded subfile with the
-store of the plan's library and assembles no file.
+is checked for every user.  A record check does not show that a vector's
+records together carry every part its users lack, which a step that the
+plan omits or misroutes breaks.  So, per demand set, the completeness
+check asks that in each delivered layer, for each demanded file f, the
+steps give f's users every item of the layer's group that touches f:
+those items come from the plan's groups, never from the choice under
+test, and a coded layer gives them col[f] per column, a remainder layer
+the items its patterns give every user.  The record checks, the
+completeness check and the share-K check (below) together cover
+decodability on every vector: every user receives, in every delivered
+layer, a step for each subfile of its file, rebuilds that subfile's
+layer slice exactly, and holds its share-K layers exactly.  The 3-4
+sampled demands also run the end-to-end decoder, `decode_failures`, the
+one end-to-end decode check, which `corrcache simulate` runs too; it
+compares every decoded subfile with the store of the plan's library and
+assembles no file.
 
 One table per layer, `_ExactParts`, owns the predicate "every cache
 holds its parts of item x in this layer exactly as the store does": its
@@ -76,11 +84,11 @@ passes it, so the verdicts are the reference's.
 The sweep works per demand set.  A vector's sections depend on it only
 through its set of demanded files and, per coded step, its step items, so
 the sweep groups the N^K vectors by demand set, each set's vectors in
-product order.  Per set it takes the plan's shared entry once
-(`_set_send`) and looks the set's remainder steps up once, summing their
-bits.  A set with no coded layer, which is every set of a plan that
-delivers nothing, gives all its vectors those bits and that verdict in
-bulk.  In a coded set, the plan reads every column at every vector's
+product order.  Per set it asks the plan for the set's choice once
+(`_choice`), looks the set's remainder steps up once, summing their
+bits, and runs the completeness check on it.  A set with no coded layer,
+which is every set of a plan that delivers nothing, gives all its vectors
+those bits and that verdict in bulk.  In a coded set, the plan reads every column at every vector's
 demands (`_step_items`).  Every step, remainder or coded, is one lookup
 in its layer's verdict table keyed by step items, which gives the bits
 and the verdict of that very record: a vector's bits are summed over its
@@ -88,10 +96,15 @@ own steps, never taken from another vector.  The tables are the sweep's
 only index of steps.  On a miss the record is built (`_records`),
 checked, filed and dropped, so no record outlives its check.  A failing
 record is reported once, where a per-vector loop would first meet it, and
-every vector that sends it is marked not ok.  Only the sampled vectors
-get a full `Transcript`, for the end-to-end decoder.  They go first: they
-are delivered, their records are checked and filed, so the sweep builds
-none of them again, and each is decoded; then their transcripts go.
+every vector that sends it is marked not ok.  A completeness gap is one
+line per (set, file, level, layer), naming the missing subfiles, sorted
+before every other line of the set's first vector, and every vector of
+the set is not ok, since each of them asks for that file.  Only the
+sampled vectors get a full `Transcript` (`_transcript`, from their set's
+choice), for the end-to-end decoder.  The sets that hold one go first,
+and inside such a set the samples come before its lookups: each is
+delivered, its records are checked and filed, so the sweep builds none
+of them again, and it is decoded; then its transcript goes.
 """
 
 from __future__ import annotations
@@ -101,6 +114,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
+from .combinat import members_of
 from .delivery import (
     DeliveryPlan,
     LayerSpec,
@@ -414,9 +428,14 @@ def verify_all_demands(
 
     Every distinct transmitted section is decode-verified for every user
     (sections repeat across demand vectors, so this covers the whole grid),
-    and every demand vector that emits a failing section is flagged;
-    additionally a few demand vectors per sweep run the complete user
-    decoder against the ground-truth files of the seed's content store.
+    and every demand vector that emits a failing section is flagged.  Per
+    demand set, taken once, the completeness check asks that every
+    demanded file's users receive a step for each subfile of that file in
+    each delivered layer, and each cache is checked against every share-K
+    layer; with the record checks these cover decodability on every
+    vector.  A few demand vectors per sweep, delivered inside their set's
+    pass, also run the complete user decoder against the ground-truth
+    files of the seed's content store.
     """
     n, k = config.n_files, config.n_users
     if n**k > _GRID_GUARD:
@@ -450,10 +469,11 @@ def verify_all_demands(
     verdicts = {(level, p.layer): {} for level, _, layers in plan._levels for p in layers}
     failed: dict = {}  # (level, layer, step items) -> a failing record's lines
     # Per failing record, the first vector and position that send it.  Every
-    # report is sorted by (vector index, stage, position): stage 0 is a
-    # failing record at its position among the vector's remainder and then
-    # coded records, 1 the limit and 2 the sampled decode, the order in
-    # which a per-vector loop would meet them.
+    # report is sorted by (vector index, stage, position): stage -1 is a
+    # completeness gap of the vector's set, at its file, 0 a failing record
+    # at its position among the vector's remainder and then coded records,
+    # 1 the limit and 2 the sampled decode, the order in which a per-vector
+    # loop would meet them.
     first_sent: dict = {}
     # per layer, its `_ExactParts`: the lane pass, the sampled decodes and
     # the share-K check read the same table
@@ -489,27 +509,30 @@ def verify_all_demands(
         rec_key = (level, layer, items)
         first_sent[rec_key] = min(first_sent.get(rec_key, key), key)
 
-    def decode_samples() -> dict:
-        """Deliver the sampled vectors, check and file their records, then
-        decode each end to end: per sampled vector's index, its decode
-        failures.  The sweep then finds those records filed."""
-        step = max(1, len(all_demands) // _FULL_DECODE_SAMPLES)
-        sampled = {idx: plan.deliver(all_demands[idx]) for idx in range(0, len(all_demands), step)}
-        for transcript in sampled.values():
-            for rec in transcript.sections:
-                if rec.step_items not in verdicts[rec.level, rec.layer]:
-                    check(rec.level, rec.layer, rec.step_items, rec)
-        return {
-            idx: decode_failures(caches, transcript, all_demands[idx], plan.store, exact)
-            for idx, transcript in sampled.items()
-        }
-
-    decoded = decode_samples()
+    # per delivered group, per file f (entry f - 1), the group's items
+    # touching f, read from the library: what f's users must recover
+    needs = [[{x for x in items if x >> f & 1} for f in range(n)] for _, items, _ in plan._levels]
+    # the sampled vectors (every N^K // 3-th), grouped by demand set; their
+    # sets go first
+    sampled: dict = {}
+    for idx in range(0, len(all_demands), max(1, len(all_demands) // _FULL_DECODE_SAMPLES)):
+        sampled.setdefault(masks[idx], []).append(idx)
+    decoded = {}  # per sampled vector's index, its decode failures
 
     entries = []  # (sort key, line)
     totals_of, flags_of = {}, {}  # per set, its vectors' bits and ok flags
-    for mask, vectors in by_set.items():
-        per_set = plan._set_send(vectors[0])
+    for mask in dict.fromkeys([*sampled, *by_set]):
+        vectors = by_set[mask]
+        per_set = plan._choice(vectors[0])
+        # A sampled vector is delivered from the set's choice, its records
+        # are checked and filed, so the lookups below build none of them
+        # again, and it is decoded end to end.
+        for idx in sampled.get(mask, ()):
+            transcript = plan._transcript(all_demands[idx], per_set)
+            for rec in transcript.sections:
+                if rec.step_items not in verdicts[rec.level, rec.layer]:
+                    check(rec.level, rec.layer, rec.step_items, rec)
+            decoded[idx] = decode_failures(caches, transcript, all_demands[idx], plan.store, exact)
         set_bits, set_ok, pos = 0, True, 0
         for level, _, sent in per_set:
             for parts, patterns in sent:
@@ -521,6 +544,24 @@ def verify_all_demands(
                         blame(level, parts.layer, items, (index(vectors[0]), 0, pos))
                     set_bits += bits
                     pos += 1
+        # Completeness: in each delivered layer, f's users must recover every
+        # item that f needs, for each demanded file f.  A coded layer gives
+        # them col[f] per column, a remainder layer the items its patterns
+        # give every user.
+        for (level, table, sent), need in zip(per_set, needs):
+            for parts, patterns in sent:
+                if patterns is not None:
+                    every = set.intersection(*({p[u] for p in patterns} for u in range(k)))
+                for f in members_of(mask):
+                    got = every if patterns is not None else {col[f] for col in table}
+                    if missing := need[f - 1] - got:
+                        set_ok = False
+                        names = ", ".join(map(_item_name, sorted(missing)))
+                        entries.append((
+                            (index(vectors[0]), -1, f),
+                            f"demand set {_item_name(mask)}: level {level} share-{parts.layer.t} "
+                            f"layer: no step recovers subfile {names} for file {f}'s users",
+                        ))
         totals = [set_bits] * len(vectors)
         flags = [set_ok] * len(vectors)
         for level, layers, columns in plan._step_items(per_set, vectors):

@@ -19,6 +19,7 @@ from corrcache import (
     deliver,
     optimize_allocation,
     place,
+    verify_all_demands,
 )
 from corrcache import delivery
 from corrcache.combinat import comb0, members_of, part_labels, step_payloads
@@ -646,24 +647,30 @@ def test_plan_reproduces_fresh_transcripts_for_every_scheme(scheme, library):
     assert (coded > 0) == (scheme != "cauc")
 
 
-def test_plan_builds_each_demand_set_once():
+def test_plan_builds_each_demand_set_once(monkeypatch):
     """Demand vectors with the same set of demanded files share that set's
     remainder section: (1, 2, 2) and (2, 1, 1) get equal records.  The plan
-    keeps one entry per distinct demand set."""
+    keeps no choice, and one sweep asks for each demand set's choice
+    exactly once: 7 calls at N = K = 3, none repeated."""
     config = single_level_config(3, 3, 2, units=2, capacity=1.0)
+    alloc = CacheAllocation((0.0, 0.0, 0.0))
     store = ContentStore.generate(config, seed=6)
-    plan = DeliveryPlan(config, CacheAllocation((0.0, 0.0, 0.0)), store)
+    plan = DeliveryPlan(config, alloc, store)
     first, second = plan.deliver((1, 2, 2)), plan.deliver((2, 1, 1))
     assert first.step_counts == second.step_counts == ()  # remainder steps only
     assert len(first.sections) == 3
     assert first.sections == second.sections
-    assert len(plan._choices) == 1
-    seen = {frozenset((1, 2))}
-    for d in itertools.product(range(1, 4), repeat=3):
-        plan.deliver(d)
-        seen.add(frozenset(d))
-        assert len(plan._choices) == len(seen)
-    assert len(seen) == 7
+
+    asked = []
+    real = DeliveryPlan._choice
+
+    def choice(self, demands):
+        asked.append(frozenset(demands))
+        return real(self, demands)
+
+    monkeypatch.setattr(DeliveryPlan, "_choice", choice)
+    assert verify_all_demands(config, alloc).ok
+    assert len(asked) == len(set(asked)) == 7
 
 
 def test_plan_deliver_validates_demands():

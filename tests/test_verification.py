@@ -24,7 +24,7 @@ from corrcache import (
     worst_case_demand,
 )
 from corrcache import delivery, verification
-from corrcache.combinat import comb0, divisibility_unit, part_labels
+from corrcache.combinat import comb0, divisibility_unit, mask_of, part_labels
 from corrcache.rates import _cut_totals, reads_point
 from corrcache.delivery import (
     LayerSpec, StepRecord, UserCache, _decoded_items, _family, _item_name, _LayerParts,
@@ -425,7 +425,7 @@ def test_remainder_only_sets_share_one_result_and_one_verdict(monkeypatch):
     by_set = {}
     for d in itertools.product(range(1, 4), repeat=3):
         transcript = plan.deliver(d)
-        assert all(p is not None for _, _, sent in plan._set_send(d) for _, p in sent)
+        assert all(p is not None for _, _, sent in plan._choice(d) for _, p in sent)
         assert transcript.sections == by_set.setdefault(frozenset(d), transcript.sections)
         assert transcript.total_bits == sum(r.bits for r in transcript.sections)
 
@@ -652,10 +652,14 @@ def test_reference_check_words_each_violation(monkeypatch):
 
 def _reference_sweep(config, alloc, scheme, seed=0):
     """`verify_all_demands` as a plain loop over the demand vectors in
-    product order: each vector's sections from `plan.deliver`, the set's
-    remainder records first and then its coded records, each one checked
-    by `_check_step` and each failing record reported once, at the first
-    vector that sends it; the vector's bits from `plan.deliver`; the limit;
+    product order: each vector's sections from `plan.deliver`; per user and
+    delivered layer, the step items the user receives there, which must
+    include every item of the layer's group touching its file, each gap
+    reported once per (demand set, file, level, layer), in file order, at
+    the first vector that has it; the set's remainder records first and
+    then its coded records, each one checked by `_check_step` and each
+    failing record reported once, at the first vector that sends it; the
+    vector's bits from `plan.deliver`; the limit;
     the sampled end-to-end decodes; each cache against every share-K
     layer, which no step sends, one line per (user, subfile) it does not
     hold whole and equal to the store, every vector whose user asks for a
@@ -683,15 +687,36 @@ def _reference_sweep(config, alloc, scheme, seed=0):
     rates, flags, violations, reported, worst = [], [], [], set(), 0
     for idx, d in enumerate(demands):
         transcript = plan.deliver(d)
+        ok, gaps = True, []
+        for level, items, layers in plan._levels:
+            for parts in layers:
+                got = [set() for _ in d]
+                for rec in transcript.sections:
+                    if (rec.level, rec.layer) == (level, parts.layer):
+                        for u, x in enumerate(rec.step_items):
+                            got[u].add(x)
+                for u, f in enumerate(d):
+                    missing = {x for x in items if x >> (f - 1) & 1} - got[u]
+                    if missing:
+                        ok = False
+                        key = (frozenset(d), f, level, parts.layer)
+                        if key not in reported:
+                            reported.add(key)
+                            names = ", ".join(map(_item_name, sorted(missing)))
+                            gaps.append((f, (
+                                f"demand set {_item_name(mask_of(d))}: "
+                                f"level {level} share-{parts.layer.t} layer: no step "
+                                f"recovers subfile {names} for file {f}'s users"
+                            )))
+        violations += [line for _, line in sorted(gaps, key=lambda gap: gap[0])]
         remainder = {
             (level, parts.layer)
-            for level, _, sent in plan._set_send(d)
+            for level, _, sent in plan._choice(d)
             for parts, patterns in sent
             if patterns is not None
         }
         # stable: remainder records, then coded, each in transcript order
         sections = sorted(transcript.sections, key=lambda r: (r.level, r.layer) not in remainder)
-        ok = True
         for rec in sections:
             errs = _check_step(rec, caches, plan.store)
             if errs:
@@ -1237,19 +1262,16 @@ _MUTANTS = [
     pytest.param(
         "omit a remainder step", _in_set_23(_remainders(lambda p: p[:-1])),
         ("cauc", 3, 3, 1, 0), (6, 6),
-        marks=_escapes(13, "no check that a set's steps carry every lacked part"),
         id="omit remainder",
     ),
     pytest.param(
         "omit the first coded column", _in_set_23(_columns(lambda table: table[1:])),
         ("cacc", 4, 4, 2, 1), (14, 14),
-        marks=_escapes(13, "no check that a set's steps carry every lacked part"),
         id="omit column",
     ),
     pytest.param(
         "swap files 2 and 3 in the first column", _in_set_23(_columns(_swap_2_3)),
         ("cacc", 4, 4, 2, 1), (14, 0),
-        marks=_escapes(13, "no check that a set's steps carry every lacked part"),
         id="swap column",
     ),
     pytest.param(
@@ -1338,6 +1360,39 @@ def test_mutant_table_kill_count(monkeypatch):
             killed.append(name)
     print(f"mutant table: {len(killed)} of {len(mutants)} mutants killed")
     assert killed == [row.values[0] for row in mutants if not row.marks]
+    assert (len(killed), len(mutants)) == (4, 6)
+
+
+@pytest.mark.parametrize(
+    "patch, shape", [row.values[1:3] for row in _MUTANTS[:3]], ids=[row.id for row in _MUTANTS[:3]]
+)
+def test_completeness_matches_the_per_vector_reference(monkeypatch, patch, shape):
+    """On the three plans whose steps miss a part some users lack, the
+    sweep's per-set completeness check reports what the per-vector
+    reference, which reads each user's received step items off every
+    vector's transcript, reports: the same lines, in the same order, and
+    the same vectors not ok."""
+    scheme, n, k, level, t = shape
+    config = single_level_config(n, k, level)
+    alloc = CacheAllocation.from_replication([t * (l == level) for l in range(1, n + 1)], k)
+    patch(monkeypatch)
+    assert not _assert_sweep_matches_reference(config, alloc, scheme).ok
+
+
+def test_completeness_lines_name_each_file_and_layer_gap(monkeypatch):
+    """With the first coded column gone from demand set {2, 3}, users
+    asking for file 2 miss subfile {1,2} and those asking for file 3 miss
+    {3,4}: one line per (set, file, level, layer), in file order, and
+    every vector of the set is not ok."""
+    omit_column = _in_set_23(_columns(lambda table: table[1:]))
+    _, report, touched, _ = _run_mutant(monkeypatch, omit_column, ("cacc", 4, 4, 2, 1))
+    assert report.violations == tuple(
+        f"demand set {{2,3}}: level 2 share-1 layer: no step recovers subfile {x} "
+        f"for file {f}'s users"
+        for f, x in [(2, "{1,2}"), (3, "{3,4}")]
+    )
+    assert {d for d, ok in zip(report.demands, report.decode_ok) if not ok} == touched
+    assert touched == {d for d in report.demands if set(d) == {2, 3}}
 
 
 # ---------------------------------------------------------------------------
