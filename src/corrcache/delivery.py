@@ -236,15 +236,12 @@ def _groups(
         config = LibraryConfig(n, k, config.cache_capacity, (f,) + (0,) * (n - 1))
         store = ContentStore(config=config, seed=store.seed, _contents=files)
     else:
-        if len(alloc.fractions) != n:
-            raise ValueError("allocation needs one fraction per level")
+        fractions = alloc.level_fractions(config)
         groups = []
-        for level in config.levels():
+        for level in config.nonempty_levels():
             size = int(config.subfile_sizes[level - 1])
-            if size == 0:
-                continue
             masks = part_labels(n, level)
-            t_exact = alloc.fractions[level - 1] * k
+            t_exact = fractions[level - 1] * k
             if scheme == "cacc":
                 layers = cacc_layers(config, level, t_exact)
                 masks = sorted(masks)  # remainder steps go out in mask order

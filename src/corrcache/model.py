@@ -54,15 +54,18 @@ class LibraryConfig:
             raise ValueError(f"subfile_sizes must be finite and nonnegative, got {sizes}")
         object.__setattr__(self, "subfile_sizes", sizes)
         n = self.n_files
+        # an empty level only ever adds an exact 0 to a sum over levels
+        nonempty = tuple(l for l, s in enumerate(sizes, start=1) if s)
+        object.__setattr__(self, "_nonempty_levels", nonempty)
         object.__setattr__(
             self,
             "_file_size",
-            sum(comb0(n - 1, l - 1) * sizes[l - 1] for l in range(1, n + 1)),
+            sum(comb0(n - 1, l - 1) * sizes[l - 1] for l in nonempty),
         )
         object.__setattr__(
             self,
             "_library_bits",
-            sum(comb0(n, l) * sizes[l - 1] for l in range(1, n + 1)),
+            sum(comb0(n, l) * sizes[l - 1] for l in nonempty),
         )
         if self.file_size <= 0:
             raise ValueError("file size must be positive")
@@ -95,6 +98,12 @@ class LibraryConfig:
     def levels(self) -> range:
         return range(1, self.n_files + 1)
 
+    def nonempty_levels(self) -> tuple[int, ...]:
+        """The levels whose subfiles hold bits, ascending (listed once, in
+        __post_init__).  Loops over levels walk these: an empty level adds
+        nothing to any sum and owns no subfile."""
+        return self._nonempty_levels
+
 
 def file_layout(config: LibraryConfig, file_index: int):
     """(subfile mask, size, offset) triples making up one file, in
@@ -105,10 +114,8 @@ def file_layout(config: LibraryConfig, file_index: int):
     bit = 1 << (file_index - 1)
     out = []
     offset = 0
-    for level in config.levels():
+    for level in config.nonempty_levels():
         size = int(config.subfile_sizes[level - 1])
-        if not size:
-            continue
         for m in part_labels(config.n_files, level):
             if m & bit:
                 out.append((m, size, offset))
@@ -150,12 +157,20 @@ class CacheAllocation:
         """Build from per-level replication counts t_l = K * p_l."""
         return cls(tuple(c / n_users for c in counts))
 
+    def level_fractions(self, config: LibraryConfig) -> tuple[float, ...]:
+        """The fractions, checked to hold one per level of `config`: the
+        level loops read only the nonempty levels' entries, so a short or
+        long tuple would otherwise go unseen."""
+        if len(self.fractions) != config.n_files:
+            raise ValueError("allocation needs one fraction per level")
+        return self.fractions
+
     def cached_bits(self, config: LibraryConfig):
         """Bits one user stores under this allocation: sum binom(N,l) p_l F_l."""
-        n = config.n_files
+        n, fractions = config.n_files, self.level_fractions(config)
         return sum(
-            comb0(n, l) * self.fractions[l - 1] * config.subfile_sizes[l - 1]
-            for l in config.levels()
+            comb0(n, l) * fractions[l - 1] * config.subfile_sizes[l - 1]
+            for l in config.nonempty_levels()
         )
 
     def satisfies_capacity(self, config: LibraryConfig) -> bool:
@@ -190,10 +205,8 @@ class ContentStore:
         if not config.is_integral():
             raise ValueError("content generation needs integer subfile sizes")
         contents = {}
-        for level in config.levels():
+        for level in config.nonempty_levels():
             size = int(config.subfile_sizes[level - 1])
-            if not size:
-                continue
             for m in part_labels(config.n_files, level):
                 contents[m] = random.Random(mix_seed(seed, level, m)).getrandbits(size)
         return cls(config=config, seed=seed, _contents=contents)

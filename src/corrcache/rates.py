@@ -31,10 +31,18 @@ a capacity sweep computes every capacity-independent quantity once:
 * the cut-set bound's exposed-bit count uses Vandermonde's identity,
   sum_{s, l>=1} binom(N-e, s) binom(e, l) F_{l+s}
   = sum_j F_j (binom(N, j) - binom(N-e, j)),
-  so it costs O(N) per cut size instead of a double sum; the per-cut-size
-  table (p, b, exposed bits) is memoized on (N, K, sizes), and each call
-  only divides by F and maximizes over p at its capacity;
+  so it costs O(N) per cut size instead of a double sum.  It depends on
+  the cut size p only through the hidden count N - e, which takes few
+  distinct values, so each distinct count is summed once, over the
+  nonzero sizes (`_cut_shape`); the per-cut-size table (p, b, exposed
+  bits) is memoized on (N, K, sizes), and each call only divides by F and
+  maximizes over p at its capacity;
 * the uncoded allocation takes every level's tail from one suffix pass.
+
+Every level loop walks the config's nonempty levels
+(`LibraryConfig.nonempty_levels`) and reads C(N, l) from one table per N
+(`_binomials`).  An empty level only ever added an exact 0 to a sum, so
+every value is bit-identical to the walk over all levels.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 from typing import NamedTuple
 
 from .combinat import comb0, divisibility_unit, step_payloads
@@ -89,10 +96,20 @@ def _lower_convex_hull(points) -> tuple[tuple, ...]:
     return tuple(hull)
 
 
-@functools.lru_cache(maxsize=1024)
-def _needed_subfile_count(n_files: int, n_users: int, level: int) -> int:
-    """Level-l subfiles touched by a worst-case demand set of min(N, K) files."""
-    return comb0(n_files, level) - comb0(max(n_files - n_users, 0), level)
+@functools.lru_cache(maxsize=64)
+def _binomials(n: int) -> tuple[int, ...]:
+    """binom(n, j) for j = 0..n: the level loops read C(N, l) and C(K, t)
+    from here."""
+    return tuple(math.comb(n, j) for j in range(n + 1))
+
+
+@functools.lru_cache(maxsize=256)
+def _needed_counts(n_files: int, n_users: int) -> tuple[int, ...]:
+    """Per level l = 0..N, the level-l subfiles touched by a worst-case
+    demand set of min(N, K) files: binom(N, l) - binom(max(N-K, 0), l)."""
+    return tuple(
+        c - comb0(max(n_files - n_users, 0), l) for l, c in enumerate(_binomials(n_files))
+    )
 
 
 def cauc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
@@ -101,14 +118,11 @@ def cauc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
     Every subfile that intersects the demanded set ships its uncached
     remainder once: R = (1/F) sum_l (1 - p_l) F_l (binom(N,l) - binom(max(N-K,0),l)).
     """
-    n, k = config.n_files, config.n_users
+    sizes, fractions = config.subfile_sizes, alloc.level_fractions(config)
+    needed = _needed_counts(config.n_files, config.n_users)
     total = 0.0
-    for l in config.levels():
-        total += (
-            (1.0 - alloc.fractions[l - 1])
-            * config.subfile_sizes[l - 1]
-            * _needed_subfile_count(n, k, l)
-        )
+    for l in config.nonempty_levels():
+        total += (1.0 - fractions[l - 1]) * sizes[l - 1] * needed[l]
     return total / config.file_size
 
 
@@ -118,24 +132,30 @@ def cauc_optimal_allocation(config: LibraryConfig) -> CacheAllocation:
     With C(l) = sum_{i>=l} binom(N,i) F_i the cumulative tail, level l gets
     p_l = 1 when C(l) fits in the budget, the fractional remainder when the
     budget lands inside level l, and 0 below that.  The tails come from one
-    suffix pass, level N down to 1, so the whole allocation is O(N).  Uses
-    the whole budget whenever the budget is below the total library size.
-    At the capacity clamp (the whole library) every share is exactly 1.
+    suffix pass over the nonempty levels, highest first, so the whole
+    allocation is O(N).  An empty level adds nothing to the tail, and it
+    gets p_l = 1 exactly when the tail above it fits.  Uses the whole
+    budget whenever the budget is below the total library size.  At the
+    capacity clamp (the whole library) every share is exactly 1.
     """
     n = config.n_files
     if config.cache_capacity >= config.library_bits / config.file_size:
         return CacheAllocation((1.0,) * n)
     budget = config.cache_capacity * config.file_size
+    sizes, widths = config.subfile_sizes, _binomials(n)
     fractions = [0.0] * n
+    filled = 0  # every level above this one fits whole
     tail_above = 0
-    for l in reversed(config.levels()):
-        size_l = comb0(n, l) * config.subfile_sizes[l - 1]
+    for l in reversed(config.nonempty_levels()):
+        size_l = widths[l] * sizes[l - 1]
         tail_here = tail_above + size_l
-        if tail_here <= budget:
-            fractions[l - 1] = 1.0
-        elif size_l != 0 and budget > tail_above:
-            fractions[l - 1] = (budget - tail_above) / size_l
+        if tail_here > budget:
+            if budget > tail_above:
+                fractions[l - 1] = (budget - tail_above) / size_l
+            filled = l
+            break
         tail_above = tail_here
+    fractions[filled:] = [1.0] * (n - filled)
     return CacheAllocation(tuple(fractions))
 
 
@@ -164,12 +184,13 @@ def _alpha_numerators(n_files: int, n_users: int, level: int) -> tuple[int, ...]
 def _alpha(config: LibraryConfig, level: int, t: int) -> float:
     n, k = config.n_files, config.n_users
     numerator = _alpha_numerators(n, k, level)[t]
-    return float(numerator) * config.subfile_sizes[level - 1] / (config.file_size * comb0(k, t))
+    size = config.subfile_sizes[level - 1]
+    return float(numerator) * size / (config.file_size * _binomials(k)[t])
 
 
 def _m(config: LibraryConfig, level: int, t) -> float:
     n, k, size = config.n_files, config.n_users, config.subfile_sizes[level - 1]
-    return _needed_subfile_count(n, k, level) * (size - t * size / k) / config.file_size
+    return _needed_counts(n, k)[level] * (size - t * size / k) / config.file_size
 
 
 @functools.lru_cache(maxsize=1024)
@@ -185,7 +206,8 @@ def _worst_payloads(scheme: str, n_files: int, n_users: int, level: int) -> tupl
     n, k = n_files, n_users
     if scheme == "cicc":
         return tuple(step_payloads(k, t, min(n, k)) for t in range(k + 1))
-    counts = [_needed_subfile_count(n, k, level) * comb0(k - 1, t) for t in range(k + 1)]
+    needed = _needed_counts(n, k)[level]
+    counts = [needed * comb0(k - 1, t) for t in range(k + 1)]
     if scheme == "cacc":
         counts = map(min, _alpha_numerators(n, k, level), counts)
     return tuple(counts)
@@ -253,8 +275,7 @@ def cacc_alpha(config: LibraryConfig, level: int, t: int) -> float:
     paper's alpha, and it stays public so that tests can pin it to the
     paper's values; cacc_level_rate reads the same _alpha.
     """
-    _check_level_t(config, level, t)
-    return _alpha(config, level, t)
+    return _alpha(config, level, _integer_share(config, level, t))
 
 
 def cacc_m(config: LibraryConfig, level: int, t: int) -> float:
@@ -263,14 +284,23 @@ def cacc_m(config: LibraryConfig, level: int, t: int) -> float:
     This is the paper's m, and it stays public so that tests can pin it to
     the paper's values; cacc_level_rate reads the same _m.
     """
-    _check_level_t(config, level, t)
-    return _m(config, level, t)
+    return _m(config, level, _integer_share(config, level, t))
 
 
 def _check_level_t(config: LibraryConfig, level: int, t) -> None:
     config.level_size(level)  # range check
-    if t < -_INT_TOL or t > config.n_users + _INT_TOL:
+    # written so that NaN fails too
+    if not -_INT_TOL <= t <= config.n_users + _INT_TOL:
         raise ValueError(f"share t={t} outside [0, {config.n_users}]")
+
+
+def _integer_share(config: LibraryConfig, level: int, t) -> int:
+    """An integer share t in range, as an int: an integral float such as
+    2.0 reads as 2."""
+    _check_level_t(config, level, t)
+    if t != int(t):
+        raise ValueError(f"share t={t} is not an integer")
+    return int(t)
 
 
 def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
@@ -278,19 +308,24 @@ def cacc_level_rate(config: LibraryConfig, level: int, t: float) -> float:
     integer t, the lower convex hull of those points at fractional t."""
     _check_level_t(config, level, t)
     vertices = _slope_table(config.n_files, config.n_users).vertices[level - 1]
+    return _level_rate(config, level, t, vertices)
+
+
+def _level_rate(config: LibraryConfig, level: int, t: float, vertices) -> float:
     return _envelope_rate(
         vertices, lambda share: min(_alpha(config, level, share), _m(config, level, share)), t
     )
 
 
 def cacc_rate(config: LibraryConfig, alloc: CacheAllocation) -> float:
-    """Worst-case coded delivery rate: sum of per-level rates at t_l = K p_l."""
-    k = config.n_users
+    """Worst-case coded delivery rate: sum of per-level rates at t_l = K p_l
+    over the nonempty levels.  A fraction lies in [0, 1], so t_l needs no
+    range check."""
+    k, fractions = config.n_users, alloc.level_fractions(config)
+    vertices = _slope_table(config.n_files, k).vertices
     total = 0.0
-    for l in config.levels():
-        if config.subfile_sizes[l - 1] == 0:
-            continue
-        total += cacc_level_rate(config, l, alloc.fractions[l - 1] * k)
+    for l in config.nonempty_levels():
+        total += _level_rate(config, l, fractions[l - 1] * k, vertices[l - 1])
     return total
 
 
@@ -317,26 +352,37 @@ def cicc_rate(config: LibraryConfig) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _exposed_counts(n_files: int, hidden: int) -> tuple[int, ...]:
-    """binom(N, j) - binom(hidden, j) for j = 1..N: the level-j subfiles that
-    touch at least one of N - hidden exposed files."""
-    return tuple(
-        comb0(n_files, j) - comb0(hidden, j) for j in range(1, n_files + 1)
+def _cut_shape(n_files: int, n_users: int) -> tuple:
+    """What the cut-set rows take from (N, K) alone, as (rows, counts).
+    rows holds (p, b, i) per cut size p = 1..min(N, K), with b = floor(N/p)
+    and i the index of the hidden count N - p b among the distinct ones, in
+    first-seen order.  counts[j - 1][i] is binom(N, j) - binom(hidden_i, j),
+    the level-j subfiles that touch at least one of the N - hidden_i
+    exposed files."""
+    hidden, rows = {}, []  # hidden count -> its index, first seen first
+    for p in range(1, min(n_files, n_users) + 1):
+        b = n_files // p
+        rows.append((p, b, hidden.setdefault(n_files - p * b, len(hidden))))
+    counts = tuple(
+        tuple(c - comb0(h, j) for h in hidden)
+        for j, c in enumerate(_binomials(n_files)[1:], start=1)
     )
+    return tuple(rows), counts
 
 
 @functools.lru_cache(maxsize=256)
 def _cut_totals(n_files: int, n_users: int, sizes: tuple) -> tuple:
     """(p, b, exposed bits) per cut size p = 1..min(N, K), with
     b = floor(N/p): everything of the cut-set bound but the file size and
-    the capacity.  The exposed bits are the subfile sizes' own type; the
-    verifier's converse reads them at int sizes."""
-    rows = []
-    for p in range(1, min(n_files, n_users) + 1):
-        b = n_files // p
-        exposed = sum(map(operator.mul, sizes, _exposed_counts(n_files, n_files - p * b)))
-        rows.append((p, b, exposed))
-    return tuple(rows)
+    the capacity.  The exposed bits depend on p only through the hidden
+    count N - p b, which takes few distinct values (`_cut_shape`), so each
+    is summed once, over the nonzero sizes, level ascending.  They are the
+    subfile sizes' own type; the verifier's converse reads them at int
+    sizes."""
+    rows, counts = _cut_shape(n_files, n_users)
+    terms = ([size * c for c in cs] for size, cs in zip(sizes, counts) if size)
+    exposed = [sum(column) for column in zip(*terms)]
+    return tuple([(p, b, exposed[i]) for p, b, i in rows])
 
 
 def cutset_bound(config: LibraryConfig) -> float:
@@ -355,5 +401,7 @@ def cutset_bound(config: LibraryConfig) -> float:
     m_files, file_size = config.cache_capacity, config.file_size
     best = 0.0
     for p, b, exposed in _cut_totals(config.n_files, config.n_users, config.subfile_sizes):
-        best = max(best, (exposed / file_size - p * m_files) / b)
+        rate = (exposed / file_size - p * m_files) / b
+        if rate > best:
+            best = rate
     return best

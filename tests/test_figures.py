@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from corrcache import rates
+from corrcache import allocation, model, rates
 from corrcache.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,16 +56,23 @@ def _read_csvs(directory):
 
 
 def test_figure_csvs_do_not_depend_on_memo_state(tmp_path):
-    """The default sweeps, warm and then after emptying every lru_cache of
-    the rate layer, write the same bytes: memo state never leaks into output."""
+    """The default sweeps, warm and then after emptying every module-level
+    lru_cache of the rate layer, the allocator and the model, write the same
+    bytes: memo state never leaks into output.  Every such memo is bounded,
+    so a long sweep cannot grow it without limit."""
     warm, cold = tmp_path / "warm", tmp_path / "cold"
     _write_figures(warm)
     _write_figures(warm)
     memos = [
-        value for value in vars(rates).values() if callable(getattr(value, "cache_clear", None))
+        value
+        for module in (rates, allocation, model)
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+        and value.__module__ == module.__name__  # defined there, not imported
     ]
-    assert {rates._slope_table, rates._cut_totals} <= set(memos)
+    assert {rates._slope_table, rates._cut_totals, allocation._live_segments} <= set(memos)
     for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None, memo.__qualname__
         memo.cache_clear()
     _write_figures(cold)
     assert _read_csvs(cold) == _read_csvs(warm)

@@ -255,6 +255,42 @@ def test_share_out_of_range_rejected():
         cacc_alpha(config, 6, 1)
 
 
+def _three_level_config():
+    return LibraryConfig(3, 3, 1.0, (6, 6, 6))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [cauc_rate, cacc_rate, lambda config, alloc: alloc.cached_bits(config)],
+    ids=["cauc_rate", "cacc_rate", "cached_bits"],
+)
+@pytest.mark.parametrize("count", [1, 5])
+def test_allocation_of_another_level_count_is_refused(read, count):
+    """The level loops read only the nonempty levels' fractions, so the
+    count is checked on its own; level 1 alone is nonempty here."""
+    config = LibraryConfig(3, 3, 1.0, (6, 0, 0))
+    with pytest.raises(ValueError, match="one fraction per level"):
+        read(config, CacheAllocation((0.5,) * count))
+
+
+@pytest.mark.parametrize("rate", [cacc_alpha, cacc_m])
+def test_level_rates_read_an_integral_float_share_as_its_int(rate):
+    config = _three_level_config()
+    assert rate(config, 2, 2.0) == rate(config, 2, 2)
+
+
+@pytest.mark.parametrize("rate", [cacc_alpha, cacc_m])
+def test_level_rates_refuse_a_non_integer_share(rate):
+    with pytest.raises(ValueError, match=r"t=2\.5 is not an integer"):
+        rate(_three_level_config(), 2, 2.5)
+
+
+@pytest.mark.parametrize("rate", [cacc_alpha, cacc_m, cacc_level_rate])
+def test_level_rates_refuse_a_nan_share(rate):
+    with pytest.raises(ValueError, match=r"t=nan outside"):
+        rate(_three_level_config(), 2, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # correlation-ignorant scheme and converse bound
 
