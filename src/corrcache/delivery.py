@@ -78,26 +78,30 @@ payloads that XOR to it.
 
 Decoding is one part-indexed kernel (`_decode_parts`): it runs the user's
 program from the table, and raises on a payload wider than its part.
-`_decoded_slice` runs it on one record for one user, as `decode` and the
-verifier's reference step check both do; the verifier's fast path checks
-a record for all users at once: every member of V decodes from the one
-equation payload V = XOR of the members' parts labeled V minus
-themselves, so with exact caches one check per lane V stands for all its
-members, and all lanes are checked together with lane-packed big-int
-XORs (see verification.py).  Neither reads the encoder's getters or part
-lists.  The table and family memos are both bounded.  The kernel reads
-parts through the caller's part reader, one `_LayerReader` per layer,
-which gives an item's parts of that layer when first asked for.  A plain
-reader, {}, reads the user's cache alone, each part cut out of it when
-first read (`_CachedParts`): `decode` takes one per call, the reference
-check one per user and record.  The verifier's end-to-end check hands
-each user readers over its tables of the store's parts, for the items
-whose parts every cache holds exactly, and over the cache elsewhere (see
-verification.py).  A reader also holds the mask of the parts its user
-lacks in the layer, the mask of every slice the user decodes there, so a
-slice ORs in its decoded bits only.  `decode` returns the joined file;
-`_decoded_items`, which it wraps, gives the per-subfile result that the
-verifier's end-to-end check compares with the store.
+One user's decode is one walk (`_decode_walk`): per section whose step
+item for the user is a subfile of its file, one kernel run, yielding the
+decoded parts and the mask of the parts they fill.  `decode` joins the
+walk's parts into subfiles and the file (`_decoded_items`); the
+verifier's end-to-end check walks it too, comparing each decoded part
+with the store's and checking each subfile with a few mask operations,
+so it assembles nothing, and hands a user it cannot pass to
+`_decoded_items` (see verification.py).  `_decoded_slice` is the same
+kernel run and join on one record for one user, the verifier's
+reference step check.  The verifier's fast step check covers a record
+for all users at once: every member of V decodes from the one equation
+payload V = XOR of the members' parts labeled V minus themselves, so
+with exact caches one check per lane V stands for all its members, and
+all lanes are checked together with lane-packed big-int XORs.  None of
+them reads the encoder's getters or part lists.  The table and family
+memos are both bounded.  The kernel reads parts through a per-layer
+`_LayerReader`, which gives an item's parts of that layer when first
+asked for: over the cache alone, each part cut out of it when first
+read (`_CachedParts`), or over a caller's table of the store's parts
+where that table has the item, as the verifier's end-to-end check
+passes for the items whose parts every cache holds exactly.  A walk
+makes one reader per layer, the reference check one per user and
+record.  A reader also holds the mask of the parts its user lacks in the
+layer, the mask of every slice the user decodes there.
 
 Content layout conventions (shared by placement, delivery, and decode):
 an item is a nonempty subfile of the library the scheme works on, named by
@@ -275,8 +279,15 @@ class UserCache:
     known_bits: dict = field(default_factory=dict)
 
     def add(self, item, pos_mask: int, bits: int) -> None:
-        self.known_masks[item] = self.known_masks.get(item, 0) | pos_mask
-        self.known_bits[item] = self.known_bits.get(item, 0) | (bits & pos_mask)
+        """Cache `bits` at `pos_mask`.  A new item keeps the caller's mask
+        int itself, so caches filled from one mask share it."""
+        known = self.known_masks.get(item)
+        if known is None:
+            self.known_masks[item] = pos_mask
+            self.known_bits[item] = bits & pos_mask
+        else:
+            self.known_masks[item] = known | pos_mask
+            self.known_bits[item] |= bits & pos_mask
 
     def total_bits(self) -> int:
         return sum(m.bit_count() for m in self.known_masks.values())
@@ -942,48 +953,96 @@ class _LayerReader(dict):
         return parts
 
 
-def _decoded_slice(user: int, rec: StepRecord, cache: UserCache, read: dict):
-    """The parts of its step item that `user` decodes from `rec` alone, at
-    their item positions, as (mask, bits): one decode-kernel run, reading
-    parts through `read`, the caller's part reader.  read[layer] is the
-    user's `_LayerReader` of the record's layer; one missing there is made
-    from the cache alone and filled in, so a plain {} reads only the cache."""
+def _layer_reader(user: int, rec: StepRecord, cache: UserCache, exact=None) -> _LayerReader:
+    """`user`'s reader of `rec`'s layer: over `exact`, the caller's table of
+    the store's parts of that layer (a `_LayerParts`, which also gives the
+    user's lacked-part mask), or, with exact None, over the cache alone."""
     layer = rec.layer
-    try:
-        reader = read[layer]
-    except KeyError:
+    if exact is None:
         k, psize = len(rec.pattern), rec.part_size
-        lacked = ((1 << layer.size) - 1) ^ _part_mask(k, layer.t, psize, user)
-        reader = read[layer] = _LayerReader(cache, layer, psize, lacked << layer.offset)
+        lacked = (((1 << layer.size) - 1) ^ _part_mask(k, layer.t, psize, user)) << layer.offset
+    else:
+        lacked = exact.lacked(user)
+    return _LayerReader(cache, layer, rec.part_size, lacked, exact)
+
+
+def _decoded_parts(user: int, rec: StepRecord, reader: _LayerReader) -> list:
+    """One decode-kernel run of `rec` for `user`, reading parts through
+    `reader`: its missing parts of its step item, as (part index, bits)."""
     class_parts = list(map(reader.__getitem__, rec.classes))
+    return _decode_parts(user, rec, [class_parts[c] for c in rec.pattern])
+
+
+def _slice_bits(rec: StepRecord, parts) -> int:
+    """Decoded (part index, bits) pairs of `rec`'s layer, joined at their
+    item positions."""
     psize = rec.part_size
     bits = 0
-    for i, y in _decode_parts(user, rec, [class_parts[c] for c in rec.pattern]):
+    for i, y in parts:
         bits |= y << (i * psize)
-    return reader.mask, bits << layer.offset
+    return bits << rec.layer.offset
 
 
-def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands, read: dict):
-    """user's demanded file as decoded from its cache and the transcript, one
-    (item, size, bits) per subfile in file layout order (`decode` joins
-    them; the verifier compares each with the store).
+def _decoded_slice(user: int, rec: StepRecord, cache: UserCache):
+    """The parts of its step item that `user` decodes from `rec` alone,
+    reading its cache alone, at their item positions, as (mask, bits)."""
+    reader = _layer_reader(user, rec, cache)
+    return reader.mask, _slice_bits(rec, _decoded_parts(user, rec, reader))
 
-    ORs in the decoded slice of every section whose step item for this
-    user is a subfile of its file in the transcript's library, reading
-    parts through `read`, the caller's part reader (see `_decoded_slice`).
+
+def _decode_walk(user: int, cache: UserCache, transcript: Transcript, demands, tables: dict):
+    """One user's decode, as (layout, walk): the layout of its demanded file
+    in the transcript's library, (item, size) per subfile in file order,
+    and a lazy walk over the sections whose step item for the user is one
+    of those subfiles, yielding per section (item, record, mask, parts):
+    the kernel's decoded (part index, bits) pairs and the mask of every
+    part it rebuilds there, at their item positions.
+
+    Parts are read through one reader per layer, made on the layer's first
+    section: over tables[layer], the caller's table of the store's parts,
+    where there is one, else over the cache alone (`_layer_reader`).
+    `decode` and the verifier's end-to-end check both walk this.
     """
     config = transcript.config
+    k = config.n_users
+    if not 1 <= user <= k:
+        raise ValueError(f"user {user} outside [1, {k}]")
     demands = as_demands(demands, config)
     layout = [(m, size) for m, size, _ in file_layout(config, demands[user - 1])]
+    wanted = {item for item, _ in layout}
+
+    def walk():
+        read = {}
+        for rec in transcript.sections:
+            item = rec.step_items[user - 1]
+            if item in wanted:
+                reader = read.get(rec.layer)
+                if reader is None:
+                    reader = read[rec.layer] = _layer_reader(
+                        user, rec, cache, tables.get(rec.layer)
+                    )
+                yield item, rec, reader.mask, _decoded_parts(user, rec, reader)
+
+    return layout, walk()
+
+
+def _decoded_items(user: int, cache: UserCache, transcript: Transcript, demands, tables: dict):
+    """user's demanded file as decoded from its cache and the transcript, one
+    (item, size, bits) per subfile in file layout order (`decode` joins
+    them; the verifier's end-to-end check falls back on it).
+
+    ORs the decoded slice of every section of the user's `_decode_walk`
+    into its cached bits of that subfile, reading parts through `tables`
+    as the walk does ({} reads the cache alone), and raises where a
+    subfile is not covered.
+    """
+    layout, walk = _decode_walk(user, cache, transcript, demands, tables)
     masks, bits = cache.known_masks, cache.known_bits
     got_masks = {item: masks.get(item, 0) for item, _ in layout}
     got_bits = {item: bits.get(item, 0) for item, _ in layout}
-    for rec in transcript.sections:
-        item = rec.step_items[user - 1]
-        if item in got_masks:
-            mask, got = _decoded_slice(user, rec, cache, read)
-            got_masks[item] |= mask
-            got_bits[item] |= got
+    for item, rec, mask, parts in walk:
+        got_masks[item] |= mask
+        got_bits[item] |= _slice_bits(rec, parts)
 
     for item, size in layout:
         seg = (1 << size) - 1

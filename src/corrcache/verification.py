@@ -30,9 +30,13 @@ decodability on every vector: every user receives, in every delivered
 layer, a step for each subfile of its file, rebuilds that subfile's
 layer slice exactly, and holds its share-K layers exactly.  The 3-4
 sampled demands also run the end-to-end decoder, `decode_failures`, the
-one end-to-end decode check, which `corrcache simulate` runs too; it
-compares every decoded subfile with the store of the plan's library and
-assembles no file.
+one end-to-end decode check, which `corrcache simulate` runs too.  It
+walks each user's decode as `decode` does (`_decode_walk`), compares
+every decoded part with the store's part of the plan's library, and
+checks each subfile's coverage and held bits with a few mask operations,
+so it assembles no subfile and no file; a user that this cannot pass is
+decoded again by the assembling reference, `_decoded_items`, which gives
+the user's line.
 
 One table per layer, `_ExactParts`, owns the predicate "every cache
 holds its parts of item x in this layer exactly as the store does": its
@@ -44,9 +48,13 @@ lists: the check stays independent of the encoder's split.  Where the entry is n
 None, the cache parts a decode reads are those very ints, since a user's
 decode reads only parts it holds; so `decode_failures` reads a class
 item's parts from the table there, once for all users, and from the
-user's cache, which words every fault, elsewhere.  A table lives for one
-`decode_failures` call in `simulate` and for one sweep here, where the
-lane pass and the sampled decodes share it; nothing is kept across calls.
+user's cache, which words every fault, elsewhere.  The entry of a user's
+own subfile is also what each of its decoded parts is compared with.
+The predicate compares each cache at item positions, against its user's
+part template shifted to the layer's offset once per table.  A table
+lives for one `decode_failures` call in `simulate` and for one sweep
+here, where the lane pass and the sampled decodes share it; nothing is
+kept across calls.
 
 No step sends a share-K layer, so no record check reads one.  The sweep
 checks each cache against every share-K layer once, through the same
@@ -74,11 +82,11 @@ store parts and the step table's rows, and only for an item whose parts
 every cache holds exactly; otherwise the lane pass cannot tell.  A
 record the lane pass does not clear goes to `_check_step`, the
 reference: per user, it decodes the record through delivery's own
-per-record decode (`_decoded_slice`, which `decode` runs too), reading
-the cache without copying it, and words every violation; it keeps no
-memo.  A user passes when its cached bits of its step item, with the
-decoded parts in place, cover the layer's bit range and equal the
-store's there.  The lane pass clears a record only if `_check_step`
+per-record decode (`_decoded_slice`, the kernel run and slice join that
+`decode` makes per section), reading the cache without copying it, and
+words every violation; it keeps no memo.  A user passes when its cached
+bits of its step item, with the decoded parts in place, cover the
+layer's bit range and equal the store's there.  The lane pass clears a record only if `_check_step`
 passes it, so the verdicts are the reference's.
 
 The sweep works per demand set.  A vector's sections depend on it only
@@ -119,12 +127,12 @@ from .delivery import (
     DeliveryPlan,
     LayerSpec,
     StepRecord,
+    _decode_walk,
     _decoded_items,
     _decoded_slice,
     _family,
     _item_name,
     _LayerParts,
-    _LayerReader,
 )
 from .model import ContentStore, LibraryConfig
 from .rates import _cut_totals, _worst_payloads, cacc_rate, cauc_rate, cicc_rate
@@ -196,15 +204,20 @@ def decode_failures(caches, transcript, demands, store, tables=None) -> list[str
     `store`; for cicc, the N-file view): one line per failing user, in user
     order, for a decode that raises or one that returns wrong bits.
 
-    Each decoded subfile is compared with the store's item, so neither the
-    decoded nor the true file is ever assembled.  A user reads a class
-    item's parts in a layer from `tables`, the caller's `_ExactParts` per
-    layer, where that table's entry is not None: the store's parts, split
-    once for all users.  Otherwise it reads them from its own
-    cache (`_CachedParts`), the reference reading, which words every fault.
-    The two give the same ints wherever the table has an entry, since the
-    kernel reads only parts the decoding user holds.  With tables None the
-    call makes its own; the sweep passes the tables its lane pass reads.
+    Each user's decode walk (`delivery._decode_walk`, which `decode`
+    walks too) is checked part by part (`_rebuilds_store`): every decoded
+    part against the store's part in the layer's `_ExactParts`, and each
+    subfile's coverage and held bits with a few mask operations, so no
+    subfile or file is assembled.  A user that this cannot pass is decoded
+    again through `_decoded_items`, the reference, which gives its line.
+    The kernel reads a class item's parts in a layer from `tables`, the
+    caller's `_ExactParts` per layer, where that table's entry is not
+    None: the store's parts, split once for all users.  Otherwise it reads
+    them from the user's own cache (`_CachedParts`), the reference reading,
+    which words every fault.  The two give the same ints wherever the
+    table has an entry, since the kernel reads only parts the decoding
+    user holds.  With tables None the call makes its own; the sweep passes
+    the tables its lane pass reads.
     """
     if tables is None:
         tables = {}
@@ -215,18 +228,51 @@ def decode_failures(caches, transcript, demands, store, tables=None) -> list[str
     failures = []
     for user in range(1, len(demands) + 1):
         cache = caches[user - 1]
-        read = {
-            layer: _LayerReader(cache, layer, table.psize, table.lacked(user), table)
-            for layer, table in layers.items()
-        }
         try:
-            got = _decoded_items(user, cache, transcript, demands, read)
+            if _rebuilds_store(user, cache, transcript, demands, layers, store):
+                continue
+            got = _decoded_items(user, cache, transcript, demands, layers)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the caller
             failures.append(f"user {user} decode raised {exc!r}")
             continue
         if any(bits != store.item_bits(item) for item, _, bits in got):
             failures.append(f"user {user} decode mismatch")
     return failures
+
+
+def _rebuilds_store(user: int, cache, transcript, demands, layers: dict, store) -> bool:
+    """True when `user`'s decode rebuilds every subfile of its file exactly,
+    False when this check cannot tell, and `_decoded_items` decides.
+
+    Each part the walk decodes must equal the store's part in its layer's
+    table (`layers`, whose entry for the user's own subfile must not be
+    None), so the decoded slices together are the store's bits under the
+    union of their masks.  Per subfile, the cached mask with that union
+    must be the subfile's whole bit range, and the cached bits with the
+    store's under it the store's bits: exactly the reference's verdict
+    once every decoded part is right.  It raises only where the
+    reference's walk raises, on the same section."""
+    layout, walk = _decode_walk(user, cache, transcript, demands, layers)
+    decoded = dict.fromkeys([item for item, _ in layout], 0)
+    for item, rec, mask, parts in walk:
+        true = layers[rec.layer][item]
+        if true is None:
+            return False
+        for i, y in parts:
+            if y != true[i]:
+                return False
+        decoded[item] |= mask
+    masks, bits = cache.known_masks, cache.known_bits
+    spans = {}  # per subfile size, its whole bit range
+    for item, size in layout:
+        span = spans.get(size)
+        if span is None:
+            span = spans[size] = (1 << size) - 1
+        got = decoded[item]
+        want = store.item_bits(item)
+        if masks.get(item, 0) | got != span or bits.get(item, 0) | want & got != want:
+            return False
+    return True
 
 
 def _check_step(rec: StepRecord, caches, store) -> list[str]:
@@ -245,7 +291,7 @@ def _check_step(rec: StepRecord, caches, store) -> list[str]:
     span = ((1 << layer.size) - 1) << layer.offset
     for k, cache in enumerate(caches, start=1):
         try:
-            mask, bits = _decoded_slice(k, rec, cache, {})
+            mask, bits = _decoded_slice(k, rec, cache)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
             out.append(f"user {k} raised {exc!r}")
             continue
@@ -283,22 +329,27 @@ class _ExactParts(_LayerParts):
     table's row l, and lift u collects the row terms of member u.
     """
 
-    __slots__ = ("caches", "lifts")
+    __slots__ = ("caches", "lifts", "_at")
 
     def __init__(self, layer: LayerSpec, caches, store):
         super().__init__(store.item_bits, layer, len(caches))
-        self.caches, self.lifts = caches, {}
+        self.caches, self.lifts, self._at = caches, {}, None
 
     def misses(self, x) -> list:
         """The users, entry u for user u + 1, whose cache does not hold its
         parts of x in this layer exactly as the store does: some part not
-        fully cached, or not equal to the store's."""
-        bits, off = self.item_bits(x), self.offset
+        fully cached, or not equal to the store's.  Each cache is compared
+        at item positions, against its user's part template shifted to the
+        layer's offset once per table, so nothing is shifted per item."""
+        if self._at is None:
+            off = self.offset
+            self._at = tuple(h << off for h in self.held) if off else self.held
+        bits = self.item_bits(x)
         return [
             u
-            for u, (cache, held) in enumerate(zip(self.caches, self.held))
-            if (cache.known_masks.get(x, 0) >> off) & held != held
-            or ((cache.known_bits.get(x, 0) ^ bits) >> off) & held
+            for u, (cache, at) in enumerate(zip(self.caches, self._at))
+            if cache.known_masks.get(x, 0) & at != at
+            or (cache.known_bits.get(x, 0) ^ bits) & at
         ]
 
     def __missing__(self, x):

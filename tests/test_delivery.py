@@ -740,6 +740,19 @@ def test_decode_needs_matching_cache():
         decode(1, caches[1 - 1], transcript, (2, 2, 3, 4, 5))
 
 
+@pytest.mark.parametrize("user", [0, -1, 6])
+def test_decode_refuses_a_user_outside_the_range(user):
+    """A user number outside 1..K is refused by name, not read through a
+    negative shift or past the end of the demands."""
+    config = fixture_config()
+    store = ContentStore.generate(config, seed=0)
+    alloc = t_alloc((0, 1, 0, 0, 0), 5)
+    caches = place(config, alloc, store)
+    transcript = deliver(config, alloc, (1, 2, 3, 4, 5), store)
+    with pytest.raises(ValueError, match=rf"^user {user} outside \[1, 5\]$"):
+        decode(user, caches[0], transcript, (1, 2, 3, 4, 5))
+
+
 
 # ---------------------------------------------------------------------------
 # delivery reads no caches

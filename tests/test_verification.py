@@ -20,6 +20,7 @@ from corrcache import (
     cutset_bound,
     deliver,
     optimize_allocation,
+    ratios_to_sizes,
     verify_all_demands,
     worst_case_demand,
 )
@@ -1124,13 +1125,52 @@ def _cache_only_failures(caches, transcript, demands, store):
     return out
 
 
+def _decode_faults(plan, transcript, demands, caches, rng):
+    """Two cache faults that `_faults` does not make, as (kind, caches): a
+    wrong bit of a user's own subfile in a share-K layer, which no record
+    sends, and a dropped part of a subfile that the user decodes in two
+    layers, dropped from the first of them."""
+    k = len(caches)
+    for _, items, layers in plan._groups:
+        for parts in layers:
+            if parts.layer.t == k:
+                owners = [(u, x) for u in range(k) for x in items if x >> demands[u] - 1 & 1]
+                if owners:
+                    u, x = rng.choice(owners)
+                    bit = 1 << parts.offset + rng.randrange(parts.layer.size)
+                    bad = _with_cache(caches, u, x, bit_fault=bit)
+                    yield "wrong cached bit, share-K layer", bad
+    decoded_in = {}  # (user, item) -> per layer, t >= 1, it is decoded in: its part size
+    for rec in transcript.sections:
+        if rec.layer.t:
+            for u, x in enumerate(rec.step_items):
+                decoded_in.setdefault((u, x), {})[rec.layer] = rec.part_size
+    twice = [(ux, layers) for ux, layers in decoded_in.items() if len(layers) > 1]
+    if twice:
+        (u, x), layers = rng.choice(twice)
+        layer, psize = next(iter(layers.items()))
+        j = rng.choice(_step_table(k, layer.t).held[u])
+        part = ((1 << psize) - 1) << layer.offset + j * psize
+        yield "dropped cached part, second layer", _with_cache(caches, u, x, mask_fault=part)
+
+
+def _million_bit_shape():
+    """cacc at N = K = 4 over 10^6-bit files at the optimizer's allocation,
+    as `corrcache simulate --ratios 0.4,0.3,0.2,0.1 --file-bits 1000000
+    --m 1.2` places it: level 1 in two delivered layers, level 4 at share K."""
+    config = LibraryConfig(4, 4, 1.2, ratios_to_sizes(4, 4, (0.4, 0.3, 0.2, 0.1), 10**6))
+    return config, optimize_allocation(config).alloc, "cacc"
+
+
 def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatch):
-    """On every fault shape, `decode_failures` returns exactly the lines of
-    decodes that read only the caches, with clean caches and with each
-    cache fault of `_faults` (a dropped part, a dropped or wrong bit, of
-    the user's own item or another) in a record of the transcript.  With
-    clean caches every part comes from the shared table, each (item, layer)
-    split from the store once per call, and no cached part is read."""
+    """On every fault shape and on one 10^6-bit shape, `decode_failures`
+    returns exactly the lines of decodes that read only the caches, with
+    clean caches, with each cache fault of `_faults` (a dropped part, a
+    dropped or wrong bit, of the user's own item or another) in a record of
+    the transcript, and with each of `_decode_faults` (a wrong bit in a
+    share-K layer, a dropped part of a subfile decoded in a second layer).
+    With clean caches every part comes from the shared table, each (item,
+    layer) split from the store once per call, and no cached part is read."""
     splits, cached_reads = [], []
     real_missing, real_cached = _ExactParts.__missing__, delivery._CachedParts
 
@@ -1149,7 +1189,7 @@ def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatc
     monkeypatch.setattr(delivery, "_CachedParts", CountingCachedParts)
     rng = random.Random(29)
     kinds = {}
-    for config, alloc, scheme in _fault_cases():
+    for config, alloc, scheme in [*_fault_cases(), _million_bit_shape()]:
         plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=rng.randrange(99)),
                             scheme=scheme)
         caches, store = plan.place(), plan.store
@@ -1164,23 +1204,30 @@ def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatc
             assert splits and len(set(splits)) == len(splits), splits
             assert cached_reads == []
             assert _cache_only_failures(caches, transcript, d, store) == []
-            for rec in transcript.sections:
-                for kind, _, bad in _faults(rec, caches, rng):
-                    if bad is caches:
-                        continue  # a payload fault: this test faults caches only
-                    want = _cache_only_failures(bad, transcript, d, store)
-                    assert decode_failures(bad, transcript, d, store) == want, (kind, d)
-                    seen, failing = kinds.get(kind, (0, 0))
-                    kinds[kind] = (seen + 1, failing + bool(want))
+            faults = [
+                (kind, bad)
+                for rec in transcript.sections
+                for kind, _, bad in _faults(rec, caches, rng)
+                if bad is not caches  # a payload fault: this test faults caches only
+            ]
+            faults += _decode_faults(plan, transcript, d, caches, rng)
+            for kind, bad in faults:
+                want = _cache_only_failures(bad, transcript, d, store)
+                assert decode_failures(bad, transcript, d, store) == want, (kind, d)
+                seen, failing = kinds.get(kind, (0, 0))
+                kinds[kind] = (seen + 1, failing + bool(want))
     assert sorted(kinds) == [
         "dropped cached bit, other item", "dropped cached bit, own item",
-        "dropped cached part", "wrong cached bit, other item", "wrong cached bit, own item",
+        "dropped cached part", "dropped cached part, second layer",
+        "wrong cached bit, other item", "wrong cached bit, own item",
+        "wrong cached bit, share-K layer",
     ]
     assert all(failing for _, failing in kinds.values()), kinds
 
 
 # ---------------------------------------------------------------------------
-# the mutant table: faults in what the plan sends, which the sweep must report
+# the mutant table: faults in what the plan sends or places, which the sweep
+# must report
 
 def _in_set_23(mutate):
     """A patch of `DeliveryPlan._choice` that applies `mutate` to the choice
@@ -1248,6 +1295,26 @@ def _flip(rec):
     return dataclasses.replace(rec, payloads=payloads)
 
 
+def _in_cache(user, item, fault):
+    """A patch of `DeliveryPlan.place` that faults user's copy of item at its
+    lowest cached bit: fault(plan, bit) gives the bits to drop and those to
+    flip (`_with_cache`)."""
+    real = DeliveryPlan.place
+
+    def place(plan):
+        caches = real(plan)
+        mask = caches[user - 1].known_masks[item]
+        return _with_cache(caches, user - 1, item, *fault(plan, mask & -mask))
+
+    return lambda mp: mp.setattr(DeliveryPlan, "place", place)
+
+
+def _drop_part(plan, bit):
+    """The whole part that starts at `bit`, in the plan's one delivered layer."""
+    [(_, _, [parts])] = plan._levels
+    return (bit * ((1 << parts.psize) - 1), 0)
+
+
 def _escapes(item, why):
     """The mark of a mutant that no check kills yet, naming the ROADMAP item
     that will.  Only a missed kill may fail the row: a patch that no longer
@@ -1256,7 +1323,8 @@ def _escapes(item, why):
 
 
 # (name, patch, shape (scheme, N, K, level, t), expected): expected is the
-# number of vectors the patch touches and of those whose bits it changes,
+# number of vectors the patch touches (their transcript or decode) and of
+# those whose bits it changes,
 # or None for a patch that changes no output and so is no mutant.
 _MUTANTS = [
     pytest.param(
@@ -1298,13 +1366,42 @@ _MUTANTS = [
         _in_set_23(_columns(_swap_2_3)), ("cacc", 3, 3, 2, 1), None,
         id="swap at (3, 3, 2, 1)",
     ),
+    # cache faults: no transcript changes, the decodes of the vectors that
+    # read the faulty bits do
+    pytest.param(
+        "drop user 1's lowest cached bit of subfile {1}",
+        _in_cache(1, 0b001, lambda plan, bit: (bit, 0)), ("cacc", 3, 3, 1, 1), (19, 0),
+        id="drop cached bit",
+    ),
+    pytest.param(
+        "flip user 1's lowest cached bit of subfile {1}",
+        _in_cache(1, 0b001, lambda plan, bit: (0, bit)), ("cacc", 3, 3, 1, 1), (19, 0),
+        id="flip cached bit",
+    ),
+    pytest.param(
+        "drop user 2's lowest cached part of subfile {1,2}",
+        _in_cache(2, 0b011, _drop_part), ("cacc", 3, 3, 2, 1), (26, 0),
+        id="drop cached part",
+    ),
+    # no step sends a share-K layer: only user 3's own decodes of file 2 read it
+    pytest.param(
+        "drop user 3's lowest cached bit of subfile {2} in cauc's share-K prefix",
+        _in_cache(3, 0b010, lambda plan, bit: (bit, 0)), ("cauc", 3, 3, 1, 1.5), (9, 0),
+        id="share-K prefix bit",
+    ),
+    pytest.param(
+        "drop user 3's lowest cached bit of subfile {2} at share K",
+        _in_cache(3, 0b010, lambda plan, bit: (bit, 0)), ("cacc", 3, 3, 1, 3), (9, 0),
+        id="share-K bit",
+    ),
 ]
 
 
 def _run_mutant(monkeypatch, patch, shape):
-    """(unpatched report, patched report, the vectors whose transcript the
-    patch changes, those whose bits it changes).  The transcripts come from
-    one fresh plan before the patch and one after it."""
+    """(unpatched report, patched report, the vectors whose transcript or
+    end-to-end decode the patch changes, those whose bits it changes).  The
+    transcripts come from one fresh plan before the patch and one after it,
+    and the decodes from its caches, read alone (`_cache_only_failures`)."""
     scheme, n, k, level, t = shape
     config = single_level_config(n, k, level)
     alloc = CacheAllocation.from_replication([t * (l == level) for l in range(1, n + 1)], k)
@@ -1312,11 +1409,13 @@ def _run_mutant(monkeypatch, patch, shape):
     def sent():
         store = ContentStore.generate(config, seed=0)
         plan = DeliveryPlan(config, alloc, store, scheme=scheme)
+        caches = plan.place()
         out = {}
         for d in itertools.product(range(1, n + 1), repeat=k):
             transcript = plan.deliver(d)
             records = [(r.step_items, r.payloads, r.bits) for r in transcript.sections]
-            out[d] = (records, transcript.total_bits)
+            failures = _cache_only_failures(caches, transcript, d, plan.store)
+            out[d] = (records, transcript.total_bits, failures)
         return out
 
     base, before = verify_all_demands(config, alloc, scheme=scheme), sent()
@@ -1335,9 +1434,10 @@ def _killed(report, touched) -> bool:
 
 @pytest.mark.parametrize("name, patch, shape, expected", _MUTANTS)
 def test_mutant_table(monkeypatch, name, patch, shape, expected):
-    """Each mutant changes one thing in what the plan sends, and the sweep
-    must report it on exactly the vectors it touches.  A patch that
-    changes no transcript is no mutant: the report must stay as it is."""
+    """Each mutant changes one thing in what the plan sends or places, and
+    the sweep must report it on exactly the vectors it touches.  A patch
+    that changes no transcript and no decode is no mutant: the report must
+    stay as it is."""
     base, report, touched, rebitted = _run_mutant(monkeypatch, patch, shape)
     if expected is None:
         assert not touched and report == base
@@ -1360,7 +1460,7 @@ def test_mutant_table_kill_count(monkeypatch):
             killed.append(name)
     print(f"mutant table: {len(killed)} of {len(mutants)} mutants killed")
     assert killed == [row.values[0] for row in mutants if not row.marks]
-    assert (len(killed), len(mutants)) == (4, 6)
+    assert (len(killed), len(mutants)) == (9, 11)
 
 
 @pytest.mark.parametrize(
