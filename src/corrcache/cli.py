@@ -212,12 +212,13 @@ def _cmd_simulate(args) -> int:
     )
     caches = plan.place()
     transcript = plan.deliver(demands)
-    cached_bits, store = plan.cached_bits(), plan.store
+    cached_bits, store, templates = plan.cached_bits(), plan.store, plan.templates()
     # the encoder's part lists go with the plan, before the decode check
-    # splits its own parts from the store
+    # splits its own parts from the store; the part templates that placed
+    # the caches stay, for the check's tables
     del plan
 
-    failures = decode_failures(caches, transcript, demands, store)
+    failures = decode_failures(caches, transcript, demands, store, templates=templates)
     per_level = ";".join(
         f"{l}:{b}" for l, b in sorted(transcript.per_level_bits.items())
     )

@@ -27,13 +27,16 @@ size.  Each layer of a group is one `_LayerParts`, the one owner of the
 layer's facts: its `LayerSpec`, offset, part size and part count, its
 step table and each user's part template (`held`, at offset 0, built on
 first read); placement, `cached_bits()`, the encoder and the verifier
-read them there.  `plan.place()` spreads every group's layers over the
-caches and checks, in whole bits, that each cache holds exactly what the
-layers place: per item and share-t layer, C(K-1, t-1) of its C(K, t)
-parts (`place` is a one-line wrapper).  The plan delivers every group's
-layers the same way; the scheme only picks the column table of coded
-steps for each (window, group): the schedule columns for cacc, one column
-of the window's files for cicc, and none for cauc.
+read them there, the verifier's decode check through the plan's
+`templates()`.  `plan.place()` spreads every group's layers over the
+caches, a group's items sharing one mask int per user, and checks, in
+whole bits, that each cache holds exactly what the layers place: per
+item and share-t layer, C(K-1, t-1) of its C(K, t) parts, each distinct
+mask int counted once per cache (`place` is a one-line wrapper).  The
+plan delivers every group's layers the same way; the scheme only picks
+the column table of coded steps for each (window, group): the schedule
+columns for cacc, one column of the window's files for cicc, and none
+for cauc.
 Every section is one leader-based XOR step, and a share-t step whose users
 want L distinct items sends C(K, t+1) - C(K-L, t+1) payloads.  A constant
 step pattern, one item for every user, is a remainder step: it sends
@@ -117,7 +120,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, compress, product, repeat
 from operator import itemgetter, xor
 from typing import NamedTuple
 
@@ -290,7 +293,17 @@ class UserCache:
             self.known_bits[item] |= bits & pos_mask
 
     def total_bits(self) -> int:
-        return sum(m.bit_count() for m in self.known_masks.values())
+        """The bits cached over every item.  A mask int that several items
+        share, as a group's items do after `place()`, is counted once: every
+        mask stays in `known_masks` for the loop, so no id is reused."""
+        counts = {}
+        total = 0
+        for m in self.known_masks.values():
+            c = counts.get(id(m))
+            if c is None:
+                c = counts[id(m)] = m.bit_count()
+            total += c
+        return total
 
 
 def _part_mask(n_users: int, t: int, psize: int, user: int) -> int:
@@ -441,19 +454,15 @@ class _LayerParts(dict):
     @property
     def held(self) -> tuple:
         """Per user, entry u for user u + 1, the OR-mask at offset 0 of the
-        parts it caches, built on first read: placement and the verifier
-        read it, delivery never does."""
+        parts it caches, built on first read: placement reads it, and the
+        plan hands it to the verifier (`DeliveryPlan.templates`); delivery
+        never does."""
         if self._held is None:
             n_users, t = len(self.table.held), self.layer.t
             self._held = tuple(
                 _part_mask(n_users, t, self.psize, u) for u in range(1, n_users + 1)
             )
         return self._held
-
-    def lacked(self, user: int) -> int:
-        """The parts `user` lacks, at their item positions: the mask of
-        every slice it decodes in this layer."""
-        return (((1 << self.layer.size) - 1) ^ self.held[user - 1]) << self.offset
 
     def __missing__(self, item):
         bits, offset, psize = self.item_bits(item), self.offset, self.psize
@@ -634,6 +643,14 @@ class DeliveryPlan:
                     f"{placed} its layers place"
                 )
         return caches
+
+    def templates(self) -> dict:
+        """Per placed layer, keyed by its `LayerSpec`, each user's part
+        template at offset 0 (`_LayerParts.held`): the ints `place()` builds
+        the caches from, which the decode check's exactness tables take
+        instead of building their own.  Layers equal as `LayerSpec`s have
+        equal templates, since the part size follows from the layer and K."""
+        return {parts.layer: parts.held for _, _, layers in self._groups for parts in layers}
 
     def _schedule(self, window, rbar, level):
         fixed = members_of(rbar)
@@ -854,18 +871,18 @@ def _family(pattern, v: int) -> tuple[int, ...]:
     Over the user set C = V plus leaders, the payloads of all size-|V|
     subsets W whose complement in C has pairwise-distinct step items XOR to
     zero; V is the only such subset avoiding every leader, so it equals the
-    XOR of the rest.
+    XOR of the rest.  C has |V| + L members for L distinct step items, so
+    such a complement keeps exactly one member of each item's class: W is
+    C minus R for each choice R of one member per class, other than the
+    leaders themselves (which leaves V).  The W come in `combinations`
+    order over C's members, lexicographic in their sorted members.
     """
     c = v | _pattern(pattern)[2]
-    out = []
-    for combo in combinations(members_of(c), v.bit_count()):
-        w = mask_of(combo)
-        if w == v:
-            continue
-        rest = [pattern[u - 1] for u in members_of(c & ~w)]
-        if len(set(rest)) == len(rest):
-            out.append(w)
-    return tuple(out)
+    classes = [[] for _ in range(max(pattern) + 1)]
+    for u in members_of(c):
+        classes[pattern[u - 1]].append(1 << (u - 1))
+    family = [w for w in (c ^ sum(r) for r in product(*classes)) if w != v]
+    return tuple(sorted(family, key=members_of))
 
 
 def _decode_parts(user: int, rec: StepRecord, parts) -> list:
@@ -955,8 +972,9 @@ class _LayerReader(dict):
 
 def _layer_reader(user: int, rec: StepRecord, cache: UserCache, exact=None) -> _LayerReader:
     """`user`'s reader of `rec`'s layer: over `exact`, the caller's table of
-    the store's parts of that layer (a `_LayerParts`, which also gives the
-    user's lacked-part mask), or, with exact None, over the cache alone."""
+    the store's parts of that layer, which also gives the user's
+    lacked-part mask (`lacked(user)`), or, with exact None, over the cache
+    alone."""
     layer = rec.layer
     if exact is None:
         k, psize = len(rec.pattern), rec.part_size

@@ -224,13 +224,10 @@ def validate_schedule(schedule: AssignmentSchedule) -> list[str]:
                 f"column {j}: {distinct} distinct subfiles != {w // block}"
             )
 
+    pool = [fixed_mask | b for b in subset_masks(window, block)]
     for idx, i in enumerate(window):
         seen = [col[idx] for col in schedule.columns]
-        want = {
-            fixed_mask | b
-            for b in subset_masks(window, block)
-            if b & (1 << (i - 1))
-        }
+        want = {m for m in pool if m & (1 << (i - 1))}
         if len(seen) != len(set(seen)) or set(seen) != want:
             violations.append(f"member {i}: coverage broken")
     return violations

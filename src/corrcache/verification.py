@@ -42,19 +42,23 @@ One table per layer, `_ExactParts`, owns the predicate "every cache
 holds its parts of item x in this layer exactly as the store does": its
 entry for x is None where some cache differs, and otherwise the store's
 parts of x, split once.  It is a `_LayerParts` of its own, so it reads
-the layer's geometry and part templates where placement and the encoder
-do, but splits from `store.item_bits` and never shares the plan's part
-lists: the check stays independent of the encoder's split.  Where the entry is not
+the layer's geometry where placement and the encoder do, and takes the
+plan's part templates (`DeliveryPlan.templates()`), the ints placement
+built the caches from, where its caller has them; but it splits from
+`store.item_bits` and never reads the plan's part lists: the check stays
+independent of the encoder's split.  Where the entry is not
 None, the cache parts a decode reads are those very ints, since a user's
 decode reads only parts it holds; so `decode_failures` reads a class
 item's parts from the table there, once for all users, and from the
 user's cache, which words every fault, elsewhere.  The entry of a user's
 own subfile is also what each of its decoded parts is compared with.
 The predicate compares each cache at item positions, against its user's
-part template shifted to the layer's offset once per table.  A table
-lives for one `decode_failures` call in `simulate` and for one sweep
-here, where the lane pass and the sampled decodes share it; nothing is
-kept across calls.
+part template shifted to the layer's offset once per table: whether a
+cached mask covers the template once per (user, mask int), since a
+group's items share one mask per user, and the cached bits per item.  A
+table lives for one `decode_failures` call in `simulate` and for one
+sweep here, where the lane pass and the sampled decodes share it;
+nothing is kept across calls.
 
 No step sends a share-K layer, so no record check reads one.  The sweep
 checks each cache against every share-K layer once, through the same
@@ -198,7 +202,9 @@ def worst_case_demand(config: LibraryConfig) -> tuple[int, ...]:
     return tuple(i % n + 1 for i in range(k))
 
 
-def decode_failures(caches, transcript, demands, store, tables=None) -> list[str]:
+def decode_failures(
+    caches, transcript, demands, store, tables=None, templates=None
+) -> list[str]:
     """Decode every user's file from its cache and the transcript and check
     it against `store`, the store of the transcript's library (a plan's
     `store`; for cicc, the N-file view): one line per failing user, in user
@@ -217,12 +223,16 @@ def decode_failures(caches, transcript, demands, store, tables=None) -> list[str
     which words every fault.  The two give the same ints wherever the
     table has an entry, since the kernel reads only parts the decoding
     user holds.  With tables None the call makes its own; the sweep passes
-    the tables its lane pass reads.
+    the tables its lane pass reads.  A table this call makes takes its
+    layer's part templates from `templates`, the plan's
+    (`DeliveryPlan.templates()`), where given, else builds its own.
     """
     if tables is None:
         tables = {}
+    if templates is None:
+        templates = {}
     layers = {  # in transcript order
-        layer: _exact(tables, layer, caches, store)
+        layer: _exact(tables, layer, caches, store, templates.get(layer))
         for layer in dict.fromkeys(rec.layer for rec in transcript.sections)
     }
     failures = []
@@ -317,7 +327,9 @@ class _ExactParts(_LayerParts):
     predicate "every cache holds its parts of x in this layer exactly as
     the store does", decided per item x when first asked for.  It is a
     `_LayerParts` of its own over `store.item_bits`, never the plan's, so
-    the check stays independent of the encoder's part lists.
+    the check stays independent of the encoder's part lists.  `held`, when
+    given, is the layer's per-user part templates that placed the caches
+    (the plan's `templates()`); otherwise the table builds its own.
 
     parts[x] is None when some user's cache does not hold its parts of x
     exactly (`misses`).  Otherwise it lists the store's C(K, t) parts of x
@@ -329,28 +341,52 @@ class _ExactParts(_LayerParts):
     table's row l, and lift u collects the row terms of member u.
     """
 
-    __slots__ = ("caches", "lifts", "_at")
+    __slots__ = ("caches", "lifts", "_at", "_span", "_last", "_covers")
 
-    def __init__(self, layer: LayerSpec, caches, store):
+    def __init__(self, layer: LayerSpec, caches, store, held=None):
         super().__init__(store.item_bits, layer, len(caches))
-        self.caches, self.lifts, self._at = caches, {}, None
+        if held is not None:
+            self._held = held
+        off = self.offset
+        self._at = tuple(h << off for h in self.held) if off else self.held
+        self._span = ((1 << layer.size) - 1) << off
+        self.caches, self.lifts = caches, {}
+        self._last = [(None, False)] * len(caches)
+        self._covers = [{} for _ in caches]
+
+    def lacked(self, user: int) -> int:
+        """The parts `user` lacks, at their item positions: the mask of
+        every slice it decodes in this layer."""
+        return self._span ^ self._at[user - 1]
 
     def misses(self, x) -> list:
         """The users, entry u for user u + 1, whose cache does not hold its
         parts of x in this layer exactly as the store does: some part not
         fully cached, or not equal to the store's.  Each cache is compared
         at item positions, against its user's part template shifted to the
-        layer's offset once per table, so nothing is shifted per item."""
-        if self._at is None:
-            off = self.offset
-            self._at = tuple(h << off for h in self.held) if off else self.held
+        layer's offset once per table, so nothing is shifted per item.
+
+        Whether a cached mask covers the template is decided once per
+        (user, mask int): a group's items share one mask per user.  The
+        last mask each user met is tried first, by identity, then the
+        masks met before, by id; each is kept with its verdict, so its id
+        cannot be reused while the table lives.  The content test runs per
+        item.  At share 0 every template is 0, and nothing is compared."""
+        if not self.layer.t:
+            return []
         bits = self.item_bits(x)
-        return [
-            u
-            for u, (cache, at) in enumerate(zip(self.caches, self._at))
-            if cache.known_masks.get(x, 0) & at != at
-            or (cache.known_bits.get(x, 0) ^ bits) & at
-        ]
+        last, out = self._last, []
+        for u, (cache, at) in enumerate(zip(self.caches, self._at)):
+            mask = cache.known_masks.get(x, 0)
+            seen = last[u]
+            if mask is not seen[0]:
+                seen = self._covers[u].get(id(mask))
+                if seen is None:
+                    seen = self._covers[u][id(mask)] = (mask, mask & at == at)
+                last[u] = seen
+            if not seen[1] or (cache.known_bits.get(x, 0) ^ bits) & at:
+                out.append(u)
+        return out
 
     def __missing__(self, x):
         if self.misses(x):
@@ -375,12 +411,13 @@ class _ExactParts(_LayerParts):
         return lifts[x]
 
 
-def _exact(tables: dict, layer: LayerSpec, caches, store) -> _ExactParts:
-    """The `_ExactParts` of `layer` in `tables`, made there on first use:
+def _exact(tables: dict, layer: LayerSpec, caches, store, held=None) -> _ExactParts:
+    """The `_ExactParts` of `layer` in `tables`, made there on first use,
+    from `held`, the layer's part templates, where the caller has them:
     the sweep's or one `decode_failures` call's tables, keyed by layer."""
     table = tables.get(layer)
     if table is None:
-        table = tables[layer] = _ExactParts(layer, caches, store)
+        table = tables[layer] = _ExactParts(layer, caches, store, held)
     return table
 
 
@@ -526,9 +563,13 @@ def verify_all_demands(
     # 1 the limit and 2 the sampled decode, the order in which a per-vector
     # loop would meet them.
     first_sent: dict = {}
-    # per layer, its `_ExactParts`: the lane pass, the sampled decodes and
-    # the share-K check read the same table
-    exact: dict = {}
+    # per placed layer, its `_ExactParts`, over the plan's part templates:
+    # the lane pass, the sampled decodes and the share-K check read the
+    # same table
+    exact = {
+        layer: _ExactParts(layer, caches, plan.store, held)
+        for layer, held in plan.templates().items()
+    }
 
     def check(level, layer, items, rec) -> None:
         """Check one record, the first time its step items come, and file its
@@ -653,7 +694,7 @@ def verify_all_demands(
     # layers here, once; a vector whose user asks for a file holding a
     # subfile that user does not hold exactly is not ok.
     for level, items, layers in plan._groups:
-        for table in [_exact(exact, p.layer, caches, plan.store) for p in layers if p.layer.t == k]:
+        for table in [exact[p.layer] for p in layers if p.layer.t == k]:
             for x in items:
                 for u in table.misses(x):
                     violations.append(

@@ -22,13 +22,16 @@ from corrcache import (
     verify_all_demands,
 )
 from corrcache import delivery
-from corrcache.combinat import comb0, members_of, part_labels, step_payloads
+from corrcache.combinat import comb0, mask_of, members_of, part_labels, step_payloads
 from corrcache.delivery import (
     LayerSpec,
     StepRecord,
+    UserCache,
     _CachedParts,
     _LayerParts,
     _decode_parts,
+    _family,
+    _pattern,
     _step_table,
     _window,
     _xor_step,
@@ -161,6 +164,49 @@ def test_place_refuses_a_cache_holding_one_extra_part(monkeypatch):
     monkeypatch.setattr(_LayerParts, "held", property(one_extra_part))
     with pytest.raises(RuntimeError, match="user 1 caches 8 bits, not the 4"):
         place(config, alloc, store)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("equal mask", None),
+    ("dropped bit", "user 2 caches 599 bits, not the 600 its layers place"),
+    ("extra part", "user 2 caches 800 bits, not the 600 its layers place"),
+])
+def test_place_counts_each_shared_mask_once_and_sees_a_per_item_fault(
+    monkeypatch, kind, message
+):
+    """A group's items share one mask int per user, which the whole-bits
+    check counts once per cache.  A fault in one item's mask still shows:
+    user 2's mask of subfile {1,3} replaced by an equal new int passes,
+    one dropped bit or one extra 200-bit part raises with that cache's
+    count."""
+    config = LibraryConfig(3, 3, 1.0, (0, 600, 0))
+    store = ContentStore.generate(config, seed=0)
+    alloc = t_alloc((0, 1, 0), 3)
+    fault = {
+        "equal mask": lambda mask: (mask << 1) >> 1,
+        "dropped bit": lambda mask: mask & (mask - 1),
+        "extra part": lambda mask: mask | (1 << 200) - 1,  # part 0, labeled {1}
+    }[kind]
+    real = UserCache.add
+    faulted = []
+
+    def add(cache, item, mask, bits):
+        if (cache.user, item) == (2, 0b101):
+            new = fault(mask)
+            assert new is not mask
+            faulted.append(new == mask)
+            mask = new
+        real(cache, item, mask, bits)
+
+    monkeypatch.setattr(UserCache, "add", add)
+    if message is None:
+        caches = place(config, alloc, store)
+        assert [c.total_bits() for c in caches] == [600] * 3
+        assert faulted == [True]
+    else:
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            place(config, alloc, store)
+        assert faulted == [False]
 
 
 @pytest.mark.parametrize("scheme", ["cacc", "cauc", "cicc"])
@@ -331,6 +377,37 @@ def _equality_patterns(k):
     for _ in range(k - 1):
         patterns = [p + (c,) for p in patterns for c in range(max(p) + 2)]
     return patterns
+
+
+def _family_by_subset_scan(pattern, v):
+    """`_family` by its definition: over C = V plus the leaders, every
+    |V|-subset W other than V whose complement in C has pairwise-distinct
+    step items, scanning C's |V|-subsets in `combinations` order."""
+    c = v | _pattern(pattern)[2]
+    out = []
+    for combo in itertools.combinations(members_of(c), v.bit_count()):
+        w = mask_of(combo)
+        rest = [pattern[u - 1] for u in members_of(c & ~w)]
+        if w != v and len(set(rest)) == len(rest):
+            out.append(w)
+    return tuple(out)
+
+
+def test_family_matches_the_subset_scan():
+    """`_family` builds each family from one member per step-item class.
+    It equals the subset scan, tuple for tuple, for every equality pattern
+    and every leaderless lane V (a nonempty set of non-leaders) with
+    K <= 7: 11,004 cases."""
+    cases = 0
+    for k in range(1, 8):
+        for pattern in _equality_patterns(k):
+            free = ((1 << k) - 1) & ~_pattern(pattern)[2]
+            v = free
+            while v:
+                assert _family(pattern, v) == _family_by_subset_scan(pattern, v), (pattern, v)
+                cases += 1
+                v = (v - 1) & free
+    assert cases == 11_004
 
 
 @pytest.mark.parametrize("k", range(1, 8))

@@ -1170,7 +1170,9 @@ def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatc
     the transcript, and with each of `_decode_faults` (a wrong bit in a
     share-K layer, a dropped part of a subfile decoded in a second layer).
     With clean caches every part comes from the shared table, each (item,
-    layer) split from the store once per call, and no cached part is read."""
+    layer) split from the store once per call, and no cached part is read.
+    Tables seeded with the plan's part templates (`templates=`) give the
+    same lines."""
     splits, cached_reads = [], []
     real_missing, real_cached = _ExactParts.__missing__, delivery._CachedParts
 
@@ -1192,7 +1194,7 @@ def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatc
     for config, alloc, scheme in [*_fault_cases(), _million_bit_shape()]:
         plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=rng.randrange(99)),
                             scheme=scheme)
-        caches, store = plan.place(), plan.store
+        caches, store, templates = plan.place(), plan.store, plan.templates()
         n, k = config.n_files, config.n_users
         vectors = {worst_case_demand(config)} | {
             tuple(rng.randint(1, n) for _ in range(k)) for _ in range(2)
@@ -1214,6 +1216,7 @@ def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatc
             for kind, bad in faults:
                 want = _cache_only_failures(bad, transcript, d, store)
                 assert decode_failures(bad, transcript, d, store) == want, (kind, d)
+                assert decode_failures(bad, transcript, d, store, templates=templates) == want
                 seen, failing = kinds.get(kind, (0, 0))
                 kinds[kind] = (seen + 1, failing + bool(want))
     assert sorted(kinds) == [
@@ -1223,6 +1226,85 @@ def test_decode_check_reads_the_store_only_where_every_cache_is_exact(monkeypatc
         "wrong cached bit, share-K layer",
     ]
     assert all(failing for _, failing in kinds.values()), kinds
+
+
+def _mask_faults(plan, caches, rng):
+    """Per placed layer at share t > 0, one of each per-item mask fault
+    for a random user and one item of the layer's group, as (kind, layer,
+    user index, item, caches): the item's mask replaced by an equal int
+    that is a new object (not for a mask among the small ints Python
+    shares), one bit of a part the user holds dropped, and one part it
+    does not hold added with the store's bits (not at share K, where it
+    holds every part)."""
+    k = len(caches)
+    for _, items, layers in plan._groups:
+        for parts in layers:
+            t = parts.layer.t
+            if not t:
+                continue
+            u, x = rng.randrange(k), items[len(items) // 2]
+            mask = caches[u].known_masks[x]
+            seg = (1 << parts.psize) - 1
+            held = _step_table(k, t).held[u]
+            pos = parts.offset + rng.choice(held) * parts.psize + rng.randrange(parts.psize)
+            faults = [("equal mask", (mask << 1) >> 1), ("dropped bit", mask & ~(1 << pos))]
+            if t < k:
+                j = rng.choice([j for j in range(parts.nparts) if j not in held])
+                faults.append(("added part", mask | seg << parts.offset + j * parts.psize))
+            for kind, new in faults:
+                if new is mask:
+                    continue
+                bad = list(caches)
+                masks = {**caches[u].known_masks, x: new}
+                bits = {**caches[u].known_bits, x: plan.store.item_bits(x) & new}
+                bad[u] = UserCache(u + 1, masks, bits)
+                yield kind, parts.layer, u, x, bad
+
+
+def test_mask_memo_names_exactly_the_faulted_user_and_item():
+    """`_ExactParts.misses` decides whether a cached mask covers a template
+    once per (user, mask int), and `decode_failures` may seed its tables
+    with the plan's part templates.  On every fault shape, at subfiles 25
+    times as long (so that nearly every mask is an int of its own, not one
+    of the small ints Python shares), with one item's mask faulted after
+    the memo has seen its group's shared mask:
+    * in every placed layer's table, asked for every item of the group in
+      order, `misses` names exactly the user and item of a dropped bit in
+      that layer and no one for an equal new mask or an added part;
+    * `decode_failures` with the plan's templates gives the lines of one
+      that builds fresh tables, on the worst-case demand and two random
+      ones."""
+    rng = random.Random(35)
+    seen = {}
+    for config, alloc, scheme in _fault_cases():
+        config = LibraryConfig(
+            config.n_files, config.n_users, config.cache_capacity,
+            tuple(25 * size for size in config.subfile_sizes),
+        )
+        plan = DeliveryPlan(config, alloc, ContentStore.generate(config, seed=rng.randrange(99)),
+                            scheme=scheme)
+        caches, store, templates = plan.place(), plan.store, plan.templates()
+        n, k = config.n_files, config.n_users
+        vectors = sorted({worst_case_demand(config)} | {
+            tuple(rng.randint(1, n) for _ in range(k)) for _ in range(2)
+        })
+        transcripts = [(d, plan.deliver(d)) for d in vectors]
+        for kind, layer, u, x, bad in _mask_faults(plan, caches, rng):
+            for _, items, layers in plan._groups:
+                for parts in layers:
+                    table = _ExactParts(parts.layer, bad, store, templates[parts.layer])
+                    got = [(v, y) for y in items for v in table.misses(y)]
+                    faulted = kind == "dropped bit" and parts.layer == layer and x in items
+                    assert got == ([(u, x)] if faulted else []), (kind, scheme, parts.layer)
+            failing = False
+            for d, transcript in transcripts:
+                want = decode_failures(bad, transcript, d, store)
+                assert decode_failures(bad, transcript, d, store, templates=templates) == want
+                failing = failing or bool(want)
+            runs, fails = seen.get(kind, (0, 0))
+            seen[kind] = (runs + 1, fails + failing)
+    assert sorted(seen) == ["added part", "dropped bit", "equal mask"]
+    assert seen["dropped bit"][1] and not seen["equal mask"][1], seen
 
 
 # ---------------------------------------------------------------------------
